@@ -68,12 +68,15 @@ fn bench_operators(c: &mut Criterion) {
         b.iter(|| shuffle_random_positions(&mut s, 4, &mut rng))
     });
     group.bench_function("one_point_crossover", |b| {
-        let mut out = Vec::with_capacity(n);
-        b.iter(|| one_point_crossover(a.as_slice(), b_seq.as_slice(), n / 2, &mut out))
+        let mut out = Vec::with_capacity(n + 1);
+        let mut marks = vec![false; n];
+        b.iter(|| one_point_crossover(a.as_slice(), b_seq.as_slice(), n / 2, &mut marks, &mut out))
     });
     group.bench_function("two_point_crossover", |b| {
-        let mut out = Vec::with_capacity(n);
-        b.iter(|| two_point_crossover(a.as_slice(), b_seq.as_slice(), n / 4, 3 * n / 4, &mut out))
+        let mut out = Vec::with_capacity(n + 1);
+        let mut marks = vec![false; n];
+        let (lo, hi) = (n / 4, 3 * n / 4);
+        b.iter(|| two_point_crossover(a.as_slice(), b_seq.as_slice(), lo, hi, &mut marks, &mut out))
     });
     let inst = cdd_instance(1000, 1, 0.6);
     let eval = CddEvaluator::new(&inst);

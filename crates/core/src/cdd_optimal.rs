@@ -119,16 +119,97 @@ pub fn cdd_objective_with_shift(
 
 /// Optimal CDD objective for one sequence, on raw arrays. This is the
 /// *fitness function* evaluated by every metaheuristic thread (CPU and GPU).
-#[inline]
-pub fn cdd_objective_raw(
+///
+/// Equal to [`cdd_optimal_shift_raw`] followed by
+/// [`cdd_objective_with_shift`] (the reference pair, which also yields the
+/// shift and due-date position), but reads each job once. With the
+/// due-date position `r` fixed, positions `1..=r` complete at
+/// `Cₖ + s ≤ d` and the rest at `Cₖ + s ≥ d` (`Cₖ` packed, `s` the
+/// shift), so the penalty splits into running sums over the two sides:
+///
+/// ```text
+/// Σ_{k≤r} αₖ(d − s − Cₖ) + Σ_{k>r} βₖ(Cₖ + s − d)
+///   = (d − s)(pe − pl) − Σ_{k≤r} αₖCₖ + Σ_{k>r} βₖCₖ
+/// ```
+///
+/// One forward pass over the packed schedule collects `τ`, `C_τ` and the
+/// four sums; each Theorem-1 backtrack step moves position `τ` from the
+/// early to the tardy side in O(1), and `d − s` is the packed completion
+/// time of the final due-date position (`d` itself when nothing shifts).
+/// The weighted sums can exceed the objective by far, so they accumulate
+/// in wrapping `i64`: the identity holds modulo 2⁶⁴, which makes the
+/// result exact whenever the objective itself fits.
+///
+/// `p`, `alpha`, `beta` are indexed by job id and processing times must be
+/// non-negative (so the early side is a prefix); `seq` holds job ids of any
+/// unsigned width. O(n), zero allocation.
+///
+/// # Panics
+/// Panics if `seq` holds a job id outside the arrays.
+pub fn cdd_objective_raw<J: Copy + Into<u64>>(
     p: &[Time],
     alpha: &[Time],
     beta: &[Time],
     d: Time,
-    seq: &[u32],
+    seq: &[J],
 ) -> Cost {
-    let (shift, _) = cdd_optimal_shift_raw(p, alpha, beta, d, seq);
-    cdd_objective_with_shift(p, alpha, beta, d, seq, shift)
+    // An id past `usize` saturates and then fails the bounds checks below.
+    let job = |id: J| usize::try_from(id.into()).unwrap_or(usize::MAX);
+
+    // Forward pass, early side: positions completing at or before `d`.
+    let n = seq.len();
+    let mut tau = 0;
+    let mut c_tau: Time = 0;
+    let mut pe: Time = 0;
+    let mut early_weighted: Cost = 0;
+    while tau < n {
+        let j = job(seq[tau]);
+        let c = c_tau + p[j];
+        if c > d {
+            break;
+        }
+        c_tau = c;
+        pe += alpha[j];
+        early_weighted = early_weighted.wrapping_add(alpha[j].wrapping_mul(c));
+        tau += 1;
+    }
+    // Forward pass, tardy side: the remaining positions.
+    let mut c = c_tau;
+    let mut pl: Time = 0;
+    let mut tardy_weighted: Cost = 0;
+    for &id in &seq[tau..] {
+        let j = job(id);
+        c += p[j];
+        pl += beta[j];
+        tardy_weighted = tardy_weighted.wrapping_add(beta[j].wrapping_mul(c));
+    }
+
+    // `d − s`: `d` for the packed schedule (all tardy, or shifting gains
+    // nothing), else the packed completion of the final due-date position.
+    let mut start_gap = d;
+    if tau > 0 && pl < pe {
+        // Align position τ with the due date, then keep making position τ
+        // tardy while that still pays off (Theorem 1, Case 2(ii)).
+        while tau >= 1 {
+            let j = job(seq[tau - 1]);
+            let pe_next = pe - alpha[j];
+            let pl_next = pl + beta[j];
+            if pl_next >= pe_next {
+                break;
+            }
+            pe = pe_next;
+            pl = pl_next;
+            early_weighted = early_weighted.wrapping_sub(alpha[j].wrapping_mul(c_tau));
+            tardy_weighted = tardy_weighted.wrapping_add(beta[j].wrapping_mul(c_tau));
+            c_tau -= p[j];
+            tau -= 1;
+        }
+        start_gap = c_tau;
+    }
+    start_gap
+        .wrapping_mul(pe.wrapping_sub(pl))
+        .wrapping_sub(early_weighted)
+        .wrapping_add(tardy_weighted)
 }
 
 /// Optimize one job sequence of a CDD (or UCDDCP, ignoring compression)
@@ -261,6 +342,123 @@ mod tests {
         assert_eq!(sol.shift, 0);
         // C = {2,4}: job 1 on time (E = 0), job 2 tardy by 2 → β·T = 3·2 = 6.
         assert_eq!(sol.objective, 6);
+    }
+
+    /// The reference pair the one-pass objective must reproduce.
+    fn reference_objective(p: &[Time], a: &[Time], b: &[Time], d: Time, seq: &[u32]) -> Cost {
+        let (shift, _) = cdd_optimal_shift_raw(p, a, b, d, seq);
+        cdd_objective_with_shift(p, a, b, d, seq, shift)
+    }
+
+    /// The one-pass `cdd_objective_raw` must equal the reference pair
+    /// (`cdd_optimal_shift_raw`, then `cdd_objective_with_shift`) for `u32`
+    /// and `u64` job ids, over the edge cases its derivation leans on:
+    /// `d = 0` (all tardy), `d ≥ ΣP`, `α ≡ 0`, `β ≡ 0`, `pe = pl` ties,
+    /// `n = 1`, and data at the kernels' validation cap (`VALUE_CAP = 2^20`
+    /// in cdd-gpu).
+    #[test]
+    fn one_pass_objective_matches_reference_on_random_instances() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const CAP: Time = 1 << 20;
+        let mut rng = StdRng::seed_from_u64(0xCDD0);
+        let (mut zero_d, mut unrestricted, mut ties, mut singles, mut capped) = (0, 0, 0, 0, 0);
+        for case in 0..600 {
+            let n = if case % 13 == 0 { 1 } else { rng.gen_range(2..=40) };
+            let mode = case % 6;
+            let rate = |rng: &mut StdRng| match mode {
+                // {0, 1} rates make `pe = pl` ties common.
+                3 => rng.gen_range(0..=1),
+                4 => CAP,
+                5 => rng.gen_range(0..=CAP),
+                _ => rng.gen_range(0..=15),
+            };
+            let p: Vec<Time> = (0..n)
+                .map(|_| match mode {
+                    4 => CAP,
+                    5 => rng.gen_range(1..=CAP),
+                    _ => rng.gen_range(1..=30),
+                })
+                .collect();
+            let a: Vec<Time> = (0..n).map(|_| if mode == 1 { 0 } else { rate(&mut rng) }).collect();
+            let b: Vec<Time> = (0..n).map(|_| if mode == 2 { 0 } else { rate(&mut rng) }).collect();
+            let sum_p: Time = p.iter().sum();
+            let d = match (case / 6) % 4 {
+                0 => 0,
+                1 => sum_p + rng.gen_range(0..=40 as Time),
+                2 => sum_p,
+                _ => rng.gen_range(0..=sum_p),
+            };
+            let seq = JobSequence::random(n, &mut rng);
+            let ids = seq.as_slice();
+            let wide: Vec<u64> = ids.iter().map(|&j| u64::from(j)).collect();
+            let want = reference_objective(&p, &a, &b, d, ids);
+            assert_eq!(cdd_objective_raw(&p, &a, &b, d, ids), want, "case {case} (u32 ids)");
+            assert_eq!(cdd_objective_raw(&p, &a, &b, d, &wide), want, "case {case} (u64 ids)");
+
+            // Tally the edge cases actually exercised.
+            let (mut c, mut tau, mut pe, mut pl) = (0, 0, 0, 0);
+            for (k, &j) in ids.iter().enumerate() {
+                let j = j as usize;
+                c += p[j];
+                if c <= d {
+                    tau = k + 1;
+                    pe += a[j];
+                } else {
+                    pl += b[j];
+                }
+            }
+            ties += usize::from(tau > 0 && pe == pl);
+            zero_d += usize::from(d == 0);
+            unrestricted += usize::from(d >= sum_p);
+            singles += usize::from(n == 1);
+            capped += usize::from(mode == 4);
+        }
+        for (what, hits) in [
+            ("d = 0", zero_d),
+            ("d >= sum P", unrestricted),
+            ("pe = pl ties", ties),
+            ("n = 1", singles),
+            ("data at the cap", capped),
+        ] {
+            assert!(hits >= 10, "only {hits} cases cover {what}");
+        }
+    }
+
+    /// A long first job puts every completion time near 2^42, so the
+    /// weighted sums (and `(d − s)(pe − pl)`) wrap `i64` while the
+    /// objective itself stays small: the wrapping identity must still give
+    /// the exact value.
+    #[test]
+    fn one_pass_objective_is_exact_when_intermediates_wrap() {
+        let mut p = vec![1 << 42];
+        p.extend([3, 1, 4, 1, 5, 9, 2, 6]);
+        let n = p.len();
+        let a: Vec<Time> = (0..n as Time).map(|i| (1 << 20) - i).collect();
+        let b: Vec<Time> = (0..n as Time).map(|i| (1 << 19) + 7 * i).collect();
+        let sum_p: Time = p.iter().sum();
+        let seq = JobSequence::identity(n);
+        for d in [sum_p, sum_p - 10, sum_p + 1000, 1 << 43] {
+            let want = reference_objective(&p, &a, &b, d, seq.as_slice());
+            assert_eq!(cdd_objective_raw(&p, &a, &b, d, seq.as_slice()), want, "d = {d}");
+        }
+        // The intermediates really do leave the i64 range.
+        let weighted: i128 = p.iter().scan(0i128, |c, &pj| {
+            *c += i128::from(pj);
+            Some(*c)
+        })
+        .zip(&a)
+        .map(|(c, &aj)| c * i128::from(aj))
+        .sum();
+        assert!(weighted > i128::from(i64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn one_pass_objective_rejects_out_of_range_ids() {
+        let inst = Instance::paper_example_cdd();
+        let (p, _, a, b, _) = inst.to_arrays();
+        cdd_objective_raw(&p, &a, &b, 16, &[0u32, 1, 2, 3, 5]);
     }
 
     #[test]

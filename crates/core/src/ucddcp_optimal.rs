@@ -58,17 +58,18 @@ pub struct UcddcpSequenceSolution {
 ///
 /// `p`, `m`, `alpha`, `beta`, `gamma` are indexed by job id; `seq[k]` is the
 /// job at position `k` and must be a **permutation** of `0..seq.len()`
-/// (job ids are validated, uniqueness is the caller's contract — it is what
-/// makes the specialized rate sums below exact). Requires an unrestricted
-/// due date (`d ≥ Σ Pᵢ`), checked only by `debug_assert`.
-pub fn ucddcp_objective_raw(
+/// (job ids, of any unsigned width, are validated; uniqueness is the
+/// caller's contract — it is what makes the specialized rate sums below
+/// exact). Requires an unrestricted due date (`d ≥ Σ Pᵢ`), checked only by
+/// `debug_assert`.
+pub fn ucddcp_objective_raw<J: Copy + Into<u64>>(
     p: &[Time],
     m: &[Time],
     alpha: &[Time],
     beta: &[Time],
     gamma: &[Time],
     d: Time,
-    seq: &[u32],
+    seq: &[J],
 ) -> Cost {
     let n = seq.len();
     // One vectorizable pass validates every job id against the shortest
@@ -77,7 +78,7 @@ pub fn ucddcp_objective_raw(
     // O(n) hot loops.
     let limit = p.len().min(m.len()).min(alpha.len()).min(beta.len()).min(gamma.len());
     assert!(
-        n <= limit && seq.iter().all(|&j| (j as usize) < n),
+        n <= limit && seq.iter().all(|&j| j.into() < n as u64),
         "ucddcp_objective_raw: sequence contains a job id outside the instance"
     );
 
@@ -102,8 +103,9 @@ pub fn ucddcp_objective_raw(
         let mut pl: Time = 0;
         while tau >= 1 {
             // SAFETY: `tau - 1 < n = seq.len()` and every id in `seq` was
-            // validated above against the shortest array.
-            let j = unsafe { *seq.get_unchecked(tau - 1) } as usize;
+            // validated above against the shortest array (so the cast to
+            // `usize` is exact too).
+            let j = unsafe { *seq.get_unchecked(tau - 1) }.into() as usize;
             let pe_next = pe - unsafe { *alpha.get_unchecked(j) };
             let pl_next = pl + unsafe { *beta.get_unchecked(j) };
             if pl_next < pe_next {
@@ -130,7 +132,7 @@ pub fn ucddcp_objective_raw(
     let mut prefix_alpha: Time = 0;
     let mut suffix_beta = pl;
     for (k, &job) in seq.iter().enumerate() {
-        let j = job as usize;
+        let j = job.into() as usize;
         // SAFETY: every id in `seq` was validated above against the
         // shortest of the five arrays.
         unsafe {

@@ -6,19 +6,18 @@
 //! one per request). Each request owns a contiguous block segment —
 //! `blocks_per_req` blocks, `ensemble_per_req` threads — and every block
 //! stages *its own request's* rates, so a thread's evaluation is
-//! bit-identical to the single-request [`FitnessKernel`]: same staged
-//! arrays, same raw objective call, same validation, same clamp. Only the
-//! launch accounting changes.
+//! bit-identical to the single-request
+//! [`FitnessKernel`](crate::kernels::FitnessKernel): both run the same
+//! staging and evaluation bodies, so the same staged arrays, windows,
+//! objective call, validation and clamp. Only the launch accounting
+//! changes.
 //!
 //! Fusion requires all requests to share the problem kind and job count
 //! (enforced at construction); due dates and every per-job array may differ
 //! freely.
 
-use crate::kernels::fitness::{CORRUPT_ENERGY, VALUE_CAP};
+use crate::kernels::fitness::{evaluate_row, stage_rates, FitnessScratch, StagedRates};
 use crate::layout::ProblemDevice;
-use cdd_core::cdd_optimal::cdd_objective_raw;
-use cdd_core::ucddcp_optimal::ucddcp_objective_raw;
-use cdd_core::ProblemKind;
 use cuda_sim::{Buf, DeviceCtx, Kernel, ScratchArena};
 
 /// Evaluates one job sequence per thread across a fused multi-request grid.
@@ -34,27 +33,10 @@ pub struct BatchFitnessKernel {
     pub ensemble_per_req: usize,
     /// Blocks per request.
     pub blocks_per_req: usize,
-    /// Per-block staged shared memory, indexed by block id.
-    staged: ScratchArena<StagedBatchRates>,
+    /// Per-block staged shared memory (so per request), indexed by block id.
+    staged: ScratchArena<StagedRates>,
     /// Per-thread working vectors, indexed by global thread id.
-    scratch: ScratchArena<BatchScratch>,
-}
-
-/// Penalty rates staged in shared memory (per block, so per request).
-#[derive(Default)]
-struct StagedBatchRates {
-    alpha: Vec<i64>,
-    beta: Vec<i64>,
-    gamma: Vec<i64>,
-}
-
-/// Per-thread registers/local memory.
-#[derive(Default)]
-struct BatchScratch {
-    seq: Vec<u32>,
-    p: Vec<i64>,
-    m: Vec<i64>,
-    marks: Vec<bool>,
+    scratch: ScratchArena<FitnessScratch>,
 }
 
 impl BatchFitnessKernel {
@@ -89,44 +71,6 @@ impl BatchFitnessKernel {
     fn prob_of_block(&self, block_idx: usize) -> &ProblemDevice {
         &self.probs[block_idx / self.blocks_per_req]
     }
-
-    /// Same validation as [`crate::kernels::FitnessKernel`], against the
-    /// owning request's data. Only consulted under fault injection.
-    fn inputs_valid(
-        prob: &ProblemDevice,
-        shared: &StagedBatchRates,
-        scratch: &mut BatchScratch,
-        d: i64,
-    ) -> bool {
-        let n = prob.n;
-        scratch.marks.clear();
-        scratch.marks.resize(n, false);
-        for &j in &scratch.seq {
-            let j = j as usize;
-            if j >= n || scratch.marks[j] {
-                return false;
-            }
-            scratch.marks[j] = true;
-        }
-        let rates_ok = |v: &[i64]| v.iter().all(|&x| (0..=VALUE_CAP).contains(&x));
-        if !scratch.p.iter().all(|&x| (1..=VALUE_CAP).contains(&x))
-            || !rates_ok(&shared.alpha)
-            || !rates_ok(&shared.beta)
-        {
-            return false;
-        }
-        if prob.kind == ProblemKind::Ucddcp {
-            if !rates_ok(&shared.gamma)
-                || !scratch.m.iter().zip(&scratch.p).all(|(&m, &p)| (0..=p).contains(&m))
-            {
-                return false;
-            }
-            if scratch.p.iter().sum::<i64>() > d {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 impl Kernel for BatchFitnessKernel {
@@ -149,26 +93,10 @@ impl Kernel for BatchFitnessKernel {
 
     fn phase<C: DeviceCtx>(&self, phase: usize, ctx: &mut C, _shared: &mut (), _state: &mut ()) {
         let prob = self.prob_of_block(ctx.block_idx());
-        let n = prob.n;
         if phase == 0 {
-            // Cooperative staging of the owning request's rates — identical
-            // in shape and charge to the single-request kernel's phase 0.
-            if ctx.thread_idx() == 0 {
-                self.staged.with_slot(ctx.block_idx(), |shared| {
-                    shared.alpha.resize(n, 0);
-                    ctx.cooperative_read(prob.alpha, 0, &mut shared.alpha);
-                    shared.beta.resize(n, 0);
-                    ctx.cooperative_read(prob.beta, 0, &mut shared.beta);
-                    if prob.kind == ProblemKind::Ucddcp {
-                        shared.gamma.resize(n, 0);
-                        ctx.cooperative_read(prob.gamma, 0, &mut shared.gamma);
-                    }
-                });
-            }
-            let arrays = if prob.kind == ProblemKind::Ucddcp { 3 } else { 2 };
-            let share = n.div_ceil(ctx.block_dim()) as u64;
-            ctx.charge_global(arrays * share);
-            ctx.charge_shared(arrays * share);
+            // The owning request's rates — identical in shape and charge to
+            // the single-request kernel's phase 0.
+            stage_rates(ctx, prob, &self.staged);
             return;
         }
 
@@ -181,68 +109,9 @@ impl Kernel for BatchFitnessKernel {
             return;
         }
         let d = ctx.read_const(prob.scalars, 0);
-
         self.staged.with_slot(ctx.block_idx(), |shared| {
             self.scratch.with_slot(gid, |scratch| {
-                scratch.seq.resize(n, 0);
-                ctx.read_slice_into(self.seqs, gid * n, &mut scratch.seq);
-                // As in the single-request kernel: the simulator stages the
-                // problem arrays (every access charged and fault-filtered),
-                // the native backend serves them as zero-copy windows.
-                let zero_copy = ctx.global_window_i64(prob.p, 0, n).is_some();
-                if !zero_copy {
-                    scratch.p.resize(n, 0);
-                    ctx.read_slice_into(prob.p, 0, &mut scratch.p);
-                    if prob.kind == ProblemKind::Ucddcp {
-                        scratch.m.resize(n, 0);
-                        ctx.read_slice_into(prob.m, 0, &mut scratch.m);
-                    }
-                }
-
-                if ctx.fault_injection_active()
-                    && !Self::inputs_valid(prob, shared, scratch, d)
-                {
-                    ctx.charge_alu(4 * n as u64);
-                    ctx.write(self.out, gid, CORRUPT_ENERGY);
-                    return;
-                }
-
-                match prob.kind {
-                    ProblemKind::Cdd => {
-                        ctx.charge_shared(2 * n as u64);
-                        ctx.charge_alu(8 * n as u64);
-                    }
-                    ProblemKind::Ucddcp => {
-                        ctx.charge_shared(3 * n as u64);
-                        ctx.charge_alu(12 * n as u64);
-                    }
-                }
-                let objective = {
-                    let p = ctx.global_window_i64(prob.p, 0, n).unwrap_or(&scratch.p);
-                    match prob.kind {
-                        ProblemKind::Cdd => {
-                            cdd_objective_raw(p, &shared.alpha, &shared.beta, d, &scratch.seq)
-                        }
-                        ProblemKind::Ucddcp => {
-                            let m = ctx.global_window_i64(prob.m, 0, n).unwrap_or(&scratch.m);
-                            ucddcp_objective_raw(
-                                p,
-                                m,
-                                &shared.alpha,
-                                &shared.beta,
-                                &shared.gamma,
-                                d,
-                                &scratch.seq,
-                            )
-                        }
-                    }
-                };
-                let objective = if ctx.fault_injection_active() {
-                    objective.clamp(0, CORRUPT_ENERGY)
-                } else {
-                    objective
-                };
-                ctx.write(self.out, gid, objective);
+                evaluate_row(ctx, prob, self.seqs, self.out, gid, d, shared, scratch);
             });
         });
     }

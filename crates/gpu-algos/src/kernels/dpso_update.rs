@@ -30,8 +30,11 @@ pub struct DpsoProbe {
 /// Position update: `p ← c₂ ⊕ F₃(c₁ ⊕ F₂(w ⊕ F₁(p), pbest), gbest)`.
 ///
 /// Built once per pipeline run ([`DpsoUpdateKernel::new`]); each particle's
-/// crossover buffers persist in a scratch arena across launches, so
-/// steady-state generations allocate nothing.
+/// row, crossover output and crossover marks persist in a scratch arena
+/// across launches, and the crossovers compact into them without
+/// allocating, so steady-state generations allocate nothing. On the native
+/// backend the personal-best and swarm-best rows are read in place through
+/// zero-copy windows (other launches write them, this one only reads).
 pub struct DpsoUpdateKernel {
     /// Particle positions (row-major).
     pub positions: Buf<u32>,
@@ -91,30 +94,55 @@ impl DpsoUpdateKernel {
 #[derive(Default)]
 pub struct UpdateScratch {
     row: Vec<u32>,
+    /// The simulator's staged copy of a personal-best or swarm-best row.
     other: Vec<u32>,
     out: Vec<u32>,
-    /// Seen-marks for permutation repair under fault injection.
+    /// Seen-marks over job ids, shared by the crossovers and the fault
+    /// repair; all `false` between uses.
     marks: Vec<bool>,
 }
 
 /// Repair `row` in place if it is not a permutation of `0..n` (reset to the
 /// identity). Only called under fault injection, where a flipped read can
-/// hand the crossover operators job ids that index out of bounds.
-fn sanitize_row(row: &mut [u32], marks: &mut Vec<bool>) {
+/// hand the crossover operators job ids that index out of bounds. `marks`
+/// (at least `n` long) is all `false` on entry and again on return.
+fn sanitize_row(row: &mut [u32], marks: &mut [bool]) {
     let n = row.len();
-    marks.clear();
-    marks.resize(n, false);
     let valid = row.iter().all(|&j| {
         // u32 → usize widens; a flipped id is caught by the bounds check,
         // never truncated into a valid-looking index.
         let j = j as usize;
         j < n && !std::mem::replace(&mut marks[j], true)
     });
+    // Every mark set above belongs to an in-range id of `row`.
+    for &j in row.iter() {
+        if let Some(mark) = marks[..n].get_mut(j as usize) {
+            *mark = false;
+        }
+    }
     if !valid {
         for (k, slot) in row.iter_mut().enumerate() {
             // k < n ≤ u32::MAX (the row was read from a u32 buffer).
             *slot = k as u32;
         }
+    }
+}
+
+/// Stage the parent row `buf[start..start + n]` into `scratch.other` — the
+/// simulator's path, which charges and fault-filters every read — and
+/// repair it under fault injection.
+fn stage_parent<C: DeviceCtx>(
+    ctx: &mut C,
+    buf: Buf<u32>,
+    start: usize,
+    n: usize,
+    scratch: &mut UpdateScratch,
+) {
+    scratch.other.resize(n, 0);
+    ctx.read_slice_into(buf, start, &mut scratch.other);
+    if ctx.fault_injection_active() {
+        sanitize_row(&mut scratch.other, &mut scratch.marks);
+        ctx.charge_alu(2 * n as u64);
     }
 }
 
@@ -138,6 +166,7 @@ impl Kernel for DpsoUpdateKernel {
 
         self.scratch.with_slot(gid, |scratch| {
             scratch.row.resize(n, 0);
+            scratch.marks.resize(n, false);
             ctx.read_slice_into(self.positions, gid * n, &mut scratch.row);
             if ctx.fault_injection_active() {
                 sanitize_row(&mut scratch.row, &mut scratch.marks);
@@ -157,33 +186,36 @@ impl Kernel for DpsoUpdateKernel {
 
             // δ = c₁ ⊕ F₂(λ, pbest): one-point crossover with the personal best.
             if n >= 2 && rng.next_f64() < self.c1 {
-                scratch.other.resize(n, 0);
-                ctx.read_slice_into(self.pbest, gid * n, &mut scratch.other);
-                if ctx.fault_injection_active() {
-                    sanitize_row(&mut scratch.other, &mut scratch.marks);
-                    ctx.charge_alu(2 * n as u64);
+                let start = gid * n;
+                if ctx.global_window(self.pbest, start, n).is_none() {
+                    stage_parent(ctx, self.pbest, start, n, scratch);
                 }
                 let cut = 1 + rng.next_below(n as u32 - 1) as usize;
-                one_point_crossover(&scratch.row, &scratch.other, cut, &mut scratch.out);
-                std::mem::swap(&mut scratch.row, &mut scratch.out);
+                let UpdateScratch { row: a, other, out, marks } = scratch;
+                match ctx.global_window(self.pbest, start, n) {
+                    Some(b) => one_point_crossover(a, b, cut, marks, out),
+                    None => one_point_crossover(a, other, cut, marks, out),
+                }
+                std::mem::swap(a, out);
                 ctx.charge_alu(2 * n as u64);
             }
 
             // x = c₂ ⊕ F₃(δ, g): two-point crossover with the swarm best.
             if n >= 2 && rng.next_f64() < self.c2 {
-                scratch.other.resize(n, 0);
-                ctx.read_slice_into(self.gbest, 0, &mut scratch.other);
-                if ctx.fault_injection_active() {
-                    sanitize_row(&mut scratch.other, &mut scratch.marks);
-                    ctx.charge_alu(2 * n as u64);
+                if ctx.global_window(self.gbest, 0, n).is_none() {
+                    stage_parent(ctx, self.gbest, 0, n, scratch);
                 }
                 let mut lo = rng.next_below(n as u32) as usize;
                 let mut hi = rng.next_below(n as u32) as usize;
                 if lo > hi {
                     std::mem::swap(&mut lo, &mut hi);
                 }
-                two_point_crossover(&scratch.row, &scratch.other, lo, hi + 1, &mut scratch.out);
-                std::mem::swap(&mut scratch.row, &mut scratch.out);
+                let UpdateScratch { row: a, other, out, marks } = scratch;
+                match ctx.global_window(self.gbest, 0, n) {
+                    Some(b) => two_point_crossover(a, b, lo, hi + 1, marks, out),
+                    None => two_point_crossover(a, other, lo, hi + 1, marks, out),
+                }
+                std::mem::swap(a, out);
                 ctx.charge_alu(2 * n as u64);
             }
 

@@ -57,7 +57,9 @@ pub struct StagedRates {
     gamma: Vec<i64>,
 }
 
-/// Per-thread registers/local memory.
+/// Per-thread registers/local memory: the simulator's staged copies of the
+/// thread's row and the problem arrays (the native backend reads those in
+/// place and never fills these).
 #[derive(Default)]
 pub struct FitnessScratch {
     seq: Vec<u32>,
@@ -93,45 +95,175 @@ impl FitnessKernel {
             scratch: ScratchArena::new(ensemble),
         }
     }
+}
 
-    /// Validate the thread's staged inputs before evaluating. Only consulted
-    /// under fault injection: a bit flip can turn a job id into an
-    /// out-of-bounds index, a processing time into an overflowing magnitude,
-    /// or (UCDDCP) break the unrestricted-due-date precondition — all of
-    /// which the evaluators are entitled to assume away on clean hardware.
-    fn inputs_valid(&self, shared: &StagedRates, scratch: &mut FitnessScratch, d: i64) -> bool {
-        let n = self.prob.n;
-        scratch.marks.clear();
-        scratch.marks.resize(n, false);
-        for &j in &scratch.seq {
-            // u32 → usize is a widening cast on every supported target;
-            // a bit-flipped id is caught by the bounds check below, not
-            // silently truncated into a valid-looking index.
-            let j = j as usize;
-            if j >= n || scratch.marks[j] {
-                return false;
-            }
-            scratch.marks[j] = true;
+/// Validate the thread's staged inputs before evaluating. Only consulted
+/// under fault injection: a bit flip can turn a job id into an
+/// out-of-bounds index, a processing time into an overflowing magnitude,
+/// or (UCDDCP) break the unrestricted-due-date precondition — all of
+/// which the evaluators are entitled to assume away on clean hardware.
+fn inputs_valid(
+    prob: &ProblemDevice,
+    shared: &StagedRates,
+    scratch: &mut FitnessScratch,
+    d: i64,
+) -> bool {
+    let n = prob.n;
+    scratch.marks.clear();
+    scratch.marks.resize(n, false);
+    for &j in &scratch.seq {
+        // u32 → usize is a widening cast on every supported target;
+        // a bit-flipped id is caught by the bounds check below, not
+        // silently truncated into a valid-looking index.
+        let j = j as usize;
+        if j >= n || scratch.marks[j] {
+            return false;
         }
-        let rates_ok = |v: &[i64]| v.iter().all(|&x| (0..=VALUE_CAP).contains(&x));
-        if !scratch.p.iter().all(|&x| (1..=VALUE_CAP).contains(&x))
-            || !rates_ok(&shared.alpha)
-            || !rates_ok(&shared.beta)
+        scratch.marks[j] = true;
+    }
+    let rates_ok = |v: &[i64]| v.iter().all(|&x| (0..=VALUE_CAP).contains(&x));
+    if !scratch.p.iter().all(|&x| (1..=VALUE_CAP).contains(&x))
+        || !rates_ok(&shared.alpha)
+        || !rates_ok(&shared.beta)
+    {
+        return false;
+    }
+    if prob.kind == ProblemKind::Ucddcp {
+        if !rates_ok(&shared.gamma)
+            || !scratch.m.iter().zip(&scratch.p).all(|(&m, &p)| (0..=p).contains(&m))
         {
             return false;
         }
-        if self.prob.kind == ProblemKind::Ucddcp {
-            if !rates_ok(&shared.gamma)
-                || !scratch.m.iter().zip(&scratch.p).all(|(&m, &p)| (0..=p).contains(&m))
-            {
-                return false;
-            }
-            // The UCDDCP evaluator requires an unrestricted due date (Σp ≤ d).
-            if scratch.p.iter().sum::<i64>() > d {
-                return false;
-            }
+        // The UCDDCP evaluator requires an unrestricted due date (Σp ≤ d).
+        if scratch.p.iter().sum::<i64>() > d {
+            return false;
         }
-        true
+    }
+    true
+}
+
+/// Phase 0 of both fitness kernels: cooperative staging of `prob`'s rates
+/// into the block's shared memory. Threads conceptually load elements
+/// tid, tid+blockDim, …; the engine performs the copy once and every
+/// thread charges its share of the traffic.
+pub(crate) fn stage_rates<C: DeviceCtx>(
+    ctx: &mut C,
+    prob: &ProblemDevice,
+    staged: &ScratchArena<StagedRates>,
+) {
+    let n = prob.n;
+    if ctx.thread_idx() == 0 {
+        staged.with_slot(ctx.block_idx(), |shared| {
+            shared.alpha.resize(n, 0);
+            ctx.cooperative_read(prob.alpha, 0, &mut shared.alpha);
+            shared.beta.resize(n, 0);
+            ctx.cooperative_read(prob.beta, 0, &mut shared.beta);
+            if prob.kind == ProblemKind::Ucddcp {
+                shared.gamma.resize(n, 0);
+                ctx.cooperative_read(prob.gamma, 0, &mut shared.gamma);
+            }
+        });
+    }
+    let arrays = if prob.kind == ProblemKind::Ucddcp { 3 } else { 2 };
+    let share = n.div_ceil(ctx.block_dim()) as u64;
+    ctx.charge_global(arrays * share);
+    ctx.charge_shared(arrays * share);
+}
+
+/// Phase 1 of both fitness kernels (past the barrier, the staged rates are
+/// visible): score thread `gid`'s row of `seqs` against `prob` and write
+/// the objective to `out[gid]`.
+///
+/// The simulator must observe (charge, race-track, fault-filter) every
+/// read of the row and of `p`/`m`, so it stages them into `scratch`; the
+/// native backend reads all three in place through zero-copy windows —
+/// legal because no thread writes them during a fitness launch.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn evaluate_row<C: DeviceCtx>(
+    ctx: &mut C,
+    prob: &ProblemDevice,
+    seqs: Buf<u32>,
+    out: Buf<i64>,
+    gid: usize,
+    d: i64,
+    shared: &StagedRates,
+    scratch: &mut FitnessScratch,
+) {
+    let n = prob.n;
+    if ctx.global_window(seqs, gid * n, n).is_none() {
+        scratch.seq.resize(n, 0);
+        ctx.read_slice_into(seqs, gid * n, &mut scratch.seq);
+    }
+    if ctx.global_window(prob.p, 0, n).is_none() {
+        scratch.p.resize(n, 0);
+        ctx.read_slice_into(prob.p, 0, &mut scratch.p);
+    }
+    if prob.kind == ProblemKind::Ucddcp && ctx.global_window(prob.m, 0, n).is_none() {
+        scratch.m.resize(n, 0);
+        ctx.read_slice_into(prob.m, 0, &mut scratch.m);
+    }
+
+    // Under fault injection, a corrupted input set is detected up front
+    // and scored with the sentinel instead of evaluated (the evaluators
+    // would index out of bounds or overflow on it). The clean path skips
+    // the validation entirely, so timing and results are bit-identical
+    // with no plan installed. (Fault plans are sim-only, so the staged
+    // copies the validation reads always exist when this fires.)
+    if ctx.fault_injection_active() && !inputs_valid(prob, shared, scratch, d) {
+        ctx.charge_alu(4 * n as u64); // the validation scan
+        ctx.write(out, gid, CORRUPT_ENERGY);
+        return;
+    }
+
+    // The modeled cost of the evaluation: ~2 passes over the shared rates
+    // (3 for UCDDCP) plus register arithmetic. The modeled-clock pins fix
+    // it, whatever form the host evaluator takes.
+    match prob.kind {
+        ProblemKind::Cdd => {
+            ctx.charge_shared(2 * n as u64);
+            ctx.charge_alu(8 * n as u64);
+        }
+        ProblemKind::Ucddcp => {
+            ctx.charge_shared(3 * n as u64);
+            ctx.charge_alu(12 * n as u64);
+        }
+    }
+    let objective = {
+        let ctx = &*ctx;
+        let p = ctx.global_window(prob.p, 0, n).unwrap_or(&scratch.p);
+        let m = match prob.kind {
+            ProblemKind::Cdd => &[][..],
+            ProblemKind::Ucddcp => ctx.global_window(prob.m, 0, n).unwrap_or(&scratch.m),
+        };
+        match ctx.global_window(seqs, gid * n, n) {
+            Some(row) => objective(prob.kind, p, m, shared, d, row),
+            None => objective(prob.kind, p, m, shared, d, &scratch.seq),
+        }
+    };
+    // Flipped-but-valid data can still produce objectives past the
+    // packed-argmin range; the clamp keeps downstream reductions safe.
+    let objective = if ctx.fault_injection_active() {
+        objective.clamp(0, CORRUPT_ENERGY)
+    } else {
+        objective
+    };
+    ctx.write(out, gid, objective);
+}
+
+/// The fixed-sequence optimum of `row` (`m` is ignored for CDD).
+fn objective<J: Copy + Into<u64>>(
+    kind: ProblemKind,
+    p: &[i64],
+    m: &[i64],
+    shared: &StagedRates,
+    d: i64,
+    row: &[J],
+) -> i64 {
+    match kind {
+        ProblemKind::Cdd => cdd_objective_raw(p, &shared.alpha, &shared.beta, d, row),
+        ProblemKind::Ucddcp => {
+            ucddcp_objective_raw(p, m, &shared.alpha, &shared.beta, &shared.gamma, d, row)
+        }
     }
 }
 
@@ -157,110 +289,22 @@ impl Kernel for FitnessKernel {
     }
 
     fn phase<C: DeviceCtx>(&self, phase: usize, ctx: &mut C, _shared: &mut (), _state: &mut ()) {
-        let n = self.prob.n;
         if phase == 0 {
-            // Cooperative staging: threads conceptually load elements
-            // tid, tid+blockDim, …; the engine performs the copy once and
-            // every thread charges its share of the traffic.
-            if ctx.thread_idx() == 0 {
-                self.staged.with_slot(ctx.block_idx(), |shared| {
-                    shared.alpha.resize(n, 0);
-                    ctx.cooperative_read(self.prob.alpha, 0, &mut shared.alpha);
-                    shared.beta.resize(n, 0);
-                    ctx.cooperative_read(self.prob.beta, 0, &mut shared.beta);
-                    if self.prob.kind == ProblemKind::Ucddcp {
-                        shared.gamma.resize(n, 0);
-                        ctx.cooperative_read(self.prob.gamma, 0, &mut shared.gamma);
-                    }
-                });
-            }
-            let arrays = if self.prob.kind == ProblemKind::Ucddcp { 3 } else { 2 };
-            let share = n.div_ceil(ctx.block_dim()) as u64;
-            ctx.charge_global(arrays * share);
-            ctx.charge_shared(arrays * share);
+            stage_rates(ctx, &self.prob, &self.staged);
             return;
         }
-
-        // Phase 1: evaluate (past the barrier, staged rates are visible).
         let gid = ctx.global_id();
         if gid >= self.ensemble {
             return;
         }
         let d = ctx.read_const(self.prob.scalars, 0);
-        debug_assert_eq!(ctx.read_const(self.prob.scalars, 1), n as i64);
-
+        // A charged read in every build profile: the modeled clock must
+        // not depend on whether debug assertions are compiled in.
+        let n = ctx.read_const(self.prob.scalars, 1);
+        debug_assert_eq!(n, self.prob.n as i64);
         self.staged.with_slot(ctx.block_idx(), |shared| {
             self.scratch.with_slot(gid, |scratch| {
-                scratch.seq.resize(n, 0);
-                ctx.read_slice_into(self.seqs, gid * n, &mut scratch.seq);
-                // The simulator must observe (charge, race-track,
-                // fault-filter) every read of the problem arrays, so it
-                // stages them into scratch; the native backend serves them
-                // as zero-copy windows below and skips the staging.
-                let zero_copy = ctx.global_window_i64(self.prob.p, 0, n).is_some();
-                if !zero_copy {
-                    scratch.p.resize(n, 0);
-                    ctx.read_slice_into(self.prob.p, 0, &mut scratch.p);
-                    if self.prob.kind == ProblemKind::Ucddcp {
-                        scratch.m.resize(n, 0);
-                        ctx.read_slice_into(self.prob.m, 0, &mut scratch.m);
-                    }
-                }
-
-                // Under fault injection, a corrupted input set is detected up
-                // front and scored with the sentinel instead of evaluated
-                // (the evaluators would index out of bounds or overflow on
-                // it). The clean path skips the validation entirely, so
-                // timing and results are bit-identical with no plan
-                // installed. (Fault plans are sim-only, so the staged copies
-                // the validation reads always exist when this fires.)
-                if ctx.fault_injection_active() && !self.inputs_valid(shared, scratch, d) {
-                    ctx.charge_alu(4 * n as u64); // the validation scan
-                    ctx.write(self.out, gid, CORRUPT_ENERGY);
-                    return;
-                }
-
-                match self.prob.kind {
-                    ProblemKind::Cdd => {
-                        // ~2 passes over shared rates + register arithmetic.
-                        ctx.charge_shared(2 * n as u64);
-                        ctx.charge_alu(8 * n as u64);
-                    }
-                    ProblemKind::Ucddcp => {
-                        ctx.charge_shared(3 * n as u64);
-                        ctx.charge_alu(12 * n as u64);
-                    }
-                }
-                let objective = {
-                    let p = ctx.global_window_i64(self.prob.p, 0, n).unwrap_or(&scratch.p);
-                    match self.prob.kind {
-                        ProblemKind::Cdd => {
-                            cdd_objective_raw(p, &shared.alpha, &shared.beta, d, &scratch.seq)
-                        }
-                        ProblemKind::Ucddcp => {
-                            let m =
-                                ctx.global_window_i64(self.prob.m, 0, n).unwrap_or(&scratch.m);
-                            ucddcp_objective_raw(
-                                p,
-                                m,
-                                &shared.alpha,
-                                &shared.beta,
-                                &shared.gamma,
-                                d,
-                                &scratch.seq,
-                            )
-                        }
-                    }
-                };
-                // Flipped-but-valid data can still produce objectives past
-                // the packed-argmin range; the clamp keeps downstream
-                // reductions safe.
-                let objective = if ctx.fault_injection_active() {
-                    objective.clamp(0, CORRUPT_ENERGY)
-                } else {
-                    objective
-                };
-                ctx.write(self.out, gid, objective);
+                evaluate_row(ctx, &self.prob, self.seqs, self.out, gid, d, shared, scratch);
             });
         });
     }

@@ -17,6 +17,7 @@ use cdd_gpu::{
     run_gpu_dpso, run_gpu_sa, run_gpu_sa_batch, run_gpu_sa_sync, run_gpu_solve, Backend,
     BatchEntry, DeltaConfig, GpuDpsoParams, GpuRunResult, GpuSaParams, GpuSolveSpec,
 };
+use cdd_instances::InstanceId;
 use cuda_sim::{FaultPlan, SimParallelism, TelemetryConfig};
 use proptest::prelude::*;
 
@@ -148,6 +149,28 @@ fn solve_entry_point_routes_backends() {
     }
 }
 
+/// Parity at the sizes the benchmark serves (n = 200 and 500), where the
+/// native path reads candidate, personal-best and swarm-best rows in place:
+/// SA and DPSO on CDD at h = 0.2 and 0.8 and on UCDDCP, at a small
+/// geometry.
+#[test]
+fn parity_holds_at_benchmark_sizes() {
+    let spec = |backend| GpuSolveSpec { blocks: 2, block_size: 32, backend, ..Default::default() };
+    for n in [200, 500] {
+        let ids =
+            [InstanceId::cdd(n, 1, 0.2), InstanceId::cdd(n, 1, 0.8), InstanceId::ucddcp(n, 1)];
+        for id in ids {
+            let inst = id.instantiate();
+            for algorithm in [Algorithm::Sa, Algorithm::Dpso] {
+                let sim = run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Sim)).unwrap();
+                let native =
+                    run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Native)).unwrap();
+                assert_eq!(Outcome::from(&sim), Outcome::from(&native), "{id} {algorithm:?}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Sim-only capability rejection
 // ---------------------------------------------------------------------------
@@ -230,7 +253,7 @@ fn random_instance(max_n: usize) -> impl Strategy<Value = Instance> {
         )
             .prop_map(move |(p, a, b, g, h)| {
                 if ucddcp {
-                    let m: Vec<i64> = p.iter().map(|&x| (x - 1).max(1).min(3)).collect();
+                    let m: Vec<i64> = p.iter().map(|&x| (x - 1).clamp(1, 3)).collect();
                     let d = p.iter().sum::<Time>(); // UCDDCP requires Σp ≤ d
                     Instance::ucddcp_from_arrays(&p, &m, &a, &b, &g, d).expect("valid")
                 } else {

@@ -31,7 +31,7 @@ use crate::engine::{
 };
 use crate::fault::{FaultPlan, FaultStats};
 use crate::grid::LaunchConfig;
-use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool};
+use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool, WordValue};
 use crate::profiler::TimelineEvent;
 use crate::rng::XorWow;
 use std::fmt;
@@ -643,14 +643,20 @@ impl DeviceCtx for NativeCtx<'_> {
     }
 
     #[inline]
-    fn global_window_i64(&self, buf: impl AsBuf<i64>, start: usize, len: usize) -> Option<&[i64]> {
+    fn global_window<T: WordValue>(
+        &self,
+        buf: impl AsBuf<T>,
+        start: usize,
+        len: usize,
+    ) -> Option<&[T::Word]> {
         let (id, _) = buf.id_len();
         let words = self.mem.words_ptr(id, start, len);
-        // SAFETY: in-bounds (checked by `words_ptr`); `i64` and the `u64`
-        // word storage share layout and every bit pattern is valid; the
-        // contract restricts windows to data no thread writes during the
-        // launch, so no concurrent writer exists.
-        Some(unsafe { std::slice::from_raw_parts(words as *const i64, len) })
+        // SAFETY: in-bounds (checked by `words_ptr`); `T::Word` is `u64` or
+        // `i64` (`WordValue` is sealed), which share the storage words'
+        // layout and accept every bit pattern; the contract restricts
+        // windows to data no thread writes during the launch, so no
+        // concurrent writer exists.
+        Some(unsafe { std::slice::from_raw_parts(words.cast::<T::Word>(), len) })
     }
 
     fn load_rng(&mut self, states: impl AsBuf<u64>, slot: usize) -> XorWow {

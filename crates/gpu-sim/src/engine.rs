@@ -20,7 +20,7 @@ use crate::device::DeviceSpec;
 use crate::dispatch::{SimParallelism, WorkerPool};
 use crate::fault::{FaultPlan, FaultState, FaultStats, ReadFaultCfg, ReadFaultStream};
 use crate::grid::LaunchConfig;
-use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool};
+use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool, WordValue};
 use crate::profiler::{Profiler, TimelineEvent, TransferDir};
 use crate::rng::XorWow;
 use std::collections::HashMap;
@@ -258,16 +258,22 @@ pub trait DeviceCtx {
         dst: &mut [T],
     );
 
-    /// Borrow a read-only window of an `i64` global buffer **without
-    /// copying**, when the backend can expose one. The default (and the
-    /// simulator's) answer is `None`: every simulated access must be
-    /// charged, race-tracked and fault-filtered, so callers fall back to
-    /// [`read_slice_into`](Self::read_slice_into). The native backend
-    /// returns a direct view, letting hot kernels skip staging data they
-    /// only read. Like the texture path, the window must only cover data no
-    /// thread writes during the launch.
+    /// Borrow `len` elements of a global buffer from `start` **without
+    /// copying**, as the storage words themselves ([`WordValue::Word`]:
+    /// `u64` for job-id rows, `i64` for problem data), when the backend can
+    /// expose them. The simulator answers `None`: every simulated access
+    /// must be charged, race-tracked and fault-filtered, so callers fall
+    /// back to [`read_slice_into`](Self::read_slice_into). The native
+    /// backend returns a direct view, letting hot kernels skip staging data
+    /// they only read. Like the texture path, a window may only cover data
+    /// **no thread writes during the launch**.
     #[inline]
-    fn global_window_i64(&self, _buf: impl AsBuf<i64>, _start: usize, _len: usize) -> Option<&[i64]> {
+    fn global_window<T: WordValue>(
+        &self,
+        _buf: impl AsBuf<T>,
+        _start: usize,
+        _len: usize,
+    ) -> Option<&[T::Word]> {
         None
     }
 

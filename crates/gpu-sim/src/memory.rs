@@ -48,6 +48,32 @@ impl DeviceValue for f32 {
     }
 }
 
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// Integer device values whose storage word, borrowed in place, still reads
+/// as the value: `u32` job ids are stored zero-extended, so their words read
+/// as `u64`; `i64` problem data reads as itself (see
+/// [`DeviceValue::to_bits`]). This is what lets a zero-copy window
+/// ([`crate::DeviceCtx::global_window`]) hand out `&[Self::Word]` straight
+/// from word storage. Sealed, because the window reinterprets raw words as
+/// `Word`, which is sound only for the two 8-byte integer types.
+pub trait WordValue: DeviceValue + sealed::Sealed {
+    /// How one storage word of this type reads in place: `u64` or `i64`.
+    type Word: Copy + 'static;
+}
+
+macro_rules! impl_word_value {
+    ($($t:ty => $w:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl WordValue for $t {
+            type Word = $w;
+        }
+    )*};
+}
+impl_word_value!(u32 => u64, i64 => i64);
+
 /// Typed handle to a global-memory buffer (cheap to copy, like a device
 /// pointer).
 #[derive(Debug, PartialEq, Eq, Hash)]

@@ -53,41 +53,92 @@ impl DpsoParams {
 
 /// One-point crossover `F₂`: keep `a`'s prefix up to `cut` (exclusive), then
 /// append `b`'s remaining jobs in `b`'s order. Always yields a permutation.
-pub fn one_point_crossover(a: &[u32], b: &[u32], cut: usize, out: &mut Vec<u32>) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert!(cut <= a.len());
+///
+/// Parents are job-id slices of any unsigned width (a device row can be
+/// read in place). `marks` is caller-owned scratch covering the job ids
+/// `0..n`: it must be all `false` on entry and is all `false` again on
+/// return (every job marked from `a` is cleared when `b` visits it). `out`
+/// ends holding exactly `n` jobs; it allocates only while first growing.
+pub fn one_point_crossover<A, B>(
+    a: &[A],
+    b: &[B],
+    cut: usize,
+    marks: &mut [bool],
+    out: &mut Vec<u32>,
+) where
+    A: Copy + Into<u64>,
+    B: Copy + Into<u64>,
+{
     let n = a.len();
-    out.clear();
-    out.extend_from_slice(&a[..cut]);
-    let mut present = vec![false; n];
-    for &j in &a[..cut] {
-        present[j as usize] = true;
+    debug_assert_eq!(b.len(), n);
+    debug_assert!(cut <= n);
+    let marks = &mut marks[..n];
+    out.resize(n + 1, 0);
+    for (slot, &j) in out.iter_mut().zip(&a[..cut]) {
+        let j = job_index(j);
+        marks[j] = true;
+        *slot = j as u32;
     }
-    for &j in b {
-        if !present[j as usize] {
-            out.push(j);
-        }
-    }
+    compact_unmarked(b, marks, &mut out[cut..]);
+    out.truncate(n);
 }
 
 /// Two-point crossover `F₃`: keep `a`'s segment `[lo, hi)` *in place*, fill
 /// the remaining positions with `b`'s other jobs in `b`'s order. Always
-/// yields a permutation.
-pub fn two_point_crossover(a: &[u32], b: &[u32], lo: usize, hi: usize, out: &mut Vec<u32>) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert!(lo <= hi && hi <= a.len());
+/// yields a permutation. Same parent, `marks` and `out` contract as
+/// [`one_point_crossover`].
+pub fn two_point_crossover<A, B>(
+    a: &[A],
+    b: &[B],
+    lo: usize,
+    hi: usize,
+    marks: &mut [bool],
+    out: &mut Vec<u32>,
+) where
+    A: Copy + Into<u64>,
+    B: Copy + Into<u64>,
+{
     let n = a.len();
-    let mut present = vec![false; n];
+    debug_assert_eq!(b.len(), n);
+    debug_assert!(lo <= hi && hi <= n);
+    let marks = &mut marks[..n];
     for &j in &a[lo..hi] {
-        present[j as usize] = true;
+        marks[job_index(j)] = true;
     }
-    out.clear();
-    out.resize(n, u32::MAX);
-    out[lo..hi].copy_from_slice(&a[lo..hi]);
-    let mut fill = b.iter().filter(|&&j| !present[j as usize]);
-    for k in (0..lo).chain(hi..n) {
-        out[k] = *fill.next().expect("counts match by construction");
+    out.resize(n + 1, 0);
+    // `b`'s other jobs compacted to the front; the part that belongs after
+    // the segment then moves behind it, and the segment goes in between.
+    let fill = compact_unmarked(b, marks, out);
+    out.copy_within(lo..fill, hi);
+    for (slot, &j) in out[lo..hi].iter_mut().zip(&a[lo..hi]) {
+        *slot = job_index(j) as u32;
     }
+    out.truncate(n);
+}
+
+/// A job id as an index (an id past `usize` saturates and fails the
+/// `marks` bounds check). Every id indexes `marks` (length `n`) before it
+/// is stored, and job ids live in `u32` rows, so storing one as `u32` is
+/// exact.
+#[inline]
+fn job_index<J: Into<u64>>(j: J) -> usize {
+    usize::try_from(j.into()).unwrap_or(usize::MAX)
+}
+
+/// Write `b`'s unmarked jobs, in order, to the front of `dst`, clearing each
+/// mark `b` visits; returns how many were kept. Branch-free: every job is
+/// stored at the cursor, which advances only past unmarked ones, so `dst`
+/// needs one spare slot beyond the jobs it keeps.
+#[inline]
+fn compact_unmarked<J: Copy + Into<u64>>(b: &[J], marks: &mut [bool], dst: &mut [u32]) -> usize {
+    let mut kept = 0;
+    for &j in b {
+        let j = job_index(j);
+        let fresh = !std::mem::replace(&mut marks[j], false);
+        dst[kept] = j as u32;
+        kept += usize::from(fresh);
+    }
+    kept
 }
 
 /// A runnable DPSO optimizer bound to a fitness function.
@@ -133,7 +184,8 @@ impl<'a, E: SequenceEvaluator + ?Sized> Dpso<'a, E> {
         let mut gbest = pbest[gbest_idx].clone();
         let mut gbest_cost = pbest_cost[gbest_idx];
 
-        let mut scratch: Vec<u32> = Vec::with_capacity(n);
+        let mut scratch: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut marks = vec![false; n];
         for _ in 0..self.params.iterations {
             for i in 0..m {
                 // λ = w ⊕ F₁(p)
@@ -147,6 +199,7 @@ impl<'a, E: SequenceEvaluator + ?Sized> Dpso<'a, E> {
                         positions[i].as_slice(),
                         pbest[i].as_slice(),
                         cut,
+                        &mut marks,
                         &mut scratch,
                     );
                     positions[i] =
@@ -164,6 +217,7 @@ impl<'a, E: SequenceEvaluator + ?Sized> Dpso<'a, E> {
                         gbest.as_slice(),
                         lo,
                         hi + 1,
+                        &mut marks,
                         &mut scratch,
                     );
                     positions[i] =
@@ -205,13 +259,14 @@ mod tests {
         let a = [0u32, 1, 2, 3, 4];
         let b = [4u32, 3, 2, 1, 0];
         let mut out = Vec::new();
+        let mut marks = [false; 5];
         for cut in 0..=5 {
-            one_point_crossover(&a, &b, cut, &mut out);
+            one_point_crossover(&a, &b, cut, &mut marks, &mut out);
             let seq = JobSequence::from_vec(out.clone()).unwrap();
             assert!(seq.is_valid_permutation());
         }
         // cut = 2: prefix [0,1], then b's order skipping 0,1 → [4,3,2].
-        one_point_crossover(&a, &b, 2, &mut out);
+        one_point_crossover(&a, &b, 2, &mut marks, &mut out);
         assert_eq!(out, vec![0, 1, 4, 3, 2]);
     }
 
@@ -220,12 +275,13 @@ mod tests {
         let a = [0u32, 1, 2, 3, 4];
         let b = [4u32, 3, 2, 1, 0];
         let mut out = Vec::new();
-        two_point_crossover(&a, &b, 1, 4, &mut out);
+        let mut marks = [false; 5];
+        two_point_crossover(&a, &b, 1, 4, &mut marks, &mut out);
         // Segment [1,2,3] kept in place; remaining (4,0) from b's order.
         assert_eq!(out, vec![4, 1, 2, 3, 0]);
         for lo in 0..=5 {
             for hi in lo..=5 {
-                two_point_crossover(&a, &b, lo, hi, &mut out);
+                two_point_crossover(&a, &b, lo, hi, &mut marks, &mut out);
                 assert!(JobSequence::from_vec(out.clone()).unwrap().is_valid_permutation());
             }
         }

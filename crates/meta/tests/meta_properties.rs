@@ -14,6 +14,35 @@ fn permutation(n: usize, seed: u64) -> JobSequence {
     JobSequence::random(n, &mut StdRng::seed_from_u64(seed))
 }
 
+/// Oracle: the allocating one-point crossover the branch-free version
+/// replaced (fresh seen-marks per call, one branch per job of `b`).
+fn one_point_oracle(a: &[u32], b: &[u32], cut: usize) -> Vec<u32> {
+    let mut present = vec![false; a.len()];
+    let mut out = a[..cut].to_vec();
+    for &j in &a[..cut] {
+        present[j as usize] = true;
+    }
+    out.extend(b.iter().filter(|&&j| !present[j as usize]));
+    out
+}
+
+/// Oracle: the allocating two-point crossover the branch-free version
+/// replaced.
+fn two_point_oracle(a: &[u32], b: &[u32], lo: usize, hi: usize) -> Vec<u32> {
+    let n = a.len();
+    let mut present = vec![false; n];
+    for &j in &a[lo..hi] {
+        present[j as usize] = true;
+    }
+    let mut out = vec![u32::MAX; n];
+    out[lo..hi].copy_from_slice(&a[lo..hi]);
+    let mut fill = b.iter().filter(|&&j| !present[j as usize]);
+    for k in (0..lo).chain(hi..n) {
+        out[k] = *fill.next().expect("counts match by construction");
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -31,12 +60,51 @@ proptest! {
         let a = permutation(n, sa);
         let b = permutation(n, sb);
         let mut out = Vec::new();
-        one_point_crossover(a.as_slice(), b.as_slice(), cut.index(n + 1), &mut out);
+        let mut marks = vec![false; n];
+        one_point_crossover(a.as_slice(), b.as_slice(), cut.index(n + 1), &mut marks, &mut out);
         prop_assert!(JobSequence::from_vec(out.clone()).unwrap().is_valid_permutation());
         let (mut l, mut h) = (lo.index(n + 1), hi.index(n + 1));
         if l > h { std::mem::swap(&mut l, &mut h); }
-        two_point_crossover(a.as_slice(), b.as_slice(), l, h, &mut out);
+        two_point_crossover(a.as_slice(), b.as_slice(), l, h, &mut marks, &mut out);
         prop_assert!(JobSequence::from_vec(out.clone()).unwrap().is_valid_permutation());
+    }
+
+    /// The branch-free crossovers equal the allocating oracles for `u32`
+    /// and `u64` parents, reuse one `out` and one `marks` buffer across
+    /// calls, and leave every mark `false` after each call.
+    #[test]
+    fn crossovers_match_allocating_oracles(
+        n in 1usize..80,
+        sa in any::<u64>(),
+        sb in any::<u64>(),
+        calls in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+            1..6,
+        ),
+    ) {
+        let a = permutation(n, sa);
+        let b = permutation(n, sb);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let b_wide: Vec<u64> = b.iter().map(|&j| u64::from(j)).collect();
+        let mut out = Vec::new();
+        let mut marks = vec![false; n];
+        for (x, y) in calls {
+            let cut = x.index(n + 1);
+            one_point_crossover(a, b, cut, &mut marks, &mut out);
+            prop_assert_eq!(&out, &one_point_oracle(a, b, cut));
+            prop_assert!(marks.iter().all(|&m| !m));
+            one_point_crossover(a, &b_wide, cut, &mut marks, &mut out);
+            prop_assert_eq!(&out, &one_point_oracle(a, b, cut));
+            prop_assert!(marks.iter().all(|&m| !m));
+
+            let (lo, hi) = (cut.min(y.index(n + 1)), cut.max(y.index(n + 1)));
+            two_point_crossover(a, b, lo, hi, &mut marks, &mut out);
+            prop_assert_eq!(&out, &two_point_oracle(a, b, lo, hi));
+            prop_assert!(marks.iter().all(|&m| !m));
+            two_point_crossover(a, &b_wide, lo, hi, &mut marks, &mut out);
+            prop_assert_eq!(&out, &two_point_oracle(a, b, lo, hi));
+            prop_assert!(marks.iter().all(|&m| !m));
+        }
     }
 
     /// One-point crossover with `cut = n` reproduces parent A; with
@@ -46,9 +114,10 @@ proptest! {
         let a = permutation(n, sa);
         let b = permutation(n, sb);
         let mut out = Vec::new();
-        one_point_crossover(a.as_slice(), b.as_slice(), n, &mut out);
+        let mut marks = vec![false; n];
+        one_point_crossover(a.as_slice(), b.as_slice(), n, &mut marks, &mut out);
         prop_assert_eq!(&out[..], a.as_slice());
-        one_point_crossover(a.as_slice(), b.as_slice(), 0, &mut out);
+        one_point_crossover(a.as_slice(), b.as_slice(), 0, &mut marks, &mut out);
         prop_assert_eq!(&out[..], b.as_slice());
     }
 

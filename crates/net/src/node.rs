@@ -29,6 +29,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration for [`serve`].
@@ -259,7 +260,7 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream) {
         Err(_) => return,
     }));
     let mut reader = stream;
-    let mut waiters: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut waiters = Waiters::default();
     let mut requests_on_conn: u64 = 0;
 
     loop {
@@ -339,9 +340,7 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream) {
         }
     }
 
-    for h in waiters {
-        let _ = h.join();
-    }
+    waiters.join_all();
     #[allow(clippy::cast_precision_loss)]
     shared.metrics.lock().expect("net metrics lock").observe(
         "net_connection_requests",
@@ -351,11 +350,40 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream) {
     );
 }
 
+/// A connection's waiter threads. Finished waiters are joined whenever a
+/// new one is pushed, so a long-lived connection — a router's link to this
+/// node carries every request routed here — holds only the threads of its
+/// in-flight requests, not one finished thread's stack per request served.
+#[derive(Default)]
+struct Waiters(Vec<JoinHandle<()>>);
+
+impl Waiters {
+    /// Join every finished waiter, then track `waiter`.
+    fn push(&mut self, waiter: JoinHandle<()>) {
+        self.reap();
+        self.0.push(waiter);
+    }
+
+    /// Join the waiters that have finished; the rest stay tracked.
+    fn reap(&mut self) {
+        for finished in self.0.extract_if(.., |h| h.is_finished()) {
+            let _ = finished.join();
+        }
+    }
+
+    /// Wait for every waiter (the connection is closing).
+    fn join_all(self) {
+        for h in self.0 {
+            let _ = h.join();
+        }
+    }
+}
+
 fn handle_request(
     shared: &Arc<NodeShared>,
     writer: &Arc<Mutex<TcpStream>>,
     req: NetRequest,
-    waiters: &mut Vec<std::thread::JoinHandle<()>>,
+    waiters: &mut Waiters,
 ) {
     let tenant = req.tenant.clone();
     shared
@@ -498,5 +526,52 @@ fn handle_request(
             let (code, retry) = map_error(&e);
             shed(code, e.to_string(), retry);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Waiters;
+    use std::sync::mpsc;
+    use std::thread::{self, JoinHandle};
+
+    /// A waiter that has already run to completion.
+    fn finished_waiter() -> JoinHandle<()> {
+        let h = thread::spawn(|| {});
+        while !h.is_finished() {
+            thread::yield_now();
+        }
+        h
+    }
+
+    /// One connection serving a few hundred requests ends with only its
+    /// in-flight waiters unjoined: every push joins the waiters that have
+    /// finished. (Tracking them in a plain `Vec`, as the node once did,
+    /// ends with all of them.)
+    #[test]
+    fn connection_keeps_only_in_flight_waiters() {
+        const REQUESTS: usize = 300;
+        const IN_FLIGHT: usize = 3;
+        let mut waiters = Waiters::default();
+        // In-flight requests: their waiters block until the channel
+        // completes them.
+        let mut complete = Vec::new();
+        for _ in 0..IN_FLIGHT {
+            let (tx, rx) = mpsc::channel::<()>();
+            complete.push(tx);
+            waiters.push(thread::spawn(move || rx.recv().expect("completion signal")));
+        }
+        for served in 0..REQUESTS {
+            waiters.push(finished_waiter());
+            // The request just pushed is the only finished waiter left.
+            assert_eq!(waiters.0.len(), IN_FLIGHT + 1, "after {} requests", served + 1);
+        }
+        waiters.reap();
+        assert_eq!(waiters.0.len(), IN_FLIGHT);
+        assert!(waiters.0.iter().all(|h| !h.is_finished()));
+        for tx in complete {
+            tx.send(()).expect("waiter alive");
+        }
+        waiters.join_all();
     }
 }
