@@ -22,11 +22,11 @@
 //! **`--batch` mode (BENCH_pr8, DESIGN.md §14)** replays a small-`n`
 //! seed-sweep workload through the service's fused dispatch path
 //! (`cdd_gpu::run_gpu_solve_batch`, the call the worker loop makes after
-//! draining its batching window) at several window settings and with delta
-//! evaluation on, measuring how cross-request launch fusion amortizes the
-//! per-kernel dispatch overhead that dominates small-`n` wall time. Every
-//! setting's sorted outcome set is hashed and asserted byte-identical to
-//! the unbatched baseline before the snapshot is written:
+//! draining its batching window) at several window settings, measuring how
+//! cross-request launch fusion amortizes the per-kernel dispatch overhead
+//! that dominates small-`n` wall time. Every setting's sorted outcome set
+//! is hashed and asserted byte-identical to the unbatched baseline before
+//! the snapshot is written:
 //!
 //! ```text
 //! cargo run --release -p cdd-bench --bin bench_snapshot -- --batch \
@@ -37,8 +37,7 @@
 use cdd_bench::{results_dir, Args};
 use cdd_core::{Algorithm, Instance};
 use cdd_gpu::{
-    run_gpu_sa, run_gpu_solve_batch, Backend, DeltaConfig, GpuRunResult, GpuSaParams,
-    GpuSolveSpec,
+    run_gpu_sa, run_gpu_solve_batch, Backend, GpuRunResult, GpuSaParams, GpuSolveSpec,
 };
 use cdd_instances::{cdd_instance, InstanceId};
 use cuda_sim::SimParallelism;
@@ -98,7 +97,6 @@ struct Measured {
 /// (outcome hash, fusion tallies) the snapshot reports.
 struct BatchRun {
     batch_window: usize,
-    delta: bool,
     wall_seconds: f64,
     batch_launches: u64,
     fused_requests: u64,
@@ -137,15 +135,9 @@ fn replay_windows(
     iterations: u64,
     seed: u64,
     batch_window: usize,
-    delta: bool,
 ) -> (f64, Vec<(usize, GpuRunResult)>, u64, u64) {
     let inst = cdd_instance(n, 1, 0.6);
-    let spec = GpuSolveSpec {
-        blocks: 1,
-        block_size: 32,
-        delta: DeltaConfig { enabled: delta, resync_every: 0 },
-        ..GpuSolveSpec::default()
-    };
+    let spec = GpuSolveSpec { blocks: 1, block_size: 32, ..GpuSolveSpec::default() };
     let entries: Vec<(Instance, u64)> =
         (0..requests).map(|i| (inst.clone(), seed + i as u64)).collect();
 
@@ -167,8 +159,8 @@ fn replay_windows(
     (wall, outcomes, batch_launches, fused_requests)
 }
 
-/// `--batch` mode: the BENCH_pr8 snapshot (cross-request launch fusion and
-/// delta evaluation on the small-`n` service replay workload).
+/// `--batch` mode: the BENCH_pr8 snapshot (cross-request launch fusion on
+/// the small-`n` service replay workload).
 fn batch_snapshot(args: &Args) {
     let requests = args.get_or("requests", 64usize);
     let n = args.get_or("n", 12usize);
@@ -188,26 +180,20 @@ fn batch_snapshot(args: &Args) {
          windows {windows:?}, {repeats} repeats, host has {host_cores} core(s)"
     );
 
-    // Unbatched/full-eval baseline first, then each fusion window, then
-    // delta evaluation solo and combined with the widest window.
-    let widest = windows.iter().copied().max().unwrap_or(1).max(1);
-    let mut settings: Vec<(usize, bool)> = Vec::new();
+    // Unbatched baseline first, then each fusion window.
+    let mut settings: Vec<usize> = Vec::new();
     if !windows.contains(&1) {
-        settings.push((1, false));
+        settings.push(1);
     }
-    settings.extend(windows.iter().map(|&w| (w.max(1), false)));
-    settings.push((1, true));
-    if widest > 1 {
-        settings.push((widest, true));
-    }
+    settings.extend(windows.iter().map(|&w| w.max(1)));
 
     let mut runs: Vec<BatchRun> = Vec::new();
-    for (window, delta) in settings {
+    for window in settings {
         let mut best_wall = f64::INFINITY;
         let mut residue = None;
         for _ in 0..repeats {
             let (wall, outcomes, launches, fused) =
-                replay_windows(requests, n, iterations, seed, window, delta);
+                replay_windows(requests, n, iterations, seed, window);
             best_wall = best_wall.min(wall);
             residue = Some((outcome_sha(&outcomes), launches, fused));
         }
@@ -218,17 +204,15 @@ fn batch_snapshot(args: &Args) {
         if let Some(base) = runs.first() {
             assert!(
                 base.outcome_sha == sha,
-                "BYTE-IDENTITY VIOLATION: window={window} delta={delta} \
-                 diverged from the unbatched baseline"
+                "BYTE-IDENTITY VIOLATION: window={window} diverged from the unbatched baseline"
             );
         }
         eprintln!(
-            "  window={window:>2} delta={delta:<5} wall {best_wall:>8.4}s  \
+            "  window={window:>2} wall {best_wall:>8.4}s  \
              fused {fused_requests:>3} req / {batch_launches:>3} launches  sha {sha:#018x}"
         );
         runs.push(BatchRun {
             batch_window: window,
-            delta,
             wall_seconds: best_wall,
             batch_launches,
             fused_requests,
@@ -244,12 +228,11 @@ fn batch_snapshot(args: &Args) {
         }
         let _ = write!(
             rows,
-            "{{\"batch_window\":{},\"delta_eval\":{},\"wall_seconds\":{:?},\
+            "{{\"batch_window\":{},\"wall_seconds\":{:?},\
              \"speedup_vs_unbatched\":{:?},\"batch_launches\":{},\
              \"fused_requests\":{},\"outcome_sha\":\"{:#018x}\",\
              \"byte_identical_to_unbatched\":true}}",
             r.batch_window,
-            r.delta,
             r.wall_seconds,
             base_wall / r.wall_seconds,
             r.batch_launches,
@@ -266,10 +249,9 @@ fn batch_snapshot(args: &Args) {
          \"note\": \"Seed-sweep replay of {requests} small-n SA requests through the \
          service worker's dispatch path on one device. Fusion packs up to batch_window \
          requests into one launch sequence, dividing the per-kernel dispatch overhead \
-         (1 + 4*iterations launches per solo run) across the batch; delta evaluation is \
-         outcome-invariant and roughly wall-neutral here because the modeled pipeline \
-         is compute-bound (DESIGN.md 14). Outcome sets are asserted byte-identical to \
-         the unbatched baseline before this file is written.\",\n  \
+         (1 + 4*iterations launches per solo run) across the batch. Outcome sets are \
+         asserted byte-identical to the unbatched baseline before this file is \
+         written.\",\n  \
          \"runs\": [\n    {rows}\n  ]\n}}\n",
         std::env::consts::OS,
         std::env::consts::ARCH,

@@ -23,6 +23,19 @@ impl Args {
         Self::from_iter(std::env::args().skip(1))
     }
 
+    /// The given `--key value` keys and bare `--flags` missing from
+    /// `known`: keys in sorted order, then flags in command-line order. A
+    /// binary that declares every flag it reads refuses these instead of
+    /// silently ignoring a misspelt one.
+    pub fn unknown(&self, known: &[&str]) -> Vec<&str> {
+        self.values
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .filter(|k| !known.contains(k))
+            .collect()
+    }
+
     /// Whether the bare flag was given.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
@@ -159,6 +172,16 @@ mod tests {
         assert!(a.flag("full"));
         assert_eq!(a.get_or("seed", 0u64), 7);
         assert!(!a.flag("quick"));
+    }
+
+    #[test]
+    fn unknown_reports_every_undeclared_spelling() {
+        let known = ["batch-window", "chaos", "seed"];
+        let a = args(&["--batch-windw", "8", "--sede=7", "--chaso", "--seed", "1"]);
+        assert_eq!(a.unknown(&known), vec!["batch-windw", "sede", "chaso"]);
+        let ok = args(&["--batch-window", "8", "--seed=7", "--chaos"]);
+        assert!(ok.unknown(&known).is_empty());
+        assert!(args(&[]).unknown(&[]).is_empty());
     }
 
     #[test]

@@ -10,10 +10,6 @@ use crate::cdd_optimal::cdd_objective_raw;
 use crate::ucddcp_optimal::ucddcp_objective_raw;
 use crate::{Cost, Instance, ProblemKind, Time};
 
-// The incremental counterpart lives in `crate::delta`; re-export it here so
-// the evaluation layer's entry points sit side by side.
-pub use crate::delta::{DeltaEvaluator, DeltaMove};
-
 /// A fitness function over job sequences (lower is better).
 ///
 /// Implementations must be cheap to call repeatedly: the metaheuristics

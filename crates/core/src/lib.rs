@@ -44,7 +44,6 @@
 //! ```
 
 pub mod cdd_optimal;
-pub mod delta;
 pub mod error;
 pub mod eval;
 pub mod exact;
@@ -57,10 +56,6 @@ pub mod solve;
 pub mod ucddcp_optimal;
 
 pub use cdd_optimal::{optimize_cdd_sequence, CddSequenceSolution};
-pub use delta::{
-    delta_objective, moves_structurally_valid, DeltaEvaluator, DeltaMove, DeltaSource, DeltaState,
-    DeltaWorkspace, SliceDeltaSource,
-};
 pub use error::{CoreError, SuiteError};
 pub use eval::{CddEvaluator, SequenceEvaluator, UcddcpEvaluator};
 pub use instance::{Instance, ProblemKind};

@@ -22,9 +22,7 @@
 //! Fusion preconditions (checked here, grouped by the caller): same problem
 //! kind and job count, same iteration budget and grid geometry (they share
 //! `params`), telemetry off, no fault plan. Incompatible groups are
-//! rejected with a clear error so callers fall back to solo runs. The delta
-//! evaluator is not fused — batched launches always score with the full
-//! fitness kernel (the outcome is identical by the delta contract).
+//! rejected with a clear error so callers fall back to solo runs.
 
 use crate::init::initial_ensemble;
 use crate::kernels::{AcceptKernel, BatchFitnessKernel, PerturbKernel};

@@ -50,11 +50,12 @@ pub struct AcceptKernel {
     pub segment_temps: Option<(usize, Vec<f64>)>,
     /// Optional convergence-telemetry probe; `None` when telemetry is off.
     pub telemetry: Option<SaProbe>,
-    /// Optional per-thread sticky dirty flags for the delta-fitness path:
-    /// set to 1 when the move is accepted (the committed row diverged from
-    /// the thread's delta cache); cleared only by the delta kernel when it
-    /// rebuilds the cache. `None` keeps writes — and modeled cost —
-    /// bit-identical to the full-evaluation path.
+    /// Optional per-thread sticky "row changed" flags: set to 1 when the
+    /// move is accepted and never cleared here. Every in-tree pipeline
+    /// passes `None`, which writes nothing. The field stays only because
+    /// the end-to-end benchmark's launch replay (`benchmark/src/replay.rs`)
+    /// builds this kernel with a struct literal that names it; it goes with
+    /// the next change to that benchmark.
     pub flags: Option<Buf<u32>>,
 }
 
@@ -120,8 +121,8 @@ impl Kernel for AcceptKernel {
         }
 
         if let Some(flags) = self.flags {
-            // Sticky: acceptance marks the row changed; only the delta
-            // kernel's cache rebuild clears the flag.
+            // Sticky: acceptance marks the row changed; nothing here
+            // clears the flag.
             if accepted {
                 ctx.write(flags, gid, 1);
             }

@@ -3,7 +3,7 @@
 //! | kernel | paper section | module |
 //! |---|---|---|
 //! | fitness | VI-A | [`fitness`] |
-//! | delta fitness | VI-A (incremental variant) | [`delta_fitness`] |
+//! | fused multi-request fitness | VI-A, batched | [`batch_fitness`] |
 //! | perturbation | VI-B | [`perturb`] |
 //! | acceptance | VI-C | [`accept`] |
 //! | reduction | VI-D | `cuda_sim::reduce` (atomic argmin) |
@@ -11,14 +11,12 @@
 
 pub mod accept;
 pub mod batch_fitness;
-pub mod delta_fitness;
 pub mod dpso_update;
 pub mod fitness;
 pub mod perturb;
 
 pub use accept::{AcceptKernel, SaProbe};
 pub use batch_fitness::BatchFitnessKernel;
-pub use delta_fitness::{DeltaCacheBufs, DeltaFitnessKernel};
 pub use dpso_update::{DpsoProbe, DpsoUpdateKernel, GbestCopyKernel, PbestKernel};
 pub use fitness::FitnessKernel;
 pub use perturb::PerturbKernel;

@@ -26,11 +26,6 @@ pub struct PerturbKernel {
     pub ensemble: usize,
     /// Perturbation size `Pert` (paper: 4).
     pub pert: usize,
-    /// Optional move-descriptor output for the delta-fitness path: the
-    /// `pert.min(n)` selected positions per thread (`ensemble × pert`
-    /// row-major). `None` keeps the kernel's writes — and therefore its
-    /// modeled cost — bit-identical to the full-evaluation path.
-    pub moves: Option<Buf<u32>>,
     /// Per-thread local memory, indexed by global thread id.
     scratch: ScratchArena<PerturbScratch>,
 }
@@ -62,7 +57,6 @@ impl PerturbKernel {
             n,
             ensemble,
             pert,
-            moves: None,
             scratch: ScratchArena::new(ensemble),
         }
     }
@@ -108,9 +102,6 @@ impl Kernel for PerturbKernel {
                     let j = rng.next_below(i as u32 + 1) as usize;
                     scratch.row.swap(scratch.positions[i] as usize, scratch.positions[j] as usize);
                     ctx.charge_alu(4);
-                }
-                if let Some(moves) = self.moves {
-                    ctx.write_slice(moves, gid * pert, &scratch.positions);
                 }
             }
 

@@ -53,7 +53,7 @@ pub use init::{initial_ensemble, InitStrategy};
 pub use kernels::fitness::CORRUPT_ENERGY;
 pub use layout::ProblemDevice;
 pub use recovery::{RecoveryPolicy, RecoveryStats};
-pub use sa_pipeline::{run_gpu_sa, DeltaConfig, GpuRunResult, GpuSaParams};
+pub use sa_pipeline::{run_gpu_sa, GpuRunResult, GpuSaParams};
 pub use cuda_sim::{Backend, NativeGpu};
 pub use solve::{run_gpu_solve, run_gpu_solve_batch, GpuSolveSpec};
 pub use sync_pipeline::{run_gpu_sa_sync, BroadcastKernel};

@@ -13,9 +13,7 @@
 
 use crate::init::{initial_ensemble, InitStrategy};
 use crate::kernels::fitness::CORRUPT_ENERGY;
-use crate::kernels::{
-    AcceptKernel, DeltaCacheBufs, DeltaFitnessKernel, FitnessKernel, PerturbKernel, SaProbe,
-};
+use crate::kernels::{AcceptKernel, FitnessKernel, PerturbKernel, SaProbe};
 use crate::layout::ProblemDevice;
 use crate::recovery::{
     launch_with_retry, merge_faults, run_with_recovery, suite_device_error, verified_best,
@@ -79,30 +77,6 @@ pub(crate) fn check_argmin_domain(inst: &Instance, ensemble: usize) -> Result<()
         .map_err(SuiteError::rejected)
 }
 
-/// Configuration of the incremental (delta) candidate-evaluation path.
-///
-/// When enabled, the SA pipelines score candidates with the
-/// [`DeltaFitnessKernel`] — O(pert·log n) from a resident per-chain cache —
-/// instead of re-running the full O(n) fitness kernel. The *outcome set*
-/// (best sequence, objective, evaluation and launch counts, RNG streams) is
-/// bit-identical either way; only the modeled device time changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaConfig {
-    /// Score candidates incrementally.
-    pub enabled: bool,
-    /// Force a full cache rebuild on every generation `g` with
-    /// `g % resync_every == 0` (0 disables forcing). Exact arithmetic needs
-    /// no re-sync; the cadence bounds how long fault-injected bit flips in
-    /// the resident cache can survive.
-    pub resync_every: u64,
-}
-
-impl Default for DeltaConfig {
-    fn default() -> Self {
-        DeltaConfig { enabled: false, resync_every: 64 }
-    }
-}
-
 /// Parameters of one GPU SA run.
 #[derive(Debug, Clone)]
 pub struct GpuSaParams {
@@ -133,9 +107,6 @@ pub struct GpuSaParams {
     /// Convergence-telemetry policy (disabled by default; sampling changes
     /// no result — see `cuda_sim::telemetry`).
     pub telemetry: TelemetryConfig,
-    /// Incremental candidate-evaluation policy (off by default; enabling it
-    /// changes modeled time only, never the outcome).
-    pub delta: DeltaConfig,
     /// Execution backend: the simulator (default) or the native host path.
     /// Both produce byte-identical [`GpuRunResult`]s for clean runs; fault
     /// injection and telemetry are sim-only and are rejected on native.
@@ -158,7 +129,6 @@ impl Default for GpuSaParams {
             fault: None,
             recovery: RecoveryPolicy::default(),
             telemetry: TelemetryConfig::disabled(),
-            delta: DeltaConfig::default(),
             backend: Backend::default(),
         }
     }
@@ -264,15 +234,6 @@ pub fn run_gpu_sa(inst: &Instance, params: &GpuSaParams) -> Result<GpuRunResult,
     }
 }
 
-/// The candidate-scoring kernel of a pipeline run: the full O(n) fitness
-/// kernel, or the incremental delta kernel when [`DeltaConfig`] enables it.
-pub(crate) enum CandidateScorer {
-    /// Full re-evaluation (the paper's kernel).
-    Full(FitnessKernel),
-    /// Incremental evaluation from the resident cache.
-    Delta(DeltaFitnessKernel),
-}
-
 /// One complete device run of the asynchronous SA pipeline, on either
 /// execution backend (the result is byte-identical across backends for a
 /// clean run — the cross-backend parity contract).
@@ -322,21 +283,6 @@ fn sa_attempt<B: ExecBackend>(
             (0..ensemble).flat_map(|t| XorWow::new(params.seed, t as u64).pack()).collect();
         gpu.h2d(rng_states, &words);
 
-        // Delta-evaluation state: the move descriptor, per-chain dirty
-        // flags (seeded to 1 so every chain rebuilds its cache on the first
-        // generation), and the resident prefix/suffix cache. The path needs
-        // at least a 2-position perturbation to describe a move.
-        let pert_eff = params.pert.min(n);
-        let delta_on = params.delta.enabled && pert_eff >= 2;
-        let delta_bufs = if delta_on {
-            let moves = gpu.alloc::<u32>(ensemble * pert_eff);
-            let flags = gpu.alloc::<u32>(ensemble);
-            gpu.h2d(flags, &vec![1u32; ensemble]);
-            Some((moves, flags, DeltaCacheBufs::alloc(&mut gpu, ensemble, n)))
-        } else {
-            None
-        };
-
         // Telemetry ring last, after every algorithm buffer, so buffer
         // handles match the telemetry-off run exactly (alloc itself records
         // no profiler event and models no cost).
@@ -349,33 +295,8 @@ fn sa_attempt<B: ExecBackend>(
         launch_with_retry(&mut gpu, &fitness_current, cfg, policy, stats)
             .map_err(|e| suite_device_error(&e))?;
 
-        let mut perturb =
-            PerturbKernel::new(current, candidate, rng_states, n, ensemble, params.pert);
-        if let Some((moves, _, _)) = delta_bufs {
-            perturb.moves = Some(moves);
-        }
-        let scorer = match delta_bufs {
-            Some((moves, flags, cache)) => CandidateScorer::Delta(DeltaFitnessKernel::new(
-                prob,
-                current,
-                candidate,
-                moves,
-                flags,
-                cand_energies,
-                cache,
-                ensemble,
-                params.blocks,
-                pert_eff,
-                params.delta.resync_every,
-            )),
-            None => CandidateScorer::Full(FitnessKernel::new(
-                prob,
-                candidate,
-                cand_energies,
-                ensemble,
-                params.blocks,
-            )),
-        };
+        let perturb = PerturbKernel::new(current, candidate, rng_states, n, ensemble, params.pert);
+        let fitness = FitnessKernel::new(prob, candidate, cand_energies, ensemble, params.blocks);
         let reduce = AtomicArgminKernel { values: best_energies, out: global_best };
 
         let mut temperature = t0;
@@ -396,17 +317,8 @@ fn sa_attempt<B: ExecBackend>(
             let gen_result = (|gpu: &mut B| -> Result<(), SuiteError> {
                 launch_with_retry(gpu, &perturb, cfg, policy, stats)
                     .map_err(|e| suite_device_error(&e))?;
-                match &scorer {
-                    CandidateScorer::Full(k) => {
-                        launch_with_retry(gpu, k, cfg, policy, stats)
-                            .map_err(|e| suite_device_error(&e))?;
-                    }
-                    CandidateScorer::Delta(k) => {
-                        k.set_generation(gen);
-                        launch_with_retry(gpu, k, cfg, policy, stats)
-                            .map_err(|e| suite_device_error(&e))?;
-                    }
-                }
+                launch_with_retry(gpu, &fitness, cfg, policy, stats)
+                    .map_err(|e| suite_device_error(&e))?;
                 let accept = AcceptKernel {
                     current,
                     candidate,
@@ -420,7 +332,7 @@ fn sa_attempt<B: ExecBackend>(
                     temperature,
                     segment_temps: None,
                     telemetry: ring.map(|r| SaProbe { ring: r, slot }),
-                    flags: delta_bufs.map(|(_, f, _)| f),
+                    flags: None,
                 };
                 launch_with_retry(gpu, &accept, cfg, policy, stats)
                     .map_err(|e| suite_device_error(&e))?;
@@ -624,77 +536,6 @@ mod tests {
         assert_eq!(on.modeled_seconds, base.modeled_seconds);
         assert_eq!(on.timeline, base.timeline, "timelines byte-identical");
         assert!(base.convergence.is_none());
-    }
-
-    #[test]
-    fn delta_eval_outcome_matches_full_eval_exactly() {
-        // The delta path must be outcome-identical to full evaluation: same
-        // best row, objective, evaluation and launch counts — only modeled
-        // time may (and should) differ.
-        for inst in [Instance::paper_example_cdd(), Instance::paper_example_ucddcp()] {
-            let base = run_gpu_sa(&inst, &small_params(120)).unwrap();
-            let p = GpuSaParams {
-                delta: DeltaConfig { enabled: true, resync_every: 16 },
-                ..small_params(120)
-            };
-            let d = run_gpu_sa(&inst, &p).unwrap();
-            assert_eq!(d.best, base.best, "{:?}", inst.kind());
-            assert_eq!(d.objective, base.objective);
-            assert_eq!(d.evaluations, base.evaluations);
-            assert_eq!(d.kernel_launches, base.kernel_launches);
-        }
-    }
-
-    #[test]
-    fn delta_eval_overhead_is_bounded_on_hot_ensembles() {
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(5);
-        let p: Vec<i64> = (0..48).map(|_| rng.gen_range(1..=20)).collect();
-        let a: Vec<i64> = (0..48).map(|_| rng.gen_range(1..=10)).collect();
-        let b: Vec<i64> = (0..48).map(|_| rng.gen_range(1..=15)).collect();
-        let d = (p.iter().sum::<i64>() as f64 * 0.5) as i64;
-        let inst = Instance::cdd_from_arrays(&p, &a, &b, d).unwrap();
-        // A per-thread-chain ensemble keeps accepting somewhere in every
-        // warp on realistic horizons (plateau moves pass metropolis at any
-        // temperature), and a warp pays the lane-max under lockstep SIMT —
-        // so the pipeline-level contract on a *hot* ensemble is "delta never
-        // costs more than ~1% over full evaluation", not a strict win. The
-        // strict win is kernel-level, on clean warps: see
-        // `delta_fitness::tests::larger_instance_matches_and_is_cheaper_in_steady_state`
-        // and DESIGN.md §14.
-        let base = run_gpu_sa(&inst, &small_params(300)).unwrap();
-        let dp = GpuSaParams {
-            delta: DeltaConfig { enabled: true, ..DeltaConfig::default() },
-            ..small_params(300)
-        };
-        let delta = run_gpu_sa(&inst, &dp).unwrap();
-        assert_eq!(delta.objective, base.objective);
-        assert_eq!(delta.best, base.best);
-        assert!(
-            delta.kernel_seconds <= base.kernel_seconds * 1.01,
-            "delta ({}) must stay within 1% of full ({}) on n=48",
-            delta.kernel_seconds,
-            base.kernel_seconds
-        );
-    }
-
-    #[test]
-    fn delta_eval_survives_fault_injection_deterministically() {
-        // Flips can corrupt the resident cache; the re-sync cadence and the
-        // oracle verification must still deliver an exact, repeatable result.
-        let inst = Instance::paper_example_cdd();
-        let p = GpuSaParams {
-            fault: Some(cuda_sim::FaultPlan::with_rates(41, 0.03, 0.01, 0.01)),
-            delta: DeltaConfig { enabled: true, resync_every: 8 },
-            ..small_params(120)
-        };
-        let a = run_gpu_sa(&inst, &p).unwrap();
-        let b = run_gpu_sa(&inst, &p).unwrap();
-        assert_eq!(a.objective, b.objective);
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.recovery, b.recovery);
-        let eval = evaluator_for(&inst);
-        assert_eq!(eval.evaluate(a.best.as_slice()), a.objective, "oracle must confirm");
     }
 
     #[test]

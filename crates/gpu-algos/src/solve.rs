@@ -12,7 +12,7 @@
 use crate::batch::{run_gpu_sa_batch, BatchEntry};
 use crate::dpso_pipeline::{run_gpu_dpso, GpuDpsoParams};
 use crate::recovery::RecoveryPolicy;
-use crate::sa_pipeline::{run_gpu_sa, DeltaConfig, GpuRunResult, GpuSaParams};
+use crate::sa_pipeline::{run_gpu_sa, GpuRunResult, GpuSaParams};
 use cdd_core::{Algorithm, Instance, SuiteError};
 use cuda_sim::{Backend, DeviceSpec, FaultPlan, TelemetryConfig};
 
@@ -34,10 +34,6 @@ pub struct GpuSolveSpec {
     /// Convergence-telemetry policy (disabled by default; sampling changes
     /// no result — see `cuda_sim::telemetry`).
     pub telemetry: TelemetryConfig,
-    /// Incremental (delta) candidate scoring for the SA pipelines — outcome-
-    /// identical to full evaluation by contract; DPSO ignores it (personal-
-    /// best maintenance needs the full score anyway).
-    pub delta: DeltaConfig,
     /// Execution backend: the simulator (default) or the native host path.
     /// Byte-identical outcomes by contract; fault injection and telemetry
     /// are sim-only and rejected on native.
@@ -53,7 +49,6 @@ impl Default for GpuSolveSpec {
             fault: None,
             recovery: RecoveryPolicy::default(),
             telemetry: TelemetryConfig::disabled(),
-            delta: DeltaConfig::default(),
             backend: Backend::default(),
         }
     }
@@ -89,7 +84,6 @@ pub fn run_gpu_solve(
                 fault: spec.fault.clone(),
                 recovery: spec.recovery.clone(),
                 telemetry: spec.telemetry,
-                delta: spec.delta,
                 backend: spec.backend,
                 ..Default::default()
             },
@@ -141,7 +135,6 @@ pub fn run_gpu_solve_batch(
                     fault: spec.fault.clone(),
                     recovery: spec.recovery.clone(),
                     telemetry: spec.telemetry,
-                    delta: spec.delta,
                     backend: spec.backend,
                     ..Default::default()
                 },

@@ -15,17 +15,14 @@
 //! (`ablation_async_vs_sync`).
 
 use crate::init::initial_ensemble;
-use crate::kernels::{
-    AcceptKernel, DeltaCacheBufs, DeltaFitnessKernel, FitnessKernel, PerturbKernel, SaProbe,
-};
+use crate::kernels::{AcceptKernel, FitnessKernel, PerturbKernel, SaProbe};
 use crate::layout::ProblemDevice;
 use crate::recovery::{
     launch_with_retry, merge_faults, run_with_recovery, suite_device_error, verified_best,
     RecoveryStats,
 };
 use crate::sa_pipeline::{
-    check_argmin_domain, check_native_capabilities, cpu_fallback_sa, CandidateScorer, GpuRunResult,
-    GpuSaParams,
+    check_argmin_domain, check_native_capabilities, cpu_fallback_sa, GpuRunResult, GpuSaParams,
 };
 use crate::trajectory::ConvergenceTrace;
 use cdd_core::eval::{evaluator_for, SequenceEvaluator};
@@ -52,10 +49,6 @@ pub struct BroadcastKernel {
     pub n: usize,
     /// Live threads.
     pub ensemble: usize,
-    /// Optional per-thread dirty flags for the delta-fitness path: restarted
-    /// (overwritten) rows invalidate their resident cache. `None` keeps the
-    /// kernel's writes bit-identical to the full-evaluation path.
-    pub flags: Option<Buf<u32>>,
 }
 
 impl Kernel for BroadcastKernel {
@@ -85,9 +78,6 @@ impl Kernel for BroadcastKernel {
         if winner != gid {
             ctx.copy_row(self.current, winner * self.n, self.current, gid * self.n, self.n);
             ctx.write(self.energies, gid, value);
-            if let Some(flags) = self.flags {
-                ctx.write(flags, gid, 1);
-            }
         }
     }
 }
@@ -184,19 +174,6 @@ fn sync_attempt<B: ExecBackend>(
             (0..ensemble).flat_map(|t| XorWow::new(params.seed, t as u64).pack()).collect();
         gpu.h2d(rng_states, &words);
 
-        // Delta-evaluation state (see `sa_pipeline`): flags seed to 1 so
-        // every chain rebuilds on the first generation.
-        let pert_eff = params.pert.min(n);
-        let delta_on = params.delta.enabled && pert_eff >= 2;
-        let delta_bufs = if delta_on {
-            let moves = gpu.alloc::<u32>(ensemble * pert_eff);
-            let flags = gpu.alloc::<u32>(ensemble);
-            gpu.h2d(flags, &vec![1u32; ensemble]);
-            Some((moves, flags, DeltaCacheBufs::alloc(&mut gpu, ensemble, n)))
-        } else {
-            None
-        };
-
         // Telemetry ring last, after every algorithm buffer, so buffer
         // handles match the telemetry-off run exactly.
         if params.telemetry.enabled() {
@@ -207,42 +184,10 @@ fn sync_attempt<B: ExecBackend>(
         launch_with_retry(&mut gpu, &fitness_current, cfg, policy, stats)
             .map_err(|e| suite_device_error(&e))?;
 
-        let mut perturb =
-            PerturbKernel::new(current, candidate, rng_states, n, ensemble, params.pert);
-        if let Some((moves, _, _)) = delta_bufs {
-            perturb.moves = Some(moves);
-        }
-        let scorer = match delta_bufs {
-            Some((moves, flags, cache)) => CandidateScorer::Delta(DeltaFitnessKernel::new(
-                prob,
-                current,
-                candidate,
-                moves,
-                flags,
-                cand_energies,
-                cache,
-                ensemble,
-                params.blocks,
-                pert_eff,
-                params.delta.resync_every,
-            )),
-            None => CandidateScorer::Full(FitnessKernel::new(
-                prob,
-                candidate,
-                cand_energies,
-                ensemble,
-                params.blocks,
-            )),
-        };
+        let perturb = PerturbKernel::new(current, candidate, rng_states, n, ensemble, params.pert);
+        let fitness = FitnessKernel::new(prob, candidate, cand_energies, ensemble, params.blocks);
         let reduce_current = AtomicArgminKernel { values: energies, out: packed };
-        let broadcast = BroadcastKernel {
-            packed,
-            current,
-            energies,
-            n,
-            ensemble,
-            flags: delta_bufs.map(|(_, f, _)| f),
-        };
+        let broadcast = BroadcastKernel { packed, current, energies, n, ensemble };
         let reduce_best = AtomicArgminKernel { values: best_energies, out: packed };
 
         for level in 0..levels {
@@ -265,17 +210,8 @@ fn sync_attempt<B: ExecBackend>(
                     }
                     launch_with_retry(gpu, &perturb, cfg, policy, stats)
                         .map_err(|e| suite_device_error(&e))?;
-                    match &scorer {
-                        CandidateScorer::Full(k) => {
-                            launch_with_retry(gpu, k, cfg, policy, stats)
-                                .map_err(|e| suite_device_error(&e))?;
-                        }
-                        CandidateScorer::Delta(k) => {
-                            k.set_generation(gen);
-                            launch_with_retry(gpu, k, cfg, policy, stats)
-                                .map_err(|e| suite_device_error(&e))?;
-                        }
-                    }
+                    launch_with_retry(gpu, &fitness, cfg, policy, stats)
+                        .map_err(|e| suite_device_error(&e))?;
                     let accept = AcceptKernel {
                         current,
                         candidate,
@@ -289,7 +225,7 @@ fn sync_attempt<B: ExecBackend>(
                         temperature,
                         segment_temps: None,
                         telemetry: ring.map(|r| SaProbe { ring: r, slot }),
-                        flags: delta_bufs.map(|(_, f, _)| f),
+                        flags: None,
                     };
                     launch_with_retry(gpu, &accept, cfg, policy, stats)
                         .map_err(|e| suite_device_error(&e))?;
@@ -425,30 +361,6 @@ mod tests {
         assert!(
             (a - s).abs() / a.min(s) < 0.15,
             "schemes diverged unexpectedly far: async avg {a}, sync avg {s}"
-        );
-    }
-
-    #[test]
-    fn delta_eval_outcome_matches_full_eval_in_sync_pipeline() {
-        use crate::sa_pipeline::DeltaConfig;
-        let inst = cdd_instances_like();
-        let base = run_gpu_sa_sync(&inst, &params(), 8, 6).unwrap();
-        let p = GpuSaParams {
-            delta: DeltaConfig { enabled: true, resync_every: 10 },
-            ..params()
-        };
-        let d = run_gpu_sa_sync(&inst, &p, 8, 6).unwrap();
-        assert_eq!(d.best, base.best);
-        assert_eq!(d.objective, base.objective);
-        assert_eq!(d.kernel_launches, base.kernel_launches);
-        // The sync scheme's broadcast dirties every row each level, so the
-        // pipeline-level contract is bounded overhead, not a strict win (the
-        // strict win is kernel-level on clean warps; see DESIGN.md §14).
-        assert!(
-            d.kernel_seconds <= base.kernel_seconds * 1.01,
-            "delta ({}) must stay within 1% of full ({}) on n=30",
-            d.kernel_seconds,
-            base.kernel_seconds
         );
     }
 

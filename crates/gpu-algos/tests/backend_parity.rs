@@ -15,7 +15,7 @@
 use cdd_core::{Algorithm, Instance, SuiteError, Time};
 use cdd_gpu::{
     run_gpu_dpso, run_gpu_sa, run_gpu_sa_batch, run_gpu_sa_sync, run_gpu_solve, Backend,
-    BatchEntry, DeltaConfig, GpuDpsoParams, GpuRunResult, GpuSaParams, GpuSolveSpec,
+    BatchEntry, GpuDpsoParams, GpuRunResult, GpuSaParams, GpuSolveSpec,
 };
 use cdd_instances::InstanceId;
 use cuda_sim::{FaultPlan, SimParallelism, TelemetryConfig};
@@ -121,20 +121,6 @@ fn batched_sa_native_matches_sim_per_request() {
             assert_eq!(Outcome::from(s), Outcome::from(nv), "request {r}, kind {:?}", inst.kind());
         }
     }
-}
-
-/// The delta-evaluation path runs the same on both backends (its cache
-/// lives in device memory, so backend identity covers it too).
-#[test]
-fn delta_scoring_native_matches_sim() {
-    let inst = Instance::paper_example_cdd();
-    let with_delta = |backend| GpuSaParams {
-        delta: DeltaConfig { enabled: true, resync_every: 16 },
-        ..sa_params(backend, SimParallelism::Serial)
-    };
-    let sim = run_gpu_sa(&inst, &with_delta(Backend::Sim)).unwrap();
-    let native = run_gpu_sa(&inst, &with_delta(Backend::Native)).unwrap();
-    assert_eq!(Outcome::from(&sim), Outcome::from(&native));
 }
 
 /// The unified solve entry point routes `backend` for both algorithms.

