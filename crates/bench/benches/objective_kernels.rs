@@ -1,9 +1,7 @@
 //! Criterion micro-benchmarks of the two raw objective kernels — the exact
 //! functions the simulated GPU's fitness kernel calls per thread — plus an
-//! end-to-end SA-generation benchmark that exercises the full launch path
-//! (perturb → fitness → accept → reduce) at both host-parallelism
-//! settings. The `BENCH_pr5.json` snapshot (`bench_snapshot` bin) records
-//! the wall-clock side of the same comparison.
+//! end-to-end SA-generation benchmark that exercises the full simulated
+//! launch path (perturb → fitness → accept → reduce).
 
 use cdd_core::cdd_optimal::cdd_objective_raw;
 use cdd_core::ucddcp_optimal::ucddcp_objective_raw;
@@ -11,7 +9,6 @@ use cdd_core::JobSequence;
 use cdd_gpu::{run_gpu_sa, GpuSaParams};
 use cdd_instances::{cdd_instance, ucddcp_instance};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cuda_sim::SimParallelism;
 use std::time::Duration;
 
 fn bench_objective_raw(c: &mut Criterion) {
@@ -40,18 +37,10 @@ fn bench_sa_generations(c: &mut Criterion) {
     let mut group = c.benchmark_group("gpu_sa_generations");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
     let inst = cdd_instance(50, 1, 0.6);
-    for par in [SimParallelism::Serial, SimParallelism::Threads(2)] {
-        let mut params = GpuSaParams {
-            blocks: 2,
-            block_size: 32,
-            iterations: 20,
-            ..GpuSaParams::default()
-        };
-        params.device.parallelism = par;
-        group.bench_with_input(BenchmarkId::new("n50_20gen", par), &par, |b, _| {
-            b.iter(|| run_gpu_sa(&inst, &params).expect("clean run").objective)
-        });
-    }
+    let params = GpuSaParams { blocks: 2, block_size: 32, iterations: 20, ..GpuSaParams::default() };
+    group.bench_function("n50_20gen", |b| {
+        b.iter(|| run_gpu_sa(&inst, &params).expect("clean run").objective)
+    });
     group.finish();
 }
 

@@ -1,23 +1,7 @@
-//! **Wall-clock benchmark snapshot** for the parallel block-dispatch engine
-//! (DESIGN.md §11): measures *host* wall-clock time of the GPU SA pipeline
-//! across `--threads` settings while asserting that every deterministic
-//! output — objective, winning sequence, evaluation and launch counts, and
-//! the modeled clocks bit-for-bit — is byte-identical to the serial engine.
-//!
-//! Wall-clock numbers are honest measurements of *this* host and are
-//! reported next to its core count: on a single-core container the parallel
-//! settings cannot speed anything up (they measure dispatch overhead
-//! instead), and the snapshot says so rather than extrapolating.
-//!
-//! ```text
-//! cargo run --release -p cdd-bench --bin bench_snapshot -- \
-//!     [--sizes 50,200,500] [--threads 1,2,4,8] [--iterations 100] \
-//!     [--repeats 3] [--out BENCH_pr5.json] [--deterministic-out det.json]
-//! ```
-//!
-//! `--out` gets the full snapshot (wall-clock included); the optional
-//! `--deterministic-out` gets only the thread-count-invariant fields, which
-//! CI byte-diffs across runs and thread settings.
+//! **Wall-clock benchmark snapshots.** Each mode times one comparison and
+//! asserts that every compared setting produces byte-identical outcomes
+//! before it writes anything. A bare `bench_snapshot` prints its usage and
+//! exits with status 2.
 //!
 //! **`--batch` mode (BENCH_pr8, DESIGN.md §14)** replays a small-`n`
 //! seed-sweep workload through the service's fused dispatch path
@@ -33,6 +17,16 @@
 //!     [--requests 64] [--n 12] [--iterations 120] [--seed 2016] \
 //!     [--windows 1,4,8] [--repeats 2] [--out BENCH_pr8.json]
 //! ```
+//!
+//! **`--backend` mode (BENCH_pr10, DESIGN.md §16)** runs the Fig-11
+//! `(n, ensemble)` grid of the UCDDCP SA pipeline on the simulator and on
+//! the native backend and reports the wall-time speedup:
+//!
+//! ```text
+//! cargo run --release -p cdd-bench --bin bench_snapshot -- --backend \
+//!     [--sizes 50,200] [--ensembles 192,768] [--block-size 192] \
+//!     [--iterations 200] [--seed 2016] [--repeats 3] [--out BENCH_pr10.json]
+//! ```
 
 use cdd_bench::{results_dir, Args};
 use cdd_core::{Algorithm, Instance};
@@ -40,58 +34,8 @@ use cdd_gpu::{
     run_gpu_sa, run_gpu_solve_batch, Backend, GpuRunResult, GpuSaParams, GpuSolveSpec,
 };
 use cdd_instances::{cdd_instance, InstanceId};
-use cuda_sim::SimParallelism;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// The thread-count-invariant outputs of one run (the determinism
-/// contract's observable surface at this level).
-#[derive(PartialEq, Clone)]
-struct Deterministic {
-    objective: i64,
-    best: Vec<u32>,
-    evaluations: u64,
-    kernel_launches: usize,
-    modeled_bits: u64,
-    kernel_bits: u64,
-    transfer_bits: u64,
-}
-
-impl Deterministic {
-    fn of(r: &GpuRunResult) -> Self {
-        Deterministic {
-            objective: r.objective,
-            best: r.best.as_slice().to_vec(),
-            evaluations: r.evaluations,
-            kernel_launches: r.kernel_launches,
-            modeled_bits: r.modeled_seconds.to_bits(),
-            kernel_bits: r.kernel_seconds.to_bits(),
-            transfer_bits: r.transfer_seconds.to_bits(),
-        }
-    }
-
-    fn to_json(&self, n: usize) -> String {
-        format!(
-            "{{\"n\":{},\"objective\":{},\"evaluations\":{},\"kernel_launches\":{},\
-             \"modeled_seconds_bits\":\"{:#018x}\",\"kernel_seconds_bits\":\"{:#018x}\",\
-             \"transfer_seconds_bits\":\"{:#018x}\"}}",
-            n,
-            self.objective,
-            self.evaluations,
-            self.kernel_launches,
-            self.modeled_bits,
-            self.kernel_bits,
-            self.transfer_bits,
-        )
-    }
-}
-
-struct Measured {
-    n: usize,
-    setting: SimParallelism,
-    wall_seconds: f64,
-    det: Deterministic,
-}
 
 /// One measured service replay: wall time plus the deterministic residue
 /// (outcome hash, fusion tallies) the snapshot reports.
@@ -402,141 +346,20 @@ fn backend_snapshot(args: &Args) {
     println!("snapshot: {}", out.display());
 }
 
+/// Printed, with exit status 2, when no mode is given.
+const USAGE: &str = "usage: bench_snapshot --batch [--requests N] [--n N] [--iterations N] \
+[--seed S] [--windows 1,4,8] [--repeats N] [--out PATH]
+       bench_snapshot --backend [--sizes 50,200] [--ensembles 192,768] [--block-size N] \
+[--iterations N] [--seed S] [--repeats N] [--out PATH]";
+
 fn main() {
     let args = Args::parse();
     if args.flag("batch") {
         batch_snapshot(&args);
-        return;
-    }
-    if args.flag("backend") {
+    } else if args.flag("backend") {
         backend_snapshot(&args);
-        return;
-    }
-    let sizes = args.get_list_or("sizes", &[50usize, 200, 500]);
-    let thread_counts = args.get_list_or("threads", &[1usize, 2, 4, 8]);
-    let iterations = args.get_or("iterations", 100u64);
-    let repeats = args.get_or("repeats", 3usize).max(1);
-    let blocks = args.get_or("blocks", 4usize);
-    let block_size = args.get_or("block-size", 64usize);
-    let seed = args.get_or("seed", 2016u64);
-    let out = args.get("out").map(std::path::PathBuf::from).unwrap_or_else(|| {
-        results_dir().join("BENCH_pr5.json")
-    });
-
-    let host_cores =
-        std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    eprintln!(
-        "bench_snapshot: sizes {sizes:?}, threads {thread_counts:?}, {iterations} generations, \
-         {blocks}×{block_size} grid, {repeats} repeats, host has {host_cores} core(s)"
-    );
-
-    let mut measured: Vec<Measured> = Vec::new();
-    for &n in &sizes {
-        let inst = cdd_instance(n, 1, 0.6);
-        let mut settings = vec![SimParallelism::Serial];
-        settings.extend(thread_counts.iter().map(|&k| SimParallelism::Threads(k)));
-
-        let mut serial_det: Option<Deterministic> = None;
-        for par in settings {
-            let mut params = GpuSaParams {
-                blocks,
-                block_size,
-                iterations,
-                seed,
-                ..GpuSaParams::default()
-            };
-            params.device.parallelism = par;
-
-            // Best-of-`repeats` wall time: the minimum is the least noisy
-            // estimator for a deterministic workload on a shared host.
-            let mut best_wall = f64::INFINITY;
-            let mut det = None;
-            for _ in 0..repeats {
-                let start = Instant::now();
-                let r = run_gpu_sa(&inst, &params).expect("clean run");
-                best_wall = best_wall.min(start.elapsed().as_secs_f64());
-                det = Some(Deterministic::of(&r));
-            }
-            let det = det.expect("repeats >= 1");
-
-            // The determinism contract, enforced per size before anything
-            // is written: every setting must match the serial engine.
-            match &serial_det {
-                None => serial_det = Some(det.clone()),
-                Some(serial) => assert!(
-                    *serial == det,
-                    "BYTE-IDENTITY VIOLATION: n={n} at {par} diverged from serial"
-                ),
-            }
-            eprintln!(
-                "  n={n:>4} sim-threads={par:<6} wall {best_wall:>9.4}s  modeled {:.6}s  obj {}",
-                f64::from_bits(det.modeled_bits),
-                det.objective
-            );
-            measured.push(Measured { n, setting: par, wall_seconds: best_wall, det });
-        }
-    }
-
-    // Full snapshot, wall-clock included.
-    let mut runs = String::new();
-    for m in &measured {
-        let serial_wall = measured
-            .iter()
-            .find(|s| s.n == m.n && s.setting == SimParallelism::Serial)
-            .expect("serial baseline measured first")
-            .wall_seconds;
-        if !runs.is_empty() {
-            runs.push_str(",\n    ");
-        }
-        let _ = write!(
-            runs,
-            "{{\"n\":{},\"sim_threads\":\"{}\",\"resolved_threads\":{},\
-             \"wall_seconds\":{:?},\"speedup_vs_serial\":{:?},\
-             \"modeled_seconds\":{:?},\"objective\":{},\"kernel_launches\":{},\
-             \"evaluations\":{},\"byte_identical_to_serial\":true}}",
-            m.n,
-            m.setting,
-            m.setting.resolve(),
-            m.wall_seconds,
-            serial_wall / m.wall_seconds,
-            f64::from_bits(m.det.modeled_bits),
-            m.det.objective,
-            m.det.kernel_launches,
-            m.det.evaluations,
-        );
-    }
-    let snapshot = format!(
-        "{{\n  \"bench\": \"pr5_parallel_block_dispatch\",\n  \"pipeline\": \"gpu_sa\",\n  \
-         \"host\": {{\"cores\": {host_cores}, \"os\": {:?}, \"arch\": {:?}}},\n  \
-         \"config\": {{\"blocks\": {blocks}, \"block_size\": {block_size}, \
-         \"iterations\": {iterations}, \"seed\": {seed}, \"repeats\": {repeats}}},\n  \
-         \"note\": \"Wall-clock speedups are bounded by the host's physical cores; on a \
-         single-core host the threaded settings measure dispatch overhead, not speedup. \
-         Deterministic outputs are asserted byte-identical across all settings before \
-         this file is written.\",\n  \"runs\": [\n    {runs}\n  ]\n}}\n",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-    );
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output dir");
-        }
-    }
-    std::fs::write(&out, &snapshot).expect("write snapshot");
-    println!("snapshot: {}", out.display());
-
-    // Deterministic-only sidecar for CI byte-diffing: identical content for
-    // every run of the same configuration, at any thread setting.
-    if let Some(path) = args.get("deterministic-out") {
-        let mut det = String::new();
-        for m in measured.iter().filter(|m| m.setting == SimParallelism::Serial) {
-            if !det.is_empty() {
-                det.push_str(",\n  ");
-            }
-            det.push_str(&m.det.to_json(m.n));
-        }
-        let body = format!("[\n  {det}\n]\n");
-        std::fs::write(path, body).expect("write deterministic sidecar");
-        println!("deterministic sidecar: {path}");
+    } else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::campaign::CampaignConfig;
 use cdd_instances::PAPER_SIZES;
-use cuda_sim::{FaultPlan, SimParallelism};
+use cuda_sim::FaultPlan;
 use std::collections::BTreeMap;
 
 /// Parsed command-line arguments: `--key value` pairs and bare `--flags`.
@@ -121,27 +121,12 @@ pub fn fault_plan_from_args(args: &Args) -> Option<FaultPlan> {
     )
 }
 
-/// Resolve the simulator's host-thread setting: the `--sim-threads` flag
-/// (`serial`, `auto`, or a count) wins over the `CDD_SIM_THREADS`
-/// environment variable; both default to `serial`. Every setting is
-/// byte-identical in results — the knob only changes wall-clock time
-/// (DESIGN.md §11).
-pub fn sim_parallelism_from_args(args: &Args) -> SimParallelism {
-    match args.get("sim-threads") {
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|e| panic!("--sim-threads: {e}")),
-        None => SimParallelism::from_env().unwrap_or_default(),
-    }
-}
-
 /// Parse the campaign flags shared by every table/figure binary — `--sizes`
 /// (or `--full` for the paper's complete sweep), `--blocks`, `--block-size`,
-/// `--seed`, `--sim-threads` and the fault-injection flags — into a
-/// [`CampaignConfig`]. `default_sizes` is the binary's reduced default
-/// sweep.
+/// `--seed` and the fault-injection flags — into a [`CampaignConfig`].
+/// `default_sizes` is the binary's reduced default sweep.
 pub fn campaign_from_args(args: &Args, default_sizes: &[usize]) -> CampaignConfig {
-    let mut cfg = CampaignConfig {
+    CampaignConfig {
         sizes: if args.flag("full") {
             PAPER_SIZES.to_vec()
         } else {
@@ -152,9 +137,7 @@ pub fn campaign_from_args(args: &Args, default_sizes: &[usize]) -> CampaignConfi
         seed: args.get_or("seed", 2016u64),
         fault: fault_plan_from_args(args),
         ..Default::default()
-    };
-    cfg.device.parallelism = sim_parallelism_from_args(args);
-    cfg
+    }
 }
 
 #[cfg(test)]
@@ -223,29 +206,5 @@ mod tests {
         let full = campaign_from_args(&args(&["--full", "--launch-failure-rate", "0.05"]), &[10]);
         assert_eq!(full.sizes, PAPER_SIZES.to_vec());
         assert!(full.fault.as_ref().is_some_and(FaultPlan::is_active));
-    }
-
-    #[test]
-    fn sim_threads_flag_parses_all_spellings() {
-        assert_eq!(
-            sim_parallelism_from_args(&args(&["--sim-threads", "serial"])),
-            SimParallelism::Serial
-        );
-        assert_eq!(
-            sim_parallelism_from_args(&args(&["--sim-threads", "auto"])),
-            SimParallelism::Auto
-        );
-        assert_eq!(
-            sim_parallelism_from_args(&args(&["--sim-threads=4"])),
-            SimParallelism::Threads(4)
-        );
-        let cfg = campaign_from_args(&args(&["--sim-threads", "2"]), &[10]);
-        assert_eq!(cfg.device.parallelism, SimParallelism::Threads(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "--sim-threads")]
-    fn sim_threads_rejects_garbage() {
-        sim_parallelism_from_args(&args(&["--sim-threads", "lots"]));
     }
 }

@@ -37,7 +37,7 @@ pub use campaign::{
     cpu_baseline_seconds, gpu_algorithms, run_algo_on_instance, AlgoKind, CampaignConfig,
     CpuBaseline, QualityRow, SpeedupRow,
 };
-pub use cli::{campaign_from_args, fault_plan_from_args, sim_parallelism_from_args, Args};
+pub use cli::{campaign_from_args, fault_plan_from_args, Args};
 pub use journal::{CellRecord, Journal};
 pub use observer::{CampaignObserver, CellSource};
 pub use report::{render_markdown, results_dir, write_csv, Table};

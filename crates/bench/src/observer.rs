@@ -9,7 +9,7 @@
 //! deterministic simulation, never from the wall clock, so two runs of the
 //! same campaign configuration render identical snapshots.
 
-use crate::cli::{sim_parallelism_from_args, Args};
+use crate::cli::Args;
 use crate::journal::CellRecord;
 use cdd_gpu::GpuRunResult;
 use cdd_metrics::trace::{TraceEvent, TraceSink};
@@ -81,15 +81,6 @@ impl CampaignObserver {
             observer.trace.name_process(0, "cdd-bench");
             observer.trace.name_track(0, 0, "campaign");
         }
-        // Record the host-parallelism setting in every metrics snapshot so
-        // a summary is self-describing about how it was produced. The knob
-        // never changes any `campaign_*`/`sim_*` series (DESIGN.md §11).
-        let par = sim_parallelism_from_args(args);
-        observer.registry.set_gauge(
-            "campaign_sim_threads",
-            &[("setting", &par.to_string())],
-            par.resolve() as f64,
-        );
         observer
     }
 

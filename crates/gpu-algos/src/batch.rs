@@ -33,7 +33,7 @@ use cdd_core::eval::evaluator_for;
 use cdd_core::{Cost, Instance, JobSequence, SuiteError};
 use cdd_meta::temperature::initial_temperature;
 use cuda_sim::reduce::{unpack_argmin, SegmentedArgminKernel};
-use cuda_sim::{Backend, ExecBackend, Gpu, LaunchConfig, NativeGpu, XorWow};
+use cuda_sim::{Backend, ExecBackend, Gpu, LaunchConfig, NativeGpu, Profiler, XorWow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -251,7 +251,10 @@ fn batch_device_run<B: ExecBackend>(
     // across the requests that shared it (each report carries the *fused*
     // launch count — k requests rode the same 1 + 4·iterations launches).
     let share = 1.0 / k as f64;
-    let summary = format!("batched×{k}: {}", gpu.profiler_summary());
+    let profiler = gpu.sim_profiler();
+    let shared = |seconds: fn(&Profiler) -> f64| profiler.map_or(0.0, seconds) * share;
+    let summary =
+        format!("batched×{k}: {}", profiler.map(Profiler::summary).unwrap_or_default());
     Ok(results
         .into_iter()
         .enumerate()
@@ -260,9 +263,9 @@ fn batch_device_run<B: ExecBackend>(
             objective,
             evaluations: ensemble as u64 * (params.iterations + 1),
             t0: t0s[r],
-            modeled_seconds: gpu.modeled_total_seconds() * share,
-            kernel_seconds: gpu.modeled_kernel_seconds() * share,
-            transfer_seconds: gpu.modeled_transfer_seconds() * share,
+            modeled_seconds: shared(Profiler::total_seconds),
+            kernel_seconds: shared(Profiler::kernel_seconds),
+            transfer_seconds: shared(Profiler::transfer_seconds),
             kernel_launches: gpu.kernel_launches(),
             profiler_summary: summary.clone(),
             timeline: Vec::new(),

@@ -260,18 +260,15 @@ fn dpso_attempt<B: ExecBackend>(
         ConvergenceTrace::from_ring("dpso", params.telemetry.stride, 1, &sample_headers, &r, &gpu)
     });
     Ok(GpuRunResult {
-        best,
-        objective,
-        evaluations: ensemble as u64 * (params.iterations + 1),
-        t0: 0.0,
-        modeled_seconds: gpu.modeled_total_seconds(),
-        kernel_seconds: gpu.modeled_kernel_seconds(),
-        transfer_seconds: gpu.modeled_transfer_seconds(),
-        kernel_launches: gpu.kernel_launches(),
-        profiler_summary: gpu.profiler_summary(),
-        timeline: gpu.timeline_events(),
-        recovery: RecoveryStats::default(),
         convergence,
+        ..GpuRunResult::new(
+            best,
+            objective,
+            ensemble as u64 * (params.iterations + 1),
+            0.0,
+            gpu.kernel_launches(),
+            gpu.sim_profiler(),
+        )
     })
 }
 
@@ -287,18 +284,8 @@ fn cpu_fallback_dpso(params: &GpuDpsoParams, evaluator: &dyn SequenceEvaluator) 
     };
     let m = Dpso::new(evaluator, dpso).run(params.seed);
     GpuRunResult {
-        best: m.best,
-        objective: m.objective,
-        evaluations: m.evaluations,
-        t0: 0.0,
-        modeled_seconds: 0.0,
-        kernel_seconds: 0.0,
-        transfer_seconds: 0.0,
-        kernel_launches: 0,
         profiler_summary: "cpu-fallback: sequential CPU DPSO".into(),
-        timeline: Vec::new(),
-        recovery: RecoveryStats::default(),
-        convergence: None,
+        ..GpuRunResult::new(m.best, m.objective, m.evaluations, 0.0, 0, None)
     }
 }
 

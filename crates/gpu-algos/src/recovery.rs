@@ -204,20 +204,7 @@ mod tests {
     use cuda_sim::{DeviceSpec, Gpu};
 
     fn dummy_result(tag: f64) -> GpuRunResult {
-        GpuRunResult {
-            best: JobSequence::from_vec(vec![0]).unwrap(),
-            objective: 0,
-            evaluations: 0,
-            t0: tag,
-            modeled_seconds: 0.0,
-            kernel_seconds: 0.0,
-            transfer_seconds: 0.0,
-            kernel_launches: 0,
-            profiler_summary: String::new(),
-            timeline: Vec::new(),
-            recovery: RecoveryStats::default(),
-            convergence: None,
-        }
+        GpuRunResult::new(JobSequence::from_vec(vec![0]).unwrap(), 0, 0, tag, 0, None)
     }
 
     #[test]

@@ -26,8 +26,8 @@ use cdd_meta::temperature::initial_temperature;
 use cdd_meta::{AsyncEnsemble, Cooling, SaParams};
 use cuda_sim::reduce::{unpack_argmin, AtomicArgminKernel};
 use cuda_sim::{
-    Backend, DeviceSpec, ExecBackend, FaultPlan, Gpu, LaunchConfig, NativeGpu, TelemetryConfig,
-    TelemetryRing, TimelineEvent, XorWow,
+    Backend, DeviceSpec, ExecBackend, FaultPlan, Gpu, LaunchConfig, NativeGpu, Profiler,
+    TelemetryConfig, TelemetryRing, TimelineEvent, XorWow,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -181,6 +181,37 @@ pub struct GpuRunResult {
     /// Decoded search trajectory of the winning device attempt; `None` when
     /// telemetry is disabled or the run fell back to the CPU.
     pub convergence: Option<ConvergenceTrace>,
+}
+
+impl GpuRunResult {
+    /// A run's result with its five diagnostic fields (modeled, kernel and
+    /// transfer seconds, profiler summary, timeline) read from the
+    /// simulator's profiler, or zeros and empties when there is none (the
+    /// native backend, a CPU fallback). `recovery` starts at its default
+    /// and `convergence` at `None`.
+    pub(crate) fn new(
+        best: JobSequence,
+        objective: Cost,
+        evaluations: u64,
+        t0: f64,
+        kernel_launches: usize,
+        profiler: Option<&Profiler>,
+    ) -> Self {
+        GpuRunResult {
+            best,
+            objective,
+            evaluations,
+            t0,
+            modeled_seconds: profiler.map_or(0.0, Profiler::total_seconds),
+            kernel_seconds: profiler.map_or(0.0, Profiler::kernel_seconds),
+            transfer_seconds: profiler.map_or(0.0, Profiler::transfer_seconds),
+            kernel_launches,
+            profiler_summary: profiler.map(Profiler::summary).unwrap_or_default(),
+            timeline: profiler.map(|p| p.events().to_vec()).unwrap_or_default(),
+            recovery: RecoveryStats::default(),
+            convergence: None,
+        }
+    }
 }
 
 /// Run the paper's parallel asynchronous SA on the simulated GPU.
@@ -358,18 +389,15 @@ fn sa_attempt<B: ExecBackend>(
         ConvergenceTrace::from_ring("sa", params.telemetry.stride, 1, &sample_headers, &r, &gpu)
     });
     Ok(GpuRunResult {
-        best,
-        objective,
-        evaluations: ensemble as u64 * (params.iterations + 1),
-        t0,
-        modeled_seconds: gpu.modeled_total_seconds(),
-        kernel_seconds: gpu.modeled_kernel_seconds(),
-        transfer_seconds: gpu.modeled_transfer_seconds(),
-        kernel_launches: gpu.kernel_launches(),
-        profiler_summary: gpu.profiler_summary(),
-        timeline: gpu.timeline_events(),
-        recovery: RecoveryStats::default(),
         convergence,
+        ..GpuRunResult::new(
+            best,
+            objective,
+            ensemble as u64 * (params.iterations + 1),
+            t0,
+            gpu.kernel_launches(),
+            gpu.sim_profiler(),
+        )
     })
 }
 
@@ -391,18 +419,8 @@ pub(crate) fn cpu_fallback_sa(
     };
     let m = AsyncEnsemble::new(evaluator, params.ensemble(), sa).run(params.seed);
     GpuRunResult {
-        best: m.best,
-        objective: m.objective,
-        evaluations: m.evaluations,
-        t0,
-        modeled_seconds: 0.0,
-        kernel_seconds: 0.0,
-        transfer_seconds: 0.0,
-        kernel_launches: 0,
         profiler_summary: "cpu-fallback: asynchronous CPU ensemble".into(),
-        timeline: Vec::new(),
-        recovery: RecoveryStats::default(),
-        convergence: None,
+        ..GpuRunResult::new(m.best, m.objective, m.evaluations, t0, 0, None)
     }
 }
 

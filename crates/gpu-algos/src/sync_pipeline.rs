@@ -266,18 +266,15 @@ fn sync_attempt<B: ExecBackend>(
         )
     });
     Ok(GpuRunResult {
-        best,
-        objective,
-        evaluations: ensemble as u64 * (levels * markov_len + 1),
-        t0,
-        modeled_seconds: gpu.modeled_total_seconds(),
-        kernel_seconds: gpu.modeled_kernel_seconds(),
-        transfer_seconds: gpu.modeled_transfer_seconds(),
-        kernel_launches: gpu.kernel_launches(),
-        profiler_summary: gpu.profiler_summary(),
-        timeline: gpu.timeline_events(),
-        recovery: RecoveryStats::default(),
         convergence,
+        ..GpuRunResult::new(
+            best,
+            objective,
+            ensemble as u64 * (levels * markov_len + 1),
+            t0,
+            gpu.kernel_launches(),
+            gpu.sim_profiler(),
+        )
     })
 }
 

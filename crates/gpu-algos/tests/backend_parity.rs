@@ -18,7 +18,7 @@ use cdd_gpu::{
     BatchEntry, GpuDpsoParams, GpuRunResult, GpuSaParams, GpuSolveSpec,
 };
 use cdd_instances::InstanceId;
-use cuda_sim::{FaultPlan, SimParallelism, TelemetryConfig};
+use cuda_sim::{DeviceSpec, FaultPlan, TelemetryConfig};
 use proptest::prelude::*;
 
 /// The outcome fields both backends must agree on, bit for bit.
@@ -52,11 +52,14 @@ fn assert_native_is_diagnostic_free(r: &GpuRunResult) {
     assert!(r.timeline.is_empty(), "native has no timeline");
 }
 
-fn sa_params(backend: Backend, par: SimParallelism) -> GpuSaParams {
-    let mut p =
-        GpuSaParams { blocks: 2, block_size: 32, iterations: 80, backend, ..Default::default() };
-    p.device.parallelism = par;
-    p
+fn sa_params(backend: Backend) -> GpuSaParams {
+    GpuSaParams { blocks: 2, block_size: 32, iterations: 80, backend, ..Default::default() }
+}
+
+/// The paper's device with the native backend on `threads` host threads
+/// (the simulator ignores the count).
+fn device_with_threads(threads: usize) -> DeviceSpec {
+    DeviceSpec { native_threads: threads, ..DeviceSpec::gt560m() }
 }
 
 fn both_kinds() -> [Instance; 2] {
@@ -66,9 +69,9 @@ fn both_kinds() -> [Instance; 2] {
 #[test]
 fn sa_native_matches_sim_for_both_kinds() {
     for inst in both_kinds() {
-        let sim = run_gpu_sa(&inst, &sa_params(Backend::Sim, SimParallelism::Serial)).unwrap();
+        let sim = run_gpu_sa(&inst, &sa_params(Backend::Sim)).unwrap();
         let native =
-            run_gpu_sa(&inst, &sa_params(Backend::Native, SimParallelism::Serial)).unwrap();
+            run_gpu_sa(&inst, &sa_params(Backend::Native)).unwrap();
         assert_eq!(Outcome::from(&sim), Outcome::from(&native), "kind {:?}", inst.kind());
         assert_native_is_diagnostic_free(&native);
         assert!(sim.modeled_seconds > 0.0, "sim keeps its modeled clock");
@@ -79,10 +82,10 @@ fn sa_native_matches_sim_for_both_kinds() {
 fn sync_sa_native_matches_sim_for_both_kinds() {
     for inst in both_kinds() {
         let sim =
-            run_gpu_sa_sync(&inst, &sa_params(Backend::Sim, SimParallelism::Serial), 8, 10)
+            run_gpu_sa_sync(&inst, &sa_params(Backend::Sim), 8, 10)
                 .unwrap();
         let native =
-            run_gpu_sa_sync(&inst, &sa_params(Backend::Native, SimParallelism::Serial), 8, 10)
+            run_gpu_sa_sync(&inst, &sa_params(Backend::Native), 8, 10)
                 .unwrap();
         assert_eq!(Outcome::from(&sim), Outcome::from(&native), "kind {:?}", inst.kind());
         assert_native_is_diagnostic_free(&native);
@@ -112,9 +115,9 @@ fn batched_sa_native_matches_sim_per_request() {
         let entries: Vec<BatchEntry> =
             (0..3).map(|i| BatchEntry { instance: inst.clone(), seed: 40 + i }).collect();
         let sim =
-            run_gpu_sa_batch(&entries, &sa_params(Backend::Sim, SimParallelism::Serial)).unwrap();
+            run_gpu_sa_batch(&entries, &sa_params(Backend::Sim)).unwrap();
         let native =
-            run_gpu_sa_batch(&entries, &sa_params(Backend::Native, SimParallelism::Serial))
+            run_gpu_sa_batch(&entries, &sa_params(Backend::Native))
                 .unwrap();
         assert_eq!(sim.len(), native.len());
         for (r, (s, nv)) in sim.iter().zip(&native).enumerate() {
@@ -138,20 +141,34 @@ fn solve_entry_point_routes_backends() {
 /// Parity at the sizes the benchmark serves (n = 200 and 500), where the
 /// native path reads candidate, personal-best and swarm-best rows in place:
 /// SA and DPSO on CDD at h = 0.2 and 0.8 and on UCDDCP, at a small
-/// geometry.
+/// geometry, with native on 1 and 2 host threads.
 #[test]
 fn parity_holds_at_benchmark_sizes() {
-    let spec = |backend| GpuSolveSpec { blocks: 2, block_size: 32, backend, ..Default::default() };
+    let spec = |backend, threads| GpuSolveSpec {
+        blocks: 2,
+        block_size: 32,
+        backend,
+        device: device_with_threads(threads),
+        ..Default::default()
+    };
     for n in [200, 500] {
         let ids =
             [InstanceId::cdd(n, 1, 0.2), InstanceId::cdd(n, 1, 0.8), InstanceId::ucddcp(n, 1)];
         for id in ids {
             let inst = id.instantiate();
             for algorithm in [Algorithm::Sa, Algorithm::Dpso] {
-                let sim = run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Sim)).unwrap();
-                let native =
-                    run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Native)).unwrap();
-                assert_eq!(Outcome::from(&sim), Outcome::from(&native), "{id} {algorithm:?}");
+                let sim =
+                    run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Sim, 1)).unwrap();
+                for threads in [1, 2] {
+                    let native =
+                        run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Native, threads))
+                            .unwrap();
+                    assert_eq!(
+                        Outcome::from(&sim),
+                        Outcome::from(&native),
+                        "{id} {algorithm:?} native on {threads} threads"
+                    );
+                }
             }
         }
     }
@@ -175,7 +192,7 @@ fn native_rejects_fault_plans() {
     let inst = Instance::paper_example_cdd();
     let p = GpuSaParams {
         fault: Some(FaultPlan::with_rates(7, 0.05, 0.01, 0.01)),
-        ..sa_params(Backend::Native, SimParallelism::Serial)
+        ..sa_params(Backend::Native)
     };
     assert_rejected(run_gpu_sa(&inst, &p), "sa fault plan");
     assert_rejected(run_gpu_sa_sync(&inst, &p, 4, 20), "sync fault plan");
@@ -195,7 +212,7 @@ fn native_rejects_telemetry() {
     let inst = Instance::paper_example_cdd();
     let p = GpuSaParams {
         telemetry: TelemetryConfig::every(5),
-        ..sa_params(Backend::Native, SimParallelism::Serial)
+        ..sa_params(Backend::Native)
     };
     assert_rejected(run_gpu_sa(&inst, &p), "sa telemetry");
     assert_rejected(run_gpu_sa_sync(&inst, &p, 4, 20), "sync telemetry");
@@ -217,7 +234,7 @@ fn native_accepts_inert_fault_plans() {
     let inst = Instance::paper_example_cdd();
     let with_plan = |backend| GpuSaParams {
         fault: Some(FaultPlan::disabled()),
-        ..sa_params(backend, SimParallelism::Serial)
+        ..sa_params(backend)
     };
     let sim = run_gpu_sa(&inst, &with_plan(Backend::Sim)).unwrap();
     let native = run_gpu_sa(&inst, &with_plan(Backend::Native)).unwrap();
@@ -253,9 +270,10 @@ fn random_instance(max_n: usize) -> impl Strategy<Value = Instance> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For arbitrary instances (either kind, any n), any pipeline, and any
-    /// host-thread count, the native outcome equals the sim outcome bit for
-    /// bit. Host threads are a pure wall-clock knob on both backends.
+    /// For arbitrary instances (either kind, any n), any pipeline, and a
+    /// native backend on 1, 2 or 5 host threads, the native outcome equals
+    /// the serial simulator's bit for bit. Host threads are a pure
+    /// wall-clock knob on native.
     #[test]
     fn parity_holds_everywhere(
         inst in random_instance(16),
@@ -263,15 +281,12 @@ proptest! {
         threads_idx in 0..3usize,
         seed in any::<u64>(),
     ) {
-        let threads = [
-            SimParallelism::Serial,
-            SimParallelism::Threads(2),
-            SimParallelism::Threads(5),
-        ][threads_idx];
+        let device = device_with_threads([1, 2, 5][threads_idx]);
         let params = |backend| GpuSaParams {
             seed,
             iterations: 30,
-            ..sa_params(backend, threads)
+            device: device.clone(),
+            ..sa_params(backend)
         };
         let (sim, native) = match pipeline {
             0 => (
@@ -289,6 +304,7 @@ proptest! {
                     iterations: 30,
                     seed,
                     backend,
+                    device: device.clone(),
                     ..Default::default()
                 };
                 (

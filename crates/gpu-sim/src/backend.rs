@@ -9,30 +9,33 @@
 //! * [`Gpu`] — the cuda-sim device: modeled clock, per-access cost
 //!   accounting, fault injection, race detection, profiler timeline.
 //! * [`NativeGpu`] — the native host backend: the same kernel bodies run
-//!   directly on host threads through the PR-5 [`WorkerPool`], with **no**
-//!   modeled clock, no per-access simulation, and no fault machinery on the
-//!   hot path. This is the deployment path when you actually have cores.
+//!   directly on [`DeviceSpec::native_threads`] host threads through the
+//!   block-dispatch [`WorkerPool`], with **no** modeled clock, no
+//!   per-access simulation, and no fault machinery on the hot path. This is
+//!   the deployment path when you actually have cores.
 //!
 //! The contract between them is **byte-identity**: with the same inputs,
 //! seeds and launch sequence, both backends leave bit-identical values in
-//! device memory. That holds by construction because (a) kernels execute
-//! the exact same `phase` code through [`DeviceCtx`], (b) XORWOW streams
-//! are device-resident data, and (c) the native backend stages atomics per
-//! block and merges them in block-index order through the *same*
-//! [`AtomicStage`] type the simulator uses. What the native backend does
-//! not produce: modeled seconds (all zero), a profiler timeline (empty),
-//! fault injection and telemetry (sim-only; installing an active fault
-//! plan panics, and the pipelines reject such requests before any launch).
+//! device memory, at every native thread count. That holds by construction
+//! because (a) kernels execute the exact same `phase` code through
+//! [`DeviceCtx`], (b) XORWOW streams are device-resident data, and (c) the
+//! native backend stages atomics per block and merges them in block-index
+//! order through the *same* [`AtomicStage`] type the serial simulator
+//! uses. What the native backend does not have: a profiler
+//! ([`ExecBackend::sim_profiler`] is `None`, so there are no modeled
+//! seconds and no timeline), fault injection and telemetry (sim-only;
+//! installing an active fault plan panics, and the pipelines reject such
+//! requests before any launch).
 
 use crate::device::DeviceSpec;
-use crate::dispatch::{SimParallelism, WorkerPool};
+use crate::dispatch::WorkerPool;
 use crate::engine::{
     AsBuf, AtomicOp, AtomicStage, DeviceCtx, Gpu, Kernel, LaunchError, MemView,
 };
 use crate::fault::{FaultPlan, FaultStats};
 use crate::grid::LaunchConfig;
 use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool, WordValue};
-use crate::profiler::TimelineEvent;
+use crate::profiler::Profiler;
 use crate::rng::XorWow;
 use std::fmt;
 use std::str::FromStr;
@@ -81,12 +84,13 @@ impl FromStr for Backend {
 /// The device surface a *pipeline* (host-side driver) programs against,
 /// implemented by both [`Gpu`] and [`NativeGpu`].
 ///
-/// Methods that only make sense on the simulator — modeled seconds, the
-/// profiler timeline, spans, fault statistics — have honest degenerate
-/// behavior on the native backend (zeros, empties, no-ops) so generic
-/// driver code needs no backend branches. Installing an *active* fault
-/// plan on a backend that cannot honor it panics instead of silently
-/// dropping it; callers route faulted work to [`Backend::Sim`] first.
+/// The simulator's profiler (modeled seconds, timeline, per-kernel
+/// summary) is reached only through [`sim_profiler`](Self::sim_profiler),
+/// which is `None` on the native backend: a missing clock cannot be read
+/// as a zero one. Spans are no-ops on native, and its fault count is a
+/// true zero, since it injects none. Installing an *active* fault plan on
+/// a backend that cannot honor it panics instead of silently dropping it;
+/// callers route faulted work to [`Backend::Sim`] first.
 pub trait ExecBackend {
     /// Construct a fresh backend for a device description. Generic pipeline
     /// attempts use this so each attempt starts from a clean device.
@@ -100,9 +104,6 @@ pub trait ExecBackend {
     /// The device description (geometry limits still validate launches on
     /// the native backend).
     fn spec(&self) -> &DeviceSpec;
-
-    /// Set host-side block parallelism for subsequent launches.
-    fn set_parallelism(&mut self, parallelism: SimParallelism);
 
     /// Allocate a zero-initialized global buffer of `len` elements.
     fn alloc<T: DeviceValue>(&mut self, len: usize) -> Buf<T>;
@@ -155,25 +156,16 @@ pub trait ExecBackend {
     /// backend).
     fn span_end(&mut self, name: &str);
 
-    /// Successful kernel launches so far. Identical across backends for a
-    /// clean run — part of the parity contract.
+    /// Kernel launches so far: every successful one and, on the
+    /// simulator, every attempt its watchdog killed. No other failed launch
+    /// counts. Identical across backends for a clean run — part of the
+    /// parity contract.
     fn kernel_launches(&self) -> usize;
 
-    /// Total modeled device seconds (kernels + transfers); `0.0` on the
-    /// native backend, whose currency is wall-clock time.
-    fn modeled_total_seconds(&self) -> f64;
-
-    /// Modeled kernel-only seconds; `0.0` on the native backend.
-    fn modeled_kernel_seconds(&self) -> f64;
-
-    /// Modeled transfer-only seconds; `0.0` on the native backend.
-    fn modeled_transfer_seconds(&self) -> f64;
-
-    /// Human-readable profiler table (empty on the native backend).
-    fn profiler_summary(&self) -> String;
-
-    /// The timeline events recorded so far (empty on the native backend).
-    fn timeline_events(&self) -> Vec<TimelineEvent>;
+    /// The simulator's profiler: modeled seconds, the timeline and the
+    /// per-kernel summary. `None` on the native backend, whose currency is
+    /// wall-clock time.
+    fn sim_profiler(&self) -> Option<&Profiler>;
 }
 
 impl ExecBackend for Gpu {
@@ -187,10 +179,6 @@ impl ExecBackend for Gpu {
 
     fn spec(&self) -> &DeviceSpec {
         Gpu::spec(self)
-    }
-
-    fn set_parallelism(&mut self, parallelism: SimParallelism) {
-        Gpu::set_parallelism(self, parallelism);
     }
 
     fn alloc<T: DeviceValue>(&mut self, len: usize) -> Buf<T> {
@@ -246,24 +234,8 @@ impl ExecBackend for Gpu {
         self.profiler().kernel_launches()
     }
 
-    fn modeled_total_seconds(&self) -> f64 {
-        self.profiler().total_seconds()
-    }
-
-    fn modeled_kernel_seconds(&self) -> f64 {
-        self.profiler().kernel_seconds()
-    }
-
-    fn modeled_transfer_seconds(&self) -> f64 {
-        self.profiler().transfer_seconds()
-    }
-
-    fn profiler_summary(&self) -> String {
-        self.profiler().summary()
-    }
-
-    fn timeline_events(&self) -> Vec<TimelineEvent> {
-        self.profiler().events().to_vec()
+    fn sim_profiler(&self) -> Option<&Profiler> {
+        Some(self.profiler())
     }
 }
 
@@ -273,17 +245,15 @@ impl ExecBackend for Gpu {
 pub struct NativeGpu {
     spec: DeviceSpec,
     pool: MemoryPool,
-    parallelism: SimParallelism,
     workers: Option<WorkerPool>,
     launches: usize,
 }
 
 impl NativeGpu {
-    /// Bring up a native device. Host-side block parallelism is taken from
-    /// [`DeviceSpec::parallelism`], exactly like [`Gpu::new`].
+    /// Bring up a native device that runs the blocks of each launch on
+    /// [`DeviceSpec::native_threads`] host threads (at most one per block).
     pub fn new(spec: DeviceSpec) -> Self {
-        let parallelism = spec.parallelism;
-        NativeGpu { spec, pool: MemoryPool::default(), parallelism, workers: None, launches: 0 }
+        NativeGpu { spec, pool: MemoryPool::default(), workers: None, launches: 0 }
     }
 
     fn ensure_workers(&mut self, threads: usize) {
@@ -329,10 +299,6 @@ impl ExecBackend for NativeGpu {
 
     fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    fn set_parallelism(&mut self, parallelism: SimParallelism) {
-        self.parallelism = parallelism;
     }
 
     fn alloc<T: DeviceValue>(&mut self, len: usize) -> Buf<T> {
@@ -385,7 +351,7 @@ impl ExecBackend for NativeGpu {
 
         let grid_dim = cfg.num_blocks();
         let phases = kernel.num_phases().max(1);
-        let pool_threads = self.parallelism.resolve().min(grid_dim.max(1));
+        let pool_threads = self.spec.native_threads.min(grid_dim).max(1);
         if pool_threads > 1 {
             self.ensure_workers(pool_threads);
         }
@@ -444,24 +410,8 @@ impl ExecBackend for NativeGpu {
         self.launches
     }
 
-    fn modeled_total_seconds(&self) -> f64 {
-        0.0
-    }
-
-    fn modeled_kernel_seconds(&self) -> f64 {
-        0.0
-    }
-
-    fn modeled_transfer_seconds(&self) -> f64 {
-        0.0
-    }
-
-    fn profiler_summary(&self) -> String {
-        String::new()
-    }
-
-    fn timeline_events(&self) -> Vec<TimelineEvent> {
-        Vec::new()
+    fn sim_profiler(&self) -> Option<&Profiler> {
+        None
     }
 }
 
@@ -755,13 +705,8 @@ mod tests {
         }
     }
 
-    fn drive<B: ExecBackend>(gpu: &mut B, threads: usize) -> (Vec<i64>, Vec<i64>, Vec<i64>) {
+    fn drive<B: ExecBackend>(gpu: &mut B) -> (Vec<i64>, Vec<i64>, Vec<i64>) {
         use crate::rng::XorWow;
-        gpu.set_parallelism(if threads <= 1 {
-            SimParallelism::Serial
-        } else {
-            SimParallelism::Threads(threads)
-        });
         let n = 7;
         let total = 4 * 8;
         let data = gpu.alloc::<i64>(total * n);
@@ -785,33 +730,144 @@ mod tests {
         (gpu.d2h(data), gpu.d2h(mins), gpu.d2h(sums))
     }
 
-    #[test]
-    fn native_matches_sim_bit_for_bit() {
-        let spec = DeviceSpec::gt560m();
-        let mut sim = Gpu::new(spec.clone());
-        let baseline = drive(&mut sim, 1);
-        for threads in [1usize, 3] {
-            let mut native = NativeGpu::new(spec.clone());
-            let got = drive(&mut native, threads);
-            assert_eq!(got, baseline, "native(threads={threads}) diverged from sim");
-        }
-        // And the sim's own parallel dispatch still agrees.
-        let mut sim_par = Gpu::new(spec);
-        assert_eq!(drive(&mut sim_par, 3), baseline);
+    fn native_with_threads(threads: usize) -> NativeGpu {
+        NativeGpu::new(DeviceSpec { native_threads: threads, ..DeviceSpec::gt560m() })
     }
 
     #[test]
+    fn native_matches_sim_bit_for_bit() {
+        let baseline = drive(&mut Gpu::new(DeviceSpec::gt560m()));
+        for threads in [1usize, 3] {
+            let got = drive(&mut native_with_threads(threads));
+            assert_eq!(got, baseline, "native(threads={threads}) diverged from sim");
+        }
+    }
+
+    /// Native has no profiler, so no modeled time to report.
+    #[test]
     fn native_counts_launches_and_reports_zero_modeled_time() {
         let mut native = NativeGpu::new(DeviceSpec::gt560m());
-        let _ = drive(&mut native, 1);
+        let _ = drive(&mut native);
         assert_eq!(native.kernel_launches(), 3);
-        assert_eq!(native.modeled_total_seconds(), 0.0);
-        assert_eq!(native.modeled_kernel_seconds(), 0.0);
-        assert_eq!(native.modeled_transfer_seconds(), 0.0);
-        assert!(native.profiler_summary().is_empty());
-        assert!(native.timeline_events().is_empty());
+        assert!(native.sim_profiler().is_none());
         assert_eq!(native.kind(), Backend::Native);
         assert_eq!(native.fault_stats(), FaultStats::default());
+        let mut sim = Gpu::new(DeviceSpec::gt560m());
+        let _ = drive(&mut sim);
+        let profiler = sim.sim_profiler().expect("the simulator has a profiler");
+        assert_eq!(profiler.kernel_launches(), 3);
+        assert!(profiler.total_seconds() > 0.0);
+    }
+
+    /// Records which host thread ran each block. With `meet` set, blocks 0
+    /// and 1 wait for each other, so they can only finish on two distinct
+    /// threads.
+    struct WhoRan {
+        threads: Mutex<Vec<std::thread::ThreadId>>,
+        meet: Option<std::sync::Barrier>,
+    }
+
+    impl Kernel for WhoRan {
+        type Shared = ();
+        type ThreadState = ();
+        fn name(&self) -> &str {
+            "who_ran"
+        }
+        fn make_shared(&self, _b: usize) {}
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+            if ctx.thread_idx() != 0 {
+                return;
+            }
+            self.threads.lock().expect("recorder poisoned").push(std::thread::current().id());
+            if let Some(meet) = self.meet.as_ref().filter(|_| ctx.block_idx() < 2) {
+                meet.wait();
+            }
+        }
+    }
+
+    #[test]
+    fn sim_stays_on_the_caller_and_native_uses_its_pool() {
+        let spec = DeviceSpec { native_threads: 4, ..DeviceSpec::gt560m() };
+        let cfg = LaunchConfig::linear(8, 4);
+
+        let on_sim = WhoRan { threads: Mutex::new(Vec::new()), meet: None };
+        Gpu::new(spec.clone()).launch(&on_sim, cfg, &[]).unwrap();
+        let caller = std::thread::current().id();
+        assert_eq!(on_sim.threads.into_inner().unwrap(), vec![caller; 8]);
+
+        // Launched from a helper thread so that a native backend running
+        // blocks 0 and 1 on one thread fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let launcher = std::thread::spawn(move || {
+            let on_native =
+                WhoRan { threads: Mutex::new(Vec::new()), meet: Some(std::sync::Barrier::new(2)) };
+            NativeGpu::new(spec).launch_kernel(&on_native, cfg, &[]).unwrap();
+            tx.send(on_native.threads.into_inner().unwrap()).unwrap();
+        });
+        let ran = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("blocks 0 and 1 never met: native ran them on one thread");
+        launcher.join().unwrap();
+        assert_eq!(ran.len(), 8);
+        let distinct: std::collections::HashSet<_> = ran.into_iter().collect();
+        assert!(distinct.len() >= 2, "native ran every block on one thread");
+    }
+
+    /// Every thread folds into two cross-block accumulators: the global
+    /// minimum of its value and a population count.
+    struct MinAndCount;
+    impl Kernel for MinAndCount {
+        type Shared = ();
+        type ThreadState = ();
+        fn name(&self) -> &str {
+            "min_and_count"
+        }
+        fn make_shared(&self, _b: usize) {}
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+            let values = ctx.arg_buf(0);
+            let out = ctx.arg_buf(1);
+            let v: i64 = ctx.read(values, ctx.global_id());
+            ctx.atomic_min_i64(out, 0, v);
+            ctx.atomic_add_i64(out, 1, 1);
+        }
+    }
+
+    #[test]
+    fn atomics_merge_exactly_across_parallel_blocks() {
+        let mut native = native_with_threads(4);
+        let values = ExecBackend::alloc::<i64>(&mut native, 128);
+        let host: Vec<i64> = (0..128).map(|i| 1000 - 7 * i as i64).collect();
+        native.h2d(values, &host);
+        let out = ExecBackend::alloc::<i64>(&mut native, 2);
+        native.h2d(out, &[i64::MAX, 0]);
+        let args = [values.erased(), out.erased()];
+        native.launch_kernel(&MinAndCount, LaunchConfig::linear(4, 32), &args).unwrap();
+        assert_eq!(native.d2h(out), vec![*host.iter().min().unwrap(), 128]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_bounds_panics_propagate_from_worker_threads() {
+        struct Oob;
+        impl Kernel for Oob {
+            type Shared = ();
+            type ThreadState = ();
+            fn name(&self) -> &str {
+                "oob"
+            }
+            fn make_shared(&self, _b: usize) {}
+            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+                let buf = ctx.arg_buf(0);
+                // Only the last block trips the bug, so the panic can
+                // originate on a worker rather than the launching thread.
+                if ctx.block_idx() == 3 {
+                    let _: i64 = ctx.read(buf, 99);
+                }
+            }
+        }
+        let mut native = native_with_threads(4);
+        let buf = ExecBackend::alloc::<i64>(&mut native, 4);
+        let _ = native.launch_kernel(&Oob, LaunchConfig::linear(4, 8), &[buf.erased()]);
     }
 
     #[test]

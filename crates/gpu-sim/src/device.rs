@@ -1,7 +1,5 @@
 //! Device specifications: the hardware parameters of the performance model.
 
-use crate::dispatch::SimParallelism;
-
 /// Static description of a simulated CUDA device.
 ///
 /// The defaults mirror the paper's evaluation card (GeForce GT 560M); an
@@ -46,12 +44,11 @@ pub struct DeviceSpec {
     pub transaction_bytes: f64,
     /// Cycles to synchronize a block at a barrier (per phase boundary).
     pub sync_cycles: f64,
-    /// Host threads used to *execute* the blocks of a launch. Pure
-    /// wall-clock knob: modeled timing, results, fault streams, metrics and
-    /// traces are byte-identical at every setting (DESIGN.md §11). Defaults
-    /// to [`SimParallelism::Serial`]; opt in via `--sim-threads`,
-    /// `CDD_SIM_THREADS`, or [`crate::Gpu::set_parallelism`].
-    pub parallelism: SimParallelism,
+    /// Host threads the native backend ([`crate::backend::NativeGpu`])
+    /// executes the blocks of a launch on (`0` counts as `1`). Results are
+    /// byte-identical at every count (DESIGN.md §11). The simulator
+    /// ignores it: it always runs blocks serially on the calling thread.
+    pub native_threads: usize,
 }
 
 impl DeviceSpec {
@@ -78,7 +75,7 @@ impl DeviceSpec {
             cpi_atomic: 40.0,
             transaction_bytes: 32.0,
             sync_cycles: 64.0,
-            parallelism: SimParallelism::Serial,
+            native_threads: 1,
         }
     }
 
@@ -103,7 +100,7 @@ impl DeviceSpec {
             cpi_atomic: 30.0,
             transaction_bytes: 32.0,
             sync_cycles: 48.0,
-            parallelism: SimParallelism::Serial,
+            native_threads: 1,
         }
     }
 

@@ -1,26 +1,22 @@
-//! Host-side parallel block dispatch: the thread pool that executes the
-//! blocks of one launch concurrently.
+//! Host-side parallel block dispatch: the thread pool the native backend
+//! ([`crate::backend::NativeGpu`]) uses to execute the blocks of one launch
+//! concurrently. The simulator ([`crate::Gpu`]) never uses it: it runs every
+//! launch's blocks serially, in block-index order, on the calling thread.
 //!
 //! Blocks are the natural unit of host parallelism in the CUDA execution
 //! model: barriers (`__syncthreads`) are *intra*-block, blocks share no
 //! synchronization, and the paper's SA/DPSO chains are thread-independent.
-//! The engine therefore runs each block to completion on one host thread
-//! and distributes blocks over a persistent [`WorkerPool`] — persistent,
-//! because the pipelines launch thousands of small kernels per run and a
-//! per-launch `thread::spawn` would cost more than the kernels themselves.
+//! The native backend therefore runs each block to completion on one host
+//! thread and distributes blocks over a persistent [`WorkerPool`] —
+//! persistent, because the pipelines launch thousands of small kernels per
+//! run and a per-launch `thread::spawn` would cost more than the kernels
+//! themselves.
 //!
 //! Determinism is a hard contract, not best-effort (DESIGN.md §11): the
-//! engine pre-draws per-launch fault decisions indexed by `(block, thread)`,
-//! stages atomics per block and merges them in block-index order, and keeps
-//! the modeled clock computed from the cost model alone — so results,
-//! `sim_*` metrics, fault streams, telemetry rings and Chrome traces are
-//! byte-identical at every thread count, including `serial`.
-//!
-//! How many host threads to use is a [`SimParallelism`] knob on
-//! [`crate::DeviceSpec`] (overridable per device via
-//! [`crate::Gpu::set_parallelism`], and from the environment through
-//! [`SimParallelism::from_env`] / the `--sim-threads` flag of the bench and
-//! service binaries).
+//! native backend stages atomics per block and merges them in block-index
+//! order, so its results are byte-identical at every thread count and to
+//! the serial simulator. Its thread count is
+//! [`crate::DeviceSpec::native_threads`].
 
 use std::any::Any;
 use std::fmt;
@@ -29,68 +25,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 
-/// Environment variable read by [`SimParallelism::from_env`].
+/// Name of the environment variable that used to set the simulator's host
+/// thread count. Nothing reads it: the simulator always dispatches
+/// serially. The constant stays exported only because the end-to-end
+/// benchmark (`benchmark/src/main.rs`) names it when it clears the variable
+/// for its workload processes; it goes in the next change that edits the
+/// benchmark.
 pub const SIM_THREADS_ENV: &str = "CDD_SIM_THREADS";
-
-/// How many host threads a [`crate::Gpu`] uses to execute the blocks of a
-/// launch. Every setting produces byte-identical results, metrics, fault
-/// streams and traces — the knob only changes wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimParallelism {
-    /// One host thread (the pre-parallel engine behaviour; also what race
-    /// detection falls back to).
-    #[default]
-    Serial,
-    /// Exactly `k` host threads (clamped to ≥ 1).
-    Threads(usize),
-    /// One thread per available host core
-    /// (`std::thread::available_parallelism`).
-    Auto,
-}
-
-impl SimParallelism {
-    /// The concrete host thread count this setting resolves to (≥ 1).
-    pub fn resolve(self) -> usize {
-        match self {
-            SimParallelism::Serial => 1,
-            SimParallelism::Threads(k) => k.max(1),
-            SimParallelism::Auto => {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            }
-        }
-    }
-
-    /// Read the `CDD_SIM_THREADS` environment variable (`serial`, `auto`,
-    /// or a thread count). `None` when unset or unparsable.
-    pub fn from_env() -> Option<Self> {
-        std::env::var(SIM_THREADS_ENV).ok().and_then(|s| s.trim().parse().ok())
-    }
-}
-
-impl std::str::FromStr for SimParallelism {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "serial" => Ok(SimParallelism::Serial),
-            "auto" => Ok(SimParallelism::Auto),
-            k => k
-                .parse::<usize>()
-                .map(SimParallelism::Threads)
-                .map_err(|_| format!("expected `serial`, `auto` or a thread count, got {s:?}")),
-        }
-    }
-}
-
-impl fmt::Display for SimParallelism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimParallelism::Serial => write!(f, "serial"),
-            SimParallelism::Threads(k) => write!(f, "{k}"),
-            SimParallelism::Auto => write!(f, "auto"),
-        }
-    }
-}
 
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
@@ -122,9 +63,9 @@ struct Worker {
 }
 
 /// A persistent pool of block-execution threads owned by one
-/// [`crate::Gpu`]. `threads` counts the host thread too: a pool of size `k`
-/// spawns `k − 1` workers and the launching thread executes blocks
-/// alongside them.
+/// [`crate::backend::NativeGpu`]. `threads` counts the host thread too: a
+/// pool of size `k` spawns `k − 1` workers and the launching thread
+/// executes blocks alongside them.
 pub(crate) struct WorkerPool {
     workers: Vec<Worker>,
 }
@@ -143,9 +84,9 @@ impl WorkerPool {
             .map(|i| {
                 let (tx, rx) = mpsc::channel::<Job>();
                 let handle = std::thread::Builder::new()
-                    .name(format!("cuda-sim-block-{i}"))
+                    .name(format!("native-block-{i}"))
                     .spawn(move || worker_main(rx))
-                    .expect("spawn simulated-GPU block worker");
+                    .expect("spawn native block worker");
                 Worker { tx: Some(tx), handle: Some(handle) }
             })
             .collect();
@@ -176,7 +117,7 @@ impl WorkerPool {
             w.tx.as_ref()
                 .expect("pool workers hold senders until drop")
                 .send(job.clone())
-                .expect("simulated-GPU block worker terminated unexpectedly");
+                .expect("native block worker terminated unexpectedly");
         }
         drop(job); // host keeps no `done` sender: recv ends with the workers
 
@@ -194,7 +135,7 @@ impl WorkerPool {
                 Err(_) => {
                     if first_panic.is_none() {
                         first_panic =
-                            Some(Box::new("simulated-GPU block worker died mid-launch".to_string()));
+                            Some(Box::new("native block worker died mid-launch".to_string()));
                     }
                 }
             }
@@ -258,26 +199,6 @@ fn worker_main(rx: mpsc::Receiver<Job>) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn parallelism_parses_and_prints() {
-        assert_eq!("serial".parse::<SimParallelism>().unwrap(), SimParallelism::Serial);
-        assert_eq!("auto".parse::<SimParallelism>().unwrap(), SimParallelism::Auto);
-        assert_eq!("4".parse::<SimParallelism>().unwrap(), SimParallelism::Threads(4));
-        assert!("four".parse::<SimParallelism>().is_err());
-        assert_eq!(SimParallelism::Threads(8).to_string(), "8");
-        assert_eq!(SimParallelism::Serial.to_string(), "serial");
-        assert_eq!(SimParallelism::Auto.to_string(), "auto");
-    }
-
-    #[test]
-    fn resolve_is_at_least_one() {
-        assert_eq!(SimParallelism::Serial.resolve(), 1);
-        assert_eq!(SimParallelism::Threads(0).resolve(), 1);
-        assert_eq!(SimParallelism::Threads(6).resolve(), 6);
-        assert!(SimParallelism::Auto.resolve() >= 1);
-        assert_eq!(SimParallelism::default(), SimParallelism::Serial);
-    }
 
     #[test]
     fn pool_runs_every_block_exactly_once() {

@@ -1,23 +1,20 @@
 //! Kernel execution engine: launches, barriers, memory access, data-race
-//! detection, cost aggregation, parallel block dispatch.
+//! detection, cost aggregation.
 //!
-//! Blocks of a launch execute on a configurable number of host threads
-//! (see [`crate::dispatch::SimParallelism`]); determinism is a hard
-//! contract, maintained by three mechanisms (DESIGN.md §11):
+//! The simulator runs the blocks of a launch serially, in block-index
+//! order, on the calling thread. Its outputs do not depend on that order,
+//! and the native backend, which runs blocks on a pool, relies on this
+//! (DESIGN.md §11). Three mechanisms keep it so:
 //!
 //! * fault decisions are pre-drawn per launch and derived per simulated
-//!   thread (`(salt, global id)`), so host scheduling cannot perturb them;
+//!   thread (`(salt, global id)`), so execution order cannot perturb them;
 //! * atomics are staged per block and merged in block-index order after
-//!   every block has run;
+//!   every block has run, through the `AtomicStage` type native shares;
 //! * the modeled clock is computed from per-block cost counters that are
 //!   also merged in block-index order.
-//!
-//! Race detection keeps its exact cross-block semantics by falling back to
-//! serial in-line execution while enabled.
 
 use crate::cost::{model_kernel_time, CostCounter, KernelTiming};
 use crate::device::DeviceSpec;
-use crate::dispatch::{SimParallelism, WorkerPool};
 use crate::fault::{FaultPlan, FaultState, FaultStats, ReadFaultCfg, ReadFaultStream};
 use crate::grid::LaunchConfig;
 use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool, WordValue};
@@ -26,7 +23,6 @@ use crate::rng::XorWow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Why a launch or allocation was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -599,8 +595,8 @@ struct BlockOutcome {
 /// Execute one block to completion (all phases, barrier semantics) and
 /// return its outcome. Self-contained: writable state is either
 /// block-local (shared memory, thread states, costs, atomic stage, fault
-/// streams) or reached through the concurrency-safe [`MemView`], so any
-/// number of blocks may run on distinct host threads simultaneously.
+/// streams) or reached through [`MemView`], so the outcome does not depend
+/// on which blocks ran before it.
 #[allow(clippy::too_many_arguments)]
 fn run_block<K: Kernel>(
     kernel: &K,
@@ -1074,7 +1070,7 @@ pub struct LaunchStats {
     pub threads: usize,
 }
 
-/// One simulated GPU: device spec, memory, profiler, block-dispatch pool.
+/// One simulated GPU: device spec, memory, profiler, fault state.
 #[derive(Debug)]
 pub struct Gpu {
     spec: DeviceSpec,
@@ -1082,50 +1078,23 @@ pub struct Gpu {
     profiler: Profiler,
     race_detection: bool,
     fault: Option<FaultState>,
-    parallelism: SimParallelism,
-    /// Lazily built block-execution pool (rebuilt when the resolved thread
-    /// count changes).
-    workers: Option<WorkerPool>,
 }
 
 impl Gpu {
-    /// Bring up a device. Host-side block parallelism is taken from
-    /// [`DeviceSpec::parallelism`] (override with
-    /// [`set_parallelism`](Self::set_parallelism)).
+    /// Bring up a device.
     pub fn new(spec: DeviceSpec) -> Self {
-        let parallelism = spec.parallelism;
         Gpu {
             spec,
             pool: MemoryPool::default(),
             profiler: Profiler::new(),
             race_detection: false,
             fault: None,
-            parallelism,
-            workers: None,
         }
     }
 
     /// The device description.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// Set the host-side block parallelism for subsequent launches. A pure
-    /// wall-clock knob: results, modeled timing, fault streams, metrics and
-    /// traces are byte-identical at every setting.
-    pub fn set_parallelism(&mut self, parallelism: SimParallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The configured host-side block parallelism.
-    pub fn parallelism(&self) -> SimParallelism {
-        self.parallelism
-    }
-
-    fn ensure_workers(&mut self, threads: usize) {
-        if self.workers.as_ref().map(|w| w.threads()) != Some(threads) {
-            self.workers = Some(WorkerPool::new(threads));
-        }
     }
 
     /// Enable/disable data-race detection for subsequent launches.
@@ -1236,13 +1205,11 @@ impl Gpu {
 
     /// Launch a kernel.
     ///
-    /// Blocks execute on the configured number of host threads (see
-    /// [`SimParallelism`]; race detection forces serial in-line execution
-    /// to keep its exact cross-block semantics); barrier semantics are
-    /// exact (phase-structured); timing is produced by the analytic model
-    /// in [`crate::cost`] and recorded in the profiler — identically at
-    /// every thread count.
-    pub fn launch<K: Kernel + Sync>(
+    /// Blocks execute serially, in block-index order, on the calling
+    /// thread; barrier semantics are exact (phase-structured); timing is
+    /// produced by the analytic model in [`crate::cost`] and recorded in
+    /// the profiler.
+    pub fn launch<K: Kernel>(
         &mut self,
         kernel: &K,
         cfg: LaunchConfig,
@@ -1281,45 +1248,23 @@ impl Gpu {
         let grid_dim = cfg.num_blocks();
         let phases = kernel.num_phases().max(1);
         let warp_size = self.spec.warp_size;
-        let pool_threads = self.parallelism.resolve().min(grid_dim.max(1));
-        let dispatch_parallel = pool_threads > 1 && !self.race_detection;
-        if dispatch_parallel {
-            self.ensure_workers(pool_threads);
-        }
 
         let mut race = self.race_detection.then(RaceTracker::default);
         let outcomes: Vec<BlockOutcome> = {
             let mem = MemView::new(&mut self.pool);
-            if dispatch_parallel {
-                let slots: Vec<Mutex<Option<BlockOutcome>>> =
-                    (0..grid_dim).map(|_| Mutex::new(None)).collect();
-                let mem = &mem;
-                self.workers.as_ref().expect("ensured above").run(grid_dim, &|block_idx| {
-                    let outcome = run_block(
-                        kernel, block_idx, block_dim, grid_dim, phases, args, mem, warp_size,
-                        read_cfg, None,
-                    );
-                    *slots[block_idx].lock().expect("block slot poisoned") = Some(outcome);
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("slot poisoned").expect("every block ran"))
-                    .collect()
-            } else {
-                (0..grid_dim)
-                    .map(|block_idx| {
-                        run_block(
-                            kernel, block_idx, block_dim, grid_dim, phases, args, &mem,
-                            warp_size, read_cfg, race.as_mut(),
-                        )
-                    })
-                    .collect()
-            }
+            (0..grid_dim)
+                .map(|block_idx| {
+                    run_block(
+                        kernel, block_idx, block_dim, grid_dim, phases, args, &mem, warp_size,
+                        read_cfg, race.as_mut(),
+                    )
+                })
+                .collect()
         };
 
         // Merge block outcomes in block-index order: cost totals, warp
-        // costs, staged atomics, fault counters. This fixed order is what
-        // makes the result independent of the host schedule.
+        // costs, staged atomics, fault counters. Atomics apply only after
+        // every block has run, exactly as on the native backend's pool.
         let mut per_block_warp_costs = Vec::with_capacity(grid_dim);
         let mut total_cost = CostCounter::default();
         let mut bit_flips = 0u64;
@@ -1808,137 +1753,6 @@ mod tests {
         gpu.h2d(buf, &[1, 2, 3, 4]);
         gpu.launch(&Double, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap();
         assert_eq!(gpu.d2h(buf), vec![2, 4, 6, 8]);
-    }
-
-    /// A faulted multi-launch campaign at a given parallelism: returns
-    /// everything observable — memory, error sequence, fault stats, and the
-    /// modeled clocks bit-for-bit.
-    fn faulted_campaign_at(
-        par: SimParallelism,
-    ) -> (Vec<i64>, Vec<Option<LaunchError>>, FaultStats, u64, u64) {
-        let mut spec = DeviceSpec::gt560m();
-        spec.parallelism = par;
-        let mut gpu = Gpu::new(spec);
-        let buf = gpu.alloc::<i64>(256);
-        let host: Vec<i64> = (0..256).collect();
-        gpu.h2d(buf, &host);
-        gpu.set_fault_plan(Some(FaultPlan::with_rates(21, 0.2, 0.05, 0.1)));
-        let mut errors = Vec::new();
-        for _ in 0..60 {
-            errors.push(
-                gpu.launch(&WrappingDouble, LaunchConfig::linear(8, 32), &[buf.erased()]).err(),
-            );
-        }
-        let stats = gpu.fault_stats();
-        let kernel_bits = gpu.profiler().kernel_seconds().to_bits();
-        let clock_bits = gpu.elapsed_modeled().to_bits();
-        (gpu.d2h(buf), errors, stats, kernel_bits, clock_bits)
-    }
-
-    #[test]
-    fn faulted_campaign_is_byte_identical_at_every_thread_count() {
-        let serial = faulted_campaign_at(SimParallelism::Serial);
-        for k in [1usize, 2, 8] {
-            let par = faulted_campaign_at(SimParallelism::Threads(k));
-            assert_eq!(serial, par, "threads({k}) diverged from serial");
-        }
-        let auto = faulted_campaign_at(SimParallelism::Auto);
-        assert_eq!(serial, auto, "auto diverged from serial");
-    }
-
-    /// Every thread folds into two cross-block accumulators: the global
-    /// minimum of its value and a population count.
-    struct MinAndCount;
-    impl Kernel for MinAndCount {
-        type Shared = ();
-        type ThreadState = ();
-        fn name(&self) -> &str {
-            "min_and_count"
-        }
-        fn make_shared(&self, _b: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-            let values = ctx.arg_buf(0);
-            let out = ctx.arg_buf(1);
-            let v: i64 = ctx.read(values, ctx.global_id());
-            ctx.atomic_min_i64(out, 0, v);
-            ctx.atomic_add_i64(out, 1, 1);
-        }
-    }
-
-    #[test]
-    fn atomics_merge_exactly_across_parallel_blocks() {
-        let mut spec = DeviceSpec::gt560m();
-        spec.parallelism = SimParallelism::Threads(4);
-        let mut gpu = Gpu::new(spec);
-        let values = gpu.alloc::<i64>(128);
-        let host: Vec<i64> = (0..128).map(|i| 1000 - 7 * i as i64).collect();
-        gpu.h2d(values, &host);
-        let out = gpu.alloc::<i64>(2);
-        gpu.h2d(out, &[i64::MAX, 0]);
-        let stats = gpu
-            .launch(&MinAndCount, LaunchConfig::linear(4, 32), &[values.erased(), out.erased()])
-            .unwrap();
-        assert_eq!(gpu.d2h(out), vec![*host.iter().min().unwrap(), 128]);
-        assert_eq!(stats.total_cost.atomics, 256);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn out_of_bounds_panics_propagate_from_worker_threads() {
-        struct Oob;
-        impl Kernel for Oob {
-            type Shared = ();
-            type ThreadState = ();
-            fn name(&self) -> &str {
-                "oob"
-            }
-            fn make_shared(&self, _b: usize) {}
-            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-                let buf = ctx.arg_buf(0);
-                // Only the last block trips the bug, so the panic originates
-                // on whichever worker drew it — not the host thread.
-                if ctx.block_idx() == 3 {
-                    let _: i64 = ctx.read(buf, 99);
-                }
-            }
-        }
-        let mut spec = DeviceSpec::gt560m();
-        spec.parallelism = SimParallelism::Threads(4);
-        let mut gpu = Gpu::new(spec);
-        let buf = gpu.alloc::<i64>(4);
-        let _ = gpu.launch(&Oob, LaunchConfig::linear(4, 8), &[buf.erased()]);
-    }
-
-    #[test]
-    fn race_detection_falls_back_to_serial_and_still_fires() {
-        let mut spec = DeviceSpec::gt560m();
-        spec.parallelism = SimParallelism::Threads(8);
-        let mut gpu = Gpu::new(spec);
-        gpu.set_race_detection(true);
-        let buf = gpu.alloc::<i64>(1);
-        let err = gpu.launch(&Racy, LaunchConfig::linear(2, 4), &[buf.erased()]).unwrap_err();
-        assert!(matches!(err, LaunchError::DataRace(_)), "{err}");
-        // With detection off again, the same Gpu dispatches in parallel and
-        // clean kernels still run.
-        gpu.set_race_detection(false);
-        let data = gpu.alloc::<i64>(8);
-        gpu.h2d(data, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        gpu.launch(&Double, LaunchConfig::linear(2, 4), &[data.erased()]).unwrap();
-        assert_eq!(gpu.d2h(data), vec![2, 4, 6, 8, 10, 12, 14, 16]);
-    }
-
-    #[test]
-    fn parallelism_is_reconfigurable_between_launches() {
-        let mut gpu = Gpu::new(DeviceSpec::gt560m());
-        assert_eq!(gpu.parallelism(), SimParallelism::Serial);
-        let buf = gpu.alloc::<i64>(8);
-        gpu.h2d(buf, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        gpu.launch(&Double, LaunchConfig::linear(2, 4), &[buf.erased()]).unwrap();
-        gpu.set_parallelism(SimParallelism::Threads(2));
-        gpu.launch(&Double, LaunchConfig::linear(2, 4), &[buf.erased()]).unwrap();
-        gpu.set_parallelism(SimParallelism::Threads(5));
-        gpu.launch(&Double, LaunchConfig::linear(2, 4), &[buf.erased()]).unwrap();
-        assert_eq!(gpu.d2h(buf), vec![8, 16, 24, 32, 40, 48, 56, 64]);
     }
 
     #[test]

@@ -32,11 +32,10 @@
 //! per simulated thread*: when a plan with a non-zero flip rate executes a
 //! launch, a per-launch salt is drawn from a second stream, and every
 //! simulated thread derives its own flip stream from
-//! `(salt, global thread id)`. Host scheduling order therefore cannot
-//! perturb any decision — the parallel block dispatcher (DESIGN.md §11)
-//! produces the exact same fault sequence at every thread count — and the
-//! same plan over the same operation sequence reproduces the exact same
-//! faults, which is what makes failure campaigns replayable.
+//! `(salt, global thread id)`. Execution order therefore cannot perturb
+//! any decision (DESIGN.md §11), and the same plan over the same operation
+//! sequence reproduces the exact same faults, which is what makes failure
+//! campaigns replayable.
 
 use cdd_metrics::MetricsRegistry;
 use std::fmt;

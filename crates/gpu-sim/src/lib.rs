@@ -30,18 +30,16 @@
 //!   [`fault`] module docs) so resilience layers above the simulator can be
 //!   tested end to end.
 //!
-//! Blocks of a launch are *executed* on a configurable number of host
-//! threads ([`SimParallelism`] on the [`DeviceSpec`], default `serial`) —
-//! a pure wall-clock knob: results, modeled timing, fault streams, metrics
-//! and traces are byte-identical at every thread count (DESIGN.md §11).
-//! All *parallel timing* still comes from the model, and `EXPERIMENTS.md`
-//! labels every GPU time as modeled.
+//! The simulator *executes* the blocks of a launch serially, in
+//! block-index order, on the calling thread; all *parallel timing* comes
+//! from the model, and `EXPERIMENTS.md` labels every GPU time as modeled.
 //!
 //! Kernels are written once against the [`DeviceCtx`] trait and run on
 //! either execution backend ([`backend::ExecBackend`]): the simulator
-//! ([`Gpu`]) or the native host backend ([`backend::NativeGpu`]), which
-//! executes the same kernel bodies on host threads with no simulation
-//! overhead and byte-identical results (DESIGN.md §16).
+//! ([`Gpu`]), the semantic referee, or the native host backend
+//! ([`backend::NativeGpu`]), the speed path, which executes the same kernel
+//! bodies on [`DeviceSpec::native_threads`] host threads with no simulation
+//! overhead and byte-identical results (DESIGN.md §11, §16).
 //!
 //! ```
 //! use cuda_sim::{DeviceCtx, DeviceSpec, Gpu, Kernel, LaunchConfig};
@@ -93,7 +91,7 @@ pub mod telemetry;
 pub use backend::{Backend, ExecBackend, NativeCtx, NativeGpu};
 pub use cost::{CostCounter, KernelTiming};
 pub use device::DeviceSpec;
-pub use dispatch::{SimParallelism, SIM_THREADS_ENV};
+pub use dispatch::SIM_THREADS_ENV;
 pub use engine::{DeviceCtx, Gpu, Kernel, LaunchError, LaunchStats, ThreadCtx};
 pub use fault::{FaultPlan, FaultStats};
 pub use grid::{Dim3, LaunchConfig};

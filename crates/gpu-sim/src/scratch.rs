@@ -8,11 +8,12 @@
 //! resized once and then reused — a generation performs zero heap
 //! allocation in steady state.
 //!
-//! The arena is shared by the host threads of the parallel block dispatcher
-//! (`&self` access from many threads), so each slot carries an occupancy
-//! flag: the engine guarantees a given simulated thread (and block) is
-//! executed by exactly one host thread, and the flag turns any violation of
-//! that guarantee into a panic instead of silent data corruption.
+//! The arena is shared by the host threads of the native backend's block
+//! dispatcher (`&self` access from many threads), so each slot carries an
+//! occupancy flag: the dispatcher guarantees a given simulated thread (and
+//! block) is executed by exactly one host thread, and the flag turns any
+//! violation of that guarantee into a panic instead of silent data
+//! corruption.
 
 use std::cell::UnsafeCell;
 use std::fmt;

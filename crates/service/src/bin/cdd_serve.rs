@@ -13,7 +13,7 @@
 //!     [--chaos] [--worker-crash-rate P] [--worker-crash-horizon N] \
 //!     [--retry-budget N] [--breaker-threshold N] [--breaker-open-ms MS] \
 //!     [--stuck-after-ms MS] [--no-degraded] \
-//!     [--faulty-device IDX] [--convergence-stride N] [--sim-threads serial|auto|K] \
+//!     [--faulty-device IDX] [--convergence-stride N] \
 //!     [--summary results/serve_summary.json] [--detail results/serve_requests.csv] \
 //!     [--metrics-out metrics.prom] [--metrics-json metrics.json] \
 //!     [--trace-out trace.json] [--trace-jsonl trace.jsonl]
@@ -60,11 +60,10 @@
 //! Fusion gates itself off under faults, telemetry and trace capture, so
 //! the identity holds unconditionally.
 //!
-//! `--sim-threads` (or `CDD_SIM_THREADS`) sets how many host threads each
-//! simulated device uses to execute the blocks of a launch. Results,
-//! modeled clocks and all `service_` metrics are byte-identical at every
-//! setting — only wall-clock time changes (DESIGN.md §11). The setting is
-//! echoed in the JSON summary's `sim_threads` field.
+//! A simulated device runs the blocks of each launch serially; a native
+//! device runs them on `DeviceSpec::native_threads` host threads, which
+//! `cdd-serve` leaves at its default of 1. Results are byte-identical
+//! either way (DESIGN.md §11).
 //!
 //! Latency percentiles come from the service's own metrics registry
 //! (`timing_request_wall_ms`, exact nearest-rank quantiles over every
@@ -75,7 +74,7 @@
 //! `--batch-windw 8` cannot silently run with the default.
 
 use cdd_bench::workload::{generate_mixed, load};
-use cdd_bench::{fault_plan_from_args, results_dir, sim_parallelism_from_args, write_csv, Args, Table};
+use cdd_bench::{fault_plan_from_args, results_dir, write_csv, Args, Table};
 use cdd_core::SuiteError;
 use cdd_service::{
     Backend, BreakerConfig, RequestOutcome, ServiceConfig, ServiceReport, SolverService,
@@ -111,7 +110,7 @@ fn status_of(outcome: &RequestOutcome) -> &'static str {
     }
 }
 
-fn summary_json(report: &ServiceReport, requests: usize, sim_threads: &str) -> String {
+fn summary_json(report: &ServiceReport, requests: usize) -> String {
     let (p50, p95, max) = latency_summary(report);
     let mut devices = String::new();
     for (i, d) in report.devices.iter().enumerate() {
@@ -142,7 +141,6 @@ fn summary_json(report: &ServiceReport, requests: usize, sim_threads: &str) -> S
     format!(
         "{{\n\
          \x20 \"requests\": {requests},\n\
-         \x20 \"sim_threads\": \"{sim_threads}\",\n\
          \x20 \"completed\": {},\n\
          \x20 \"failed\": {},\n\
          \x20 \"expired\": {},\n\
@@ -186,7 +184,7 @@ fn summary_json(report: &ServiceReport, requests: usize, sim_threads: &str) -> S
 }
 
 /// Every flag `cdd-serve` reads, directly or through
-/// `fault_plan_from_args` / `sim_parallelism_from_args`.
+/// `fault_plan_from_args`.
 const FLAGS: &[&str] = &[
     // Workload.
     "workload", "requests", "sizes", "iterations", "seed",
@@ -198,8 +196,8 @@ const FLAGS: &[&str] = &[
     "worker-crash-horizon", "faulty-device", "chaos", "retry-budget", "breaker-threshold",
     "breaker-open-ms", "stuck-after-ms", "no-degraded",
     // Observability and outputs.
-    "convergence-stride", "sim-threads", "summary", "detail", "metrics-out", "metrics-json",
-    "trace-out", "trace-jsonl",
+    "convergence-stride", "summary", "detail", "metrics-out", "metrics-json", "trace-out",
+    "trace-jsonl",
 ];
 
 /// The usage line printed when a flag is refused: every known flag.
@@ -253,7 +251,6 @@ fn main() {
     // only enabled when a trace output was actually requested.
     let capture_trace = args.get("trace-out").is_some() || args.get("trace-jsonl").is_some();
 
-    let sim_threads = sim_parallelism_from_args(&args);
     // --backend native runs kernels directly on host threads (no modeled
     // clock, no fault machinery); sim-only requests (fault plans,
     // telemetry, traces) are rejected by the service rather than silently
@@ -263,7 +260,7 @@ fn main() {
         .get("backend")
         .map(|s| s.parse().expect("--backend: `sim` or `native`"))
         .unwrap_or_default();
-    let mut config = ServiceConfig {
+    let config = ServiceConfig {
         devices,
         backend,
         queue_capacity: args.get_or("queue-capacity", entries.len().max(64)),
@@ -288,13 +285,12 @@ fn main() {
         batch_window: args.get_or("batch-window", 1usize).max(1),
         ..Default::default()
     };
-    config.device_spec.parallelism = sim_threads;
     let deadline_ms: Option<u64> = args.get("deadline-ms").map(|s| s.parse().expect("--deadline-ms: milliseconds"));
     let window = args.get_or("window", 4 * devices).max(1);
 
     eprintln!(
         "cdd-serve: {} requests over {} devices ({}x{} geometry), window {window}, \
-         backend {backend}, sim-threads {sim_threads}",
+         backend {backend}",
         entries.len(),
         devices,
         config.blocks,
@@ -369,7 +365,7 @@ fn main() {
         args.get("detail").map(PathBuf::from).unwrap_or_else(|| results_dir().join("serve_requests.csv"));
     write_csv(&detail, &detail_path).expect("detail CSV writable");
 
-    let json = summary_json(&report, entries.len(), &sim_threads.to_string());
+    let json = summary_json(&report, entries.len());
     let summary_path =
         args.get("summary").map(PathBuf::from).unwrap_or_else(|| results_dir().join("serve_summary.json"));
     write_text(&summary_path, &json, "summary");
@@ -476,18 +472,22 @@ mod tests {
     }
 
     #[test]
-    fn removed_delta_flags_are_refused() {
+    fn removed_flags_are_refused() {
         // Spelt in pieces so a search for the removed names finds no code.
         let (eval, resync) = (concat!("delta", "-eval"), concat!("delta", "-resync"));
+        let threads = concat!("sim", "-threads");
         let a = Args::from_iter([
             format!("--{eval}"),
             format!("--{resync}"),
             "64".into(),
+            format!("--{threads}"),
+            "2".into(),
             "--seed".into(),
             "7".into(),
         ]);
-        assert_eq!(a.unknown(FLAGS), vec![resync, eval]);
+        assert_eq!(a.unknown(FLAGS), vec![resync, threads, eval]);
         assert!(usage().contains("[--batch-window]"));
+        assert!(!usage().contains(threads));
     }
 
     #[test]
