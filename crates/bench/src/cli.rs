@@ -159,10 +159,10 @@ mod tests {
 
     #[test]
     fn unknown_reports_every_undeclared_spelling() {
-        let known = ["batch-window", "chaos", "seed"];
-        let a = args(&["--batch-windw", "8", "--sede=7", "--chaso", "--seed", "1"]);
-        assert_eq!(a.unknown(&known), vec!["batch-windw", "sede", "chaso"]);
-        let ok = args(&["--batch-window", "8", "--seed=7", "--chaos"]);
+        let known = ["cache-capacity", "chaos", "seed"];
+        let a = args(&["--cache-capacty", "8", "--sede=7", "--chaso", "--seed", "1"]);
+        assert_eq!(a.unknown(&known), vec!["cache-capacty", "sede", "chaso"]);
+        let ok = args(&["--cache-capacity", "8", "--seed=7", "--chaos"]);
         assert!(ok.unknown(&known).is_empty());
         assert!(args(&[]).unknown(&[]).is_empty());
     }

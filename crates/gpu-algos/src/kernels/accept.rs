@@ -43,10 +43,13 @@ pub struct AcceptKernel {
     /// Current temperature (cooled on the host between generations, as the
     /// exponential schedule of Algorithm 1 prescribes).
     pub temperature: f64,
-    /// Per-segment temperatures for fused batch launches: request `r` owns
-    /// threads `[r·segment, (r+1)·segment)` and cools independently, so the
-    /// fused acceptance applies `temps[gid / segment]`. `None` (every
-    /// single-request pipeline) applies `temperature` to all threads.
+    /// Optional per-segment temperatures: with `Some((segment, temps))`,
+    /// thread `gid` applies `temps[gid / segment]` instead of
+    /// `temperature`. Every in-tree pipeline passes `None`, which applies
+    /// `temperature` to all threads. The field stays only because the
+    /// end-to-end benchmark's launch replay (`benchmark/src/replay.rs`)
+    /// builds this kernel with a struct literal that names it; it goes with
+    /// the next change to that benchmark.
     pub segment_temps: Option<(usize, Vec<f64>)>,
     /// Optional convergence-telemetry probe; `None` when telemetry is off.
     pub telemetry: Option<SaProbe>,

@@ -51,7 +51,7 @@ pub struct FitnessKernel {
 
 /// Penalty rates staged in shared memory.
 #[derive(Default)]
-pub struct StagedRates {
+struct StagedRates {
     alpha: Vec<i64>,
     beta: Vec<i64>,
     gamma: Vec<i64>,
@@ -61,7 +61,7 @@ pub struct StagedRates {
 /// thread's row and the problem arrays (the native backend reads those in
 /// place and never fills these).
 #[derive(Default)]
-pub struct FitnessScratch {
+struct FitnessScratch {
     seq: Vec<u32>,
     p: Vec<i64>,
     m: Vec<i64>,
@@ -142,11 +142,11 @@ fn inputs_valid(
     true
 }
 
-/// Phase 0 of both fitness kernels: cooperative staging of `prob`'s rates
-/// into the block's shared memory. Threads conceptually load elements
-/// tid, tid+blockDim, …; the engine performs the copy once and every
-/// thread charges its share of the traffic.
-pub(crate) fn stage_rates<C: DeviceCtx>(
+/// Phase 0: cooperative staging of `prob`'s rates into the block's shared
+/// memory. Threads conceptually load elements tid, tid+blockDim, …; the
+/// engine performs the copy once and every thread charges its share of the
+/// traffic.
+fn stage_rates<C: DeviceCtx>(
     ctx: &mut C,
     prob: &ProblemDevice,
     staged: &ScratchArena<StagedRates>,
@@ -170,16 +170,16 @@ pub(crate) fn stage_rates<C: DeviceCtx>(
     ctx.charge_shared(arrays * share);
 }
 
-/// Phase 1 of both fitness kernels (past the barrier, the staged rates are
-/// visible): score thread `gid`'s row of `seqs` against `prob` and write
-/// the objective to `out[gid]`.
+/// Phase 1 (past the barrier, the staged rates are visible): score thread
+/// `gid`'s row of `seqs` against `prob` and write the objective to
+/// `out[gid]`.
 ///
 /// The simulator must observe (charge, race-track, fault-filter) every
 /// read of the row and of `p`/`m`, so it stages them into `scratch`; the
 /// native backend reads all three in place through zero-copy windows —
 /// legal because no thread writes them during a fitness launch.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_row<C: DeviceCtx>(
+fn evaluate_row<C: DeviceCtx>(
     ctx: &mut C,
     prob: &ProblemDevice,
     seqs: Buf<u32>,

@@ -36,7 +36,6 @@
 //! assert!(result.modeled_seconds > 0.0);
 //! ```
 
-pub mod batch;
 pub mod dpso_pipeline;
 pub mod init;
 pub mod kernels;
@@ -47,7 +46,6 @@ pub mod solve;
 pub mod sync_pipeline;
 pub mod trajectory;
 
-pub use batch::{run_gpu_sa_batch, BatchEntry};
 pub use dpso_pipeline::{run_gpu_dpso, GpuDpsoParams};
 pub use init::{initial_ensemble, InitStrategy};
 pub use kernels::fitness::CORRUPT_ENERGY;
@@ -55,7 +53,7 @@ pub use layout::ProblemDevice;
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 pub use sa_pipeline::{run_gpu_sa, GpuRunResult, GpuSaParams};
 pub use cuda_sim::{Backend, NativeGpu};
-pub use solve::{run_gpu_solve, run_gpu_solve_batch, GpuSolveSpec};
+pub use solve::{run_gpu_solve, GpuSolveSpec};
 pub use sync_pipeline::{run_gpu_sa_sync, BroadcastKernel};
 pub use trajectory::{
     counter_trace_events, ConvergenceSummary, ConvergenceTrace, GenerationSample,

@@ -1,5 +1,5 @@
-//! Unified, batch-sized pipeline entry point: run one solve request on one
-//! (simulated) device without any campaign plumbing.
+//! Unified pipeline entry point: run one solve request on one device
+//! without any campaign plumbing.
 //!
 //! The campaign runner (`cdd-bench`) and the solver service (`cdd-service`)
 //! both need "run *this algorithm* with *this budget and seed* on *this
@@ -9,7 +9,6 @@
 //! ([`GpuSolveSpec`]), leaving the algorithm-specific tuning knobs
 //! (cooling, `Pert`, swarm coefficients) at the paper's defaults.
 
-use crate::batch::{run_gpu_sa_batch, BatchEntry};
 use crate::dpso_pipeline::{run_gpu_dpso, GpuDpsoParams};
 use crate::recovery::RecoveryPolicy;
 use crate::sa_pipeline::{run_gpu_sa, GpuRunResult, GpuSaParams};
@@ -106,47 +105,6 @@ pub fn run_gpu_solve(
     }
 }
 
-/// Run several solves (each an instance + seed, sharing `algorithm`,
-/// `iterations` and `spec`) as one fused device run when the pipeline
-/// supports it. SA requests fuse via [`run_gpu_sa_batch`] — one grid, one
-/// launch sequence, byte-identical per-request outcomes; DPSO requests (and
-/// SA groups the fusion preconditions reject, e.g. under a fault plan or
-/// with telemetry on) run solo in order. Results come back in entry order
-/// either way.
-pub fn run_gpu_solve_batch(
-    entries: &[(Instance, u64)],
-    algorithm: Algorithm,
-    iterations: u64,
-    spec: &GpuSolveSpec,
-) -> Result<Vec<GpuRunResult>, SuiteError> {
-    match algorithm {
-        Algorithm::Sa => {
-            let batch: Vec<BatchEntry> = entries
-                .iter()
-                .map(|(instance, seed)| BatchEntry { instance: instance.clone(), seed: *seed })
-                .collect();
-            run_gpu_sa_batch(
-                &batch,
-                &GpuSaParams {
-                    blocks: spec.blocks,
-                    block_size: spec.block_size,
-                    iterations,
-                    device: spec.device.clone(),
-                    fault: spec.fault.clone(),
-                    recovery: spec.recovery.clone(),
-                    telemetry: spec.telemetry,
-                    backend: spec.backend,
-                    ..Default::default()
-                },
-            )
-        }
-        Algorithm::Dpso => entries
-            .iter()
-            .map(|(inst, seed)| run_gpu_solve(inst, algorithm, iterations, *seed, spec))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,37 +146,6 @@ mod tests {
         assert_eq!(unified.objective, direct.objective);
         assert_eq!(unified.best, direct.best);
         assert_eq!(unified.modeled_seconds, direct.modeled_seconds);
-    }
-
-    #[test]
-    fn solve_batch_matches_per_entry_solo_solves() {
-        let spec = small_spec();
-        let entries = vec![
-            (Instance::paper_example_cdd(), 21),
-            (Instance::paper_example_cdd(), 22),
-            (Instance::paper_example_cdd(), 23),
-        ];
-        let fused = run_gpu_solve_batch(&entries, Algorithm::Sa, 90, &spec).unwrap();
-        assert_eq!(fused.len(), entries.len());
-        for ((inst, seed), b) in entries.iter().zip(&fused) {
-            let solo = run_gpu_solve(inst, Algorithm::Sa, 90, *seed, &spec).unwrap();
-            assert_eq!(b.best, solo.best, "seed {seed}");
-            assert_eq!(b.objective, solo.objective);
-            assert_eq!(b.evaluations, solo.evaluations);
-        }
-    }
-
-    #[test]
-    fn dpso_batch_runs_solo_in_order() {
-        let spec = small_spec();
-        let entries =
-            vec![(Instance::paper_example_cdd(), 1), (Instance::paper_example_cdd(), 2)];
-        let batched = run_gpu_solve_batch(&entries, Algorithm::Dpso, 60, &spec).unwrap();
-        for ((inst, seed), b) in entries.iter().zip(&batched) {
-            let solo = run_gpu_solve(inst, Algorithm::Dpso, 60, *seed, &spec).unwrap();
-            assert_eq!(b.objective, solo.objective);
-            assert_eq!(b.best, solo.best);
-        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 
 use cdd_core::{Algorithm, Instance, SuiteError, Time};
 use cdd_gpu::{
-    run_gpu_dpso, run_gpu_sa, run_gpu_sa_batch, run_gpu_sa_sync, run_gpu_solve, Backend,
-    BatchEntry, GpuDpsoParams, GpuRunResult, GpuSaParams, GpuSolveSpec,
+    run_gpu_dpso, run_gpu_sa, run_gpu_sa_sync, run_gpu_solve, Backend, GpuDpsoParams,
+    GpuRunResult, GpuSaParams, GpuSolveSpec,
 };
 use cdd_instances::InstanceId;
 use cuda_sim::{DeviceSpec, FaultPlan, TelemetryConfig};
@@ -106,23 +106,6 @@ fn dpso_native_matches_sim_for_both_kinds() {
         let native = run_gpu_dpso(&inst, &params(Backend::Native)).unwrap();
         assert_eq!(Outcome::from(&sim), Outcome::from(&native), "kind {:?}", inst.kind());
         assert_native_is_diagnostic_free(&native);
-    }
-}
-
-#[test]
-fn batched_sa_native_matches_sim_per_request() {
-    for inst in both_kinds() {
-        let entries: Vec<BatchEntry> =
-            (0..3).map(|i| BatchEntry { instance: inst.clone(), seed: 40 + i }).collect();
-        let sim =
-            run_gpu_sa_batch(&entries, &sa_params(Backend::Sim)).unwrap();
-        let native =
-            run_gpu_sa_batch(&entries, &sa_params(Backend::Native))
-                .unwrap();
-        assert_eq!(sim.len(), native.len());
-        for (r, (s, nv)) in sim.iter().zip(&native).enumerate() {
-            assert_eq!(Outcome::from(s), Outcome::from(nv), "request {r}, kind {:?}", inst.kind());
-        }
     }
 }
 

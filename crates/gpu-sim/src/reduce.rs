@@ -138,48 +138,6 @@ impl Kernel for AtomicArgminKernel {
     }
 }
 
-/// Kernel: independent packed argmin reductions over fixed-length segments
-/// of `values` — the fused-launch form of [`AtomicArgminKernel`] used when
-/// several requests share one grid (each request owns one contiguous
-/// segment). The packed index is the **segment-local** thread index, so a
-/// fused reduction unpacks exactly like the per-request reduction it
-/// replaces.
-pub struct SegmentedArgminKernel {
-    /// Fitness values, one per thread, segment-major.
-    pub values: Buf<i64>,
-    /// One packed output slot per segment; pre-seed every slot with
-    /// `i64::MAX`.
-    pub out: Buf<i64>,
-    /// Threads per segment (`values.len()` must be a multiple of it).
-    pub segment: usize,
-}
-
-impl Kernel for SegmentedArgminKernel {
-    type Shared = ();
-    type ThreadState = ();
-
-    fn name(&self) -> &str {
-        "reduce_segmented_argmin"
-    }
-
-    fn make_shared(&self, _block_dim: usize) {}
-
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-        let gid = ctx.global_id();
-        if gid < self.values.len() {
-            let mut v = ctx.read(self.values, gid);
-            if ctx.fault_injection_active() {
-                const CAP: i64 = (1 << (62 - ARGMIN_INDEX_BITS)) - 1;
-                v = v.clamp(-CAP, CAP);
-            }
-            ctx.charge_alu(4); // div/mod for the segment split + shift + or
-            let seg = gid / self.segment;
-            let local = gid % self.segment;
-            ctx.atomic_min_i64(self.out, seg, pack_argmin(v, local));
-        }
-    }
-}
-
 /// Host-side convenience: run the argmin reduction over `values` and return
 /// `(min value, index)`. Allocates and seeds the output buffer. Generic
 /// over the execution backend.
@@ -271,32 +229,6 @@ mod tests {
         let host_min = *host.iter().min().unwrap();
         assert_eq!(v, host_min);
         assert_eq!(host[idx], host_min);
-    }
-
-    #[test]
-    fn segmented_argmin_matches_per_segment_host_reduction() {
-        let mut gpu = Gpu::new(DeviceSpec::gt560m());
-        gpu.set_race_detection(true);
-        let seg = 64usize;
-        let k = 3usize;
-        let values = gpu.alloc::<i64>(seg * k);
-        let host: Vec<i64> =
-            (0..seg * k).map(|i| (((i * 7919) % 997) as i64) + 3 * (i / seg) as i64).collect();
-        gpu.h2d(values, &host);
-        let out = gpu.alloc::<i64>(k);
-        gpu.h2d(out, &[i64::MAX; 3]);
-        gpu.launch(
-            &SegmentedArgminKernel { values, out, segment: seg },
-            LaunchConfig::cover(seg * k, 32),
-            &[],
-        )
-        .unwrap();
-        for (r, key) in gpu.d2h(out).into_iter().enumerate() {
-            let (v, local) = unpack_argmin(key);
-            let slice = &host[r * seg..(r + 1) * seg];
-            assert_eq!(v, *slice.iter().min().unwrap(), "segment {r} value");
-            assert_eq!(slice[local], v, "segment {r} index is segment-local");
-        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //!     [--backend sim|native] \
 //!     [--devices 4] [--queue-capacity N] [--cache-capacity 256] \
 //!     [--blocks 1] [--block-size 64] [--seed 2016] [--window W] [--deadline-ms D] \
-//!     [--batch-window K] \
 //!     [--fault-seed S --launch-failure-rate P --bit-flip-rate P --hang-rate P] \
 //!     [--chaos] [--worker-crash-rate P] [--worker-crash-horizon N] \
 //!     [--retry-budget N] [--breaker-threshold N] [--breaker-open-ms MS] \
@@ -52,14 +51,6 @@
 //! anomaly counters, and a captured trace gains per-request best-so-far
 //! counter tracks. Sampling never changes a result (DESIGN.md §10).
 //!
-//! `--batch-window K` lets a worker fuse up to `K` adjacent compatible SA
-//! requests from the queue into one device launch sequence, amortizing the
-//! per-kernel launch overhead that dominates small-`n` traffic. It is
-//! outcome-invariant: the detail CSV's deterministic columns and the
-//! `service_` metrics are byte-identical at every window (DESIGN.md §14).
-//! Fusion gates itself off under faults, telemetry and trace capture, so
-//! the identity holds unconditionally.
-//!
 //! A simulated device runs the blocks of each launch serially; a native
 //! device runs them on `DeviceSpec::native_threads` host threads, which
 //! `cdd-serve` leaves at its default of 1. Results are byte-identical
@@ -71,7 +62,7 @@
 //!
 //! A flag outside the block above is refused: `cdd-serve` names it, prints
 //! the usage line and exits with status 2, so a typo such as
-//! `--batch-windw 8` cannot silently run with the default.
+//! `--cache-capacty 8` cannot silently run with the default.
 
 use cdd_bench::workload::{generate_mixed, load};
 use cdd_bench::{fault_plan_from_args, results_dir, write_csv, Args, Table};
@@ -190,7 +181,7 @@ const FLAGS: &[&str] = &[
     "workload", "requests", "sizes", "iterations", "seed",
     // Fleet and client.
     "backend", "devices", "queue-capacity", "cache-capacity", "blocks", "block-size",
-    "window", "deadline-ms", "batch-window",
+    "window", "deadline-ms",
     // Faults, chaos and resilience.
     "fault-seed", "launch-failure-rate", "bit-flip-rate", "hang-rate", "worker-crash-rate",
     "worker-crash-horizon", "faulty-device", "chaos", "retry-budget", "breaker-threshold",
@@ -282,7 +273,6 @@ fn main() {
             open_ms: args.get_or("breaker-open-ms", 250u64),
             ..BreakerConfig::default()
         },
-        batch_window: args.get_or("batch-window", 1usize).max(1),
         ..Default::default()
     };
     let deadline_ms: Option<u64> = args.get("deadline-ms").map(|s| s.parse().expect("--deadline-ms: milliseconds"));
@@ -436,39 +426,23 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// The `--flag` tokens of `text`, including ones glued to a quoted
-    /// matrix label such as `"batch:--batch-window 8"`.
+    /// The `--flag` tokens of `text`.
     fn flag_tokens(text: &str) -> Vec<String> {
-        text.split(|c: char| c.is_whitespace() || c == '"' || c == ':')
+        text.split(|c: char| c.is_whitespace() || c == '"')
             .filter(|t| t.len() > 2 && t.starts_with("--"))
             .map(str::to_string)
             .collect()
     }
 
-    /// The flags of every `cdd-serve` call in the CI workflow. A call that
-    /// passes `$flags` also gets the flags of the `for cfg in …` matrix
-    /// above it.
+    /// The flags of every `cdd-serve` call in the CI workflow.
     fn ci_flag_sets() -> Vec<Vec<String>> {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../.github/workflows/ci.yml");
         let ci = std::fs::read_to_string(path).expect("CI workflow readable");
-        let lines: Vec<String> = ci.replace("\\\n", " ").lines().map(str::to_string).collect();
-        let mut sets = Vec::new();
-        for (i, line) in lines.iter().enumerate() {
-            let Some((_, call)) = line.split_once("--bin cdd-serve --") else {
-                continue;
-            };
-            let mut flags = flag_tokens(call);
-            if call.contains("$flags") {
-                let matrix = lines[..i]
-                    .iter()
-                    .rev()
-                    .find(|l| l.contains("for cfg in"))
-                    .expect("a $flags call sits inside a `for cfg in` matrix");
-                flags.extend(flag_tokens(matrix));
-            }
-            sets.push(flags);
-        }
-        sets
+        ci.replace("\\\n", " ")
+            .lines()
+            .filter_map(|line| line.split_once("--bin cdd-serve --"))
+            .map(|(_, call)| flag_tokens(call))
+            .collect()
     }
 
     #[test]
@@ -476,26 +450,27 @@ mod tests {
         // Spelt in pieces so a search for the removed names finds no code.
         let (eval, resync) = (concat!("delta", "-eval"), concat!("delta", "-resync"));
         let threads = concat!("sim", "-threads");
+        let window = concat!("batch", "-window");
         let a = Args::from_iter([
             format!("--{eval}"),
             format!("--{resync}"),
             "64".into(),
             format!("--{threads}"),
             "2".into(),
+            format!("--{window}"),
+            "8".into(),
             "--seed".into(),
             "7".into(),
         ]);
-        assert_eq!(a.unknown(FLAGS), vec![resync, threads, eval]);
-        assert!(usage().contains("[--batch-window]"));
+        assert_eq!(a.unknown(FLAGS), vec![window, resync, threads, eval]);
+        assert!(!usage().contains(&format!("[--{window}]")));
         assert!(!usage().contains(threads));
     }
 
     #[test]
     fn every_ci_call_passes_the_flag_check() {
         let sets = ci_flag_sets();
-        assert!(sets.len() >= 10, "found only {} cdd-serve calls in CI", sets.len());
-        let batched = sets.iter().filter(|s| s.iter().any(|f| f == "--batch-window")).count();
-        assert!(batched >= 2, "the batch matrix's $flags were not expanded");
+        assert_eq!(sets.len(), 7, "cdd-serve calls in CI");
         for flags in &sets {
             let given = Args::from_iter(flags.iter().cloned());
             assert!(given.unknown(FLAGS).is_empty(), "CI call refused: {flags:?}");

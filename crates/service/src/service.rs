@@ -52,10 +52,9 @@ use crate::queue::{QueueStats, QueuedJob, SubmissionQueue};
 use crate::supervisor::{
     install_quiet_crash_hook, supervisor_loop, SupervisorConfig, WorkerCrashPanic,
 };
-use cdd_core::{Algorithm, Priority, SolveOutcome, SolveRequest, SuiteError, TraceContext};
+use cdd_core::{Priority, SolveOutcome, SolveRequest, SuiteError, TraceContext};
 use cdd_gpu::{
-    counter_trace_events, run_gpu_solve, run_gpu_solve_batch, Backend, ConvergenceSummary,
-    GpuSolveSpec, RecoveryPolicy,
+    counter_trace_events, run_gpu_solve, Backend, ConvergenceSummary, GpuSolveSpec, RecoveryPolicy,
 };
 use cdd_metrics::trace::{TraceEvent, TraceSink};
 use cdd_metrics::{latency_ms_buckets, FlightHop, FlightRecord, MetricsRegistry};
@@ -115,16 +114,6 @@ pub struct ServiceConfig {
     pub supervisor: SupervisorConfig,
     /// Per-device circuit-breaker tuning (see [`BreakerConfig`]).
     pub breaker: BreakerConfig,
-    /// Cross-request batching window: a worker that pops an SA job may
-    /// drain up to `batch_window - 1` further *compatible* jobs off the
-    /// queue front (same algorithm, problem kind, job count and iteration
-    /// budget) and run them as one fused device launch sequence —
-    /// amortizing the per-kernel launch overhead that dominates small-`n`
-    /// traffic. `1` (the default) disables batching. Per-request outcomes
-    /// are byte-identical to solo runs (see `cdd_gpu::batch`); fusion is
-    /// skipped — jobs just run solo — on fault-injected slots and when
-    /// telemetry or trace capture is on.
-    pub batch_window: usize,
 }
 
 impl Default for ServiceConfig {
@@ -144,7 +133,6 @@ impl Default for ServiceConfig {
             telemetry: TelemetryConfig::disabled(),
             supervisor: SupervisorConfig::default(),
             breaker: BreakerConfig::default(),
-            batch_window: 1,
         }
     }
 }
@@ -329,10 +317,6 @@ pub(crate) struct SlotState {
     /// The job this slot is currently running, if any. Taken by the
     /// supervisor on crash/stuck so the job can be re-dispatched.
     pub(crate) in_flight: Option<QueuedJob>,
-    /// Further jobs fused onto the in-flight primary by the batching
-    /// window. Empty outside a fused run; the supervisor re-dispatches
-    /// these alongside `in_flight` when it fences the slot.
-    pub(crate) in_flight_extras: Vec<QueuedJob>,
     /// Logical-clock ms (service epoch) of the worker's last sign of life
     /// (job pop or completion). Only meaningful while `in_flight` is some.
     pub(crate) heartbeat_ms: u64,
@@ -378,12 +362,6 @@ pub(crate) struct State {
     degraded_brownout: u64,
     /// Retry re-dispatches the supervisor scheduled (parked or immediate).
     pub(crate) retries_scheduled: u64,
-    /// Fused device runs the batching window produced (each covered ≥ 2
-    /// requests). Which jobs meet in the queue is a race between clients
-    /// and workers, so these two live under the `timing_` namespace.
-    batch_launches: u64,
-    /// Requests answered out of those fused runs.
-    batch_fused_requests: u64,
     /// Requests dispatched per execution backend, indexed `[sim, native]`.
     /// Deterministic on uniform fleets (routing is config- and
     /// capability-driven); on mixed `device_faults` fleets a request's
@@ -423,7 +401,7 @@ impl State {
         self.shutdown
             && self.queue.depth() == 0
             && self.parked.is_empty()
-            && self.slots.iter().all(|s| s.in_flight.is_none() && s.in_flight_extras.is_empty())
+            && self.slots.iter().all(|s| s.in_flight.is_none())
     }
 }
 
@@ -440,7 +418,6 @@ pub(crate) struct Shared {
     recovery: RecoveryPolicy,
     capture_trace: bool,
     telemetry: TelemetryConfig,
-    batch_window: usize,
     /// Backend for clean requests; sim-only capabilities override it.
     backend: Backend,
     /// Hardware description shared by all pool devices (restarts clone it).
@@ -499,7 +476,6 @@ impl SolverService {
             .map(|_| SlotState {
                 generation: 0,
                 in_flight: None,
-                in_flight_extras: Vec::new(),
                 heartbeat_ms: 0,
                 breaker: CircuitBreaker::new(config.breaker.clone()),
                 usage: DeviceUsage::default(),
@@ -524,8 +500,6 @@ impl SolverService {
                 degraded: 0,
                 degraded_brownout: 0,
                 retries_scheduled: 0,
-                batch_launches: 0,
-                batch_fused_requests: 0,
                 backend_requests: [0; 2],
                 tenant_submitted: BTreeMap::new(),
                 priority_submitted: [0; 3],
@@ -542,7 +516,6 @@ impl SolverService {
             recovery: config.recovery.clone(),
             capture_trace: config.capture_trace,
             telemetry: config.telemetry,
-            batch_window: config.batch_window,
             backend: config.backend,
             device_spec: config.device_spec.clone(),
             slot_plans,
@@ -661,7 +634,7 @@ impl SolverService {
         let st = self.shared.state.lock().expect("service state lock");
         st.queue.depth() == 0
             && st.parked.is_empty()
-            && st.slots.iter().all(|s| s.in_flight.is_none() && s.in_flight_extras.is_empty())
+            && st.slots.iter().all(|s| s.in_flight.is_none())
     }
 
     /// Live counters for health/stats probes: cheap, lock-scoped, callable
@@ -704,9 +677,8 @@ impl SolverService {
             }
             totals
         });
-        let batching = self.shared.batch_window > 1;
         let native = self.shared.backend == Backend::Native;
-        fold_final_metrics(&mut metrics, &st, &queue, &cache, convergence, batching, native, wall_seconds);
+        fold_final_metrics(&mut metrics, &st, &queue, &cache, convergence, native, wall_seconds);
         metrics
     }
 
@@ -731,9 +703,8 @@ impl SolverService {
             }
             totals
         });
-        let batching = self.shared.batch_window > 1;
         let native = self.shared.backend == Backend::Native;
-        fold_final_metrics(&mut metrics, &st, &queue, &cache, convergence, batching, native, wall_seconds);
+        fold_final_metrics(&mut metrics, &st, &queue, &cache, convergence, native, wall_seconds);
 
         let mut trace = TraceSink::new();
         if self.shared.capture_trace {
@@ -825,8 +796,6 @@ fn describe_service_metrics(metrics: &mut MetricsRegistry) {
         ("timing_queue_peak_depth", "Deepest the admitted queue ever got."),
         ("timing_cache_hits_total", "Requests served as direct cache hits."),
         ("timing_cache_coalesced_total", "Requests coalesced onto an in-flight primary."),
-        ("timing_batch_launches_total", "Fused device launches the batching window produced."),
-        ("timing_batch_fused_requests_total", "Requests answered out of fused launches."),
         ("service_backend_requests_total", "Requests dispatched per execution backend."),
         ("timing_backend_native_wall_ms", "Per-request device wall time on the native backend."),
         ("timing_wall_seconds", "Wall-clock lifetime of the service, seconds."),
@@ -836,14 +805,12 @@ fn describe_service_metrics(metrics: &mut MetricsRegistry) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fold_final_metrics(
     metrics: &mut MetricsRegistry,
     st: &State,
     queue: &QueueStats,
     cache: &CacheStats,
     convergence: Option<ConvergenceTotals>,
-    batching: bool,
     native: bool,
     wall_seconds: f64,
 ) {
@@ -904,16 +871,6 @@ fn fold_final_metrics(
         &[],
         st.slots.iter().map(|s| s.breaker.stats.reclosed).sum(),
     );
-
-    // Which jobs meet in the batching window depends on queue timing — a
-    // race between clients and workers — so the fusion tallies live under
-    // `timing_`, registered (even at zero) only when the window is open: a
-    // window-of-1 service must render a snapshot byte-identical to one
-    // predating the batching feature.
-    if batching {
-        metrics.inc("timing_batch_launches_total", &[], st.batch_launches);
-        metrics.inc("timing_batch_fused_requests_total", &[], st.batch_fused_requests);
-    }
 
     // Backend routing tallies — registered (both labels, even at zero) only
     // when the fleet is configured native, so a default sim fleet renders a
@@ -1008,7 +965,7 @@ pub(crate) fn spawn_worker(shared: &Arc<Shared>, slot: usize, generation: u64) -
 /// device reports [`SuiteError::DeviceLost`].
 fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, handle: DeviceHandle) {
     loop {
-        let (request, retries, extra_requests) = {
+        let (request, retries) = {
             let mut st = shared.state.lock().expect("service state lock");
             loop {
                 if st.slots[slot].generation != generation {
@@ -1063,34 +1020,7 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, handle: Devic
                 let request = job.request.clone();
                 let retries = job.retries;
                 st.slots[slot].in_flight = Some(job);
-                // Batching window: drain adjacent compatible SA jobs off
-                // the queue front to fuse with the primary. Only on a
-                // fault-free slot (fused runs carry no fault plan), with
-                // telemetry and trace capture off (fused results have no
-                // per-request timeline). An incompatible queue head simply
-                // stops the drain — FIFO order is never reshuffled.
-                let mut extra_requests = Vec::new();
-                if shared.batch_window > 1
-                    && request.algorithm == Algorithm::Sa
-                    && shared.slot_plans[slot].is_none()
-                    && !shared.telemetry.enabled()
-                    && !shared.capture_trace
-                {
-                    while extra_requests.len() + 2 <= shared.batch_window {
-                        let Some(extra) = st.queue.pop_if(|j| {
-                            !j.expired()
-                                && j.request.algorithm == Algorithm::Sa
-                                && j.request.iterations == request.iterations
-                                && j.request.instance.kind() == request.instance.kind()
-                                && j.request.instance.n() == request.instance.n()
-                        }) else {
-                            break;
-                        };
-                        extra_requests.push(extra.request.clone());
-                        st.slots[slot].in_flight_extras.push(extra);
-                    }
-                }
-                break (request, retries, extra_requests);
+                break (request, retries);
             }
         };
 
@@ -1123,52 +1053,27 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, handle: Devic
             recovery: shared.recovery.clone(),
             telemetry: shared.telemetry,
         };
-        // One result per fused job, primary first. A failed fused launch
-        // falls back to running each request solo — batching is a latency
-        // optimization, never a new failure mode.
-        let mut fused = false;
-        let results: Vec<Result<cdd_gpu::GpuRunResult, SuiteError>> = if extra_requests.is_empty()
-        {
-            vec![run_gpu_solve(
-                &request.instance,
-                request.algorithm,
-                request.iterations,
-                request.seed,
-                &spec,
-            )]
-        } else {
-            let entries: Vec<(cdd_core::Instance, u64)> = std::iter::once(&request)
-                .chain(extra_requests.iter())
-                .map(|r| (r.instance.clone(), r.seed))
-                .collect();
-            match run_gpu_solve_batch(&entries, Algorithm::Sa, request.iterations, &spec) {
-                Ok(rs) => {
-                    fused = true;
-                    rs.into_iter().map(Ok).collect()
-                }
-                Err(_) => entries
-                    .iter()
-                    .map(|(inst, seed)| {
-                        run_gpu_solve(inst, Algorithm::Sa, request.iterations, *seed, &spec)
-                    })
-                    .collect(),
-            }
-        };
+        let result = run_gpu_solve(
+            &request.instance,
+            request.algorithm,
+            request.iterations,
+            request.seed,
+            &spec,
+        );
         let run_wall = run_started.elapsed().as_secs_f64();
 
         let mut st = shared.state.lock().expect("service state lock");
         if st.slots[slot].generation != generation {
-            // Fenced while running: the supervisor already took the jobs
-            // back and re-dispatched them. Discard everything — recording
+            // Fenced while running: the supervisor already took the job
+            // back and re-dispatched it. Discard everything — recording
             // usage or a result here would double-count against the
             // replacement worker's slot.
             return;
         }
         let now = shared.now_ms();
         st.slots[slot].heartbeat_ms = now;
-        if let [Err(SuiteError::DeviceLost { detail })] = results.as_slice() {
-            // The simulated device died under this job (solo path only —
-            // fused runs only form on fault-free slots). Leave the job in
+        if let Err(SuiteError::DeviceLost { detail }) = &result {
+            // The simulated device died under this job. Leave the job in
             // `in_flight` for the supervisor to re-dispatch, record the
             // failed run, and crash this worker the way a real device loss
             // kills a host thread: by panicking. The breaker failure is
@@ -1180,61 +1085,37 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, handle: Devic
             shared.supervise.notify_all();
             std::panic::panic_any(WorkerCrashPanic { device: slot, detail });
         }
-        let job = st.slots[slot].in_flight.take().expect("job was in flight");
-        let extras = std::mem::take(&mut st.slots[slot].in_flight_extras);
-        if fused {
-            st.batch_launches += 1;
-            st.batch_fused_requests += results.len() as u64;
-        }
-        // The shared wall time is split evenly across the fused jobs, like
-        // the modeled time inside the batch pipeline.
-        let wall_share = run_wall / results.len() as f64;
-        let batch_size = results.len();
+        let mut job = st.slots[slot].in_flight.take().expect("job was in flight");
         st.backend_requests[match backend {
             Backend::Sim => 0,
             Backend::Native => 1,
-        }] += batch_size as u64;
+        }] += 1;
         if backend == Backend::Native {
-            // One observation per answered request (the fused wall time is
-            // split evenly), mirroring `timing_request_wall_ms`.
-            for _ in 0..batch_size {
-                st.metrics.observe(
-                    "timing_backend_native_wall_ms",
-                    &[],
-                    wall_share * 1e3,
-                    latency_ms_buckets(),
-                );
-            }
+            // Mirrors `timing_request_wall_ms`: one observation per request.
+            st.metrics.observe(
+                "timing_backend_native_wall_ms",
+                &[],
+                run_wall * 1e3,
+                latency_ms_buckets(),
+            );
         }
-        for (mut job, result) in std::iter::once(job).chain(extras).zip(results) {
-            if traced(&job.request) {
-                let mut hop = match &result {
-                    Ok(r) => FlightHop::new(
-                        "worker",
-                        "attempt",
-                        r.modeled_seconds * 1e6,
-                        wall_share * 1e6,
-                    ),
-                    Err(_) => FlightHop::new("worker", "attempt_failed", 0.0, wall_share * 1e6),
-                }
-                .with_device(slot as u32)
-                .with_detail("retry", job.retries);
-                if fused {
-                    hop = hop.with_detail("batch_size", batch_size);
-                }
-                job.hops.push(hop);
-            }
-            match &result {
+        if traced(&job.request) {
+            let hop = match &result {
                 Ok(r) => {
-                    record_success_locked(&mut st, slot, &job, r, wall_share, now, shared);
+                    FlightHop::new("worker", "attempt", r.modeled_seconds * 1e6, run_wall * 1e6)
                 }
-                Err(_) => {
-                    st.slots[slot].usage.record_run(0.0, 0.0, 0.0, 0, wall_share, true);
-                    st.slots[slot].breaker.record_failure(now);
-                }
-            }
-            complete_locked(&mut st, job, slot, result);
+                Err(_) => FlightHop::new("worker", "attempt_failed", 0.0, run_wall * 1e6),
+            };
+            job.hops.push(hop.with_device(slot as u32).with_detail("retry", job.retries));
         }
+        match &result {
+            Ok(r) => record_success_locked(&mut st, slot, &job, r, run_wall, now, shared),
+            Err(_) => {
+                st.slots[slot].usage.record_run(0.0, 0.0, 0.0, 0, run_wall, true);
+                st.slots[slot].breaker.record_failure(now);
+            }
+        }
+        complete_locked(&mut st, job, slot, result);
         shared.done.notify_all();
         if st.shutdown {
             // Peers may be waiting to observe the drain.

@@ -196,27 +196,19 @@ pub(crate) fn supervisor_loop(shared: &Arc<Shared>, mut workers: Vec<Option<Join
                 if !stuck {
                     continue;
                 }
-                let (job, extras, generation) = {
+                let (job, generation) = {
                     let s = &mut st.slots[slot];
                     s.generation += 1;
                     s.stuck += 1;
                     s.restarts += 1;
                     s.breaker.record_failure(now);
-                    (
-                        s.in_flight.take().expect("checked in_flight above"),
-                        std::mem::take(&mut s.in_flight_extras),
-                        s.generation,
-                    )
+                    (s.in_flight.take().expect("checked in_flight above"), s.generation)
                 };
                 let detail = format!(
                     "worker stuck: no heartbeat for {} ms (fenced at generation {generation})",
                     cfg.stuck_after_ms
                 );
-                // A fenced fused run orphans every job it was carrying;
-                // each re-enters the retry path independently.
-                for job in std::iter::once(job).chain(extras) {
-                    redispatch_or_degrade(&mut st, shared, &cfg, slot, job, &detail, now);
-                }
+                redispatch_or_degrade(&mut st, shared, &cfg, slot, job, &detail, now);
                 // Replace the handle; dropping the zombie's handle detaches
                 // it — it will observe the generation bump and exit.
                 *worker = Some(spawn_worker(shared, slot, generation));
@@ -297,15 +289,15 @@ fn handle_worker_death(
     detail: &str,
     now: u64,
 ) {
-    let (job, extras) = {
+    let job = {
         let s = &mut st.slots[slot];
         s.generation += 1;
         s.restarts += 1;
         s.breaker.record_failure(now);
         s.usage.merge_faults(FaultStats { worker_crashes: 1, ..FaultStats::default() });
-        (s.in_flight.take(), std::mem::take(&mut s.in_flight_extras))
+        s.in_flight.take()
     };
-    for job in job.into_iter().chain(extras) {
+    if let Some(job) = job {
         redispatch_or_degrade(st, shared, cfg, slot, job, detail, now);
     }
 }

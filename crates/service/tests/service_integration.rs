@@ -541,66 +541,10 @@ fn zero_deadline_expires_before_dispatch() {
 }
 
 #[test]
-fn batched_service_answers_are_byte_identical_to_unbatched() {
-    // The same workload through a batching service and a window-of-1
-    // service must produce identical per-request outcomes — fusion is a
-    // launch-overhead optimization, never a result change. A slow opener
-    // pins the single worker so the compatible followers pile up in the
-    // queue and actually meet in the window.
-    let run = |batch_window: usize| {
-        let service =
-            SolverService::start(ServiceConfig { batch_window, ..small_config(1) });
-        let blocker = service.submit(request(30, 1, Algorithm::Sa, 1200, 900)).expect("admitted");
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let tickets: Vec<u64> = (0..6)
-            .map(|i| {
-                service.submit(request(10, 1, Algorithm::Sa, 150, 300 + i)).expect("admitted")
-            })
-            .collect();
-        let mut outcomes = vec![service.wait(blocker).result.expect("opener completes")];
-        for t in tickets {
-            outcomes.push(service.wait(t).result.expect("batched request completes"));
-        }
-        (outcomes, service.shutdown())
-    };
-
-    let (batched, batched_report) = run(4);
-    let (solo, solo_report) = run(1);
-    for (b, s) in batched.iter().zip(&solo) {
-        assert_eq!(b.objective, s.objective, "fitness is fusion-invariant");
-        assert_eq!(b.sequence, s.sequence, "schedule is fusion-invariant");
-        assert_eq!(b.evaluations, s.evaluations);
-    }
-    assert_eq!(batched_report.completed, 7);
-    assert_eq!(solo_report.completed, 7);
-    // The across-window counter contract CI also checks: fusion tallies are
-    // `timing_` series, so every `service_` line is window-invariant.
-    assert_eq!(
-        deterministic_lines(&batched_report),
-        deterministic_lines(&solo_report),
-        "service_ counters must not depend on the batching window"
-    );
-    // The batching service registers its fusion tallies (possibly zero —
-    // whether jobs met in the window is a race); the window-of-1 service
-    // must not even register the series.
-    let rendered = solo_report.metrics.render_prometheus();
-    assert!(
-        !rendered.contains("timing_batch_launches_total"),
-        "a window-of-1 service predates the batching feature byte-for-byte"
-    );
-    assert!(batched_report.metrics.render_prometheus().contains("timing_batch_launches_total"));
-    assert!(
-        batched_report.metrics.counter("timing_batch_fused_requests_total", &[])
-            >= 2 * batched_report.metrics.counter("timing_batch_launches_total", &[]),
-        "every fused launch covers at least two requests"
-    );
-}
-
-#[test]
-fn incompatible_neighbors_never_fuse() {
-    // Mixed problem sizes and algorithms at the queue head stop the window
-    // drain; everything still completes with correct per-request answers.
-    let service = SolverService::start(ServiceConfig { batch_window: 8, ..small_config(1) });
+fn queued_mixed_requests_match_direct_solves() {
+    // Requests of mixed size and algorithm wait FIFO behind a busy worker;
+    // each still answers exactly like a direct `run_gpu_solve` call.
+    let service = SolverService::start(small_config(1));
     let blocker = service.submit(request(30, 1, Algorithm::Sa, 800, 901)).expect("admitted");
     std::thread::sleep(std::time::Duration::from_millis(50));
     let mixed: Vec<u64> = vec![
