@@ -23,10 +23,23 @@ impl Args {
         Self::from_iter(std::env::args().skip(1))
     }
 
+    /// Parse the process arguments of binary `bin`, which reads exactly
+    /// the flags in `known`. Any other flag is refused: `bin` names it,
+    /// prints its [`usage`] line and exits with status 2, so a misspelt
+    /// flag cannot silently run with the default.
+    pub fn parse_known(bin: &str, known: &[&str]) -> Self {
+        let args = Self::parse();
+        let unknown = args.unknown(known);
+        if !unknown.is_empty() {
+            let named: Vec<String> = unknown.iter().map(|f| format!("--{f}")).collect();
+            eprintln!("{bin}: unknown flag(s): {}\n{}", named.join(" "), usage(bin, known));
+            std::process::exit(2);
+        }
+        args
+    }
+
     /// The given `--key value` keys and bare `--flags` missing from
-    /// `known`: keys in sorted order, then flags in command-line order. A
-    /// binary that declares every flag it reads refuses these instead of
-    /// silently ignoring a misspelt one.
+    /// `known`: keys in sorted order, then flags in command-line order.
     pub fn unknown(&self, known: &[&str]) -> Vec<&str> {
         self.values
             .keys()
@@ -73,6 +86,13 @@ impl Args {
             None => default.to_vec(),
         }
     }
+}
+
+/// The usage line [`Args::parse_known`] prints when it refuses a flag:
+/// every flag `bin` reads.
+pub fn usage(bin: &str, known: &[&str]) -> String {
+    let flags: Vec<String> = known.iter().map(|f| format!("[--{f}]")).collect();
+    format!("usage: {bin} {}", flags.join(" "))
 }
 
 /// Parse from an explicit iterator (testable) — same grammar as

@@ -91,8 +91,8 @@ impl SequenceEvaluator for UcddcpEvaluator {
 /// Build the appropriate evaluator for an instance's problem kind.
 ///
 /// The returned evaluator is `Sync` as well as `Send`: it holds only
-/// immutable per-instance arrays, so concurrent simulated blocks (see
-/// `cuda_sim::dispatch`) can share one evaluator without cloning.
+/// immutable per-instance arrays, so threads (the CPU ensembles of
+/// `cdd-meta`, for one) can share one evaluator without cloning.
 pub fn evaluator_for(inst: &Instance) -> Box<dyn SequenceEvaluator + Send + Sync> {
     match inst.kind() {
         ProblemKind::Cdd => Box::new(CddEvaluator::new(inst)),

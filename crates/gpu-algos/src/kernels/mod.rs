@@ -17,3 +17,23 @@ pub use accept::{AcceptKernel, SaProbe};
 pub use dpso_update::{DpsoProbe, DpsoUpdateKernel, GbestCopyKernel, PbestKernel};
 pub use fitness::FitnessKernel;
 pub use perturb::PerturbKernel;
+
+#[cfg(test)]
+mod tests {
+    /// Kernel types stay `Sync` although both backends launch serially:
+    /// callers may share one kernel across host threads (the end-to-end
+    /// benchmark's launch helper bounds its kernels `Kernel + Sync`).
+    #[test]
+    fn kernel_types_are_sync() {
+        fn sync<T: Sync>() {}
+        sync::<super::AcceptKernel>();
+        sync::<super::DpsoUpdateKernel>();
+        sync::<super::FitnessKernel>();
+        sync::<super::GbestCopyKernel>();
+        sync::<super::PbestKernel>();
+        sync::<super::PerturbKernel>();
+        sync::<crate::sync_pipeline::BroadcastKernel>();
+        sync::<cuda_sim::reduce::AtomicArgminKernel>();
+        sync::<cuda_sim::reduce::AtomicMinKernel>();
+    }
+}

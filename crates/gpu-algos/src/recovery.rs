@@ -84,7 +84,7 @@ pub(crate) fn merge_faults(into: &mut FaultStats, f: FaultStats) {
 }
 
 /// Launch `kernel`, retrying transient failures up to the policy's bound.
-pub fn launch_with_retry<B: ExecBackend, K: Kernel + Sync>(
+pub fn launch_with_retry<B: ExecBackend, K: Kernel>(
     gpu: &mut B,
     kernel: &K,
     cfg: LaunchConfig,

@@ -32,7 +32,7 @@ use cuda_sim::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Native-backend admission check, shared by all four pipelines: fault
+/// Native-backend admission check, shared by all three pipelines: fault
 /// injection and convergence telemetry are sim-only capabilities, so a
 /// request that needs either must route to [`Backend::Sim`] and is rejected
 /// — never silently degraded — when aimed at the native backend

@@ -18,7 +18,7 @@ use cdd_gpu::{
     GpuRunResult, GpuSaParams, GpuSolveSpec,
 };
 use cdd_instances::InstanceId;
-use cuda_sim::{DeviceSpec, FaultPlan, TelemetryConfig};
+use cuda_sim::{FaultPlan, TelemetryConfig};
 use proptest::prelude::*;
 
 /// The outcome fields both backends must agree on, bit for bit.
@@ -54,12 +54,6 @@ fn assert_native_is_diagnostic_free(r: &GpuRunResult) {
 
 fn sa_params(backend: Backend) -> GpuSaParams {
     GpuSaParams { blocks: 2, block_size: 32, iterations: 80, backend, ..Default::default() }
-}
-
-/// The paper's device with the native backend on `threads` host threads
-/// (the simulator ignores the count).
-fn device_with_threads(threads: usize) -> DeviceSpec {
-    DeviceSpec { native_threads: threads, ..DeviceSpec::gt560m() }
 }
 
 fn both_kinds() -> [Instance; 2] {
@@ -124,34 +118,20 @@ fn solve_entry_point_routes_backends() {
 /// Parity at the sizes the benchmark serves (n = 200 and 500), where the
 /// native path reads candidate, personal-best and swarm-best rows in place:
 /// SA and DPSO on CDD at h = 0.2 and 0.8 and on UCDDCP, at a small
-/// geometry, with native on 1 and 2 host threads.
+/// geometry.
 #[test]
 fn parity_holds_at_benchmark_sizes() {
-    let spec = |backend, threads| GpuSolveSpec {
-        blocks: 2,
-        block_size: 32,
-        backend,
-        device: device_with_threads(threads),
-        ..Default::default()
-    };
+    let spec = |backend| GpuSolveSpec { blocks: 2, block_size: 32, backend, ..Default::default() };
     for n in [200, 500] {
         let ids =
             [InstanceId::cdd(n, 1, 0.2), InstanceId::cdd(n, 1, 0.8), InstanceId::ucddcp(n, 1)];
         for id in ids {
             let inst = id.instantiate();
             for algorithm in [Algorithm::Sa, Algorithm::Dpso] {
-                let sim =
-                    run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Sim, 1)).unwrap();
-                for threads in [1, 2] {
-                    let native =
-                        run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Native, threads))
-                            .unwrap();
-                    assert_eq!(
-                        Outcome::from(&sim),
-                        Outcome::from(&native),
-                        "{id} {algorithm:?} native on {threads} threads"
-                    );
-                }
+                let sim = run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Sim)).unwrap();
+                let native =
+                    run_gpu_solve(&inst, algorithm, 12, 2016, &spec(Backend::Native)).unwrap();
+                assert_eq!(Outcome::from(&sim), Outcome::from(&native), "{id} {algorithm:?}");
             }
         }
     }
@@ -225,7 +205,7 @@ fn native_accepts_inert_fault_plans() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: parity holds across pipeline × kind × n × host threads
+// Property: parity holds across pipeline × kind × n
 // ---------------------------------------------------------------------------
 
 fn random_instance(max_n: usize) -> impl Strategy<Value = Instance> {
@@ -253,24 +233,15 @@ fn random_instance(max_n: usize) -> impl Strategy<Value = Instance> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For arbitrary instances (either kind, any n), any pipeline, and a
-    /// native backend on 1, 2 or 5 host threads, the native outcome equals
-    /// the serial simulator's bit for bit. Host threads are a pure
-    /// wall-clock knob on native.
+    /// For arbitrary instances (either kind, any n) and any pipeline, the
+    /// native outcome equals the simulator's bit for bit.
     #[test]
     fn parity_holds_everywhere(
         inst in random_instance(16),
         pipeline in 0..3usize,
-        threads_idx in 0..3usize,
         seed in any::<u64>(),
     ) {
-        let device = device_with_threads([1, 2, 5][threads_idx]);
-        let params = |backend| GpuSaParams {
-            seed,
-            iterations: 30,
-            device: device.clone(),
-            ..sa_params(backend)
-        };
+        let params = |backend| GpuSaParams { seed, iterations: 30, ..sa_params(backend) };
         let (sim, native) = match pipeline {
             0 => (
                 run_gpu_sa(&inst, &params(Backend::Sim)).unwrap(),
@@ -287,7 +258,6 @@ proptest! {
                     iterations: 30,
                     seed,
                     backend,
-                    device: device.clone(),
                     ..Default::default()
                 };
                 (

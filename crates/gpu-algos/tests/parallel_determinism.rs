@@ -1,7 +1,7 @@
 //! The determinism contract of block dispatch (DESIGN.md §11).
 //!
-//! The simulator runs every launch's blocks serially, in block-index
-//! order, on the calling thread, so it has exactly one thread count. Every
+//! Both backends run every launch's blocks serially, in block-index
+//! order, on the calling thread, so each has exactly one thread count. Every
 //! observable output of a pipeline run — the winning sequence, the
 //! objective, the modeled clocks bit-for-bit, the launch and evaluation
 //! counts, the fault-recovery statistics, and the decoded convergence
@@ -9,7 +9,7 @@
 //! golden-value test additionally pins today's engine to the pre-parallel
 //! (serial-only) engine: the numbers below were captured from the commit
 //! before the dispatch rewrite, and must hold in debug and release builds.
-//! The native backend's thread counts are covered by `backend_parity.rs`.
+//! Native-versus-simulator byte identity is covered by `backend_parity.rs`.
 
 use cdd_gpu::{run_gpu_dpso, run_gpu_sa, GpuDpsoParams, GpuRunResult, GpuSaParams};
 use cdd_core::Instance;

@@ -9,26 +9,27 @@
 //! * [`Gpu`] — the cuda-sim device: modeled clock, per-access cost
 //!   accounting, fault injection, race detection, profiler timeline.
 //! * [`NativeGpu`] — the native host backend: the same kernel bodies run
-//!   directly on [`DeviceSpec::native_threads`] host threads through the
-//!   block-dispatch [`WorkerPool`], with **no** modeled clock, no
-//!   per-access simulation, and no fault machinery on the hot path. This is
-//!   the deployment path when you actually have cores.
+//!   directly on the host, with **no** modeled clock, no per-access
+//!   simulation, and no fault machinery on the hot path. This is the
+//!   deployment path.
+//!
+//! Both backends execute a launch's blocks serially, in block-index order,
+//! on the calling thread; the service gets its host parallelism from one
+//! worker thread per device instead (DESIGN.md §11).
 //!
 //! The contract between them is **byte-identity**: with the same inputs,
 //! seeds and launch sequence, both backends leave bit-identical values in
-//! device memory, at every native thread count. That holds by construction
-//! because (a) kernels execute the exact same `phase` code through
-//! [`DeviceCtx`], (b) XORWOW streams are device-resident data, and (c) the
-//! native backend stages atomics per block and merges them in block-index
-//! order through the *same* [`AtomicStage`] type the serial simulator
-//! uses. What the native backend does not have: a profiler
+//! device memory. That holds by construction because (a) kernels execute
+//! the exact same `phase` code through [`DeviceCtx`], (b) XORWOW streams
+//! are device-resident data, and (c) both backends stage atomics per block
+//! and merge them in block-index order through the *same* [`AtomicStage`]
+//! type. What the native backend does not have: a profiler
 //! ([`ExecBackend::sim_profiler`] is `None`, so there are no modeled
 //! seconds and no timeline), fault injection and telemetry (sim-only;
 //! installing an active fault plan panics, and the pipelines reject such
 //! requests before any launch).
 
 use crate::device::DeviceSpec;
-use crate::dispatch::WorkerPool;
 use crate::engine::{
     AsBuf, AtomicOp, AtomicStage, DeviceCtx, Gpu, Kernel, LaunchError, MemView,
 };
@@ -39,7 +40,6 @@ use crate::profiler::Profiler;
 use crate::rng::XorWow;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Mutex;
 
 /// Which execution backend runs a pipeline's launches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -126,7 +126,7 @@ pub trait ExecBackend {
 
     /// Launch a kernel. The simulator additionally records modeled timing
     /// and draws fault decisions; the native backend just runs the blocks.
-    fn launch_kernel<K: Kernel + Sync>(
+    fn launch_kernel<K: Kernel>(
         &mut self,
         kernel: &K,
         cfg: LaunchConfig,
@@ -205,7 +205,7 @@ impl ExecBackend for Gpu {
         Gpu::peek(self, buf)
     }
 
-    fn launch_kernel<K: Kernel + Sync>(
+    fn launch_kernel<K: Kernel>(
         &mut self,
         kernel: &K,
         cfg: LaunchConfig,
@@ -239,27 +239,20 @@ impl ExecBackend for Gpu {
     }
 }
 
-/// The native host backend: one device's worth of memory plus a block
-/// dispatch pool, and nothing else. See the module docs for the contract.
+/// The native host backend: one device's worth of memory and a launch
+/// counter, and nothing else. See the module docs for the contract.
 #[derive(Debug)]
 pub struct NativeGpu {
     spec: DeviceSpec,
     pool: MemoryPool,
-    workers: Option<WorkerPool>,
     launches: usize,
 }
 
 impl NativeGpu {
-    /// Bring up a native device that runs the blocks of each launch on
-    /// [`DeviceSpec::native_threads`] host threads (at most one per block).
+    /// Bring up a native device. It runs the blocks of each launch serially
+    /// on the calling thread.
     pub fn new(spec: DeviceSpec) -> Self {
-        NativeGpu { spec, pool: MemoryPool::default(), workers: None, launches: 0 }
-    }
-
-    fn ensure_workers(&mut self, threads: usize) {
-        if self.workers.as_ref().map(|w| w.threads()) != Some(threads) {
-            self.workers = Some(WorkerPool::new(threads));
-        }
+        NativeGpu { spec, pool: MemoryPool::default(), launches: 0 }
     }
 }
 
@@ -339,7 +332,7 @@ impl ExecBackend for NativeGpu {
         self.pool.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect()
     }
 
-    fn launch_kernel<K: Kernel + Sync>(
+    fn launch_kernel<K: Kernel>(
         &mut self,
         kernel: &K,
         cfg: LaunchConfig,
@@ -351,38 +344,18 @@ impl ExecBackend for NativeGpu {
 
         let grid_dim = cfg.num_blocks();
         let phases = kernel.num_phases().max(1);
-        let pool_threads = self.spec.native_threads.min(grid_dim).max(1);
-        if pool_threads > 1 {
-            self.ensure_workers(pool_threads);
-        }
 
-        // Stages are collected per block and applied in block-index order —
-        // the same merge discipline as the simulator, through the same
-        // `AtomicStage` type, which is what makes atomics byte-identical
-        // across backends and host thread counts.
+        // Blocks run in block-index order; their stages are applied after
+        // every block has run, in the same order — the simulator's merge
+        // discipline, through the same `AtomicStage` type, which is what
+        // makes atomics byte-identical across backends.
         let stages: Vec<AtomicStage> = {
             let mem = MemView::new(&mut self.pool);
-            if pool_threads > 1 {
-                let slots: Vec<Mutex<Option<AtomicStage>>> =
-                    (0..grid_dim).map(|_| Mutex::new(None)).collect();
-                let mem = &mem;
-                self.workers.as_ref().expect("ensured above").run(grid_dim, &|block_idx| {
-                    let stage = native_run_block(
-                        kernel, block_idx, block_dim, grid_dim, phases, args, mem,
-                    );
-                    *slots[block_idx].lock().expect("block slot poisoned") = Some(stage);
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("slot poisoned").expect("every block ran"))
-                    .collect()
-            } else {
-                (0..grid_dim)
-                    .map(|block_idx| {
-                        native_run_block(kernel, block_idx, block_dim, grid_dim, phases, args, &mem)
-                    })
-                    .collect()
-            }
+            (0..grid_dim)
+                .map(|block_idx| {
+                    native_run_block(kernel, block_idx, block_dim, grid_dim, phases, args, &mem)
+                })
+                .collect()
         };
         for stage in stages {
             stage.apply(&mut self.pool);
@@ -495,8 +468,8 @@ impl DeviceCtx for NativeCtx<'_> {
     ) {
         let (id, _) = buf.id_len();
         let words = self.mem.words_ptr(id, start, dst.len());
-        // SAFETY: texture reads are defined only for data no kernel writes
-        // during the launch, so no concurrent writer exists.
+        // SAFETY: in-bounds (checked by `words_ptr`); see `words_ptr` for
+        // why no other access to these words is live.
         let words = unsafe { std::slice::from_raw_parts(words, dst.len()) };
         for (d, &w) in dst.iter_mut().zip(words) {
             *d = T::from_bits(w);
@@ -539,8 +512,8 @@ impl DeviceCtx for NativeCtx<'_> {
         // here.
         let (id, _) = buf.id_len();
         let words = self.mem.words_ptr(id, start, dst.len());
-        // SAFETY: in-bounds (checked by `words_ptr`); simulated threads own
-        // disjoint rows, so no concurrent writer overlaps this window.
+        // SAFETY: in-bounds (checked by `words_ptr`), and no other access
+        // to these words is live (see `words_ptr`).
         let words = unsafe { std::slice::from_raw_parts(words, dst.len()) };
         for (d, &w) in dst.iter_mut().zip(words) {
             *d = T::from_bits(w);
@@ -550,8 +523,7 @@ impl DeviceCtx for NativeCtx<'_> {
     fn write_slice<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, start: usize, src: &[T]) {
         let (id, _) = buf.id_len();
         let words = self.mem.words_ptr(id, start, src.len());
-        // SAFETY: as in `read_slice_into`, plus exclusivity: only this
-        // simulated thread writes this row during the launch.
+        // SAFETY: as in `read_slice_into`.
         let words = unsafe { std::slice::from_raw_parts_mut(words, src.len()) };
         for (w, &v) in words.iter_mut().zip(src) {
             *w = v.to_bits();
@@ -570,10 +542,10 @@ impl DeviceCtx for NativeCtx<'_> {
         let (did, _) = dst.id_len();
         let s = self.mem.words_ptr(sid, src_start, count);
         let d = self.mem.words_ptr(did, dst_start, count);
-        // SAFETY: both windows are in-bounds (checked by `words_ptr`) and
-        // owned by this simulated thread for the duration of the launch;
-        // `copy` has memmove semantics, so self-overlap within the thread's
-        // own row (the simulator's overlap-aware case) is handled too.
+        // SAFETY: both windows are in-bounds (checked by `words_ptr`) and no
+        // other access to them is live (see `words_ptr`); `copy` has memmove
+        // semantics, so self-overlap within the thread's own row (the
+        // simulator's overlap-aware case) is handled too.
         unsafe { std::ptr::copy(s, d, count) };
     }
 
@@ -585,7 +557,8 @@ impl DeviceCtx for NativeCtx<'_> {
     ) {
         let (id, _) = buf.id_len();
         let words = self.mem.words_ptr(id, start, dst.len());
-        // SAFETY: staged arrays are read-only during the launch.
+        // SAFETY: in-bounds (checked by `words_ptr`); staged arrays are
+        // read-only during the launch.
         let words = unsafe { std::slice::from_raw_parts(words, dst.len()) };
         for (d, &w) in dst.iter_mut().zip(words) {
             *d = T::from_bits(w);
@@ -603,17 +576,17 @@ impl DeviceCtx for NativeCtx<'_> {
         let words = self.mem.words_ptr(id, start, len);
         // SAFETY: in-bounds (checked by `words_ptr`); `T::Word` is `u64` or
         // `i64` (`WordValue` is sealed), which share the storage words'
-        // layout and accept every bit pattern; the contract restricts
-        // windows to data no thread writes during the launch, so no
-        // concurrent writer exists.
+        // layout and accept every bit pattern; the window borrows `self`,
+        // so this simulated thread cannot write through the context while
+        // it lives, and no other simulated thread runs meanwhile.
         Some(unsafe { std::slice::from_raw_parts(words.cast::<T::Word>(), len) })
     }
 
     fn load_rng(&mut self, states: impl AsBuf<u64>, slot: usize) -> XorWow {
         let (id, _) = states.id_len();
         let w = self.mem.words_ptr(id, slot * 3, 3);
-        // SAFETY: in-bounds (checked by `words_ptr`); each thread owns its
-        // own 3-word RNG slot for the duration of the launch.
+        // SAFETY: in-bounds (checked by `words_ptr`); plain word reads with
+        // no other access live (see `words_ptr`).
         let words = unsafe { [*w, *w.add(1), *w.add(2)] };
         XorWow::unpack(words)
     }
@@ -661,6 +634,7 @@ impl DeviceCtx for NativeCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Kernel exercising every value-bearing access path: RNG-driven
     /// arithmetic, slices, copies, constants, textures, both atomics.
@@ -730,17 +704,10 @@ mod tests {
         (gpu.d2h(data), gpu.d2h(mins), gpu.d2h(sums))
     }
 
-    fn native_with_threads(threads: usize) -> NativeGpu {
-        NativeGpu::new(DeviceSpec { native_threads: threads, ..DeviceSpec::gt560m() })
-    }
-
     #[test]
     fn native_matches_sim_bit_for_bit() {
         let baseline = drive(&mut Gpu::new(DeviceSpec::gt560m()));
-        for threads in [1usize, 3] {
-            let got = drive(&mut native_with_threads(threads));
-            assert_eq!(got, baseline, "native(threads={threads}) diverged from sim");
-        }
+        assert_eq!(drive(&mut NativeGpu::new(DeviceSpec::gt560m())), baseline);
     }
 
     /// Native has no profiler, so no modeled time to report.
@@ -759,12 +726,9 @@ mod tests {
         assert!(profiler.total_seconds() > 0.0);
     }
 
-    /// Records which host thread ran each block. With `meet` set, blocks 0
-    /// and 1 wait for each other, so they can only finish on two distinct
-    /// threads.
+    /// Records which host thread ran each block, and in which order.
     struct WhoRan {
-        threads: Mutex<Vec<std::thread::ThreadId>>,
-        meet: Option<std::sync::Barrier>,
+        ran: Mutex<Vec<(usize, std::thread::ThreadId)>>,
     }
 
     impl Kernel for WhoRan {
@@ -775,42 +739,26 @@ mod tests {
         }
         fn make_shared(&self, _b: usize) {}
         fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-            if ctx.thread_idx() != 0 {
-                return;
-            }
-            self.threads.lock().expect("recorder poisoned").push(std::thread::current().id());
-            if let Some(meet) = self.meet.as_ref().filter(|_| ctx.block_idx() < 2) {
-                meet.wait();
+            if ctx.thread_idx() == 0 {
+                let me = (ctx.block_idx(), std::thread::current().id());
+                self.ran.lock().expect("recorder poisoned").push(me);
             }
         }
     }
 
     #[test]
-    fn sim_stays_on_the_caller_and_native_uses_its_pool() {
-        let spec = DeviceSpec { native_threads: 4, ..DeviceSpec::gt560m() };
+    fn both_backends_run_blocks_in_order_on_the_calling_thread() {
         let cfg = LaunchConfig::linear(8, 4);
-
-        let on_sim = WhoRan { threads: Mutex::new(Vec::new()), meet: None };
-        Gpu::new(spec.clone()).launch(&on_sim, cfg, &[]).unwrap();
         let caller = std::thread::current().id();
-        assert_eq!(on_sim.threads.into_inner().unwrap(), vec![caller; 8]);
+        let in_order: Vec<_> = (0..8).map(|b| (b, caller)).collect();
 
-        // Launched from a helper thread so that a native backend running
-        // blocks 0 and 1 on one thread fails the test instead of hanging it.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let launcher = std::thread::spawn(move || {
-            let on_native =
-                WhoRan { threads: Mutex::new(Vec::new()), meet: Some(std::sync::Barrier::new(2)) };
-            NativeGpu::new(spec).launch_kernel(&on_native, cfg, &[]).unwrap();
-            tx.send(on_native.threads.into_inner().unwrap()).unwrap();
-        });
-        let ran = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("blocks 0 and 1 never met: native ran them on one thread");
-        launcher.join().unwrap();
-        assert_eq!(ran.len(), 8);
-        let distinct: std::collections::HashSet<_> = ran.into_iter().collect();
-        assert!(distinct.len() >= 2, "native ran every block on one thread");
+        let on_sim = WhoRan { ran: Mutex::new(Vec::new()) };
+        Gpu::new(DeviceSpec::gt560m()).launch(&on_sim, cfg, &[]).unwrap();
+        assert_eq!(on_sim.ran.into_inner().unwrap(), in_order, "sim");
+
+        let on_native = WhoRan { ran: Mutex::new(Vec::new()) };
+        NativeGpu::new(DeviceSpec::gt560m()).launch_kernel(&on_native, cfg, &[]).unwrap();
+        assert_eq!(on_native.ran.into_inner().unwrap(), in_order, "native");
     }
 
     /// Every thread folds into two cross-block accumulators: the global
@@ -833,8 +781,8 @@ mod tests {
     }
 
     #[test]
-    fn atomics_merge_exactly_across_parallel_blocks() {
-        let mut native = native_with_threads(4);
+    fn atomics_merge_exactly_across_blocks() {
+        let mut native = NativeGpu::new(DeviceSpec::gt560m());
         let values = ExecBackend::alloc::<i64>(&mut native, 128);
         let host: Vec<i64> = (0..128).map(|i| 1000 - 7 * i as i64).collect();
         native.h2d(values, &host);
@@ -847,7 +795,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn out_of_bounds_panics_propagate_from_worker_threads() {
+    fn out_of_bounds_panics_propagate_to_the_caller() {
         struct Oob;
         impl Kernel for Oob {
             type Shared = ();
@@ -858,14 +806,14 @@ mod tests {
             fn make_shared(&self, _b: usize) {}
             fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
                 let buf = ctx.arg_buf(0);
-                // Only the last block trips the bug, so the panic can
-                // originate on a worker rather than the launching thread.
+                // Only the last block trips the bug, after every other
+                // block has run.
                 if ctx.block_idx() == 3 {
                     let _: i64 = ctx.read(buf, 99);
                 }
             }
         }
-        let mut native = native_with_threads(4);
+        let mut native = NativeGpu::new(DeviceSpec::gt560m());
         let buf = ExecBackend::alloc::<i64>(&mut native, 4);
         let _ = native.launch_kernel(&Oob, LaunchConfig::linear(4, 8), &[buf.erased()]);
     }

@@ -2,9 +2,8 @@
 
 /// Static description of a simulated CUDA device.
 ///
-/// The defaults mirror the paper's evaluation card (GeForce GT 560M); an
-/// alternative preset gives a larger Kepler-class device for scaling
-/// studies. All rates are in SI units (Hz, bytes/second).
+/// The defaults mirror the paper's evaluation card (GeForce GT 560M). All
+/// rates are in SI units (Hz, bytes/second).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name (reports only).
@@ -44,11 +43,6 @@ pub struct DeviceSpec {
     pub transaction_bytes: f64,
     /// Cycles to synchronize a block at a barrier (per phase boundary).
     pub sync_cycles: f64,
-    /// Host threads the native backend ([`crate::backend::NativeGpu`])
-    /// executes the blocks of a launch on (`0` counts as `1`). Results are
-    /// byte-identical at every count (DESIGN.md §11). The simulator
-    /// ignores it: it always runs blocks serially on the calling thread.
-    pub native_threads: usize,
 }
 
 impl DeviceSpec {
@@ -75,32 +69,6 @@ impl DeviceSpec {
             cpi_atomic: 40.0,
             transaction_bytes: 32.0,
             sync_cycles: 64.0,
-            native_threads: 1,
-        }
-    }
-
-    /// A larger desktop Kepler-class device (for scaling ablations).
-    pub fn generic_kepler() -> Self {
-        DeviceSpec {
-            name: "Generic Kepler-class (simulated)".into(),
-            sm_count: 8,
-            warp_size: 32,
-            max_threads_per_block: 1024,
-            max_warps_per_sm: 64,
-            shared_mem_per_block: 48 * 1024,
-            constant_mem_bytes: 64 * 1024,
-            clock_hz: 1.0e9,
-            mem_bandwidth: 190.0e9,
-            pcie_bandwidth: 12.0e9,
-            pcie_latency: 8e-6,
-            launch_overhead: 4e-6,
-            cpi_alu: 1.0,
-            cpi_sfu: 8.0,
-            cpi_shared: 1.0,
-            cpi_atomic: 30.0,
-            transaction_bytes: 32.0,
-            sync_cycles: 48.0,
-            native_threads: 1,
         }
     }
 

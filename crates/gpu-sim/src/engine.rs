@@ -2,9 +2,9 @@
 //! detection, cost aggregation.
 //!
 //! The simulator runs the blocks of a launch serially, in block-index
-//! order, on the calling thread. Its outputs do not depend on that order,
-//! and the native backend, which runs blocks on a pool, relies on this
-//! (DESIGN.md §11). Three mechanisms keep it so:
+//! order, on the calling thread, as the native backend does. Its outputs
+//! would not change under any other block order (DESIGN.md §11). Three
+//! mechanisms keep it so:
 //!
 //! * fault decisions are pre-drawn per launch and derived per simulated
 //!   thread (`(salt, global id)`), so execution order cannot perturb them;
@@ -425,22 +425,17 @@ struct BufSlice {
     len: usize,
 }
 
-/// A launch-scoped view of device memory that many host threads can access
-/// at once. Words are loaded/stored through `AtomicU64` with relaxed
-/// ordering, so even a kernel with a (simulated) data race is defined
-/// behavior on the host — it produces garbage values, never UB. Constant
-/// memory is read-only during a launch and needs no atomicity.
+/// A launch-scoped view of device memory, shared by every simulated thread
+/// of the launch. Words are loaded/stored through `AtomicU64` with relaxed
+/// ordering: that gives the shared view interior mutability word by word,
+/// at the cost of a plain move. Constant memory is read-only during a
+/// launch. The pointers stay valid for the view's lifetime because `new`
+/// takes `&mut MemoryPool`, which prevents any reallocation of the
+/// underlying vectors while the view is alive.
 pub(crate) struct MemView<'a> {
     global: Vec<BufSlice>,
     constant: &'a [Vec<u64>],
 }
-
-// SAFETY: all global-word access goes through atomic loads/stores (see
-// `load`/`store`); the constant regions are shared read-only. The pointers
-// stay valid for the view's lifetime because `new` takes `&mut MemoryPool`,
-// which prevents any reallocation of the underlying vectors while the view
-// is alive.
-unsafe impl Sync for MemView<'_> {}
 
 impl<'a> MemView<'a> {
     pub(crate) fn new(pool: &'a mut MemoryPool) -> MemView<'a> {
@@ -455,8 +450,7 @@ impl<'a> MemView<'a> {
         let b = &self.global[buf];
         assert!(idx < b.len, "global memory access out of bounds: buffer {buf} has {} elements, index {idx}", b.len);
         // SAFETY: in-bounds (asserted), aligned (`Vec<u64>` storage), and
-        // `u64`/`AtomicU64` share layout; atomicity makes concurrent access
-        // defined.
+        // `u64`/`AtomicU64` share layout.
         unsafe { &*(b.ptr.add(idx) as *const AtomicU64) }
     }
 
@@ -473,13 +467,9 @@ impl<'a> MemView<'a> {
     /// Raw pointer to a bounds-checked window of global words — the native
     /// backend's vectorizable bulk path (atomic loads cannot auto-vectorize).
     ///
-    /// Reading or writing through the pointer while another host thread
-    /// touches the same *words* is a data race in the Rust sense. The
-    /// native backend only accepts kernels whose cross-backend parity runs
-    /// clean under the simulator's race detector (races are a sim-detected,
-    /// sim-only concern), and simulated threads own disjoint rows by
-    /// construction, so the plain accesses never overlap a concurrent
-    /// writer in practice.
+    /// Plain access through the pointer is sound because simulated threads
+    /// run one at a time on the launching thread: while the current thread
+    /// holds a slice built from it, no other access to those words runs.
     #[inline]
     pub(crate) fn words_ptr(&self, buf: usize, start: usize, len: usize) -> *mut u64 {
         let b = &self.global[buf];
@@ -1264,7 +1254,7 @@ impl Gpu {
 
         // Merge block outcomes in block-index order: cost totals, warp
         // costs, staged atomics, fault counters. Atomics apply only after
-        // every block has run, exactly as on the native backend's pool.
+        // every block has run, exactly as on the native backend.
         let mut per_block_warp_costs = Vec::with_capacity(grid_dim);
         let mut total_cost = CostCounter::default();
         let mut bit_flips = 0u64;

@@ -38,8 +38,8 @@
 //! either execution backend ([`backend::ExecBackend`]): the simulator
 //! ([`Gpu`]), the semantic referee, or the native host backend
 //! ([`backend::NativeGpu`]), the speed path, which executes the same kernel
-//! bodies on [`DeviceSpec::native_threads`] host threads with no simulation
-//! overhead and byte-identical results (DESIGN.md §11, §16).
+//! bodies in the same serial block order with no simulation overhead and
+//! byte-identical results (DESIGN.md §11, §16).
 //!
 //! ```
 //! use cuda_sim::{DeviceCtx, DeviceSpec, Gpu, Kernel, LaunchConfig};
@@ -76,7 +76,6 @@
 pub mod backend;
 pub mod cost;
 pub mod device;
-pub mod dispatch;
 pub mod engine;
 pub mod fault;
 pub mod grid;
@@ -91,7 +90,6 @@ pub mod telemetry;
 pub use backend::{Backend, ExecBackend, NativeCtx, NativeGpu};
 pub use cost::{CostCounter, KernelTiming};
 pub use device::DeviceSpec;
-pub use dispatch::SIM_THREADS_ENV;
 pub use engine::{DeviceCtx, Gpu, Kernel, LaunchError, LaunchStats, ThreadCtx};
 pub use fault::{FaultPlan, FaultStats};
 pub use grid::{Dim3, LaunchConfig};
@@ -104,3 +102,11 @@ pub use profiler::{
 pub use rng::XorWow;
 pub use scratch::ScratchArena;
 pub use telemetry::{TelemetryConfig, TelemetryRing, TELEMETRY_LANES};
+
+/// Name of the environment variable that used to set the simulator's host
+/// thread count. Nothing reads it: both backends run a launch's blocks
+/// serially. The constant stays exported only because the end-to-end
+/// benchmark (`benchmark/src/main.rs`) names it when it clears the variable
+/// for its workload processes; it goes in the next change that edits the
+/// benchmark.
+pub const SIM_THREADS_ENV: &str = "CDD_SIM_THREADS";

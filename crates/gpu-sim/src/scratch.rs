@@ -8,12 +8,11 @@
 //! resized once and then reused — a generation performs zero heap
 //! allocation in steady state.
 //!
-//! The arena is shared by the host threads of the native backend's block
-//! dispatcher (`&self` access from many threads), so each slot carries an
-//! occupancy flag: the dispatcher guarantees a given simulated thread (and
-//! block) is executed by exactly one host thread, and the flag turns any
-//! violation of that guarantee into a panic instead of silent data
-//! corruption.
+//! Both backends run one simulated thread at a time, but kernels that own
+//! an arena stay `Sync`, so a caller may share one across host threads.
+//! Each slot therefore carries an occupancy flag: a borrow of a slot that
+//! is already borrowed, from another host thread or re-entrantly, panics
+//! instead of aliasing the slot's contents.
 
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -57,13 +56,12 @@ impl<T> ScratchArena<T> {
     /// Run `f` with exclusive access to slot `idx`. Slot contents persist
     /// across calls (that is the point: reuse, not reinitialization), so
     /// `f` must not assume a fresh value. Panics if the slot is already
-    /// borrowed — which would mean two host threads are executing the same
-    /// simulated thread, a dispatcher bug.
+    /// borrowed.
     pub fn with_slot<R>(&self, idx: usize, f: impl FnOnce(&mut T) -> R) -> R {
         let slot = &self.slots[idx];
         assert!(
             !slot.busy.swap(true, Ordering::Acquire),
-            "scratch slot {idx} borrowed concurrently (one simulated thread on two host threads)"
+            "scratch slot {idx} borrowed concurrently"
         );
         struct Release<'a>(&'a AtomicBool);
         impl Drop for Release<'_> {

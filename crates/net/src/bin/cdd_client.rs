@@ -22,6 +22,9 @@
 //! `--fleet-metrics-out` asks the peer for a full registry snapshot
 //! (fleet-merged when the peer is a router) and renders it as Prometheus
 //! text — both before any `--shutdown` frame is sent.
+//!
+//! Any flag outside the block above is refused with the usage line and
+//! exit status 2, before the client connects.
 
 use cdd_bench::workload;
 use cdd_bench::{results_dir, Args};
@@ -32,8 +35,14 @@ use cdd_net::client::{
 use cdd_metrics::fleet_trace;
 use std::path::PathBuf;
 
+/// Every flag `cdd-client` reads.
+const FLAGS: &[&str] = &[
+    "addr", "workload", "connections", "window", "secret", "out", "trace", "trace-out",
+    "fleet-metrics-out", "shutdown",
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known("cdd-client", FLAGS);
     let addr = args.get("addr").expect("--addr host:port is required").to_string();
     let workload_path = args
         .get("workload")

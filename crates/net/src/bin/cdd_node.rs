@@ -11,7 +11,9 @@
 //!
 //! Prints `cdd-node listening on <addr>` once bound (scripts parse this
 //! line to discover a port-0 assignment), serves until a `Shutdown`
-//! frame, drains, then writes metrics and a one-line summary.
+//! frame, drains, then writes metrics and a one-line summary. Any flag
+//! outside the block above is refused with the usage line and exit
+//! status 2, before the listener binds.
 
 use cdd_bench::{results_dir, Args};
 use cdd_net::node::{serve, NodeConfig};
@@ -19,14 +21,20 @@ use cdd_service::{Backend, ServiceConfig};
 use std::io::Write as _;
 use std::path::PathBuf;
 
+/// Every flag `cdd-node` reads.
+const FLAGS: &[&str] = &[
+    "addr", "backend", "devices", "blocks", "block-size", "queue", "cache", "rate", "burst",
+    "secret", "metrics-out", "label", "slow-log", "slow-threshold-ms",
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known("cdd-node", FLAGS);
     let config = NodeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:0").to_string(),
         service: ServiceConfig {
             // Native execution skips the modeled clock and fault machinery;
-            // requests that need sim-only features (fault plans, telemetry,
-            // traces) are rejected per-request by the service.
+            // the service routes requests that need sim-only features
+            // (fault plans, telemetry, traces) to the simulator instead.
             backend: args
                 .get("backend")
                 .map(|s| s.parse::<Backend>().expect("--backend: `sim` or `native`"))

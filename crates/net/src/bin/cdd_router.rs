@@ -10,14 +10,22 @@
 //!
 //! Prints `cdd-router listening on <addr>` once bound. A client
 //! `Shutdown` frame drains the upstreams too unless
-//! `--no-forward-shutdown` is given.
+//! `--no-forward-shutdown` is given. Any flag outside the block above is
+//! refused with the usage line and exit status 2, before the listener
+//! binds.
 
 use cdd_bench::Args;
 use cdd_net::router::{serve, RouterConfig};
 use std::io::Write as _;
 
+/// Every flag `cdd-router` reads.
+const FLAGS: &[&str] = &[
+    "upstreams", "addr", "secret", "health-interval", "max-attempts", "backoff",
+    "no-forward-shutdown", "metrics-out",
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known("cdd-router", FLAGS);
     let upstreams: Vec<String> = args
         .get("upstreams")
         .expect("--upstreams host:port[,host:port...] is required")

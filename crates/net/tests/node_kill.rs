@@ -1,15 +1,18 @@
-//! Process-level chaos test (satellite 3): boot two real `cdd-node`
-//! processes and a real `cdd-router` process, drive a workload through
-//! the socket, `kill(9)` one node mid-campaign, restart it, and assert
-//! that (a) the router re-routes, (b) no request is stranded, and (c)
-//! the sorted outcome set byte-matches the no-chaos baseline.
+//! Process-level tests of the real binaries. The chaos test boots two
+//! `cdd-node` processes and a `cdd-router` process, drives a workload
+//! through the socket, `kill(9)`s one node mid-campaign, restarts it, and
+//! asserts that (a) the router re-routes, (b) no request is stranded, and
+//! (c) the sorted outcome set byte-matches the no-chaos baseline. The
+//! flag test asserts that `cdd-node`, `cdd-router` and `cdd-client` refuse
+//! a misspelt flag before they bind or connect.
 
 use cdd_bench::workload::{generate_mixed_tenants, save, WorkloadEntry};
 use cdd_net::auth::DEFAULT_SECRET;
 use cdd_net::client::{self, run_workload, sorted_outcome_csv};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Kill the child on drop so a failing assert never leaks processes.
 struct Reaped(Child);
@@ -131,5 +134,79 @@ fn killing_a_node_mid_campaign_loses_nothing_and_changes_nothing() {
     client::shutdown(&addr).expect("fleet shutdown");
     drop(router);
     drop(nodes);
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Run `bin` with `args` and give it `limit` to exit on its own. Returns
+/// its exit code (`None` if it was still running and got killed) and its
+/// stdout and stderr.
+fn run_to_exit(bin: &str, args: &[&str], limit: Duration) -> (Option<i32>, String, String) {
+    let mut child = Command::new(bin)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+    let started = Instant::now();
+    let code = loop {
+        if let Some(status) = child.try_wait().expect("poll child") {
+            break status.code();
+        }
+        if started.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let (mut stdout, mut stderr) = (String::new(), String::new());
+    child.stdout.take().expect("piped stdout").read_to_string(&mut stdout).expect("stdout");
+    child.stderr.take().expect("piped stderr").read_to_string(&mut stderr).expect("stderr");
+    (code, stdout, stderr)
+}
+
+#[test]
+fn misspelt_flags_are_refused_before_binding_or_connecting() {
+    // The router's upstream and the client's peer: a process that got past
+    // its flag check would connect here.
+    let lure = TcpListener::bind("127.0.0.1:0").expect("bind lure");
+    lure.set_nonblocking(true).expect("non-blocking lure");
+    let lure_addr = lure.local_addr().expect("lure address").to_string();
+    let scratch = std::env::temp_dir().join(format!("cdd-net-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    let workload = scratch.join("workload.txt");
+    save(&workload, &generate_mixed_tenants(2, 2016, 20, &[10], 1)).expect("save workload");
+    let workload = workload.to_str().expect("utf-8 path");
+
+    let cases: [(&str, Vec<&str>, &str); 3] = [
+        (
+            env!("CARGO_BIN_EXE_cdd-node"),
+            vec!["--addr", "127.0.0.1:0", "--backnd", "native"],
+            "--backnd",
+        ),
+        (
+            env!("CARGO_BIN_EXE_cdd-router"),
+            vec!["--upstreams", &lure_addr, "--addr", "127.0.0.1:0", "--helth-interval", "50"],
+            "--helth-interval",
+        ),
+        (
+            env!("CARGO_BIN_EXE_cdd-client"),
+            vec!["--addr", &lure_addr, "--workload", workload, "--conections", "2"],
+            "--conections",
+        ),
+    ];
+    for (bin, args, typo) in cases {
+        let (code, stdout, stderr) = run_to_exit(bin, &args, Duration::from_secs(20));
+        assert_eq!(code, Some(2), "{bin} {args:?}: stdout {stdout:?}, stderr {stderr:?}");
+        assert!(!stdout.contains("listening on"), "{bin} bound before refusing: {stdout:?}");
+        assert!(
+            stderr.contains(typo) && stderr.contains("usage:"),
+            "{bin} must name {typo} and print its usage: {stderr:?}"
+        );
+    }
+    assert!(
+        matches!(lure.accept(), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "a binary connected before refusing its flags"
+    );
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -51,10 +51,9 @@
 //! anomaly counters, and a captured trace gains per-request best-so-far
 //! counter tracks. Sampling never changes a result (DESIGN.md §10).
 //!
-//! A simulated device runs the blocks of each launch serially; a native
-//! device runs them on `DeviceSpec::native_threads` host threads, which
-//! `cdd-serve` leaves at its default of 1. Results are byte-identical
-//! either way (DESIGN.md §11).
+//! Both backends run the blocks of each launch serially on the device's
+//! worker thread; host parallelism comes from `--devices`, one worker
+//! thread per device (DESIGN.md §11).
 //!
 //! Latency percentiles come from the service's own metrics registry
 //! (`timing_request_wall_ms`, exact nearest-rank quantiles over every
@@ -191,20 +190,8 @@ const FLAGS: &[&str] = &[
     "trace-jsonl",
 ];
 
-/// The usage line printed when a flag is refused: every known flag.
-fn usage() -> String {
-    let flags: Vec<String> = FLAGS.iter().map(|f| format!("[--{f}]")).collect();
-    format!("usage: cdd-serve {}", flags.join(" "))
-}
-
 fn main() {
-    let args = Args::parse();
-    let unknown = args.unknown(FLAGS);
-    if !unknown.is_empty() {
-        let named: Vec<String> = unknown.iter().map(|f| format!("--{f}")).collect();
-        eprintln!("cdd-serve: unknown flag(s): {}\n{}", named.join(" "), usage());
-        std::process::exit(2);
-    }
+    let args = Args::parse_known("cdd-serve", FLAGS);
     let seed = args.get_or("seed", 2016u64);
     let entries = match args.get("workload") {
         Some(path) => load(Path::new(path)).expect("workload file readable"),
@@ -242,11 +229,10 @@ fn main() {
     // only enabled when a trace output was actually requested.
     let capture_trace = args.get("trace-out").is_some() || args.get("trace-jsonl").is_some();
 
-    // --backend native runs kernels directly on host threads (no modeled
-    // clock, no fault machinery); sim-only requests (fault plans,
-    // telemetry, traces) are rejected by the service rather than silently
-    // degraded, so pairing native with --chaos/--trace-out is an error the
-    // caller sees per-request.
+    // --backend native runs kernels directly on the host (no modeled
+    // clock, no fault machinery); the service routes sim-only requests
+    // (fault plans, telemetry, traces) to the simulator instead, so
+    // pairing native with --chaos/--trace-out still answers every request.
     let backend: Backend = args
         .get("backend")
         .map(|s| s.parse().expect("--backend: `sim` or `native`"))
@@ -463,8 +449,9 @@ mod tests {
             "7".into(),
         ]);
         assert_eq!(a.unknown(FLAGS), vec![window, resync, threads, eval]);
-        assert!(!usage().contains(&format!("[--{window}]")));
-        assert!(!usage().contains(threads));
+        let usage = cdd_bench::cli::usage("cdd-serve", FLAGS);
+        assert!(!usage.contains(&format!("[--{window}]")));
+        assert!(!usage.contains(threads));
     }
 
     #[test]
