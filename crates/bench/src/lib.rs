@@ -25,6 +25,8 @@
 //! reduced campaign (small sizes, few instances) sized for a laptop, and
 //! `--full` switches to the paper's complete suite.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod cli;
 pub mod convergence;

@@ -43,6 +43,8 @@
 //! assert_eq!(sol.objective, 81); // the paper's worked result
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod cdd_optimal;
 pub mod error;
 pub mod eval;

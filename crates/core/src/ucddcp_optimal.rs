@@ -101,6 +101,7 @@ pub fn ucddcp_objective_raw<J: Copy + Into<u64>>(
         let mut tau = n;
         let mut pe = pe0;
         let mut pl: Time = 0;
+        #[allow(unsafe_code)]
         while tau >= 1 {
             // SAFETY: `tau - 1 < n = seq.len()` and every id in `seq` was
             // validated above against the shortest array (so the cast to
@@ -135,6 +136,7 @@ pub fn ucddcp_objective_raw<J: Copy + Into<u64>>(
         let j = job.into() as usize;
         // SAFETY: every id in `seq` was validated above against the
         // shortest of the five arrays.
+        #[allow(unsafe_code)]
         unsafe {
             let pj = *p.get_unchecked(j);
             let x = pj - *m.get_unchecked(j);

@@ -9,8 +9,8 @@ use crate::init::{initial_ensemble, InitStrategy};
 use crate::kernels::{DpsoProbe, DpsoUpdateKernel, FitnessKernel, GbestCopyKernel, PbestKernel};
 use crate::layout::ProblemDevice;
 use crate::recovery::{
-    launch_with_retry, merge_faults, run_with_recovery, suite_device_error, verified_best,
-    RecoveryPolicy, RecoveryStats,
+    launch_with_retry, run_with_recovery, suite_device_error, verified_best, RecoveryPolicy,
+    RecoveryStats,
 };
 use crate::sa_pipeline::{check_argmin_domain, check_native_capabilities, GpuRunResult};
 use crate::trajectory::ConvergenceTrace;
@@ -254,7 +254,7 @@ fn dpso_attempt<B: ExecBackend>(
         verified_best(&mut gpu, pbest, n, ensemble, winner, claimed, evaluator, stats)
     })();
 
-    merge_faults(&mut stats.faults, gpu.fault_stats());
+    stats.faults += gpu.fault_stats();
     let (best, objective) = outcome?;
     let convergence = ring.map(|r| {
         ConvergenceTrace::from_ring("dpso", params.telemetry.stride, 1, &sample_headers, &r, &gpu)

@@ -36,6 +36,8 @@
 //! assert!(result.modeled_seconds > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dpso_pipeline;
 pub mod init;
 pub mod kernels;

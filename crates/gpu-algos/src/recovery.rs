@@ -74,15 +74,6 @@ pub fn suite_device_error(e: &LaunchError) -> SuiteError {
     }
 }
 
-/// Accumulate per-attempt fault counters into the run-level stats.
-pub(crate) fn merge_faults(into: &mut FaultStats, f: FaultStats) {
-    into.launches_attempted += f.launches_attempted;
-    into.transient_launch_failures += f.transient_launch_failures;
-    into.bit_flips += f.bit_flips;
-    into.hung_kernels += f.hung_kernels;
-    into.worker_crashes += f.worker_crashes;
-}
-
 /// Launch `kernel`, retrying transient failures up to the policy's bound.
 pub fn launch_with_retry<B: ExecBackend, K: Kernel>(
     gpu: &mut B,

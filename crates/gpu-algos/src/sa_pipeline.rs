@@ -16,8 +16,8 @@ use crate::kernels::fitness::CORRUPT_ENERGY;
 use crate::kernels::{AcceptKernel, FitnessKernel, PerturbKernel, SaProbe};
 use crate::layout::ProblemDevice;
 use crate::recovery::{
-    launch_with_retry, merge_faults, run_with_recovery, suite_device_error, verified_best,
-    RecoveryPolicy, RecoveryStats,
+    launch_with_retry, run_with_recovery, suite_device_error, verified_best, RecoveryPolicy,
+    RecoveryStats,
 };
 use crate::trajectory::ConvergenceTrace;
 use cdd_core::eval::{evaluator_for, SequenceEvaluator};
@@ -383,7 +383,7 @@ fn sa_attempt<B: ExecBackend>(
         verified_best(&mut gpu, best_rows, n, ensemble, winner, claimed, evaluator, stats)
     })();
 
-    merge_faults(&mut stats.faults, gpu.fault_stats());
+    stats.faults += gpu.fault_stats();
     let (best, objective) = outcome?;
     let convergence = ring.map(|r| {
         ConvergenceTrace::from_ring("sa", params.telemetry.stride, 1, &sample_headers, &r, &gpu)

@@ -18,8 +18,7 @@ use crate::init::initial_ensemble;
 use crate::kernels::{AcceptKernel, FitnessKernel, PerturbKernel, SaProbe};
 use crate::layout::ProblemDevice;
 use crate::recovery::{
-    launch_with_retry, merge_faults, run_with_recovery, suite_device_error, verified_best,
-    RecoveryStats,
+    launch_with_retry, run_with_recovery, suite_device_error, verified_best, RecoveryStats,
 };
 use crate::sa_pipeline::{
     check_argmin_domain, check_native_capabilities, cpu_fallback_sa, GpuRunResult, GpuSaParams,
@@ -253,7 +252,7 @@ fn sync_attempt<B: ExecBackend>(
         verified_best(&mut gpu, best_rows, n, ensemble, winner, claimed, evaluator, stats)
     })();
 
-    merge_faults(&mut stats.faults, gpu.fault_stats());
+    stats.faults += gpu.fault_stats();
     let (best, objective) = outcome?;
     let convergence = ring.map(|r| {
         ConvergenceTrace::from_ring(

@@ -1,11 +1,11 @@
 //! The determinism contract of block dispatch (DESIGN.md §11).
 //!
 //! Both backends run every launch's blocks serially, in block-index
-//! order, on the calling thread, so each has exactly one thread count. Every
-//! observable output of a pipeline run — the winning sequence, the
-//! objective, the modeled clocks bit-for-bit, the launch and evaluation
-//! counts, the fault-recovery statistics, and the decoded convergence
-//! telemetry — must be byte-identical when the run is repeated. The
+//! order, on the calling thread. Every observable output of a pipeline
+//! run — the winning sequence, the objective, the modeled clocks
+//! bit-for-bit, the launch and evaluation counts, the fault-recovery
+//! statistics, and the decoded convergence telemetry — must be
+//! byte-identical when the run is repeated. The
 //! golden-value test additionally pins today's engine to the pre-parallel
 //! (serial-only) engine: the numbers below were captured from the commit
 //! before the dispatch rewrite, and must hold in debug and release builds.
@@ -69,10 +69,9 @@ fn dpso_params() -> GpuDpsoParams {
     }
 }
 
-/// The serial simulator is the only thread count: a repeated SA run is
-/// byte-identical, convergence telemetry included.
+/// A repeated SA run is byte-identical, convergence telemetry included.
 #[test]
-fn sa_is_byte_identical_at_every_thread_count() {
+fn sa_repeats_byte_identically() {
     let inst = Instance::paper_example_cdd();
     let baseline = Observed::of(&run_gpu_sa(&inst, &sa_params()).unwrap());
     assert!(baseline.convergence.is_some(), "telemetry must be on for this test to bite");
@@ -82,7 +81,7 @@ fn sa_is_byte_identical_at_every_thread_count() {
 
 /// As above, for DPSO.
 #[test]
-fn dpso_is_byte_identical_at_every_thread_count() {
+fn dpso_repeats_byte_identically() {
     let inst = Instance::paper_example_cdd();
     let baseline = Observed::of(&run_gpu_dpso(&inst, &dpso_params()).unwrap());
     assert!(baseline.convergence.is_some(), "telemetry must be on for this test to bite");
@@ -128,7 +127,7 @@ fn results_match_the_pre_parallel_engine_golden_values() {
 /// are pre-drawn per launch — is deterministic: the same plan produces the
 /// same recovery story and the same final answer on a repeated run.
 #[test]
-fn faulted_runs_are_thread_count_invariant() {
+fn faulted_runs_repeat_byte_identically() {
     let inst = Instance::paper_example_cdd();
     let plan = FaultPlan::with_rates(9, 0.05, 0.02, 0.02);
 

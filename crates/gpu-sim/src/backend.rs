@@ -21,23 +21,20 @@
 //! seeds and launch sequence, both backends leave bit-identical values in
 //! device memory. That holds by construction because (a) kernels execute
 //! the exact same `phase` code through [`DeviceCtx`], (b) XORWOW streams
-//! are device-resident data, and (c) both backends stage atomics per block
-//! and merge them in block-index order through the *same* [`AtomicStage`]
-//! type. What the native backend does not have: a profiler
+//! are device-resident data, and (c) every access, atomics included, goes
+//! to the *same* `MemoryPool` methods, in place and in the same serial
+//! block and thread order. What the native backend does not have: a profiler
 //! ([`ExecBackend::sim_profiler`] is `None`, so there are no modeled
 //! seconds and no timeline), fault injection and telemetry (sim-only;
 //! installing an active fault plan panics, and the pipelines reject such
 //! requests before any launch).
 
 use crate::device::DeviceSpec;
-use crate::engine::{
-    AsBuf, AtomicOp, AtomicStage, DeviceCtx, Gpu, Kernel, LaunchError, MemView,
-};
+use crate::engine::{AsBuf, DeviceCtx, Gpu, Kernel, LaunchError};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::grid::LaunchConfig;
 use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool, WordValue};
 use crate::profiler::Profiler;
-use crate::rng::XorWow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -146,11 +143,6 @@ pub trait ExecBackend {
     /// Open a named span with key/value metadata on the timeline (no-op on
     /// the native backend).
     fn span_begin_args(&mut self, name: &str, args: Vec<(String, String)>);
-
-    /// Open a named span (no-op on the native backend).
-    fn span_begin(&mut self, name: &str) {
-        self.span_begin_args(name, Vec::new());
-    }
 
     /// Close the innermost open span with this name (no-op on the native
     /// backend).
@@ -265,20 +257,18 @@ fn native_run_block<K: Kernel>(
     grid_dim: usize,
     phases: usize,
     args: &[ErasedBuf],
-    mem: &MemView<'_>,
-) -> AtomicStage {
+    mem: &mut MemoryPool,
+) {
     let mut shared = kernel.make_shared(block_dim);
     let mut states: Vec<K::ThreadState> =
         (0..block_dim).map(|_| K::ThreadState::default()).collect();
-    let mut stage = AtomicStage::default();
     for phase in 0..phases {
         for (thread_idx, state) in states.iter_mut().enumerate() {
             let mut ctx =
-                NativeCtx { thread_idx, block_idx, block_dim, grid_dim, args, mem, stage: &mut stage };
+                NativeCtx { thread_idx, block_idx, block_dim, grid_dim, args, mem: &mut *mem };
             kernel.phase(phase, &mut ctx, &mut shared, state);
         }
     }
-    stage
 }
 
 impl ExecBackend for NativeGpu {
@@ -295,41 +285,27 @@ impl ExecBackend for NativeGpu {
     }
 
     fn alloc<T: DeviceValue>(&mut self, len: usize) -> Buf<T> {
-        Buf::new(self.pool.alloc(len), len)
+        self.pool.alloc(len)
     }
 
     fn alloc_const<T: DeviceValue>(&mut self, data: &[T]) -> Result<ConstBuf<T>, LaunchError> {
-        let requested = data.len() * 8;
-        let available = self.spec.constant_mem_bytes.saturating_sub(self.pool.constant_bytes);
-        if requested > available {
-            return Err(LaunchError::ConstantMemoryExceeded { requested, available });
-        }
-        let words: Vec<u64> = data.iter().map(|v| v.to_bits()).collect();
-        let id = self.pool.alloc_const(words);
-        Ok(ConstBuf::new(id, data.len()))
+        self.pool.alloc_const(data, self.spec.constant_mem_bytes)
     }
 
     fn h2d<T: DeviceValue>(&mut self, buf: Buf<T>, data: &[T]) {
-        assert_eq!(data.len(), buf.len, "h2d length mismatch");
-        for (slot, v) in self.pool.global[buf.id].iter_mut().zip(data) {
-            *slot = v.to_bits();
-        }
+        self.pool.h2d(buf, data);
     }
 
     fn d2h<T: DeviceValue>(&mut self, buf: Buf<T>) -> Vec<T> {
-        self.pool.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect()
+        self.pool.d2h(buf)
     }
 
     fn d2h_range<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, len: usize) -> Vec<T> {
-        assert!(start + len <= buf.len, "d2h_range out of bounds");
-        self.pool.global[buf.id][start..start + len]
-            .iter()
-            .map(|&bits| T::from_bits(bits))
-            .collect()
+        self.pool.d2h_range(buf, start, len)
     }
 
     fn peek<T: DeviceValue>(&self, buf: Buf<T>) -> Vec<T> {
-        self.pool.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect()
+        self.pool.d2h(buf)
     }
 
     fn launch_kernel<K: Kernel>(
@@ -345,20 +321,8 @@ impl ExecBackend for NativeGpu {
         let grid_dim = cfg.num_blocks();
         let phases = kernel.num_phases().max(1);
 
-        // Blocks run in block-index order; their stages are applied after
-        // every block has run, in the same order — the simulator's merge
-        // discipline, through the same `AtomicStage` type, which is what
-        // makes atomics byte-identical across backends.
-        let stages: Vec<AtomicStage> = {
-            let mem = MemView::new(&mut self.pool);
-            (0..grid_dim)
-                .map(|block_idx| {
-                    native_run_block(kernel, block_idx, block_dim, grid_dim, phases, args, &mem)
-                })
-                .collect()
-        };
-        for stage in stages {
-            stage.apply(&mut self.pool);
+        for block_idx in 0..grid_dim {
+            native_run_block(kernel, block_idx, block_dim, grid_dim, phases, args, &mut self.pool);
         }
         self.launches += 1;
         Ok(())
@@ -388,28 +352,18 @@ impl ExecBackend for NativeGpu {
     }
 }
 
-/// The native implementation of the device surface: plain bounds-checked
-/// relaxed-atomic memory access, staged atomics, and nothing else. The
-/// `charge_*` hooks vanish, fault injection is never active, and the
-/// telemetry port degenerates to a plain access.
+/// The native implementation of the device surface: a view over the
+/// device's `MemoryPool`, borrowed for one phase call, with plain
+/// bounds-checked access and nothing else. The `charge_*` hooks vanish,
+/// fault injection is never active, and the telemetry port degenerates to
+/// a plain access.
 pub struct NativeCtx<'a> {
     thread_idx: usize,
     block_idx: usize,
     block_dim: usize,
     grid_dim: usize,
     args: &'a [ErasedBuf],
-    mem: &'a MemView<'a>,
-    stage: &'a mut AtomicStage,
-}
-
-impl NativeCtx<'_> {
-    #[inline]
-    fn check_bounds(&self, id: usize, len: usize, idx: usize) {
-        assert!(
-            idx < len,
-            "global memory access out of bounds: buffer {id} has {len} elements, index {idx}"
-        );
-    }
+    mem: &'a mut MemoryPool,
 }
 
 impl DeviceCtx for NativeCtx<'_> {
@@ -445,58 +399,33 @@ impl DeviceCtx for NativeCtx<'_> {
     #[inline]
     fn read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
         let (id, _) = buf.id_len();
-        T::from_bits(self.mem.load(id, idx))
+        T::from_bits(self.mem.word(id, idx))
     }
 
     #[inline]
     fn write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
         let (id, _) = buf.id_len();
-        self.mem.store(id, idx, value.to_bits());
+        self.mem.set_word(id, idx, value.to_bits());
     }
 
     #[inline]
     fn read_texture<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
-        let (id, _) = buf.id_len();
-        T::from_bits(self.mem.load(id, idx))
-    }
-
-    fn read_texture_slice_into<T: DeviceValue>(
-        &mut self,
-        buf: impl AsBuf<T>,
-        start: usize,
-        dst: &mut [T],
-    ) {
-        let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, dst.len());
-        // SAFETY: in-bounds (checked by `words_ptr`); see `words_ptr` for
-        // why no other access to these words is live.
-        let words = unsafe { std::slice::from_raw_parts(words, dst.len()) };
-        for (d, &w) in dst.iter_mut().zip(words) {
-            *d = T::from_bits(w);
-        }
+        self.read(buf, idx)
     }
 
     #[inline]
     fn read_const<T: DeviceValue>(&mut self, cb: ConstBuf<T>, idx: usize) -> T {
-        assert!(
-            idx < cb.len,
-            "constant memory access out of bounds: region {} has {} elements, index {idx}",
-            cb.id,
-            cb.len
-        );
         T::from_bits(self.mem.const_word(cb.id, idx))
     }
 
     fn atomic_min_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64 {
-        let (id, len) = buf.id_len();
-        self.check_bounds(id, len, idx);
-        self.stage.update(self.mem, id, idx, AtomicOp::Min, value)
+        let (id, _) = buf.id_len();
+        self.mem.atomic_min_i64(id, idx, value)
     }
 
     fn atomic_add_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64 {
-        let (id, len) = buf.id_len();
-        self.check_bounds(id, len, idx);
-        self.stage.update(self.mem, id, idx, AtomicOp::Add, value)
+        let (id, _) = buf.id_len();
+        self.mem.atomic_add_i64(id, idx, value)
     }
 
     fn read_slice_into<T: DeviceValue>(
@@ -507,14 +436,9 @@ impl DeviceCtx for NativeCtx<'_> {
     ) {
         // One bounds check for the whole window, then a plain vectorizable
         // copy loop — this bulk path is where the native backend earns its
-        // wall-clock win over the per-element simulated accesses. See
-        // `MemView::words_ptr` for why plain (non-atomic) access is sound
-        // here.
+        // wall-clock win over the per-element simulated accesses.
         let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, dst.len());
-        // SAFETY: in-bounds (checked by `words_ptr`), and no other access
-        // to these words is live (see `words_ptr`).
-        let words = unsafe { std::slice::from_raw_parts(words, dst.len()) };
+        let words = self.mem.words(id, start, dst.len());
         for (d, &w) in dst.iter_mut().zip(words) {
             *d = T::from_bits(w);
         }
@@ -522,10 +446,7 @@ impl DeviceCtx for NativeCtx<'_> {
 
     fn write_slice<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, start: usize, src: &[T]) {
         let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, src.len());
-        // SAFETY: as in `read_slice_into`.
-        let words = unsafe { std::slice::from_raw_parts_mut(words, src.len()) };
-        for (w, &v) in words.iter_mut().zip(src) {
+        for (w, &v) in self.mem.words_mut(id, start, src.len()).iter_mut().zip(src) {
             *w = v.to_bits();
         }
     }
@@ -540,13 +461,7 @@ impl DeviceCtx for NativeCtx<'_> {
     ) {
         let (sid, _) = src.id_len();
         let (did, _) = dst.id_len();
-        let s = self.mem.words_ptr(sid, src_start, count);
-        let d = self.mem.words_ptr(did, dst_start, count);
-        // SAFETY: both windows are in-bounds (checked by `words_ptr`) and no
-        // other access to them is live (see `words_ptr`); `copy` has memmove
-        // semantics, so self-overlap within the thread's own row (the
-        // simulator's overlap-aware case) is handled too.
-        unsafe { std::ptr::copy(s, d, count) };
+        self.mem.copy_words(sid, src_start, did, dst_start, count);
     }
 
     fn cooperative_read<T: DeviceValue>(
@@ -555,14 +470,7 @@ impl DeviceCtx for NativeCtx<'_> {
         start: usize,
         dst: &mut [T],
     ) {
-        let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, dst.len());
-        // SAFETY: in-bounds (checked by `words_ptr`); staged arrays are
-        // read-only during the launch.
-        let words = unsafe { std::slice::from_raw_parts(words, dst.len()) };
-        for (d, &w) in dst.iter_mut().zip(words) {
-            *d = T::from_bits(w);
-        }
+        self.read_slice_into(buf, start, dst);
     }
 
     #[inline]
@@ -573,34 +481,13 @@ impl DeviceCtx for NativeCtx<'_> {
         len: usize,
     ) -> Option<&[T::Word]> {
         let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, len);
-        // SAFETY: in-bounds (checked by `words_ptr`); `T::Word` is `u64` or
-        // `i64` (`WordValue` is sealed), which share the storage words'
-        // layout and accept every bit pattern; the window borrows `self`,
-        // so this simulated thread cannot write through the context while
-        // it lives, and no other simulated thread runs meanwhile.
-        Some(unsafe { std::slice::from_raw_parts(words.cast::<T::Word>(), len) })
-    }
-
-    fn load_rng(&mut self, states: impl AsBuf<u64>, slot: usize) -> XorWow {
-        let (id, _) = states.id_len();
-        let w = self.mem.words_ptr(id, slot * 3, 3);
-        // SAFETY: in-bounds (checked by `words_ptr`); plain word reads with
-        // no other access live (see `words_ptr`).
-        let words = unsafe { [*w, *w.add(1), *w.add(2)] };
-        XorWow::unpack(words)
-    }
-
-    fn store_rng(&mut self, states: impl AsBuf<u64>, slot: usize, rng: &XorWow) {
-        let (id, _) = states.id_len();
-        let w = self.mem.words_ptr(id, slot * 3, 3);
-        let words = rng.pack();
-        // SAFETY: as in `load_rng`.
-        unsafe {
-            *w = words[0];
-            *w.add(1) = words[1];
-            *w.add(2) = words[2];
-        }
+        let words = self.mem.words(id, start, len);
+        // SAFETY: `T::Word` is `u64` or `i64` (`WordValue` is sealed), which
+        // share `u64`'s size, alignment and validity (every bit pattern is a
+        // value), so the cast only relabels the words; the result keeps
+        // `words`' length and its borrow of the pool.
+        #[allow(unsafe_code)]
+        Some(unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<T::Word>(), len) })
     }
 
     #[inline]
@@ -616,18 +503,13 @@ impl DeviceCtx for NativeCtx<'_> {
     fn charge_shared(&mut self, _n: u64) {}
 
     #[inline]
-    fn charge_bank_conflicts(&mut self, _n: u64) {}
-
-    #[inline]
     fn telemetry_read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
-        let (id, _) = buf.id_len();
-        T::from_bits(self.mem.load(id, idx))
+        self.read(buf, idx)
     }
 
     #[inline]
     fn telemetry_write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
-        let (id, _) = buf.id_len();
-        self.mem.store(id, idx, value.to_bits());
+        self.write(buf, idx, value);
     }
 }
 
@@ -791,6 +673,114 @@ mod tests {
         let args = [values.erased(), out.erased()];
         native.launch_kernel(&MinAndCount, LaunchConfig::linear(4, 32), &args).unwrap();
         assert_eq!(native.d2h(out), vec![*host.iter().min().unwrap(), 128]);
+    }
+
+    /// Every thread folds its value into a running minimum and sum; thread
+    /// 0 of each block records what the two atomics returned to it.
+    struct FoldWitness;
+    impl Kernel for FoldWitness {
+        type Shared = ();
+        type ThreadState = ();
+        fn name(&self) -> &str {
+            "fold_witness"
+        }
+        fn make_shared(&self, _b: usize) {}
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+            let (values, out, seen) = (ctx.arg_buf(0), ctx.arg_buf(1), ctx.arg_buf(2));
+            let v: i64 = ctx.read(values, ctx.global_id());
+            let min = ctx.atomic_min_i64(out, 0, v);
+            let sum = ctx.atomic_add_i64(out, 1, v);
+            if ctx.thread_idx() == 0 {
+                ctx.write(seen, 2 * ctx.block_idx(), min);
+                ctx.write(seen, 2 * ctx.block_idx() + 1, sum);
+            }
+        }
+    }
+
+    /// `(out, seen)` after one `FoldWitness` launch over `host`.
+    fn fold_witness<B: ExecBackend>(gpu: &mut B, host: &[i64], blocks: usize) -> Vec<Vec<i64>> {
+        let values = gpu.alloc::<i64>(host.len());
+        gpu.h2d(values, host);
+        let out = gpu.alloc::<i64>(2);
+        gpu.h2d(out, &[i64::MAX, 0]);
+        let seen = gpu.alloc::<i64>(2 * blocks);
+        let cfg = LaunchConfig::linear(blocks, host.len() / blocks);
+        gpu.launch_kernel(&FoldWitness, cfg, &[values.erased(), out.erased(), seen.erased()])
+            .unwrap();
+        vec![gpu.d2h(out), gpu.d2h(seen)]
+    }
+
+    #[test]
+    fn atomics_apply_in_place_and_return_the_previous_value() {
+        let (blocks, threads) = (4, 8);
+        // Not monotone, so some blocks lower the running minimum and some
+        // leave it.
+        let host: Vec<i64> = (0..blocks * threads).map(|i| (i * 37 % 29) as i64 - 10).collect();
+        let sim = fold_witness(&mut Gpu::new(DeviceSpec::gt560m()), &host, blocks);
+        assert_eq!(fold_witness(&mut NativeGpu::new(DeviceSpec::gt560m()), &host, blocks), sim);
+        let (out, seen) = (&sim[0], &sim[1]);
+        for b in 0..blocks {
+            let before = &host[..b * threads];
+            assert_eq!(seen[2 * b], before.iter().copied().fold(i64::MAX, i64::min), "block {b}");
+            assert_eq!(seen[2 * b + 1], before.iter().sum::<i64>(), "block {b}");
+        }
+        assert_eq!(out, &vec![*host.iter().min().unwrap(), host.iter().sum::<i64>()]);
+    }
+
+    /// Thread 0 copies `count` elements from argument 0 at `src_start` to
+    /// argument 1 at `dst_start`.
+    struct CopyOnce {
+        src_start: usize,
+        dst_start: usize,
+        count: usize,
+    }
+    impl Kernel for CopyOnce {
+        type Shared = ();
+        type ThreadState = ();
+        fn name(&self) -> &str {
+            "copy_once"
+        }
+        fn make_shared(&self, _b: usize) {}
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+            if ctx.global_id() == 0 {
+                let (src, dst) = (ctx.arg_buf(0), ctx.arg_buf(1));
+                ctx.copy_row::<i64>(src, self.src_start, dst, self.dst_start, self.count);
+            }
+        }
+    }
+
+    /// Both buffers after `k` copies from the first into the second, or
+    /// within the first when `same_buffer`.
+    fn copy_once<B: ExecBackend>(gpu: &mut B, k: &CopyOnce, same_buffer: bool) -> Vec<Vec<i64>> {
+        let a = gpu.alloc::<i64>(16);
+        gpu.h2d(a, &(0..16).collect::<Vec<i64>>());
+        let b = gpu.alloc::<i64>(16);
+        gpu.h2d(b, &(100..116).collect::<Vec<i64>>());
+        let dst = if same_buffer { a } else { b };
+        gpu.launch_kernel(k, LaunchConfig::linear(1, 4), &[a.erased(), dst.erased()]).unwrap();
+        vec![gpu.d2h(a), gpu.d2h(b)]
+    }
+
+    #[test]
+    fn copy_row_is_a_memmove_on_both_backends() {
+        // Across buffers, then within one with the destination ahead of and
+        // behind an overlapping source.
+        for (src_start, dst_start, same_buffer) in [(2, 5, false), (2, 5, true), (5, 2, true)] {
+            let count = 6;
+            let mut want: Vec<Vec<i64>> = vec![(0..16).collect(), (100..116).collect()];
+            if same_buffer {
+                want[0].copy_within(src_start..src_start + count, dst_start);
+            } else {
+                let row = want[0][src_start..src_start + count].to_vec();
+                want[1][dst_start..dst_start + count].copy_from_slice(&row);
+            }
+            let k = CopyOnce { src_start, dst_start, count };
+            let case = (src_start, dst_start, same_buffer);
+            let sim = copy_once(&mut Gpu::new(DeviceSpec::gt560m()), &k, same_buffer);
+            assert_eq!(sim, want, "sim {case:?}");
+            let native = copy_once(&mut NativeGpu::new(DeviceSpec::gt560m()), &k, same_buffer);
+            assert_eq!(native, want, "native {case:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! warp_cycles_compute = cpi_alu·alu + cpi_sfu·special
-//!                     + cpi_shared·(shared + bank_conflicts)
+//!                     + cpi_shared·shared
 //!                     + cpi_atomic·atomics
 //! block_compute       = Σ warp_cycles_compute            (one issue port)
 //! block_mem_cycles    = (transactions · transaction_bytes) / bytes_per_SM_cycle
@@ -46,8 +46,6 @@ pub struct CostCounter {
     pub texture_reads: u64,
     /// Shared-memory accesses.
     pub shared_accesses: u64,
-    /// Extra shared cycles lost to bank conflicts.
-    pub bank_conflicts: u64,
     /// Atomic operations (serialized at L2).
     pub atomics: u64,
 }
@@ -62,7 +60,6 @@ impl CostCounter {
             global_transactions: a.global_transactions.max(b.global_transactions),
             texture_reads: a.texture_reads.max(b.texture_reads),
             shared_accesses: a.shared_accesses.max(b.shared_accesses),
-            bank_conflicts: a.bank_conflicts.max(b.bank_conflicts),
             atomics: a.atomics.max(b.atomics),
         }
     }
@@ -74,7 +71,6 @@ impl CostCounter {
         self.global_transactions += other.global_transactions;
         self.texture_reads += other.texture_reads;
         self.shared_accesses += other.shared_accesses;
-        self.bank_conflicts += other.bank_conflicts;
         self.atomics += other.atomics;
     }
 
@@ -82,7 +78,7 @@ impl CostCounter {
     pub fn compute_cycles(&self, spec: &DeviceSpec) -> f64 {
         spec.cpi_alu * self.alu as f64
             + spec.cpi_sfu * self.special as f64
-            + spec.cpi_shared * (self.shared_accesses + self.bank_conflicts) as f64
+            + spec.cpi_shared * self.shared_accesses as f64
             + spec.cpi_atomic * self.atomics as f64
     }
 

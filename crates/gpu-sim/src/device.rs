@@ -34,8 +34,7 @@ pub struct DeviceSpec {
     pub cpi_alu: f64,
     /// Cycles per warp-wide special-function instruction (exp, log, …).
     pub cpi_sfu: f64,
-    /// Cycles per warp-wide shared-memory access (plus one per bank
-    /// conflict).
+    /// Cycles per warp-wide shared-memory access.
     pub cpi_shared: f64,
     /// Cycles per serialized atomic operation (L2 round trip).
     pub cpi_atomic: f64,

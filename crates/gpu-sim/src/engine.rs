@@ -2,16 +2,16 @@
 //! detection, cost aggregation.
 //!
 //! The simulator runs the blocks of a launch serially, in block-index
-//! order, on the calling thread, as the native backend does. Its outputs
-//! would not change under any other block order (DESIGN.md §11). Three
-//! mechanisms keep it so:
+//! order, on the calling thread, as the native backend does. Each thread's
+//! context borrows the device's [`MemoryPool`] for one phase call, so every
+//! access, atomics included, lands in place and in that serial order on
+//! both backends. Two mechanisms keep the simulator's own outputs
+//! independent of that order (DESIGN.md §11):
 //!
 //! * fault decisions are pre-drawn per launch and derived per simulated
 //!   thread (`(salt, global id)`), so execution order cannot perturb them;
-//! * atomics are staged per block and merged in block-index order after
-//!   every block has run, through the `AtomicStage` type native shares;
 //! * the modeled clock is computed from per-block cost counters that are
-//!   also merged in block-index order.
+//!   merged in block-index order.
 
 use crate::cost::{model_kernel_time, CostCounter, KernelTiming};
 use crate::device::DeviceSpec;
@@ -22,7 +22,6 @@ use crate::profiler::{Profiler, TimelineEvent, TransferDir};
 use crate::rng::XorWow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a launch or allocation was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,7 +168,7 @@ impl<T: DeviceValue> AsBuf<T> for ErasedBuf {
 
 /// The device-side surface a kernel thread programs against.
 ///
-/// Every access a kernel can make — global/constant/texture memory, staged
+/// Every access a kernel can make — global/constant/texture memory,
 /// atomics, cooperative staging, cost self-instrumentation, the telemetry
 /// port, RNG state marshalling — goes through this trait, so a kernel body
 /// is executable by any backend that implements it:
@@ -211,22 +210,16 @@ pub trait DeviceCtx {
     /// cached). Semantically identical to [`read`](Self::read); must only be
     /// used for data no kernel writes during the launch.
     fn read_texture<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T;
-    /// Bulk texture-path read (one [`read_texture`](Self::read_texture) per
-    /// element).
-    fn read_texture_slice_into<T: DeviceValue>(
-        &mut self,
-        buf: impl AsBuf<T>,
-        start: usize,
-        dst: &mut [T],
-    );
     /// Read from constant memory (broadcast-cached).
     fn read_const<T: DeviceValue>(&mut self, cb: ConstBuf<T>, idx: usize) -> T;
-    /// `atomicMin` on a signed 64-bit global location. Staged per block and
-    /// merged in block-index order when the launch completes (see
-    /// [`AtomicStage`]): the updated value is visible to *subsequent
-    /// launches*, and the returned "previous value" is block-local.
+    /// `atomicMin` on a signed 64-bit global location. The update applies
+    /// in place, in the serial block and thread order both backends share,
+    /// and the return value is the location's true previous value. A
+    /// kernel must still not read an atomically updated location in the
+    /// same launch: on a GPU, what it would see there depends on block
+    /// scheduling.
     fn atomic_min_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64;
-    /// `atomicAdd` on a signed 64-bit global location. Same staging
+    /// `atomicAdd` (wrapping) on a signed 64-bit global location. Same
     /// semantics as [`atomic_min_i64`](Self::atomic_min_i64).
     fn atomic_add_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64;
     /// Bulk read `dst.len()` consecutive elements starting at `start`.
@@ -261,8 +254,9 @@ pub trait DeviceCtx {
     /// must be charged, race-tracked and fault-filtered, so callers fall
     /// back to [`read_slice_into`](Self::read_slice_into). The native
     /// backend returns a direct view, letting hot kernels skip staging data
-    /// they only read. Like the texture path, a window may only cover data
-    /// **no thread writes during the launch**.
+    /// they only read. The window borrows the context, so no write through
+    /// it can run while the window lives. Like the texture path, a window
+    /// may only cover data **no thread writes during the launch**.
     #[inline]
     fn global_window<T: WordValue>(
         &self,
@@ -284,8 +278,6 @@ pub trait DeviceCtx {
     fn charge_special(&mut self, n: u64);
     /// Charge `n` shared-memory accesses. No-op outside the simulator.
     fn charge_shared(&mut self, n: u64);
-    /// Charge `n` shared-memory bank conflicts. No-op outside the simulator.
-    fn charge_bank_conflicts(&mut self, n: u64);
 
     /// Read one element through the **instrumentation port**: no cost-model
     /// charge, no fault-stream draw, no race tracking. Reserved for
@@ -418,157 +410,6 @@ impl RaceTracker {
     }
 }
 
-/// Raw view of one global buffer: base pointer + element count.
-#[derive(Clone, Copy)]
-struct BufSlice {
-    ptr: *mut u64,
-    len: usize,
-}
-
-/// A launch-scoped view of device memory, shared by every simulated thread
-/// of the launch. Words are loaded/stored through `AtomicU64` with relaxed
-/// ordering: that gives the shared view interior mutability word by word,
-/// at the cost of a plain move. Constant memory is read-only during a
-/// launch. The pointers stay valid for the view's lifetime because `new`
-/// takes `&mut MemoryPool`, which prevents any reallocation of the
-/// underlying vectors while the view is alive.
-pub(crate) struct MemView<'a> {
-    global: Vec<BufSlice>,
-    constant: &'a [Vec<u64>],
-}
-
-impl<'a> MemView<'a> {
-    pub(crate) fn new(pool: &'a mut MemoryPool) -> MemView<'a> {
-        let MemoryPool { global, constant, .. } = pool;
-        let global =
-            global.iter_mut().map(|b| BufSlice { ptr: b.as_mut_ptr(), len: b.len() }).collect();
-        MemView { global, constant }
-    }
-
-    #[inline]
-    fn word(&self, buf: usize, idx: usize) -> &AtomicU64 {
-        let b = &self.global[buf];
-        assert!(idx < b.len, "global memory access out of bounds: buffer {buf} has {} elements, index {idx}", b.len);
-        // SAFETY: in-bounds (asserted), aligned (`Vec<u64>` storage), and
-        // `u64`/`AtomicU64` share layout.
-        unsafe { &*(b.ptr.add(idx) as *const AtomicU64) }
-    }
-
-    #[inline]
-    pub(crate) fn load(&self, buf: usize, idx: usize) -> u64 {
-        self.word(buf, idx).load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub(crate) fn store(&self, buf: usize, idx: usize, bits: u64) {
-        self.word(buf, idx).store(bits, Ordering::Relaxed)
-    }
-
-    /// Raw pointer to a bounds-checked window of global words — the native
-    /// backend's vectorizable bulk path (atomic loads cannot auto-vectorize).
-    ///
-    /// Plain access through the pointer is sound because simulated threads
-    /// run one at a time on the launching thread: while the current thread
-    /// holds a slice built from it, no other access to those words runs.
-    #[inline]
-    pub(crate) fn words_ptr(&self, buf: usize, start: usize, len: usize) -> *mut u64 {
-        let b = &self.global[buf];
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= b.len),
-            "global memory slice out of bounds: buffer {buf} has {} elements, range {start}..+{len}",
-            b.len
-        );
-        // SAFETY: in-bounds (asserted) and aligned (`Vec<u64>` storage).
-        unsafe { b.ptr.add(start) }
-    }
-
-    #[inline]
-    pub(crate) fn const_word(&self, region: usize, idx: usize) -> u64 {
-        self.constant[region][idx]
-    }
-}
-
-/// The two atomic ops the engine models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AtomicOp {
-    Min,
-    Add,
-}
-
-#[derive(Debug)]
-struct StagedAtomic {
-    buf: usize,
-    idx: usize,
-    op: AtomicOp,
-    /// Global value at the block's first touch of this location.
-    snapshot: i64,
-    /// Block-local accumulated value (min over, or snapshot + deltas).
-    value: i64,
-}
-
-/// Per-block atomic accumulator. Atomics do not write global memory during
-/// block execution; each block accumulates into its own stage and the
-/// engine merges the stages **in block-index order** after all blocks have
-/// run ([`AtomicStage::apply`]). The ops the engine models (min, add) are
-/// associative and commutative, so the merged result equals the serial
-/// engine's — and the fixed merge order makes it deterministic by
-/// construction. Consequence (same as real CUDA): a launch must not read a
-/// location another block updates atomically; its post-launch value is only
-/// visible to the *next* launch.
-#[derive(Debug, Default)]
-pub(crate) struct AtomicStage {
-    entries: Vec<StagedAtomic>,
-}
-
-impl AtomicStage {
-    /// Returns the block-local previous value (the global snapshot on first
-    /// touch). Every kernel in this repo discards it; it is *not* the
-    /// serial engine's cross-block old value.
-    pub(crate) fn update(
-        &mut self,
-        mem: &MemView<'_>,
-        buf: usize,
-        idx: usize,
-        op: AtomicOp,
-        v: i64,
-    ) -> i64 {
-        if let Some(e) =
-            self.entries.iter_mut().find(|e| e.buf == buf && e.idx == idx && e.op == op)
-        {
-            let old = e.value;
-            e.value = match op {
-                AtomicOp::Min => e.value.min(v),
-                AtomicOp::Add => e.value + v,
-            };
-            return old;
-        }
-        let snapshot = i64::from_bits(mem.load(buf, idx));
-        let value = match op {
-            AtomicOp::Min => snapshot.min(v),
-            AtomicOp::Add => snapshot + v,
-        };
-        self.entries.push(StagedAtomic { buf, idx, op, snapshot, value });
-        snapshot
-    }
-
-    /// Fold this block's accumulators into global memory (called in
-    /// block-index order).
-    pub(crate) fn apply(self, pool: &mut MemoryPool) {
-        for e in self.entries {
-            let cur = i64::from_bits(pool.global[e.buf][e.idx]);
-            let merged = match e.op {
-                // `value` already includes the snapshot, and min is
-                // idempotent: min(cur, value) folds this block's minimum in.
-                AtomicOp::Min => cur.min(e.value),
-                // Adds fold in this block's *delta* so every block's
-                // contribution counts exactly once.
-                AtomicOp::Add => cur + (e.value - e.snapshot),
-            };
-            pool.global[e.buf][e.idx] = merged.to_bits();
-        }
-    }
-}
-
 /// Everything one block's execution produced, merged by the engine in
 /// block-index order.
 struct BlockOutcome {
@@ -576,17 +417,12 @@ struct BlockOutcome {
     warps: Vec<CostCounter>,
     /// Sum of the block's raw per-thread costs.
     total: CostCounter,
-    /// Staged atomic updates.
-    atomics: AtomicStage,
     /// Bit flips injected into this block's reads.
     bit_flips: u64,
 }
 
-/// Execute one block to completion (all phases, barrier semantics) and
-/// return its outcome. Self-contained: writable state is either
-/// block-local (shared memory, thread states, costs, atomic stage, fault
-/// streams) or reached through [`MemView`], so the outcome does not depend
-/// on which blocks ran before it.
+/// Execute one block to completion (all phases, barrier semantics) against
+/// `mem` and return its costs and injected flips.
 #[allow(clippy::too_many_arguments)]
 fn run_block<K: Kernel>(
     kernel: &K,
@@ -595,7 +431,7 @@ fn run_block<K: Kernel>(
     grid_dim: usize,
     phases: usize,
     args: &[ErasedBuf],
-    mem: &MemView<'_>,
+    mem: &mut MemoryPool,
     warp_size: usize,
     read_cfg: Option<ReadFaultCfg>,
     mut race: Option<&mut RaceTracker>,
@@ -604,7 +440,6 @@ fn run_block<K: Kernel>(
     let mut states: Vec<K::ThreadState> =
         (0..block_dim).map(|_| K::ThreadState::default()).collect();
     let mut costs = vec![CostCounter::default(); block_dim];
-    let mut stage = AtomicStage::default();
     // Each simulated thread's fault stream is derived from the pre-drawn
     // launch salt and its global id — private state, immune to scheduling.
     let mut fault_streams: Vec<Option<ReadFaultStream>> = (0..block_dim)
@@ -622,9 +457,8 @@ fn run_block<K: Kernel>(
                 grid_dim,
                 phase,
                 args,
-                mem,
+                mem: &mut *mem,
                 cost: &mut costs[thread_idx],
-                stage: &mut stage,
                 race: race.as_deref_mut(),
                 fault: fault_streams[thread_idx].as_mut(),
             };
@@ -643,7 +477,7 @@ fn run_block<K: Kernel>(
         total.add(c);
     }
     let bit_flips = fault_streams.iter().flatten().map(|s| s.flips).sum();
-    BlockOutcome { warps, total, atomics: stage, bit_flips }
+    BlockOutcome { warps, total, bit_flips }
 }
 
 /// Per-thread execution context handed to [`Kernel::phase`].
@@ -658,13 +492,17 @@ pub struct ThreadCtx<'a> {
     pub grid_dim: usize,
     phase: usize,
     args: &'a [ErasedBuf],
-    mem: &'a MemView<'a>,
+    mem: &'a mut MemoryPool,
     /// This thread's cost counters (kernels may charge extra work through
     /// the `charge_*` helpers).
     pub cost: &'a mut CostCounter,
-    stage: &'a mut AtomicStage,
     race: Option<&'a mut RaceTracker>,
     fault: Option<&'a mut ReadFaultStream>,
+}
+
+/// Bits of `T` a read-side flip may hit.
+fn bit_width<T>() -> u32 {
+    8 * std::mem::size_of::<T>() as u32
 }
 
 impl ThreadCtx<'_> {
@@ -676,21 +514,43 @@ impl ThreadCtx<'_> {
         }
     }
 
-    #[inline]
-    fn check_bounds(&self, id: usize, len: usize, idx: usize) {
-        assert!(
-            idx < len,
-            "global memory access out of bounds: buffer {id} has {len} elements, index {idx}"
-        );
+    /// Report reads of `len` elements of `buf` from `start` to the race
+    /// detector, if it is on.
+    fn track_reads(&mut self, buf: usize, start: usize, len: usize) {
+        let who = self.who();
+        if let Some(race) = self.race.as_deref_mut() {
+            for i in start..start + len {
+                race.on_read(buf, i, who);
+            }
+        }
     }
 
-    /// Pass a loaded word through the fault layer (possibly flipping a bit
-    /// of its low `width_bits`).
+    /// Load one element through the fault layer (which may flip a bit of
+    /// its low `T`-width bits).
     #[inline]
-    fn observe_read_bits(&mut self, bits: u64, width_bits: u32) -> u64 {
-        match self.fault.as_deref_mut() {
-            Some(f) => f.observe_read(bits, width_bits),
+    fn load<T: DeviceValue>(&mut self, buf: usize, idx: usize) -> T {
+        let bits = self.mem.word(buf, idx);
+        T::from_bits(match self.fault.as_deref_mut() {
+            Some(f) => f.observe_read(bits, bit_width::<T>()),
             None => bits,
+        })
+    }
+
+    /// Load `dst.len()` consecutive elements from `start` through the
+    /// fault layer, one observed read per element, in order.
+    fn load_into<T: DeviceValue>(&mut self, buf: usize, start: usize, dst: &mut [T]) {
+        let words = self.mem.words(buf, start, dst.len());
+        match self.fault.as_deref_mut() {
+            Some(f) => {
+                for (d, &w) in dst.iter_mut().zip(words) {
+                    *d = T::from_bits(f.observe_read(w, bit_width::<T>()));
+                }
+            }
+            None => {
+                for (d, &w) in dst.iter_mut().zip(words) {
+                    *d = T::from_bits(w);
+                }
+            }
         }
     }
 }
@@ -731,31 +591,24 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// Read one element from global memory (counts one transaction).
     #[inline]
     fn read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
-        let (id, len) = buf.id_len();
-        self.check_bounds(id, len, idx);
+        let (id, _) = buf.id_len();
         self.cost.global_transactions += 1;
         self.cost.alu += 1;
-        let who = self.who();
-        if let Some(race) = self.race.as_deref_mut() {
-            race.on_read(id, idx, who);
-        }
-        let bits = self.mem.load(id, idx);
-        let bits = self.observe_read_bits(bits, 8 * std::mem::size_of::<T>() as u32);
-        T::from_bits(bits)
+        self.track_reads(id, idx, 1);
+        self.load(id, idx)
     }
 
     /// Write one element to global memory (counts one transaction).
     #[inline]
     fn write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
-        let (id, len) = buf.id_len();
-        self.check_bounds(id, len, idx);
+        let (id, _) = buf.id_len();
         self.cost.global_transactions += 1;
         self.cost.alu += 1;
         let who = self.who();
         if let Some(race) = self.race.as_deref_mut() {
             race.on_write(id, idx, who);
         }
-        self.mem.store(id, idx, value.to_bits());
+        self.mem.set_word(id, idx, value.to_bits());
     }
 
     /// Read one element through the **texture path** (read-only, spatially
@@ -767,88 +620,34 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// detection still checks this).
     #[inline]
     fn read_texture<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
-        let (id, len) = buf.id_len();
-        self.check_bounds(id, len, idx);
+        let (id, _) = buf.id_len();
         self.cost.texture_reads += 1;
         self.cost.alu += 1;
-        let who = self.who();
-        if let Some(race) = self.race.as_deref_mut() {
-            race.on_read(id, idx, who);
-        }
-        let bits = self.mem.load(id, idx);
-        let bits = self.observe_read_bits(bits, 8 * std::mem::size_of::<T>() as u32);
-        T::from_bits(bits)
-    }
-
-    /// Bulk texture-path read (one [`read_texture`](Self::read_texture) per
-    /// element).
-    fn read_texture_slice_into<T: DeviceValue>(
-        &mut self,
-        buf: impl AsBuf<T>,
-        start: usize,
-        dst: &mut [T],
-    ) {
-        let (id, len) = buf.id_len();
-        assert!(
-            start + dst.len() <= len,
-            "texture slice out of bounds: buffer {id} has {len} elements"
-        );
-        self.cost.texture_reads += dst.len() as u64;
-        self.cost.alu += dst.len() as u64;
-        if self.race.is_some() {
-            let who = self.who();
-            let race = self.race.as_deref_mut().expect("checked above");
-            for i in 0..dst.len() {
-                race.on_read(id, start + i, who);
-            }
-        }
-        let width = 8 * std::mem::size_of::<T>() as u32;
-        match self.fault.as_deref_mut() {
-            Some(f) => {
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(f.observe_read(self.mem.load(id, start + i), width));
-                }
-            }
-            None => {
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(self.mem.load(id, start + i));
-                }
-            }
-        }
+        self.track_reads(id, idx, 1);
+        self.load(id, idx)
     }
 
     /// Read from constant memory (broadcast-cached: ALU cost only).
     #[inline]
     fn read_const<T: DeviceValue>(&mut self, cb: ConstBuf<T>, idx: usize) -> T {
-        assert!(
-            idx < cb.len,
-            "constant memory access out of bounds: region {} has {} elements, index {idx}",
-            cb.id,
-            cb.len
-        );
         self.cost.alu += 1;
         T::from_bits(self.mem.const_word(cb.id, idx))
     }
 
     /// `atomicMin` on a signed 64-bit global location. Atomics never race
-    /// (they serialize at L2) but pay [`DeviceSpec::cpi_atomic`]. Staged
-    /// per block and merged in block-index order when the launch completes
-    /// (see [`AtomicStage`]): the updated value is visible to *subsequent
-    /// launches*, and the returned "previous value" is block-local.
+    /// (they serialize at L2) but pay [`DeviceSpec::cpi_atomic`].
     fn atomic_min_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64 {
-        let (id, len) = buf.id_len();
-        self.check_bounds(id, len, idx);
+        let (id, _) = buf.id_len();
         self.cost.atomics += 1;
-        self.stage.update(self.mem, id, idx, AtomicOp::Min, value)
+        self.mem.atomic_min_i64(id, idx, value)
     }
 
-    /// `atomicAdd` on a signed 64-bit global location. Same staging
-    /// semantics as [`atomic_min_i64`](Self::atomic_min_i64).
+    /// `atomicAdd` on a signed 64-bit global location; charged like
+    /// [`atomic_min_i64`](Self::atomic_min_i64).
     fn atomic_add_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64 {
-        let (id, len) = buf.id_len();
-        self.check_bounds(id, len, idx);
+        let (id, _) = buf.id_len();
         self.cost.atomics += 1;
-        self.stage.update(self.mem, id, idx, AtomicOp::Add, value)
+        self.mem.atomic_add_i64(id, idx, value)
     }
 
     /// Bulk read `dst.len()` consecutive elements starting at `start`
@@ -861,58 +660,27 @@ impl DeviceCtx for ThreadCtx<'_> {
         start: usize,
         dst: &mut [T],
     ) {
-        let (id, len) = buf.id_len();
-        assert!(
-            start + dst.len() <= len,
-            "global memory slice out of bounds: buffer {id} has {len} elements, \
-             range {start}..{}",
-            start + dst.len()
-        );
+        let (id, _) = buf.id_len();
         self.cost.global_transactions += dst.len() as u64;
         self.cost.alu += dst.len() as u64;
-        if self.race.is_some() {
-            let who = self.who();
-            let race = self.race.as_deref_mut().expect("checked above");
-            for i in 0..dst.len() {
-                race.on_read(id, start + i, who);
-            }
-        }
-        let width = 8 * std::mem::size_of::<T>() as u32;
-        match self.fault.as_deref_mut() {
-            Some(f) => {
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(f.observe_read(self.mem.load(id, start + i), width));
-                }
-            }
-            None => {
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(self.mem.load(id, start + i));
-                }
-            }
-        }
+        self.track_reads(id, start, dst.len());
+        self.load_into(id, start, dst);
     }
 
     /// Bulk write `src.len()` consecutive elements starting at `start`
     /// (charges one transaction per element).
     fn write_slice<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, start: usize, src: &[T]) {
-        let (id, len) = buf.id_len();
-        assert!(
-            start + src.len() <= len,
-            "global memory slice out of bounds: buffer {id} has {len} elements, \
-             range {start}..{}",
-            start + src.len()
-        );
+        let (id, _) = buf.id_len();
         self.cost.global_transactions += src.len() as u64;
         self.cost.alu += src.len() as u64;
-        if self.race.is_some() {
-            let who = self.who();
-            let race = self.race.as_deref_mut().expect("checked above");
-            for i in 0..src.len() {
-                race.on_write(id, start + i, who);
+        let who = self.who();
+        if let Some(race) = self.race.as_deref_mut() {
+            for i in start..start + src.len() {
+                race.on_write(id, i, who);
             }
         }
-        for (i, &v) in src.iter().enumerate() {
-            self.mem.store(id, start + i, v.to_bits());
+        for (w, &v) in self.mem.words_mut(id, start, src.len()).iter_mut().zip(src) {
+            *w = v.to_bits();
         }
     }
 
@@ -926,32 +694,18 @@ impl DeviceCtx for ThreadCtx<'_> {
         dst_start: usize,
         count: usize,
     ) {
-        let (sid, slen) = src.id_len();
-        let (did, dlen) = dst.id_len();
-        assert!(src_start + count <= slen, "copy_row source range out of bounds");
-        assert!(dst_start + count <= dlen, "copy_row destination range out of bounds");
+        let (sid, _) = src.id_len();
+        let (did, _) = dst.id_len();
         self.cost.global_transactions += 2 * count as u64;
         self.cost.alu += count as u64;
-        if self.race.is_some() {
-            let who = self.who();
-            let race = self.race.as_deref_mut().expect("checked above");
+        let who = self.who();
+        if let Some(race) = self.race.as_deref_mut() {
             for i in 0..count {
                 race.on_read(sid, src_start + i, who);
                 race.on_write(did, dst_start + i, who);
             }
         }
-        // Overlap-aware element loop (memmove semantics without a staging
-        // allocation): same buffer with the destination ahead of the source
-        // must copy back-to-front.
-        if sid == did && dst_start > src_start {
-            for i in (0..count).rev() {
-                self.mem.store(did, dst_start + i, self.mem.load(sid, src_start + i));
-            }
-        } else {
-            for i in 0..count {
-                self.mem.store(did, dst_start + i, self.mem.load(sid, src_start + i));
-            }
-        }
+        self.mem.copy_words(sid, src_start, did, dst_start, count);
     }
 
     /// Uncharged bulk load used for **cooperative** staging: one thread does
@@ -965,31 +719,9 @@ impl DeviceCtx for ThreadCtx<'_> {
         start: usize,
         dst: &mut [T],
     ) {
-        let (id, len) = buf.id_len();
-        assert!(
-            start + dst.len() <= len,
-            "cooperative read out of bounds: buffer {id} has {len} elements"
-        );
-        if self.race.is_some() {
-            let who = self.who();
-            let race = self.race.as_deref_mut().expect("checked above");
-            for i in 0..dst.len() {
-                race.on_read(id, start + i, who);
-            }
-        }
-        let width = 8 * std::mem::size_of::<T>() as u32;
-        match self.fault.as_deref_mut() {
-            Some(f) => {
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(f.observe_read(self.mem.load(id, start + i), width));
-                }
-            }
-            None => {
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(self.mem.load(id, start + i));
-                }
-            }
-        }
+        let (id, _) = buf.id_len();
+        self.track_reads(id, start, dst.len());
+        self.load_into(id, start, dst);
     }
 
     /// Charge `n` global-memory transactions (the accounting half of a
@@ -1018,12 +750,6 @@ impl DeviceCtx for ThreadCtx<'_> {
         self.cost.shared_accesses += n;
     }
 
-    /// Charge `n` shared-memory bank conflicts.
-    #[inline]
-    fn charge_bank_conflicts(&mut self, n: u64) {
-        self.cost.bank_conflicts += n;
-    }
-
     /// Read one element through the **instrumentation port**: no cost-model
     /// charge, no fault-stream draw, no race tracking. Reserved for
     /// telemetry buffers (see [`crate::telemetry`]) that must observe a run
@@ -1032,9 +758,8 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// out-of-band debug channel, not device memory traffic.
     #[inline]
     fn telemetry_read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
-        let (id, len) = buf.id_len();
-        self.check_bounds(id, len, idx);
-        T::from_bits(self.mem.load(id, idx))
+        let (id, _) = buf.id_len();
+        T::from_bits(self.mem.word(id, idx))
     }
 
     /// Write one element through the **instrumentation port** (uncharged,
@@ -1042,11 +767,9 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// [`telemetry_read`](Self::telemetry_read)).
     #[inline]
     fn telemetry_write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
-        let (id, len) = buf.id_len();
-        self.check_bounds(id, len, idx);
-        self.mem.store(id, idx, value.to_bits());
+        let (id, _) = buf.id_len();
+        self.mem.set_word(id, idx, value.to_bits());
     }
-
 }
 
 /// Outcome of a successful launch.
@@ -1115,7 +838,12 @@ impl Gpu {
 
     /// Allocate a zero-initialized global buffer of `len` elements.
     pub fn alloc<T: DeviceValue>(&mut self, len: usize) -> Buf<T> {
-        Buf::new(self.pool.alloc(len), len)
+        self.pool.alloc(len)
+    }
+
+    fn record_transfer(&mut self, dir: TransferDir, bytes: usize) {
+        let seconds = self.spec.transfer_time(bytes);
+        self.profiler.push(TimelineEvent::Transfer { dir, bytes, seconds });
     }
 
     /// Copy host data into a device buffer (`cudaMemcpyHostToDevice`),
@@ -1124,29 +852,15 @@ impl Gpu {
     /// # Panics
     /// Panics if `data.len() != buf.len()`.
     pub fn h2d<T: DeviceValue>(&mut self, buf: Buf<T>, data: &[T]) {
-        assert_eq!(data.len(), buf.len, "h2d length mismatch");
-        for (slot, v) in self.pool.global[buf.id].iter_mut().zip(data) {
-            *slot = v.to_bits();
-        }
-        let bytes = std::mem::size_of_val(data);
-        self.profiler.push(TimelineEvent::Transfer {
-            dir: TransferDir::HostToDevice,
-            bytes,
-            seconds: self.spec.transfer_time(bytes),
-        });
+        self.pool.h2d(buf, data);
+        self.record_transfer(TransferDir::HostToDevice, std::mem::size_of_val(data));
     }
 
     /// Copy a device buffer back to the host (`cudaMemcpyDeviceToHost`),
     /// recording the modeled transfer time.
     pub fn d2h<T: DeviceValue>(&mut self, buf: Buf<T>) -> Vec<T> {
-        let out: Vec<T> =
-            self.pool.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect();
-        let bytes = out.len() * std::mem::size_of::<T>();
-        self.profiler.push(TimelineEvent::Transfer {
-            dir: TransferDir::DeviceToHost,
-            bytes,
-            seconds: self.spec.transfer_time(bytes),
-        });
+        let out = self.pool.d2h(buf);
+        self.record_transfer(TransferDir::DeviceToHost, std::mem::size_of_val(out.as_slice()));
         out
     }
 
@@ -1154,17 +868,8 @@ impl Gpu {
     /// modeled transfer time for exactly those bytes (e.g. fetching only the
     /// winning thread's sequence row after the final reduction).
     pub fn d2h_range<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, len: usize) -> Vec<T> {
-        assert!(start + len <= buf.len, "d2h_range out of bounds");
-        let out: Vec<T> = self.pool.global[buf.id][start..start + len]
-            .iter()
-            .map(|&bits| T::from_bits(bits))
-            .collect();
-        let bytes = len * std::mem::size_of::<T>();
-        self.profiler.push(TimelineEvent::Transfer {
-            dir: TransferDir::DeviceToHost,
-            bytes,
-            seconds: self.spec.transfer_time(bytes),
-        });
+        let out = self.pool.d2h_range(buf, start, len);
+        self.record_transfer(TransferDir::DeviceToHost, std::mem::size_of_val(out.as_slice()));
         out
     }
 
@@ -1172,25 +877,14 @@ impl Gpu {
     /// debugging aid; real experiments must use [`d2h`](Self::d2h) so the
     /// timing includes the copy, as the paper's speed-ups do).
     pub fn peek<T: DeviceValue>(&self, buf: Buf<T>) -> Vec<T> {
-        self.pool.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect()
+        self.pool.d2h(buf)
     }
 
     /// Allocate and fill a constant-memory region.
     pub fn alloc_const<T: DeviceValue>(&mut self, data: &[T]) -> Result<ConstBuf<T>, LaunchError> {
-        let requested = data.len() * 8;
-        let available = self.spec.constant_mem_bytes.saturating_sub(self.pool.constant_bytes);
-        if requested > available {
-            return Err(LaunchError::ConstantMemoryExceeded { requested, available });
-        }
-        let words: Vec<u64> = data.iter().map(|v| v.to_bits()).collect();
-        let id = self.pool.alloc_const(words);
-        let bytes = std::mem::size_of_val(data);
-        self.profiler.push(TimelineEvent::Transfer {
-            dir: TransferDir::HostToDevice,
-            bytes,
-            seconds: self.spec.transfer_time(bytes),
-        });
-        Ok(ConstBuf::new(id, data.len()))
+        let region = self.pool.alloc_const(data, self.spec.constant_mem_bytes)?;
+        self.record_transfer(TransferDir::HostToDevice, std::mem::size_of_val(data));
+        Ok(region)
     }
 
     /// Launch a kernel.
@@ -1239,30 +933,20 @@ impl Gpu {
         let phases = kernel.num_phases().max(1);
         let warp_size = self.spec.warp_size;
 
+        // Run the blocks in block-index order, merging their cost totals,
+        // warp costs and fault counters as they finish.
         let mut race = self.race_detection.then(RaceTracker::default);
-        let outcomes: Vec<BlockOutcome> = {
-            let mem = MemView::new(&mut self.pool);
-            (0..grid_dim)
-                .map(|block_idx| {
-                    run_block(
-                        kernel, block_idx, block_dim, grid_dim, phases, args, &mem, warp_size,
-                        read_cfg, race.as_mut(),
-                    )
-                })
-                .collect()
-        };
-
-        // Merge block outcomes in block-index order: cost totals, warp
-        // costs, staged atomics, fault counters. Atomics apply only after
-        // every block has run, exactly as on the native backend.
         let mut per_block_warp_costs = Vec::with_capacity(grid_dim);
         let mut total_cost = CostCounter::default();
         let mut bit_flips = 0u64;
-        for outcome in outcomes {
+        for block_idx in 0..grid_dim {
+            let outcome = run_block(
+                kernel, block_idx, block_dim, grid_dim, phases, args, &mut self.pool, warp_size,
+                read_cfg, race.as_mut(),
+            );
             total_cost.add(&outcome.total);
             bit_flips += outcome.bit_flips;
             per_block_warp_costs.push(outcome.warps);
-            outcome.atomics.apply(&mut self.pool);
         }
         if let Some(f) = self.fault.as_mut() {
             f.absorb_bit_flips(bit_flips);
@@ -1316,16 +1000,10 @@ impl Gpu {
         &self.profiler
     }
 
-    /// Open a named span on the profiler timeline (e.g. one per SA
-    /// generation). Spans carry no modeled time; they only annotate the
-    /// timeline for trace rendering.
-    pub fn span_begin(&mut self, name: impl Into<String>) {
-        self.profiler.span_begin(name);
-    }
-
     /// Open a named span carrying key/value metadata (e.g. the generation
     /// index and temperature of one SA generation), rendered into the trace
-    /// sink's args.
+    /// sink's args. Spans carry no modeled time; they only annotate the
+    /// timeline for trace rendering.
     pub fn span_begin_args(&mut self, name: impl Into<String>, args: Vec<(String, String)>) {
         self.profiler.span_begin_args(name, args);
     }
@@ -1333,11 +1011,6 @@ impl Gpu {
     /// Close the innermost open span with this name.
     pub fn span_end(&mut self, name: impl Into<String>) {
         self.profiler.span_end(name);
-    }
-
-    /// Reset the profiler (start a new measurement window).
-    pub fn reset_profiler(&mut self) {
-        self.profiler.reset();
     }
 
     /// Total modeled device time so far (kernels + transfers), seconds.

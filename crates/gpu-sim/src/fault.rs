@@ -39,6 +39,7 @@
 
 use cdd_metrics::MetricsRegistry;
 use std::fmt;
+use std::ops::AddAssign;
 
 /// SplitMix64 step (the same finalizer the RNG seeding uses elsewhere).
 #[inline]
@@ -177,6 +178,17 @@ impl FaultStats {
         registry.inc(&name("bit_flips_total"), labels, self.bit_flips);
         registry.inc(&name("hung_kernels_total"), labels, self.hung_kernels);
         registry.inc(&name("worker_crashes_total"), labels, self.worker_crashes);
+    }
+}
+
+/// Field-wise sum, for folding per-attempt or per-device counters together.
+impl AddAssign for FaultStats {
+    fn add_assign(&mut self, other: FaultStats) {
+        self.launches_attempted += other.launches_attempted;
+        self.transient_launch_failures += other.transient_launch_failures;
+        self.bit_flips += other.bit_flips;
+        self.hung_kernels += other.hung_kernels;
+        self.worker_crashes += other.worker_crashes;
     }
 }
 
@@ -374,6 +386,32 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn add_assign_sums_every_field() {
+        let mut a = FaultStats {
+            launches_attempted: 1,
+            transient_launch_failures: 2,
+            bit_flips: 3,
+            hung_kernels: 4,
+            worker_crashes: 5,
+        };
+        a += FaultStats {
+            launches_attempted: 10,
+            transient_launch_failures: 20,
+            bit_flips: 30,
+            hung_kernels: 40,
+            worker_crashes: 50,
+        };
+        let want = FaultStats {
+            launches_attempted: 11,
+            transient_launch_failures: 22,
+            bit_flips: 33,
+            hung_kernels: 44,
+            worker_crashes: 55,
+        };
+        assert_eq!(a, want);
+    }
 
     #[test]
     fn disabled_plan_injects_nothing() {

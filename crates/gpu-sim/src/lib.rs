@@ -73,6 +73,8 @@
 //! assert_eq!(native.d2h(nbuf), vec![1i64, 2, 3, 4, 5, 6, 7, 8]);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod backend;
 pub mod cost;
 pub mod device;

@@ -4,7 +4,9 @@
 //! mirroring how CUDA device pointers are raw addresses with types applied
 //! by the kernel code.
 
+use crate::engine::LaunchError;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// Value types storable in simulated device memory.
 pub trait DeviceValue: Copy + Default + 'static {
@@ -168,24 +170,180 @@ impl<T> ConstBuf<T> {
     }
 }
 
-/// The device's memory: global buffers + constant regions.
+/// The device's memory: global buffers + constant regions. It is the one
+/// owner of device memory: host transfers and every kernel access go
+/// through it, and it bounds-checks each one.
 #[derive(Debug, Default)]
 pub(crate) struct MemoryPool {
-    pub(crate) global: Vec<Vec<u64>>,
-    pub(crate) constant: Vec<Vec<u64>>,
-    pub(crate) constant_bytes: usize,
+    global: Vec<Vec<u64>>,
+    constant: Vec<Vec<u64>>,
+    constant_bytes: usize,
+}
+
+#[cold]
+#[track_caller]
+fn access_out_of_bounds(buf: usize, len: usize, idx: usize) -> ! {
+    panic!("global memory access out of bounds: buffer {buf} has {len} elements, index {idx}")
 }
 
 impl MemoryPool {
-    pub(crate) fn alloc(&mut self, len: usize) -> usize {
+    /// Allocate a zero-initialized global buffer of `len` elements.
+    pub(crate) fn alloc<T>(&mut self, len: usize) -> Buf<T> {
         self.global.push(vec![0u64; len]);
-        self.global.len() - 1
+        Buf::new(self.global.len() - 1, len)
     }
 
-    pub(crate) fn alloc_const(&mut self, words: Vec<u64>) -> usize {
-        self.constant_bytes += words.len() * 8;
-        self.constant.push(words);
-        self.constant.len() - 1
+    /// Allocate and fill a constant region, unless it would take constant
+    /// memory past `limit_bytes` (8 bytes per element).
+    pub(crate) fn alloc_const<T: DeviceValue>(
+        &mut self,
+        data: &[T],
+        limit_bytes: usize,
+    ) -> Result<ConstBuf<T>, LaunchError> {
+        let requested = data.len() * 8;
+        let available = limit_bytes.saturating_sub(self.constant_bytes);
+        if requested > available {
+            return Err(LaunchError::ConstantMemoryExceeded { requested, available });
+        }
+        self.constant_bytes += requested;
+        self.constant.push(data.iter().map(|v| v.to_bits()).collect());
+        Ok(ConstBuf::new(self.constant.len() - 1, data.len()))
+    }
+
+    /// Copy host data into a buffer.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != buf.len()`.
+    pub(crate) fn h2d<T: DeviceValue>(&mut self, buf: Buf<T>, data: &[T]) {
+        assert_eq!(data.len(), buf.len, "h2d length mismatch");
+        for (slot, v) in self.global[buf.id].iter_mut().zip(data) {
+            *slot = v.to_bits();
+        }
+    }
+
+    /// Copy a whole buffer back to the host.
+    pub(crate) fn d2h<T: DeviceValue>(&self, buf: Buf<T>) -> Vec<T> {
+        self.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect()
+    }
+
+    /// Copy `len` elements of a buffer from `start` back to the host.
+    pub(crate) fn d2h_range<T: DeviceValue>(
+        &self,
+        buf: Buf<T>,
+        start: usize,
+        len: usize,
+    ) -> Vec<T> {
+        assert!(start + len <= buf.len, "d2h_range out of bounds");
+        self.global[buf.id][start..start + len].iter().map(|&bits| T::from_bits(bits)).collect()
+    }
+
+    /// Word `idx` of global buffer `buf`.
+    #[inline]
+    pub(crate) fn word(&self, buf: usize, idx: usize) -> u64 {
+        let b = &self.global[buf];
+        match b.get(idx) {
+            Some(&w) => w,
+            None => access_out_of_bounds(buf, b.len(), idx),
+        }
+    }
+
+    #[inline]
+    fn word_mut(&mut self, buf: usize, idx: usize) -> &mut u64 {
+        let b = &mut self.global[buf];
+        let len = b.len();
+        match b.get_mut(idx) {
+            Some(w) => w,
+            None => access_out_of_bounds(buf, len, idx),
+        }
+    }
+
+    /// Overwrite word `idx` of global buffer `buf`.
+    #[inline]
+    pub(crate) fn set_word(&mut self, buf: usize, idx: usize, bits: u64) {
+        *self.word_mut(buf, idx) = bits;
+    }
+
+    /// The index range `start..start + len` of buffer `buf`, checked.
+    #[inline]
+    fn range(&self, buf: usize, start: usize, len: usize) -> Range<usize> {
+        let have = self.global[buf].len();
+        match start.checked_add(len) {
+            Some(end) if end <= have => start..end,
+            _ => panic!(
+                "global memory slice out of bounds: buffer {buf} has {have} elements, \
+                 range {start}..+{len}"
+            ),
+        }
+    }
+
+    /// `len` words of buffer `buf` from `start`.
+    #[inline]
+    pub(crate) fn words(&self, buf: usize, start: usize, len: usize) -> &[u64] {
+        let r = self.range(buf, start, len);
+        &self.global[buf][r]
+    }
+
+    /// `len` words of buffer `buf` from `start`, writable.
+    #[inline]
+    pub(crate) fn words_mut(&mut self, buf: usize, start: usize, len: usize) -> &mut [u64] {
+        let r = self.range(buf, start, len);
+        &mut self.global[buf][r]
+    }
+
+    /// Copy `count` words from `src` at `src_start` to `dst` at `dst_start`
+    /// with memmove semantics: within one buffer, the destination receives
+    /// the source range as it was before the copy, whichever way the two
+    /// ranges overlap.
+    pub(crate) fn copy_words(
+        &mut self,
+        src: usize,
+        src_start: usize,
+        dst: usize,
+        dst_start: usize,
+        count: usize,
+    ) {
+        let from = self.range(src, src_start, count);
+        let to = self.range(dst, dst_start, count);
+        if src == dst {
+            self.global[src].copy_within(from, to.start);
+        } else {
+            let [s, d] = self.global.get_disjoint_mut([src, dst]).expect("distinct buffers");
+            d[to].copy_from_slice(&s[from]);
+        }
+    }
+
+    /// Word `idx` of constant region `region`.
+    #[inline]
+    pub(crate) fn const_word(&self, region: usize, idx: usize) -> u64 {
+        let c = &self.constant[region];
+        match c.get(idx) {
+            Some(&w) => w,
+            None => panic!(
+                "constant memory access out of bounds: region {region} has {} elements, \
+                 index {idx}",
+                c.len()
+            ),
+        }
+    }
+
+    /// `atomicMin` on a signed word, applied in place. Returns the word's
+    /// previous value.
+    pub(crate) fn atomic_min_i64(&mut self, buf: usize, idx: usize, value: i64) -> i64 {
+        self.atomic_update(buf, idx, |old| old.min(value))
+    }
+
+    /// `atomicAdd` on a signed word, applied in place; it wraps on overflow
+    /// like CUDA's. Returns the word's previous value.
+    pub(crate) fn atomic_add_i64(&mut self, buf: usize, idx: usize, value: i64) -> i64 {
+        self.atomic_update(buf, idx, |old| old.wrapping_add(value))
+    }
+
+    #[inline]
+    fn atomic_update(&mut self, buf: usize, idx: usize, op: impl FnOnce(i64) -> i64) -> i64 {
+        let word = self.word_mut(buf, idx);
+        let old = i64::from_bits(*word);
+        *word = op(old).to_bits();
+        old
     }
 }
 
@@ -220,10 +378,10 @@ mod tests {
     #[test]
     fn pool_allocates_zeroed() {
         let mut p = MemoryPool::default();
-        let id = p.alloc(4);
-        assert_eq!(p.global[id], vec![0u64; 4]);
-        let cid = p.alloc_const(vec![1, 2]);
-        assert_eq!(p.constant[cid], vec![1, 2]);
+        let buf = p.alloc::<i64>(4);
+        assert_eq!(p.d2h(buf), vec![0; 4]);
+        let c = p.alloc_const(&[1i64, 2], 64).unwrap();
+        assert_eq!((p.const_word(c.id, 0), p.const_word(c.id, 1)), (1, 2));
         assert_eq!(p.constant_bytes, 16);
     }
 }

@@ -55,15 +55,6 @@ impl DeviceUsage {
         }
     }
 
-    /// Merge another device's fault counters (per-run `Gpu::fault_stats`).
-    pub fn merge_faults(&mut self, f: FaultStats) {
-        self.faults.launches_attempted += f.launches_attempted;
-        self.faults.transient_launch_failures += f.transient_launch_failures;
-        self.faults.bit_flips += f.bit_flips;
-        self.faults.hung_kernels += f.hung_kernels;
-        self.faults.worker_crashes += f.worker_crashes;
-    }
-
     /// Fold the usage record into a metrics registry under the `device_`
     /// namespace, labelled `{device="<device>"}`. Counters here are split
     /// per device — which requests landed where depends on wall-clock worker
@@ -214,7 +205,7 @@ mod tests {
     fn observe_into_labels_series_by_device() {
         let mut u = DeviceUsage::default();
         u.record_run(0.010, 0.008, 0.002, 40, 0.5, false);
-        u.merge_faults(FaultStats { launches_attempted: 40, ..Default::default() });
+        u.faults += FaultStats { launches_attempted: 40, ..Default::default() };
         let mut reg = cdd_metrics::MetricsRegistry::new();
         u.observe_into(&mut reg, "2", 1.0);
         let labels: &[(&str, &str)] = &[("device", "2")];
@@ -228,14 +219,14 @@ mod tests {
     #[test]
     fn fault_merge_sums_counters() {
         let mut u = DeviceUsage::default();
-        u.merge_faults(FaultStats {
+        u.faults += FaultStats {
             launches_attempted: 10,
             transient_launch_failures: 2,
             bit_flips: 1,
             hung_kernels: 1,
             worker_crashes: 1,
-        });
-        u.merge_faults(FaultStats { launches_attempted: 5, ..Default::default() });
+        };
+        u.faults += FaultStats { launches_attempted: 5, ..Default::default() };
         assert_eq!(u.faults.launches_attempted, 15);
         assert_eq!(u.faults.transient_launch_failures, 2);
     }

@@ -33,6 +33,7 @@ pub struct ScratchArena<T> {
 // interior is serialized by its `busy` flag (acquire on entry, release on
 // exit), so `&ScratchArena<T>` can be shared across threads whenever the
 // payload itself can move between them.
+#[allow(unsafe_code)]
 unsafe impl<T: Send> Sync for ScratchArena<T> {}
 
 impl<T: Default> ScratchArena<T> {
@@ -72,6 +73,7 @@ impl<T> ScratchArena<T> {
         let _release = Release(&slot.busy);
         // SAFETY: the `busy` flag grants exclusive access to this slot until
         // `_release` drops, so the mutable reference cannot alias.
+        #[allow(unsafe_code)]
         f(unsafe { &mut *slot.value.get() })
     }
 }

@@ -19,6 +19,8 @@
 //! reads and writes the OR-library text format, so the authentic files can
 //! be dropped in transparently if available.
 
+#![forbid(unsafe_code)]
+
 pub mod best_known;
 pub mod biskup_feldmann;
 pub mod catalog;

@@ -26,6 +26,8 @@
 //! assert!((lp.objective - 81.0).abs() < 1e-6);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cdd_model;
 pub mod matrix;
 pub mod model;

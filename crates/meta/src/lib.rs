@@ -23,6 +23,8 @@
 //! The GPU versions of SA and DPSO live in `cdd-gpu`, mapped onto the
 //! `cuda-sim` execution model.
 
+#![forbid(unsafe_code)]
+
 pub mod cooling;
 pub mod dpso;
 pub mod ensemble;

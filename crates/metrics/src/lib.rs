@@ -35,6 +35,8 @@
 //! assert!(text.contains("timing_request_wall_ms_count 1"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod flight;
 pub mod trace;
 

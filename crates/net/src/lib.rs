@@ -28,6 +28,8 @@
 //! kill/restart. Only wall-clock-shaped numbers (latency, frame-size
 //! histograms) may differ between runs.
 
+#![forbid(unsafe_code)]
+
 pub mod auth;
 pub mod client;
 pub mod frame;

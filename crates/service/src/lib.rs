@@ -44,6 +44,8 @@
 //! assert_eq!(report.cache.hits + report.cache.coalesced, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod breaker;
 pub mod cache;
 pub mod queue;

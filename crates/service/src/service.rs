@@ -913,11 +913,7 @@ fn fold_final_metrics(
 
     let mut fleet_faults = FaultStats::default();
     for (id, s) in st.slots.iter().enumerate() {
-        fleet_faults.launches_attempted += s.usage.faults.launches_attempted;
-        fleet_faults.transient_launch_failures += s.usage.faults.transient_launch_failures;
-        fleet_faults.bit_flips += s.usage.faults.bit_flips;
-        fleet_faults.hung_kernels += s.usage.faults.hung_kernels;
-        fleet_faults.worker_crashes += s.usage.faults.worker_crashes;
+        fleet_faults += s.usage.faults;
         s.usage.observe_into(metrics, &id.to_string(), wall_seconds);
     }
     fleet_faults.observe_into(metrics, "service_fault", &[]);
@@ -1144,7 +1140,7 @@ fn record_success_locked(
         run_wall,
         false,
     );
-    s.usage.merge_faults(r.recovery.faults);
+    s.usage.faults += r.recovery.faults;
     s.breaker.note_fault_rate(&r.recovery.faults, now_ms);
     if let Some(trace_data) = &r.convergence {
         s.convergence.record(&ConvergenceSummary::from_trace(trace_data));

@@ -294,7 +294,7 @@ fn handle_worker_death(
         s.generation += 1;
         s.restarts += 1;
         s.breaker.record_failure(now);
-        s.usage.merge_faults(FaultStats { worker_crashes: 1, ..FaultStats::default() });
+        s.usage.faults += FaultStats { worker_crashes: 1, ..FaultStats::default() };
         s.in_flight.take()
     };
     if let Some(job) = job {

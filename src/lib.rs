@@ -18,6 +18,8 @@
 //! See the repository `README.md` for a quickstart and `DESIGN.md` for the
 //! system inventory and per-experiment index.
 
+#![forbid(unsafe_code)]
+
 pub use cdd_core as core;
 pub use cdd_gpu as gpu;
 pub use cdd_instances as instances;
