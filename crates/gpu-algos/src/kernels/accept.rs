@@ -63,16 +63,11 @@ pub struct AcceptKernel {
 }
 
 impl Kernel for AcceptKernel {
-    type Shared = ();
-    type ThreadState = ();
-
     fn name(&self) -> &str {
         "acceptance"
     }
 
-    fn make_shared(&self, _block_dim: usize) {}
-
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
         let gid = ctx.global_id();
         if gid >= self.ensemble {
             return;
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn improvements_always_accepted() {
         let mut f = fixture(&[100, 100], &[50, 99], 0.001);
-        f.gpu.launch(&f.k, LaunchConfig::linear(1, 2), &[]).unwrap();
+        f.gpu.launch(&f.k, LaunchConfig::linear(1, 2)).unwrap();
         assert_eq!(f.gpu.d2h(f.k.energies), vec![50, 99]);
         // Current rows replaced by the candidate.
         assert_eq!(&f.gpu.d2h(f.k.current)[..4], &[3, 2, 1, 0]);
@@ -205,7 +200,7 @@ mod tests {
     #[test]
     fn cold_chain_rejects_uphill() {
         let mut f = fixture(&[10], &[1_000_000], 1e-9);
-        f.gpu.launch(&f.k, LaunchConfig::linear(1, 1), &[]).unwrap();
+        f.gpu.launch(&f.k, LaunchConfig::linear(1, 1)).unwrap();
         assert_eq!(f.gpu.d2h(f.k.energies), vec![10]);
         assert_eq!(&f.gpu.d2h(f.k.current)[..4], &[0, 1, 2, 3]);
         // Personal best still captures the (initial) current state.
@@ -218,7 +213,7 @@ mod tests {
         // With T ≫ ΔE, exp(−ΔE/T) ≈ 1 ≥ u for essentially every draw.
         let t = 64;
         let mut f = fixture(&vec![10; t], &vec![11; t], 1e12);
-        f.gpu.launch(&f.k, LaunchConfig::linear(2, 32), &[]).unwrap();
+        f.gpu.launch(&f.k, LaunchConfig::linear(2, 32)).unwrap();
         let accepted = f.gpu.d2h(f.k.energies).iter().filter(|&&e| e == 11).count();
         assert!(accepted >= 60, "only {accepted}/64 uphill moves accepted at huge T");
     }
@@ -228,7 +223,7 @@ mod tests {
         let mut f = fixture(&[100, 10], &[50, 1_000_000], 1e-9);
         let ring = cuda_sim::TelemetryRing::alloc(&mut f.gpu, 2, 1);
         f.k.telemetry = Some(SaProbe { ring, slot: Some(0) });
-        f.gpu.launch(&f.k, LaunchConfig::linear(1, 2), &[]).unwrap();
+        f.gpu.launch(&f.k, LaunchConfig::linear(1, 2)).unwrap();
         let (lanes, counters) = ring.snapshot(&f.gpu);
         // Chain 0 accepts the downhill move: best = settled = 50, 1 accept.
         assert_eq!(&lanes[..3], &[50, 50, 1]);
@@ -240,7 +235,7 @@ mod tests {
     #[test]
     fn personal_best_never_worsens() {
         let mut f = fixture(&[5], &[8], 1e12); // uphill accepted at huge T
-        f.gpu.launch(&f.k, LaunchConfig::linear(1, 1), &[]).unwrap();
+        f.gpu.launch(&f.k, LaunchConfig::linear(1, 1)).unwrap();
         // Energy moved to 8, but best stays 5.
         assert_eq!(f.gpu.d2h(f.k.energies), vec![8]);
         assert_eq!(f.gpu.d2h(f.k.best_energies), vec![5]);

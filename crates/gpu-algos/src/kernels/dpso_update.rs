@@ -147,16 +147,11 @@ fn stage_parent<C: DeviceCtx>(
 }
 
 impl Kernel for DpsoUpdateKernel {
-    type Shared = ();
-    type ThreadState = ();
-
     fn name(&self) -> &str {
         "dpso_update"
     }
 
-    fn make_shared(&self, _block_dim: usize) {}
-
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
         let gid = ctx.global_id();
         if gid >= self.ensemble {
             return;
@@ -247,16 +242,11 @@ pub struct PbestKernel {
 }
 
 impl Kernel for PbestKernel {
-    type Shared = ();
-    type ThreadState = ();
-
     fn name(&self) -> &str {
         "pbest_update"
     }
 
-    fn make_shared(&self, _block_dim: usize) {}
-
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
         let gid = ctx.global_id();
         if gid >= self.ensemble {
             return;
@@ -302,16 +292,11 @@ pub struct GbestCopyKernel {
 }
 
 impl Kernel for GbestCopyKernel {
-    type Shared = ();
-    type ThreadState = ();
-
     fn name(&self) -> &str {
         "gbest_copy"
     }
 
-    fn make_shared(&self, _block_dim: usize) {}
-
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
         if ctx.global_id() != 0 {
             return;
         }
@@ -353,7 +338,7 @@ mod tests {
         let words: Vec<u64> = (0..t).flat_map(|i| XorWow::new(5, i as u64).pack()).collect();
         gpu.h2d(rng, &words);
         let k = DpsoUpdateKernel::new(positions, pbest, gbest, rng, n, t, 0.9, 0.8, 0.8);
-        gpu.launch(&k, LaunchConfig::cover(t, 8), &[]).unwrap();
+        gpu.launch(&k, LaunchConfig::cover(t, 8)).unwrap();
         let out = gpu.d2h(positions);
         for i in 0..t {
             let row = out[i * n..(i + 1) * n].to_vec();
@@ -385,7 +370,7 @@ mod tests {
             ensemble: 2,
             telemetry: None,
         };
-        gpu.launch(&k, LaunchConfig::linear(1, 2), &[]).unwrap();
+        gpu.launch(&k, LaunchConfig::linear(1, 2)).unwrap();
         assert_eq!(gpu.d2h(pbest_e), vec![5, 10]);
         assert_eq!(gpu.d2h(pbest), vec![2, 1, 0, 0, 1, 2]);
     }
@@ -413,7 +398,7 @@ mod tests {
             ensemble: 2,
             telemetry: Some(DpsoProbe { ring, slot: Some(0), gbest }),
         };
-        gpu.launch(&k, LaunchConfig::linear(1, 2), &[]).unwrap();
+        gpu.launch(&k, LaunchConfig::linear(1, 2)).unwrap();
         let (lanes, counters) = ring.snapshot(&gpu);
         // Particle 0 improved (5 < 10) and sits 2 swaps from gbest [0,1,2].
         assert_eq!(&lanes[..3], &[5, 5, 2]);
@@ -432,7 +417,7 @@ mod tests {
         let packed = gpu.alloc::<i64>(1);
         gpu.h2d(packed, &[pack_argmin(42, 1)]); // particle 1 won
         let k = GbestCopyKernel { packed, pbest, gbest, n };
-        gpu.launch(&k, LaunchConfig::linear(1, 32), &[]).unwrap();
+        gpu.launch(&k, LaunchConfig::linear(1, 32)).unwrap();
         assert_eq!(gpu.d2h(gbest), vec![3, 2, 1, 0]);
     }
 }

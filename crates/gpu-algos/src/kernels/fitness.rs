@@ -268,17 +268,9 @@ fn objective<J: Copy + Into<u64>>(
 }
 
 impl Kernel for FitnessKernel {
-    // Shared memory and thread state live in the kernel's persistent
-    // arenas (keyed by block id / global id) instead of per-launch
-    // `make_shared`/`Default` values, so launches allocate nothing.
-    type Shared = ();
-    type ThreadState = ();
-
     fn name(&self) -> &str {
         "fitness"
     }
-
-    fn make_shared(&self, _block_dim: usize) {}
 
     fn shared_mem_bytes(&self, _block_dim: usize) -> usize {
         self.prob.staged_shared_bytes()
@@ -288,7 +280,7 @@ impl Kernel for FitnessKernel {
         2
     }
 
-    fn phase<C: DeviceCtx>(&self, phase: usize, ctx: &mut C, _shared: &mut (), _state: &mut ()) {
+    fn phase<C: DeviceCtx>(&self, phase: usize, ctx: &mut C) {
         if phase == 0 {
             stage_rates(ctx, &self.prob, &self.staged);
             return;
@@ -336,9 +328,7 @@ mod tests {
 
         let kernel =
             FitnessKernel::new(prob, seq_buf, out, threads, threads.div_ceil(block));
-        let stats = gpu
-            .launch(&kernel, LaunchConfig::cover(threads, block), &[])
-            .unwrap();
+        let stats = gpu.launch(&kernel, LaunchConfig::cover(threads, block)).unwrap();
         assert!(stats.timing.seconds > 0.0);
 
         let device = gpu.d2h(out);
@@ -371,7 +361,7 @@ mod tests {
         gpu.h2d(seq_buf, &[0, 1, 2, 3, 4]);
         let out = gpu.alloc::<i64>(1);
         let kernel = FitnessKernel::new(prob, seq_buf, out, 1, 1);
-        gpu.launch(&kernel, LaunchConfig::linear(1, 32), &[]).unwrap();
+        gpu.launch(&kernel, LaunchConfig::linear(1, 32)).unwrap();
         assert_eq!(gpu.d2h(out)[0], 81);
     }
 
@@ -387,7 +377,7 @@ mod tests {
         let out = gpu.alloc::<i64>(2);
         gpu.h2d(out, &[-1, -1]);
         let kernel = FitnessKernel::new(prob, seq_buf, out, 1, 2);
-        gpu.launch(&kernel, LaunchConfig::linear(2, 32), &[]).unwrap();
+        gpu.launch(&kernel, LaunchConfig::linear(2, 32)).unwrap();
         let host = gpu.d2h(out);
         assert_ne!(host[0], -1);
         assert_eq!(host[1], -1);

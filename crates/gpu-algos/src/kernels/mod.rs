@@ -34,6 +34,5 @@ mod tests {
         sync::<super::PerturbKernel>();
         sync::<crate::sync_pipeline::BroadcastKernel>();
         sync::<cuda_sim::reduce::AtomicArgminKernel>();
-        sync::<cuda_sim::reduce::AtomicMinKernel>();
     }
 }

@@ -63,16 +63,11 @@ impl PerturbKernel {
 }
 
 impl Kernel for PerturbKernel {
-    type Shared = ();
-    type ThreadState = ();
-
     fn name(&self) -> &str {
         "perturbation"
     }
 
-    fn make_shared(&self, _block_dim: usize) {}
-
-    fn phase<C: DeviceCtx>(&self, _phase: usize, ctx: &mut C, _shared: &mut (), _state: &mut ()) {
+    fn phase<C: DeviceCtx>(&self, _phase: usize, ctx: &mut C) {
         let gid = ctx.global_id();
         if gid >= self.ensemble {
             return;
@@ -135,7 +130,7 @@ mod tests {
     fn candidates_are_permutations_with_bounded_displacement() {
         let (mut gpu, src, dst, rng) = setup(32, 20);
         let kernel = PerturbKernel::new(src, dst, rng, 20, 32, 4);
-        gpu.launch(&kernel, LaunchConfig::linear(1, 32), &[]).unwrap();
+        gpu.launch(&kernel, LaunchConfig::linear(1, 32)).unwrap();
         let out = gpu.d2h(dst);
         for t in 0..32 {
             let row: Vec<u32> = out[t * 20..(t + 1) * 20].to_vec();
@@ -151,7 +146,7 @@ mod tests {
         let (mut gpu, src, dst, rng) = setup(8, 10);
         let before = gpu.peek(src);
         let kernel = PerturbKernel::new(src, dst, rng, 10, 8, 4);
-        gpu.launch(&kernel, LaunchConfig::linear(1, 8), &[]).unwrap();
+        gpu.launch(&kernel, LaunchConfig::linear(1, 8)).unwrap();
         assert_eq!(gpu.peek(src), before);
     }
 
@@ -159,7 +154,7 @@ mod tests {
     fn threads_perturb_differently() {
         let (mut gpu, src, dst, rng) = setup(16, 30);
         let kernel = PerturbKernel::new(src, dst, rng, 30, 16, 4);
-        gpu.launch(&kernel, LaunchConfig::linear(1, 16), &[]).unwrap();
+        gpu.launch(&kernel, LaunchConfig::linear(1, 16)).unwrap();
         let out = gpu.d2h(dst);
         let rows: std::collections::HashSet<Vec<u32>> =
             (0..16).map(|t| out[t * 30..(t + 1) * 30].to_vec()).collect();
@@ -171,9 +166,9 @@ mod tests {
     fn successive_launches_advance_the_stream() {
         let (mut gpu, src, dst, rng) = setup(4, 12);
         let kernel = PerturbKernel::new(src, dst, rng, 12, 4, 4);
-        gpu.launch(&kernel, LaunchConfig::linear(1, 4), &[]).unwrap();
+        gpu.launch(&kernel, LaunchConfig::linear(1, 4)).unwrap();
         let first = gpu.d2h(dst);
-        gpu.launch(&kernel, LaunchConfig::linear(1, 4), &[]).unwrap();
+        gpu.launch(&kernel, LaunchConfig::linear(1, 4)).unwrap();
         let second = gpu.d2h(dst);
         assert_ne!(first, second, "RNG state failed to persist across launches");
     }
@@ -182,7 +177,7 @@ mod tests {
     fn tiny_sequences_pass_through() {
         let (mut gpu, src, dst, rng) = setup(2, 1);
         let kernel = PerturbKernel::new(src, dst, rng, 1, 2, 4);
-        gpu.launch(&kernel, LaunchConfig::linear(1, 2), &[]).unwrap();
+        gpu.launch(&kernel, LaunchConfig::linear(1, 2)).unwrap();
         assert_eq!(gpu.d2h(dst), vec![0, 0]);
     }
 }

@@ -84,7 +84,7 @@ pub fn launch_with_retry<B: ExecBackend, K: Kernel>(
 ) -> Result<(), LaunchError> {
     let mut retries = 0;
     loop {
-        match gpu.launch_kernel(kernel, cfg, &[]) {
+        match gpu.launch_kernel(kernel, cfg) {
             Ok(_) => return Ok(()),
             Err(e) if e.is_transient() && retries < policy.max_launch_retries => {
                 retries += 1;
@@ -343,19 +343,10 @@ mod tests {
         buf: Buf<i64>,
     }
     impl Kernel for AddOne {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "add_one"
         }
-        fn make_shared(&self, _b: usize) {}
-        fn phase<C: cuda_sim::DeviceCtx>(
-            &self,
-            _p: usize,
-            ctx: &mut C,
-            _s: &mut (),
-            _t: &mut (),
-        ) {
+        fn phase<C: cuda_sim::DeviceCtx>(&self, _p: usize, ctx: &mut C) {
             let gid = ctx.global_id();
             let v: i64 = ctx.read(self.buf, gid);
             ctx.write(self.buf, gid, v.wrapping_add(1));

@@ -51,16 +51,11 @@ pub struct BroadcastKernel {
 }
 
 impl Kernel for BroadcastKernel {
-    type Shared = ();
-    type ThreadState = ();
-
     fn name(&self) -> &str {
         "broadcast_best"
     }
 
-    fn make_shared(&self, _block_dim: usize) {}
-
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
         let gid = ctx.global_id();
         if gid >= self.ensemble {
             return;

@@ -48,7 +48,7 @@ proptest! {
         let out = gpu.alloc::<i64>(threads);
 
         let kernel = FitnessKernel::new(prob, seq_buf, out, threads, threads.div_ceil(8));
-        gpu.launch(&kernel, LaunchConfig::cover(threads, 8), &[]).expect("clean launch");
+        gpu.launch(&kernel, LaunchConfig::cover(threads, 8)).expect("clean launch");
 
         let host = CddEvaluator::new(&inst);
         let device = gpu.d2h(out);

@@ -13,9 +13,13 @@
 //!   simulation, and no fault machinery on the hot path. This is the
 //!   deployment path.
 //!
-//! Both backends execute a launch's blocks serially, in block-index order,
-//! on the calling thread; the service gets its host parallelism from one
-//! worker thread per device instead (DESIGN.md §11).
+//! Both backends take a launch as a kernel value and a launch
+//! configuration: the kernel carries its buffers as fields and its block
+//! and thread state in `ScratchArena`s, so neither backend builds kernel
+//! state per block. Both execute a launch's blocks serially, in block-index
+//! order, on the calling thread, each block as the same loop (every phase,
+//! every thread in index order); the service gets its host parallelism
+//! from one worker thread per device instead (DESIGN.md §11).
 //!
 //! The contract between them is **byte-identity**: with the same inputs,
 //! seeds and launch sequence, both backends leave bit-identical values in
@@ -30,10 +34,10 @@
 //! requests before any launch).
 
 use crate::device::DeviceSpec;
-use crate::engine::{AsBuf, DeviceCtx, Gpu, Kernel, LaunchError};
+use crate::engine::{DeviceCtx, Gpu, Kernel, LaunchError};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::grid::LaunchConfig;
-use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool, WordValue};
+use crate::memory::{Buf, ConstBuf, DeviceValue, MemoryPool, WordValue};
 use crate::profiler::Profiler;
 use std::fmt;
 use std::str::FromStr;
@@ -127,7 +131,6 @@ pub trait ExecBackend {
         &mut self,
         kernel: &K,
         cfg: LaunchConfig,
-        args: &[ErasedBuf],
     ) -> Result<(), LaunchError>;
 
     /// Install (or clear, with `None`) a fault-injection plan.
@@ -201,9 +204,8 @@ impl ExecBackend for Gpu {
         &mut self,
         kernel: &K,
         cfg: LaunchConfig,
-        args: &[ErasedBuf],
     ) -> Result<(), LaunchError> {
-        Gpu::launch(self, kernel, cfg, args).map(|_| ())
+        Gpu::launch(self, kernel, cfg).map(|_| ())
     }
 
     fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
@@ -256,17 +258,12 @@ fn native_run_block<K: Kernel>(
     block_dim: usize,
     grid_dim: usize,
     phases: usize,
-    args: &[ErasedBuf],
     mem: &mut MemoryPool,
 ) {
-    let mut shared = kernel.make_shared(block_dim);
-    let mut states: Vec<K::ThreadState> =
-        (0..block_dim).map(|_| K::ThreadState::default()).collect();
     for phase in 0..phases {
-        for (thread_idx, state) in states.iter_mut().enumerate() {
-            let mut ctx =
-                NativeCtx { thread_idx, block_idx, block_dim, grid_dim, args, mem: &mut *mem };
-            kernel.phase(phase, &mut ctx, &mut shared, state);
+        for thread_idx in 0..block_dim {
+            let mut ctx = NativeCtx { thread_idx, block_idx, block_dim, grid_dim, mem: &mut *mem };
+            kernel.phase(phase, &mut ctx);
         }
     }
 }
@@ -312,7 +309,6 @@ impl ExecBackend for NativeGpu {
         &mut self,
         kernel: &K,
         cfg: LaunchConfig,
-        args: &[ErasedBuf],
     ) -> Result<(), LaunchError> {
         let block_dim = cfg.block_size();
         let shared_bytes = kernel.shared_mem_bytes(block_dim);
@@ -322,7 +318,7 @@ impl ExecBackend for NativeGpu {
         let phases = kernel.num_phases().max(1);
 
         for block_idx in 0..grid_dim {
-            native_run_block(kernel, block_idx, block_dim, grid_dim, phases, args, &mut self.pool);
+            native_run_block(kernel, block_idx, block_dim, grid_dim, phases, &mut self.pool);
         }
         self.launches += 1;
         Ok(())
@@ -362,7 +358,6 @@ pub struct NativeCtx<'a> {
     block_idx: usize,
     block_dim: usize,
     grid_dim: usize,
-    args: &'a [ErasedBuf],
     mem: &'a mut MemoryPool,
 }
 
@@ -387,29 +382,23 @@ impl DeviceCtx for NativeCtx<'_> {
         self.grid_dim
     }
 
-    fn arg_buf(&self, i: usize) -> ErasedBuf {
-        self.args[i]
-    }
-
     #[inline]
     fn fault_injection_active(&self) -> bool {
         false
     }
 
     #[inline]
-    fn read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
-        let (id, _) = buf.id_len();
-        T::from_bits(self.mem.word(id, idx))
+    fn read<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T {
+        T::from_bits(self.mem.word(buf.id, idx))
     }
 
     #[inline]
-    fn write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
-        let (id, _) = buf.id_len();
-        self.mem.set_word(id, idx, value.to_bits());
+    fn write<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize, value: T) {
+        self.mem.set_word(buf.id, idx, value.to_bits());
     }
 
     #[inline]
-    fn read_texture<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
+    fn read_texture<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T {
         self.read(buf, idx)
     }
 
@@ -418,70 +407,49 @@ impl DeviceCtx for NativeCtx<'_> {
         T::from_bits(self.mem.const_word(cb.id, idx))
     }
 
-    fn atomic_min_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64 {
-        let (id, _) = buf.id_len();
-        self.mem.atomic_min_i64(id, idx, value)
+    fn atomic_min_i64(&mut self, buf: Buf<i64>, idx: usize, value: i64) -> i64 {
+        self.mem.atomic_min_i64(buf.id, idx, value)
     }
 
-    fn atomic_add_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64 {
-        let (id, _) = buf.id_len();
-        self.mem.atomic_add_i64(id, idx, value)
-    }
-
-    fn read_slice_into<T: DeviceValue>(
-        &mut self,
-        buf: impl AsBuf<T>,
-        start: usize,
-        dst: &mut [T],
-    ) {
+    fn read_slice_into<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]) {
         // One bounds check for the whole window, then a plain vectorizable
         // copy loop — this bulk path is where the native backend earns its
         // wall-clock win over the per-element simulated accesses.
-        let (id, _) = buf.id_len();
-        let words = self.mem.words(id, start, dst.len());
+        let words = self.mem.words(buf.id, start, dst.len());
         for (d, &w) in dst.iter_mut().zip(words) {
             *d = T::from_bits(w);
         }
     }
 
-    fn write_slice<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, start: usize, src: &[T]) {
-        let (id, _) = buf.id_len();
-        for (w, &v) in self.mem.words_mut(id, start, src.len()).iter_mut().zip(src) {
+    fn write_slice<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, src: &[T]) {
+        for (w, &v) in self.mem.words_mut(buf.id, start, src.len()).iter_mut().zip(src) {
             *w = v.to_bits();
         }
     }
 
     fn copy_row<T: DeviceValue>(
         &mut self,
-        src: impl AsBuf<T>,
+        src: Buf<T>,
         src_start: usize,
-        dst: impl AsBuf<T>,
+        dst: Buf<T>,
         dst_start: usize,
         count: usize,
     ) {
-        let (sid, _) = src.id_len();
-        let (did, _) = dst.id_len();
-        self.mem.copy_words(sid, src_start, did, dst_start, count);
+        self.mem.copy_words(src.id, src_start, dst.id, dst_start, count);
     }
 
-    fn cooperative_read<T: DeviceValue>(
-        &mut self,
-        buf: impl AsBuf<T>,
-        start: usize,
-        dst: &mut [T],
-    ) {
+    fn cooperative_read<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]) {
         self.read_slice_into(buf, start, dst);
     }
 
     #[inline]
     fn global_window<T: WordValue>(
         &self,
-        buf: impl AsBuf<T>,
+        buf: Buf<T>,
         start: usize,
         len: usize,
     ) -> Option<&[T::Word]> {
-        let (id, _) = buf.id_len();
-        let words = self.mem.words(id, start, len);
+        let words = self.mem.words(buf.id, start, len);
         // SAFETY: `T::Word` is `u64` or `i64` (`WordValue` is sealed), which
         // share `u64`'s size, alignment and validity (every bit pattern is a
         // value), so the cast only relabels the words; the result keeps
@@ -503,12 +471,12 @@ impl DeviceCtx for NativeCtx<'_> {
     fn charge_shared(&mut self, _n: u64) {}
 
     #[inline]
-    fn telemetry_read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
+    fn telemetry_read<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T {
         self.read(buf, idx)
     }
 
     #[inline]
-    fn telemetry_write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
+    fn telemetry_write<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize, value: T) {
         self.write(buf, idx, value);
     }
 }
@@ -519,71 +487,69 @@ mod tests {
     use std::sync::Mutex;
 
     /// Kernel exercising every value-bearing access path: RNG-driven
-    /// arithmetic, slices, copies, constants, textures, both atomics.
+    /// arithmetic, slices, copies, constants, textures, the atomic.
     struct Mixer {
         n: usize,
+        data: Buf<i64>,
+        rng: Buf<u64>,
+        mins: Buf<i64>,
+    }
+
+    impl Mixer {
+        /// A mixer over `threads` rows of `n` values on `gpu`: the rows
+        /// hold a fixed pattern, each thread's stream is seeded, and the
+        /// minimum starts at `i64::MAX`.
+        fn upload<B: ExecBackend>(gpu: &mut B, n: usize, threads: usize) -> Mixer {
+            use crate::rng::XorWow;
+            let data = gpu.alloc::<i64>(threads * n);
+            let host: Vec<i64> =
+                (0..(threads * n) as i64).map(|v| v.wrapping_mul(17) % 991).collect();
+            gpu.h2d(data, &host);
+            let rng = gpu.alloc::<u64>(threads * 3);
+            let words: Vec<u64> =
+                (0..threads).flat_map(|t| XorWow::new(42, t as u64).pack()).collect();
+            gpu.h2d(rng, &words);
+            let mins = gpu.alloc::<i64>(1);
+            gpu.h2d(mins, &[i64::MAX]);
+            Mixer { n, data, rng, mins }
+        }
     }
 
     impl Kernel for Mixer {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "mixer"
         }
-        fn make_shared(&self, _b: usize) {}
         fn num_phases(&self) -> usize {
             2
         }
-        fn phase<C: DeviceCtx>(&self, p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-            let data = ctx.arg_buf(0);
-            let rng_states = ctx.arg_buf(1);
-            let mins = ctx.arg_buf(2);
-            let sums = ctx.arg_buf(3);
+        fn phase<C: DeviceCtx>(&self, p: usize, ctx: &mut C) {
             let gid = ctx.global_id();
             if p == 0 {
-                let mut rng = ctx.load_rng(rng_states, gid);
+                let mut rng = ctx.load_rng(self.rng, gid);
                 let mut row = vec![0i64; self.n];
-                ctx.read_slice_into::<i64>(data, gid * self.n, &mut row);
+                ctx.read_slice_into(self.data, gid * self.n, &mut row);
                 for v in row.iter_mut() {
                     *v = v.wrapping_mul(3).wrapping_add(rng.next_below(1000) as i64);
                 }
-                ctx.write_slice::<i64>(data, gid * self.n, &row);
-                ctx.store_rng(rng_states, gid, &rng);
+                ctx.write_slice(self.data, gid * self.n, &row);
+                ctx.store_rng(self.rng, gid, &rng);
             } else {
-                let first: i64 = ctx.read_texture(data, gid * self.n);
-                ctx.atomic_min_i64(mins, 0, first);
-                ctx.atomic_add_i64(sums, 0, first);
+                let first = ctx.read_texture(self.data, gid * self.n);
+                ctx.atomic_min_i64(self.mins, 0, first);
                 if gid == 0 && ctx.grid_dim() * ctx.block_dim() >= 2 {
                     // Overlapping same-buffer copy: exercises memmove path.
-                    ctx.copy_row::<i64>(data, 0, data, 1, self.n - 1);
+                    ctx.copy_row(self.data, 0, self.data, 1, self.n - 1);
                 }
             }
         }
     }
 
-    fn drive<B: ExecBackend>(gpu: &mut B) -> (Vec<i64>, Vec<i64>, Vec<i64>) {
-        use crate::rng::XorWow;
-        let n = 7;
-        let total = 4 * 8;
-        let data = gpu.alloc::<i64>(total * n);
-        let host: Vec<i64> = (0..(total * n) as i64).map(|v| v.wrapping_mul(17) % 991).collect();
-        gpu.h2d(data, &host);
-        let rng = gpu.alloc::<u64>(total * 3);
-        let words: Vec<u64> =
-            (0..total).flat_map(|t| XorWow::new(42, t as u64).pack()).collect();
-        gpu.h2d(rng, &words);
-        let mins = gpu.alloc::<i64>(1);
-        gpu.h2d(mins, &[i64::MAX]);
-        let sums = gpu.alloc::<i64>(1);
+    fn drive<B: ExecBackend>(gpu: &mut B) -> (Vec<i64>, Vec<i64>) {
+        let mixer = Mixer::upload(gpu, 7, 4 * 8);
         for _ in 0..3 {
-            gpu.launch_kernel(
-                &Mixer { n },
-                LaunchConfig::linear(4, 8),
-                &[data.erased(), rng.erased(), mins.erased(), sums.erased()],
-            )
-            .unwrap();
+            gpu.launch_kernel(&mixer, LaunchConfig::linear(4, 8)).unwrap();
         }
-        (gpu.d2h(data), gpu.d2h(mins), gpu.d2h(sums))
+        (gpu.d2h(mixer.data), gpu.d2h(mixer.mins))
     }
 
     #[test]
@@ -614,13 +580,10 @@ mod tests {
     }
 
     impl Kernel for WhoRan {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "who_ran"
         }
-        fn make_shared(&self, _b: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
             if ctx.thread_idx() == 0 {
                 let me = (ctx.block_idx(), std::thread::current().id());
                 self.ran.lock().expect("recorder poisoned").push(me);
@@ -635,30 +598,26 @@ mod tests {
         let in_order: Vec<_> = (0..8).map(|b| (b, caller)).collect();
 
         let on_sim = WhoRan { ran: Mutex::new(Vec::new()) };
-        Gpu::new(DeviceSpec::gt560m()).launch(&on_sim, cfg, &[]).unwrap();
+        Gpu::new(DeviceSpec::gt560m()).launch(&on_sim, cfg).unwrap();
         assert_eq!(on_sim.ran.into_inner().unwrap(), in_order, "sim");
 
         let on_native = WhoRan { ran: Mutex::new(Vec::new()) };
-        NativeGpu::new(DeviceSpec::gt560m()).launch_kernel(&on_native, cfg, &[]).unwrap();
+        NativeGpu::new(DeviceSpec::gt560m()).launch_kernel(&on_native, cfg).unwrap();
         assert_eq!(on_native.ran.into_inner().unwrap(), in_order, "native");
     }
 
-    /// Every thread folds into two cross-block accumulators: the global
-    /// minimum of its value and a population count.
-    struct MinAndCount;
-    impl Kernel for MinAndCount {
-        type Shared = ();
-        type ThreadState = ();
+    /// Every thread folds its value into one cross-block minimum.
+    struct MinOfAll {
+        values: Buf<i64>,
+        out: Buf<i64>,
+    }
+    impl Kernel for MinOfAll {
         fn name(&self) -> &str {
-            "min_and_count"
+            "min_of_all"
         }
-        fn make_shared(&self, _b: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-            let values = ctx.arg_buf(0);
-            let out = ctx.arg_buf(1);
-            let v: i64 = ctx.read(values, ctx.global_id());
-            ctx.atomic_min_i64(out, 0, v);
-            ctx.atomic_add_i64(out, 1, 1);
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
+            let v = ctx.read(self.values, ctx.global_id());
+            ctx.atomic_min_i64(self.out, 0, v);
         }
     }
 
@@ -668,31 +627,28 @@ mod tests {
         let values = ExecBackend::alloc::<i64>(&mut native, 128);
         let host: Vec<i64> = (0..128).map(|i| 1000 - 7 * i as i64).collect();
         native.h2d(values, &host);
-        let out = ExecBackend::alloc::<i64>(&mut native, 2);
-        native.h2d(out, &[i64::MAX, 0]);
-        let args = [values.erased(), out.erased()];
-        native.launch_kernel(&MinAndCount, LaunchConfig::linear(4, 32), &args).unwrap();
-        assert_eq!(native.d2h(out), vec![*host.iter().min().unwrap(), 128]);
+        let out = ExecBackend::alloc::<i64>(&mut native, 1);
+        native.h2d(out, &[i64::MAX]);
+        native.launch_kernel(&MinOfAll { values, out }, LaunchConfig::linear(4, 32)).unwrap();
+        assert_eq!(native.d2h(out), vec![*host.iter().min().unwrap()]);
     }
 
-    /// Every thread folds its value into a running minimum and sum; thread
-    /// 0 of each block records what the two atomics returned to it.
-    struct FoldWitness;
+    /// Every thread folds its value into a running minimum; thread 0 of
+    /// each block records what the atomic returned to it.
+    struct FoldWitness {
+        values: Buf<i64>,
+        out: Buf<i64>,
+        seen: Buf<i64>,
+    }
     impl Kernel for FoldWitness {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "fold_witness"
         }
-        fn make_shared(&self, _b: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-            let (values, out, seen) = (ctx.arg_buf(0), ctx.arg_buf(1), ctx.arg_buf(2));
-            let v: i64 = ctx.read(values, ctx.global_id());
-            let min = ctx.atomic_min_i64(out, 0, v);
-            let sum = ctx.atomic_add_i64(out, 1, v);
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
+            let v = ctx.read(self.values, ctx.global_id());
+            let min = ctx.atomic_min_i64(self.out, 0, v);
             if ctx.thread_idx() == 0 {
-                ctx.write(seen, 2 * ctx.block_idx(), min);
-                ctx.write(seen, 2 * ctx.block_idx() + 1, sum);
+                ctx.write(self.seen, ctx.block_idx(), min);
             }
         }
     }
@@ -701,12 +657,11 @@ mod tests {
     fn fold_witness<B: ExecBackend>(gpu: &mut B, host: &[i64], blocks: usize) -> Vec<Vec<i64>> {
         let values = gpu.alloc::<i64>(host.len());
         gpu.h2d(values, host);
-        let out = gpu.alloc::<i64>(2);
-        gpu.h2d(out, &[i64::MAX, 0]);
-        let seen = gpu.alloc::<i64>(2 * blocks);
+        let out = gpu.alloc::<i64>(1);
+        gpu.h2d(out, &[i64::MAX]);
+        let seen = gpu.alloc::<i64>(blocks);
         let cfg = LaunchConfig::linear(blocks, host.len() / blocks);
-        gpu.launch_kernel(&FoldWitness, cfg, &[values.erased(), out.erased(), seen.erased()])
-            .unwrap();
+        gpu.launch_kernel(&FoldWitness { values, out, seen }, cfg).unwrap();
         vec![gpu.d2h(out), gpu.d2h(seen)]
     }
 
@@ -721,43 +676,46 @@ mod tests {
         let (out, seen) = (&sim[0], &sim[1]);
         for b in 0..blocks {
             let before = &host[..b * threads];
-            assert_eq!(seen[2 * b], before.iter().copied().fold(i64::MAX, i64::min), "block {b}");
-            assert_eq!(seen[2 * b + 1], before.iter().sum::<i64>(), "block {b}");
+            assert_eq!(seen[b], before.iter().copied().fold(i64::MAX, i64::min), "block {b}");
         }
-        assert_eq!(out, &vec![*host.iter().min().unwrap(), host.iter().sum::<i64>()]);
+        assert_eq!(out, &vec![*host.iter().min().unwrap()]);
     }
 
-    /// Thread 0 copies `count` elements from argument 0 at `src_start` to
-    /// argument 1 at `dst_start`.
+    /// Thread 0 copies `count` elements from `src` at `src_start` to `dst`
+    /// at `dst_start`.
     struct CopyOnce {
+        src: Buf<i64>,
+        dst: Buf<i64>,
         src_start: usize,
         dst_start: usize,
         count: usize,
     }
     impl Kernel for CopyOnce {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "copy_once"
         }
-        fn make_shared(&self, _b: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
             if ctx.global_id() == 0 {
-                let (src, dst) = (ctx.arg_buf(0), ctx.arg_buf(1));
-                ctx.copy_row::<i64>(src, self.src_start, dst, self.dst_start, self.count);
+                ctx.copy_row(self.src, self.src_start, self.dst, self.dst_start, self.count);
             }
         }
     }
 
-    /// Both buffers after `k` copies from the first into the second, or
-    /// within the first when `same_buffer`.
-    fn copy_once<B: ExecBackend>(gpu: &mut B, k: &CopyOnce, same_buffer: bool) -> Vec<Vec<i64>> {
+    /// Both buffers after copying `count` elements at `src_start` of the
+    /// first to `dst_start` of the second, or within the first when
+    /// `same_buffer`.
+    fn copy_once<B: ExecBackend>(
+        gpu: &mut B,
+        (src_start, dst_start, count): (usize, usize, usize),
+        same_buffer: bool,
+    ) -> Vec<Vec<i64>> {
         let a = gpu.alloc::<i64>(16);
         gpu.h2d(a, &(0..16).collect::<Vec<i64>>());
         let b = gpu.alloc::<i64>(16);
         gpu.h2d(b, &(100..116).collect::<Vec<i64>>());
         let dst = if same_buffer { a } else { b };
-        gpu.launch_kernel(k, LaunchConfig::linear(1, 4), &[a.erased(), dst.erased()]).unwrap();
+        let k = CopyOnce { src: a, dst, src_start, dst_start, count };
+        gpu.launch_kernel(&k, LaunchConfig::linear(1, 4)).unwrap();
         vec![gpu.d2h(a), gpu.d2h(b)]
     }
 
@@ -774,11 +732,11 @@ mod tests {
                 let row = want[0][src_start..src_start + count].to_vec();
                 want[1][dst_start..dst_start + count].copy_from_slice(&row);
             }
-            let k = CopyOnce { src_start, dst_start, count };
+            let copy = (src_start, dst_start, count);
             let case = (src_start, dst_start, same_buffer);
-            let sim = copy_once(&mut Gpu::new(DeviceSpec::gt560m()), &k, same_buffer);
+            let sim = copy_once(&mut Gpu::new(DeviceSpec::gt560m()), copy, same_buffer);
             assert_eq!(sim, want, "sim {case:?}");
-            let native = copy_once(&mut NativeGpu::new(DeviceSpec::gt560m()), &k, same_buffer);
+            let native = copy_once(&mut NativeGpu::new(DeviceSpec::gt560m()), copy, same_buffer);
             assert_eq!(native, want, "native {case:?}");
         }
     }
@@ -786,26 +744,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_panics_propagate_to_the_caller() {
-        struct Oob;
+        struct Oob {
+            buf: Buf<i64>,
+        }
         impl Kernel for Oob {
-            type Shared = ();
-            type ThreadState = ();
             fn name(&self) -> &str {
                 "oob"
             }
-            fn make_shared(&self, _b: usize) {}
-            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-                let buf = ctx.arg_buf(0);
+            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
                 // Only the last block trips the bug, after every other
                 // block has run.
                 if ctx.block_idx() == 3 {
-                    let _: i64 = ctx.read(buf, 99);
+                    let _ = ctx.read(self.buf, 99);
                 }
             }
         }
         let mut native = NativeGpu::new(DeviceSpec::gt560m());
         let buf = ExecBackend::alloc::<i64>(&mut native, 4);
-        let _ = native.launch_kernel(&Oob, LaunchConfig::linear(4, 8), &[buf.erased()]);
+        let _ = native.launch_kernel(&Oob { buf }, LaunchConfig::linear(4, 8));
     }
 
     #[test]
@@ -814,10 +770,10 @@ mod tests {
         let bad = LaunchConfig::linear(1, spec.max_threads_per_block + 1);
         let mut sim = Gpu::new(spec.clone());
         let mut native = NativeGpu::new(spec);
-        let a = sim.alloc::<i64>(4);
-        let b = ExecBackend::alloc::<i64>(&mut native, 4);
-        let e1 = sim.launch(&Mixer { n: 1 }, bad, &[a.erased()]).unwrap_err();
-        let e2 = native.launch_kernel(&Mixer { n: 1 }, bad, &[b.erased()]).unwrap_err();
+        let a = Mixer::upload(&mut sim, 1, 4);
+        let b = Mixer::upload(&mut native, 1, 4);
+        let e1 = sim.launch(&a, bad).unwrap_err();
+        let e2 = native.launch_kernel(&b, bad).unwrap_err();
         assert_eq!(e1, e2);
     }
 

@@ -41,7 +41,7 @@ pub struct CostCounter {
     /// Global-memory transactions issued (reads + writes, uncoalesced).
     pub global_transactions: u64,
     /// Texture-path reads (spatially cached read-only data; see
-    /// [`crate::engine::ThreadCtx::read_texture`]). The memory model charges
+    /// [`crate::engine::DeviceCtx::read_texture`]). The memory model charges
     /// one transaction per [`TEXTURE_READS_PER_TRANSACTION`] reads.
     pub texture_reads: u64,
     /// Shared-memory accesses.

@@ -1,9 +1,14 @@
 //! Kernel execution engine: launches, barriers, memory access, data-race
 //! detection, cost aggregation.
 //!
+//! A launch is a kernel value and a launch configuration. The kernel holds
+//! its buffers as typed [`Buf<T>`] fields and its block and thread state in
+//! [`ScratchArena`](crate::ScratchArena)s, so running a block is a plain
+//! loop: for each phase, every thread of the block in index order.
+//!
 //! The simulator runs the blocks of a launch serially, in block-index
 //! order, on the calling thread, as the native backend does. Each thread's
-//! context borrows the device's [`MemoryPool`] for one phase call, so every
+//! context borrows the device's memory pool for one phase call, so every
 //! access, atomics included, lands in place and in that serial order on
 //! both backends. Two mechanisms keep the simulator's own outputs
 //! independent of that order (DESIGN.md §11):
@@ -17,7 +22,7 @@ use crate::cost::{model_kernel_time, CostCounter, KernelTiming};
 use crate::device::DeviceSpec;
 use crate::fault::{FaultPlan, FaultState, FaultStats, ReadFaultCfg, ReadFaultStream};
 use crate::grid::LaunchConfig;
-use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool, WordValue};
+use crate::memory::{Buf, ConstBuf, DeviceValue, MemoryPool, WordValue};
 use crate::profiler::{Profiler, TimelineEvent, TransferDir};
 use crate::rng::XorWow;
 use std::collections::HashMap;
@@ -100,6 +105,15 @@ impl std::error::Error for LaunchError {}
 
 /// A simulated CUDA kernel.
 ///
+/// A kernel value carries everything its launch needs. Its device buffers
+/// are typed [`Buf<T>`] struct fields, the analogue of a CUDA kernel's
+/// launch parameters. Data that must be shared by a block's threads
+/// (shared memory) or kept by a thread from one phase to the next
+/// (registers) lives in [`ScratchArena`](crate::ScratchArena)s the kernel
+/// sizes at construction, one slot per block or per thread. Slots outlive
+/// launches, so a kernel overwrites what it stages before it reads it, as
+/// the fitness kernel does with its staged penalty rates.
+///
 /// `__syncthreads()` barriers are expressed structurally: the kernel body is
 /// split into [`num_phases`](Kernel::num_phases) phases, and the engine
 /// guarantees that every thread of a block completes phase `p` before any
@@ -107,17 +121,8 @@ impl std::error::Error for LaunchError {}
 /// in its fitness kernel ("this synchronization ensures that all the write
 /// operations on the shared memory are finished before reading them").
 pub trait Kernel {
-    /// Per-block shared memory (built once per block, mutated by all of the
-    /// block's threads).
-    type Shared;
-    /// Per-thread registers persisting across phases.
-    type ThreadState: Default;
-
     /// Kernel name (profiler label).
     fn name(&self) -> &str;
-
-    /// Construct the block's shared memory.
-    fn make_shared(&self, block_dim: usize) -> Self::Shared;
 
     /// Shared-memory footprint in bytes (validated against the device
     /// limit). Kernels report their true footprint; the default of 0 suits
@@ -138,32 +143,7 @@ pub trait Kernel {
     /// the native host backend ([`crate::backend::NativeCtx`], raw speed) —
     /// the backend byte-identity contract of DESIGN.md §16 depends on both
     /// paths executing this exact code.
-    fn phase<C: DeviceCtx>(
-        &self,
-        phase: usize,
-        ctx: &mut C,
-        shared: &mut Self::Shared,
-        state: &mut Self::ThreadState,
-    );
-}
-
-/// Buffer-handle argument accepted by the typed access methods: either a
-/// typed [`Buf<T>`] or an [`ErasedBuf`] kernel argument.
-pub trait AsBuf<T> {
-    /// `(pool id, element count)`.
-    fn id_len(&self) -> (usize, usize);
-}
-
-impl<T: DeviceValue> AsBuf<T> for Buf<T> {
-    fn id_len(&self) -> (usize, usize) {
-        (self.id, self.len)
-    }
-}
-
-impl<T: DeviceValue> AsBuf<T> for ErasedBuf {
-    fn id_len(&self) -> (usize, usize) {
-        (self.id, self.len)
-    }
+    fn phase<C: DeviceCtx>(&self, phase: usize, ctx: &mut C);
 }
 
 /// The device-side surface a kernel thread programs against.
@@ -171,7 +151,9 @@ impl<T: DeviceValue> AsBuf<T> for ErasedBuf {
 /// Every access a kernel can make — global/constant/texture memory,
 /// atomics, cooperative staging, cost self-instrumentation, the telemetry
 /// port, RNG state marshalling — goes through this trait, so a kernel body
-/// is executable by any backend that implements it:
+/// is executable by any backend that implements it. Accesses name the
+/// typed [`Buf<T>`] handles a kernel holds as fields, so each access's
+/// element type is its handle's:
 ///
 /// * [`ThreadCtx`] — the cuda-sim context: every access is bounds-checked,
 ///   cost-counted, race-tracked and fault-filtered, feeding the modeled
@@ -192,8 +174,6 @@ pub trait DeviceCtx {
     fn block_dim(&self) -> usize;
     /// Blocks per grid (`gridDim.x`).
     fn grid_dim(&self) -> usize;
-    /// The `i`-th kernel argument.
-    fn arg_buf(&self, i: usize) -> ErasedBuf;
 
     /// Whether a fault-injection plan is installed for this launch. Kernels
     /// that derive memory indices from *data* (not thread ids) use this to
@@ -203,13 +183,13 @@ pub trait DeviceCtx {
     fn fault_injection_active(&self) -> bool;
 
     /// Read one element from global memory.
-    fn read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T;
+    fn read<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T;
     /// Write one element to global memory.
-    fn write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T);
+    fn write<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize, value: T);
     /// Read one element through the **texture path** (read-only, spatially
     /// cached). Semantically identical to [`read`](Self::read); must only be
     /// used for data no kernel writes during the launch.
-    fn read_texture<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T;
+    fn read_texture<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T;
     /// Read from constant memory (broadcast-cached).
     fn read_const<T: DeviceValue>(&mut self, cb: ConstBuf<T>, idx: usize) -> T;
     /// `atomicMin` on a signed 64-bit global location. The update applies
@@ -218,21 +198,18 @@ pub trait DeviceCtx {
     /// kernel must still not read an atomically updated location in the
     /// same launch: on a GPU, what it would see there depends on block
     /// scheduling.
-    fn atomic_min_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64;
-    /// `atomicAdd` (wrapping) on a signed 64-bit global location. Same
-    /// semantics as [`atomic_min_i64`](Self::atomic_min_i64).
-    fn atomic_add_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64;
+    fn atomic_min_i64(&mut self, buf: Buf<i64>, idx: usize, value: i64) -> i64;
     /// Bulk read `dst.len()` consecutive elements starting at `start`.
-    fn read_slice_into<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, start: usize, dst: &mut [T]);
+    fn read_slice_into<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]);
     /// Bulk write `src.len()` consecutive elements starting at `start`.
-    fn write_slice<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, start: usize, src: &[T]);
+    fn write_slice<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, src: &[T]);
     /// Device-to-device row copy (`memcpy` within global memory) with
     /// overlap-aware memmove semantics.
     fn copy_row<T: DeviceValue>(
         &mut self,
-        src: impl AsBuf<T>,
+        src: Buf<T>,
         src_start: usize,
-        dst: impl AsBuf<T>,
+        dst: Buf<T>,
         dst_start: usize,
         count: usize,
     );
@@ -240,12 +217,7 @@ pub trait DeviceCtx {
     /// the physical copy while *every* participating thread charges its own
     /// share via [`charge_global`](Self::charge_global)/
     /// [`charge_shared`](Self::charge_shared).
-    fn cooperative_read<T: DeviceValue>(
-        &mut self,
-        buf: impl AsBuf<T>,
-        start: usize,
-        dst: &mut [T],
-    );
+    fn cooperative_read<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]);
 
     /// Borrow `len` elements of a global buffer from `start` **without
     /// copying**, as the storage words themselves ([`WordValue::Word`]:
@@ -260,7 +232,7 @@ pub trait DeviceCtx {
     #[inline]
     fn global_window<T: WordValue>(
         &self,
-        _buf: impl AsBuf<T>,
+        _buf: Buf<T>,
         _start: usize,
         _len: usize,
     ) -> Option<&[T::Word]> {
@@ -284,10 +256,10 @@ pub trait DeviceCtx {
     /// telemetry buffers (see [`crate::telemetry`]) that must observe a run
     /// without perturbing its modeled time, fault decision streams, or RNG
     /// draw order.
-    fn telemetry_read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T;
+    fn telemetry_read<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T;
     /// Write one element through the **instrumentation port** (uncharged,
     /// fault-invisible, untracked).
-    fn telemetry_write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T);
+    fn telemetry_write<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize, value: T);
 
     /// Global linear thread id (`blockIdx.x * blockDim.x + threadIdx.x`).
     #[inline]
@@ -295,33 +267,23 @@ pub trait DeviceCtx {
         self.block_idx() * self.block_dim() + self.thread_idx()
     }
 
-    /// Total threads in the launch.
-    #[inline]
-    fn total_threads(&self) -> usize {
-        self.grid_dim() * self.block_dim()
-    }
-
     /// Load this thread's XORWOW state from a device-resident state array
     /// (3 words per stream, like a `curandState*` argument).
-    fn load_rng(&mut self, states: impl AsBuf<u64>, slot: usize) -> XorWow {
-        let (id, len) = states.id_len();
-        let e = ErasedBuf { id, len };
+    fn load_rng(&mut self, states: Buf<u64>, slot: usize) -> XorWow {
         let words = [
-            self.read::<u64>(e, slot * 3),
-            self.read::<u64>(e, slot * 3 + 1),
-            self.read::<u64>(e, slot * 3 + 2),
+            self.read(states, slot * 3),
+            self.read(states, slot * 3 + 1),
+            self.read(states, slot * 3 + 2),
         ];
         XorWow::unpack(words)
     }
 
     /// Store this thread's XORWOW state back to the device array.
-    fn store_rng(&mut self, states: impl AsBuf<u64>, slot: usize, rng: &XorWow) {
-        let (id, len) = states.id_len();
-        let e = ErasedBuf { id, len };
+    fn store_rng(&mut self, states: Buf<u64>, slot: usize, rng: &XorWow) {
         let words = rng.pack();
-        self.write::<u64>(e, slot * 3, words[0]);
-        self.write::<u64>(e, slot * 3 + 1, words[1]);
-        self.write::<u64>(e, slot * 3 + 2, words[2]);
+        self.write(states, slot * 3, words[0]);
+        self.write(states, slot * 3 + 1, words[1]);
+        self.write(states, slot * 3 + 2, words[2]);
     }
 }
 
@@ -430,15 +392,11 @@ fn run_block<K: Kernel>(
     block_dim: usize,
     grid_dim: usize,
     phases: usize,
-    args: &[ErasedBuf],
     mem: &mut MemoryPool,
     warp_size: usize,
     read_cfg: Option<ReadFaultCfg>,
     mut race: Option<&mut RaceTracker>,
 ) -> BlockOutcome {
-    let mut shared = kernel.make_shared(block_dim);
-    let mut states: Vec<K::ThreadState> =
-        (0..block_dim).map(|_| K::ThreadState::default()).collect();
     let mut costs = vec![CostCounter::default(); block_dim];
     // Each simulated thread's fault stream is derived from the pre-drawn
     // launch salt and its global id — private state, immune to scheduling.
@@ -456,13 +414,12 @@ fn run_block<K: Kernel>(
                 block_dim,
                 grid_dim,
                 phase,
-                args,
                 mem: &mut *mem,
                 cost: &mut costs[thread_idx],
                 race: race.as_deref_mut(),
                 fault: fault_streams[thread_idx].as_mut(),
             };
-            kernel.phase(phase, &mut ctx, &mut shared, &mut states[thread_idx]);
+            kernel.phase(phase, &mut ctx);
         }
     }
     // Fold threads into lockstep warps.
@@ -480,22 +437,16 @@ fn run_block<K: Kernel>(
     BlockOutcome { warps, total, bit_flips }
 }
 
-/// Per-thread execution context handed to [`Kernel::phase`].
+/// Per-thread execution context handed to [`Kernel::phase`]. Kernels
+/// reach its thread geometry and cost counters through [`DeviceCtx`].
 pub struct ThreadCtx<'a> {
-    /// Thread index within the block (`threadIdx.x` for linear blocks).
-    pub thread_idx: usize,
-    /// Block index within the grid (`blockIdx.x`).
-    pub block_idx: usize,
-    /// Threads per block (`blockDim.x`).
-    pub block_dim: usize,
-    /// Blocks per grid (`gridDim.x`).
-    pub grid_dim: usize,
+    thread_idx: usize,
+    block_idx: usize,
+    block_dim: usize,
+    grid_dim: usize,
     phase: usize,
-    args: &'a [ErasedBuf],
     mem: &'a mut MemoryPool,
-    /// This thread's cost counters (kernels may charge extra work through
-    /// the `charge_*` helpers).
-    pub cost: &'a mut CostCounter,
+    cost: &'a mut CostCounter,
     race: Option<&'a mut RaceTracker>,
     fault: Option<&'a mut ReadFaultStream>,
 }
@@ -579,10 +530,6 @@ impl DeviceCtx for ThreadCtx<'_> {
         self.grid_dim
     }
 
-    fn arg_buf(&self, i: usize) -> ErasedBuf {
-        self.args[i]
-    }
-
     #[inline]
     fn fault_injection_active(&self) -> bool {
         self.fault.is_some()
@@ -590,25 +537,23 @@ impl DeviceCtx for ThreadCtx<'_> {
 
     /// Read one element from global memory (counts one transaction).
     #[inline]
-    fn read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
-        let (id, _) = buf.id_len();
+    fn read<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T {
         self.cost.global_transactions += 1;
         self.cost.alu += 1;
-        self.track_reads(id, idx, 1);
-        self.load(id, idx)
+        self.track_reads(buf.id, idx, 1);
+        self.load(buf.id, idx)
     }
 
     /// Write one element to global memory (counts one transaction).
     #[inline]
-    fn write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
-        let (id, _) = buf.id_len();
+    fn write<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize, value: T) {
         self.cost.global_transactions += 1;
         self.cost.alu += 1;
         let who = self.who();
         if let Some(race) = self.race.as_deref_mut() {
-            race.on_write(id, idx, who);
+            race.on_write(buf.id, idx, who);
         }
-        self.mem.set_word(id, idx, value.to_bits());
+        self.mem.set_word(buf.id, idx, value.to_bits());
     }
 
     /// Read one element through the **texture path** (read-only, spatially
@@ -619,12 +564,11 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// must only be used for data no kernel writes during the launch (race
     /// detection still checks this).
     #[inline]
-    fn read_texture<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
-        let (id, _) = buf.id_len();
+    fn read_texture<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T {
         self.cost.texture_reads += 1;
         self.cost.alu += 1;
-        self.track_reads(id, idx, 1);
-        self.load(id, idx)
+        self.track_reads(buf.id, idx, 1);
+        self.load(buf.id, idx)
     }
 
     /// Read from constant memory (broadcast-cached: ALU cost only).
@@ -636,50 +580,34 @@ impl DeviceCtx for ThreadCtx<'_> {
 
     /// `atomicMin` on a signed 64-bit global location. Atomics never race
     /// (they serialize at L2) but pay [`DeviceSpec::cpi_atomic`].
-    fn atomic_min_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64 {
-        let (id, _) = buf.id_len();
+    fn atomic_min_i64(&mut self, buf: Buf<i64>, idx: usize, value: i64) -> i64 {
         self.cost.atomics += 1;
-        self.mem.atomic_min_i64(id, idx, value)
-    }
-
-    /// `atomicAdd` on a signed 64-bit global location; charged like
-    /// [`atomic_min_i64`](Self::atomic_min_i64).
-    fn atomic_add_i64(&mut self, buf: impl AsBuf<i64>, idx: usize, value: i64) -> i64 {
-        let (id, _) = buf.id_len();
-        self.cost.atomics += 1;
-        self.mem.atomic_add_i64(id, idx, value)
+        self.mem.atomic_min_i64(buf.id, idx, value)
     }
 
     /// Bulk read `dst.len()` consecutive elements starting at `start`
     /// (charges one transaction per element, like the per-element
     /// [`read`](Self::read) — per-thread rows are strided across threads, so
     /// accesses do not coalesce; see the crate docs).
-    fn read_slice_into<T: DeviceValue>(
-        &mut self,
-        buf: impl AsBuf<T>,
-        start: usize,
-        dst: &mut [T],
-    ) {
-        let (id, _) = buf.id_len();
+    fn read_slice_into<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]) {
         self.cost.global_transactions += dst.len() as u64;
         self.cost.alu += dst.len() as u64;
-        self.track_reads(id, start, dst.len());
-        self.load_into(id, start, dst);
+        self.track_reads(buf.id, start, dst.len());
+        self.load_into(buf.id, start, dst);
     }
 
     /// Bulk write `src.len()` consecutive elements starting at `start`
     /// (charges one transaction per element).
-    fn write_slice<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, start: usize, src: &[T]) {
-        let (id, _) = buf.id_len();
+    fn write_slice<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, src: &[T]) {
         self.cost.global_transactions += src.len() as u64;
         self.cost.alu += src.len() as u64;
         let who = self.who();
         if let Some(race) = self.race.as_deref_mut() {
             for i in start..start + src.len() {
-                race.on_write(id, i, who);
+                race.on_write(buf.id, i, who);
             }
         }
-        for (w, &v) in self.mem.words_mut(id, start, src.len()).iter_mut().zip(src) {
+        for (w, &v) in self.mem.words_mut(buf.id, start, src.len()).iter_mut().zip(src) {
             *w = v.to_bits();
         }
     }
@@ -688,24 +616,22 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// read and a write transaction per element.
     fn copy_row<T: DeviceValue>(
         &mut self,
-        src: impl AsBuf<T>,
+        src: Buf<T>,
         src_start: usize,
-        dst: impl AsBuf<T>,
+        dst: Buf<T>,
         dst_start: usize,
         count: usize,
     ) {
-        let (sid, _) = src.id_len();
-        let (did, _) = dst.id_len();
         self.cost.global_transactions += 2 * count as u64;
         self.cost.alu += count as u64;
         let who = self.who();
         if let Some(race) = self.race.as_deref_mut() {
             for i in 0..count {
-                race.on_read(sid, src_start + i, who);
-                race.on_write(did, dst_start + i, who);
+                race.on_read(src.id, src_start + i, who);
+                race.on_write(dst.id, dst_start + i, who);
             }
         }
-        self.mem.copy_words(sid, src_start, did, dst_start, count);
+        self.mem.copy_words(src.id, src_start, dst.id, dst_start, count);
     }
 
     /// Uncharged bulk load used for **cooperative** staging: one thread does
@@ -713,15 +639,9 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// share via [`charge_global`](Self::charge_global)/
     /// [`charge_shared`](Self::charge_shared). Race detection still sees the
     /// reads.
-    fn cooperative_read<T: DeviceValue>(
-        &mut self,
-        buf: impl AsBuf<T>,
-        start: usize,
-        dst: &mut [T],
-    ) {
-        let (id, _) = buf.id_len();
-        self.track_reads(id, start, dst.len());
-        self.load_into(id, start, dst);
+    fn cooperative_read<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]) {
+        self.track_reads(buf.id, start, dst.len());
+        self.load_into(buf.id, start, dst);
     }
 
     /// Charge `n` global-memory transactions (the accounting half of a
@@ -757,18 +677,16 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// draw order. Never use this for algorithm state: it models an
     /// out-of-band debug channel, not device memory traffic.
     #[inline]
-    fn telemetry_read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
-        let (id, _) = buf.id_len();
-        T::from_bits(self.mem.word(id, idx))
+    fn telemetry_read<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T {
+        T::from_bits(self.mem.word(buf.id, idx))
     }
 
     /// Write one element through the **instrumentation port** (uncharged,
     /// fault-invisible, untracked — see
     /// [`telemetry_read`](Self::telemetry_read)).
     #[inline]
-    fn telemetry_write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
-        let (id, _) = buf.id_len();
-        self.mem.set_word(id, idx, value.to_bits());
+    fn telemetry_write<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize, value: T) {
+        self.mem.set_word(buf.id, idx, value.to_bits());
     }
 }
 
@@ -897,7 +815,6 @@ impl Gpu {
         &mut self,
         kernel: &K,
         cfg: LaunchConfig,
-        args: &[ErasedBuf],
     ) -> Result<LaunchStats, LaunchError> {
         let block_dim = cfg.block_size();
         let shared_bytes = kernel.shared_mem_bytes(block_dim);
@@ -941,8 +858,15 @@ impl Gpu {
         let mut bit_flips = 0u64;
         for block_idx in 0..grid_dim {
             let outcome = run_block(
-                kernel, block_idx, block_dim, grid_dim, phases, args, &mut self.pool, warp_size,
-                read_cfg, race.as_mut(),
+                kernel,
+                block_idx,
+                block_dim,
+                grid_dim,
+                phases,
+                &mut self.pool,
+                warp_size,
+                read_cfg,
+                race.as_mut(),
             );
             total_cost.add(&outcome.total);
             bit_flips += outcome.bit_flips;
@@ -1012,32 +936,27 @@ impl Gpu {
     pub fn span_end(&mut self, name: impl Into<String>) {
         self.profiler.span_end(name);
     }
-
-    /// Total modeled device time so far (kernels + transfers), seconds.
-    pub fn elapsed_modeled(&self) -> f64 {
-        self.profiler.total_seconds()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{ExecBackend, NativeGpu};
+    use crate::scratch::ScratchArena;
 
-    /// Doubles every element of its single argument.
-    struct Double;
+    /// Doubles every element of its buffer.
+    struct Double {
+        buf: Buf<i64>,
+    }
     impl Kernel for Double {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "double"
         }
-        fn make_shared(&self, _block: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-            let buf = ctx.arg_buf(0);
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
             let gid = ctx.global_id();
-            if gid < buf.len() {
-                let v: i64 = ctx.read(buf, gid);
-                ctx.write(buf, gid, v * 2);
+            if gid < self.buf.len() {
+                let v = ctx.read(self.buf, gid);
+                ctx.write(self.buf, gid, v * 2);
             }
         }
     }
@@ -1047,23 +966,23 @@ mod tests {
         let mut gpu = Gpu::new(DeviceSpec::gt560m());
         let buf = gpu.alloc::<i64>(10);
         gpu.h2d(buf, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        let stats = gpu.launch(&Double, LaunchConfig::cover(10, 4), &[buf.erased()]).unwrap();
+        let stats = gpu.launch(&Double { buf }, LaunchConfig::cover(10, 4)).unwrap();
         assert_eq!(gpu.d2h(buf), vec![2, 4, 6, 8, 10, 12, 14, 16, 18, 20]);
         assert_eq!(stats.threads, 12); // 3 blocks × 4
         assert!(stats.timing.seconds > 0.0);
         assert!(stats.total_cost.global_transactions >= 20);
     }
 
-    /// Phase 0 writes shared; phase 1 reads it — barrier semantics.
-    struct BarrierSum;
+    /// Phase 0 stages each thread's value in its block's scratch slot (the
+    /// block's shared memory); phase 1 reads them all — barrier semantics.
+    struct BarrierSum {
+        buf: Buf<i64>,
+        /// One slot per block.
+        staged: ScratchArena<Vec<i64>>,
+    }
     impl Kernel for BarrierSum {
-        type Shared = Vec<i64>;
-        type ThreadState = ();
         fn name(&self) -> &str {
             "barrier_sum"
-        }
-        fn make_shared(&self, block: usize) -> Vec<i64> {
-            vec![0; block]
         }
         fn shared_mem_bytes(&self, block: usize) -> usize {
             block * 8
@@ -1071,49 +990,59 @@ mod tests {
         fn num_phases(&self) -> usize {
             2
         }
-        fn phase<C: DeviceCtx>(&self, p: usize, ctx: &mut C, sh: &mut Vec<i64>, _t: &mut ()) {
-            let buf = ctx.arg_buf(0);
+        fn phase<C: DeviceCtx>(&self, p: usize, ctx: &mut C) {
+            let (block, block_dim, t) = (ctx.block_idx(), ctx.block_dim(), ctx.thread_idx());
             match p {
                 0 => {
                     // Each thread stages its value; thread 0 reads *everyone's*
                     // value in phase 1, which is only safe past the barrier.
-                    let v: i64 = ctx.read(buf, ctx.global_id());
-                    sh[ctx.thread_idx()] = v;
+                    let v = ctx.read(self.buf, ctx.global_id());
+                    self.staged.with_slot(block, |sh| {
+                        sh.resize(block_dim, 0);
+                        sh[t] = v;
+                    });
                     ctx.charge_shared(1);
                 }
                 _ => {
-                    if ctx.thread_idx() == 0 {
-                        let sum: i64 = sh.iter().sum();
-                        ctx.charge_shared(sh.len() as u64);
-                        ctx.write(buf, ctx.block_idx() * ctx.block_dim(), sum);
+                    if t == 0 {
+                        let sum: i64 = self.staged.with_slot(block, |sh| sh.iter().sum());
+                        ctx.charge_shared(block_dim as u64);
+                        ctx.write(self.buf, block * block_dim, sum);
                     }
                 }
             }
         }
     }
 
+    /// The buffer after one `BarrierSum` launch of 2 blocks of 4 threads.
+    fn barrier_sums<B: ExecBackend>(gpu: &mut B) -> Vec<i64> {
+        let buf = gpu.alloc::<i64>(8);
+        gpu.h2d(buf, &[1, 2, 3, 4, 10, 20, 30, 40]);
+        let kernel = BarrierSum { buf, staged: ScratchArena::new(2) };
+        gpu.launch_kernel(&kernel, LaunchConfig::linear(2, 4)).unwrap();
+        gpu.d2h(buf)
+    }
+
     #[test]
     fn barrier_makes_staged_values_visible() {
-        let mut gpu = Gpu::new(DeviceSpec::gt560m());
-        let buf = gpu.alloc::<i64>(4);
-        gpu.h2d(buf, &[1, 2, 3, 4]);
-        gpu.launch(&BarrierSum, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap();
-        assert_eq!(gpu.d2h(buf)[0], 10);
+        // Each block's sum lands on its first element and counts only its
+        // own four values.
+        let want = vec![10, 2, 3, 4, 100, 20, 30, 40];
+        assert_eq!(barrier_sums(&mut Gpu::new(DeviceSpec::gt560m())), want, "sim");
+        assert_eq!(barrier_sums(&mut NativeGpu::new(DeviceSpec::gt560m())), want, "native");
     }
 
     /// All threads write location 0 — an obvious data race.
-    struct Racy;
+    struct Racy {
+        buf: Buf<i64>,
+    }
     impl Kernel for Racy {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "racy"
         }
-        fn make_shared(&self, _b: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-            let buf = ctx.arg_buf(0);
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
             let id = ctx.global_id() as i64;
-            ctx.write(buf, 0, id);
+            ctx.write(self.buf, 0, id);
         }
     }
 
@@ -1122,7 +1051,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceSpec::gt560m());
         gpu.set_race_detection(true);
         let buf = gpu.alloc::<i64>(1);
-        let err = gpu.launch(&Racy, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap_err();
+        let err = gpu.launch(&Racy { buf }, LaunchConfig::linear(1, 4)).unwrap_err();
         assert!(matches!(err, LaunchError::DataRace(_)), "{err}");
     }
 
@@ -1131,24 +1060,22 @@ mod tests {
         let mut gpu = Gpu::new(DeviceSpec::gt560m());
         gpu.set_race_detection(true);
         let buf = gpu.alloc::<i64>(8);
-        gpu.launch(&Double, LaunchConfig::linear(2, 4), &[buf.erased()]).unwrap();
+        gpu.launch(&Double { buf }, LaunchConfig::linear(2, 4)).unwrap();
     }
 
     /// Same-location atomic min from every thread — must not race and must
     /// produce the true minimum.
-    struct AtomicMin;
+    struct AtomicMin {
+        values: Buf<i64>,
+        out: Buf<i64>,
+    }
     impl Kernel for AtomicMin {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "atomic_min"
         }
-        fn make_shared(&self, _b: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-            let values = ctx.arg_buf(0);
-            let out = ctx.arg_buf(1);
-            let v: i64 = ctx.read(values, ctx.global_id());
-            ctx.atomic_min_i64(out, 0, v);
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
+            let v = ctx.read(self.values, ctx.global_id());
+            ctx.atomic_min_i64(self.out, 0, v);
         }
     }
 
@@ -1160,9 +1087,7 @@ mod tests {
         gpu.h2d(values, &[9, 4, 7, 1, 8, 2, 6, 3]);
         let out = gpu.alloc::<i64>(1);
         gpu.h2d(out, &[i64::MAX]);
-        let stats = gpu
-            .launch(&AtomicMin, LaunchConfig::linear(2, 4), &[values.erased(), out.erased()])
-            .unwrap();
+        let stats = gpu.launch(&AtomicMin { values, out }, LaunchConfig::linear(2, 4)).unwrap();
         assert_eq!(gpu.d2h(out)[0], 1);
         assert_eq!(stats.total_cost.atomics, 8);
     }
@@ -1171,8 +1096,7 @@ mod tests {
     fn launch_rejects_oversized_block() {
         let mut gpu = Gpu::new(DeviceSpec::gt560m());
         let buf = gpu.alloc::<i64>(1);
-        let err =
-            gpu.launch(&Double, LaunchConfig::linear(1, 2048), &[buf.erased()]).unwrap_err();
+        let err = gpu.launch(&Double { buf }, LaunchConfig::linear(1, 2048)).unwrap_err();
         assert!(matches!(err, LaunchError::InvalidConfig(_)));
     }
 
@@ -1194,47 +1118,43 @@ mod tests {
         let _ = gpu.d2h(buf);
         assert!(gpu.profiler().transfer_seconds() > 0.0);
         assert_eq!(gpu.profiler().events().len(), 2);
-        assert!(gpu.elapsed_modeled() > 0.0);
+        assert!(gpu.profiler().total_seconds() > 0.0);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_read_panics() {
-        struct Oob;
+        struct Oob {
+            buf: Buf<i64>,
+        }
         impl Kernel for Oob {
-            type Shared = ();
-            type ThreadState = ();
             fn name(&self) -> &str {
                 "oob"
             }
-            fn make_shared(&self, _b: usize) {}
-            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-                let buf = ctx.arg_buf(0);
-                let _: i64 = ctx.read(buf, 99);
+            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
+                let _ = ctx.read(self.buf, 99);
             }
         }
         let mut gpu = Gpu::new(DeviceSpec::gt560m());
         let buf = gpu.alloc::<i64>(4);
-        let _ = gpu.launch(&Oob, LaunchConfig::linear(1, 1), &[buf.erased()]);
+        let _ = gpu.launch(&Oob { buf }, LaunchConfig::linear(1, 1));
     }
 
     /// Doubles with wrapping arithmetic: under bit-flip injection a read can
     /// return any i64, so the test kernel must tolerate extreme values
     /// (exactly the hardening real kernels need).
-    struct WrappingDouble;
+    struct WrappingDouble {
+        buf: Buf<i64>,
+    }
     impl Kernel for WrappingDouble {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "wrapping_double"
         }
-        fn make_shared(&self, _block: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-            let buf = ctx.arg_buf(0);
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
             let gid = ctx.global_id();
-            if gid < buf.len() {
-                let v: i64 = ctx.read(buf, gid);
-                ctx.write(buf, gid, v.wrapping_mul(2));
+            if gid < self.buf.len() {
+                let v = ctx.read(self.buf, gid);
+                ctx.write(self.buf, gid, v.wrapping_mul(2));
             }
         }
     }
@@ -1251,9 +1171,7 @@ mod tests {
         gpu.set_fault_plan(Some(plan));
         let mut errors = Vec::new();
         for _ in 0..launches {
-            errors.push(
-                gpu.launch(&WrappingDouble, LaunchConfig::linear(2, 4), &[buf.erased()]).err(),
-            );
+            errors.push(gpu.launch(&WrappingDouble { buf }, LaunchConfig::linear(2, 4)).err());
         }
         (errors, gpu.d2h(buf), gpu.fault_stats())
     }
@@ -1280,7 +1198,7 @@ mod tests {
         let buf = gpu.alloc::<i64>(4);
         gpu.h2d(buf, &[1, 2, 3, 4]);
         gpu.set_fault_plan(Some(FaultPlan::with_rates(0, 1.0, 0.0, 0.0)));
-        let err = gpu.launch(&Double, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap_err();
+        let err = gpu.launch(&Double { buf }, LaunchConfig::linear(1, 4)).unwrap_err();
         assert!(matches!(err, LaunchError::TransientFault(_)), "{err}");
         assert!(err.is_transient());
         assert_eq!(gpu.peek(buf), vec![1, 2, 3, 4], "failed launch must not execute");
@@ -1298,7 +1216,7 @@ mod tests {
             ..FaultPlan::with_rates(0, 0.0, 0.0, 1.0)
         };
         gpu.set_fault_plan(Some(plan));
-        let err = gpu.launch(&Double, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap_err();
+        let err = gpu.launch(&Double { buf }, LaunchConfig::linear(1, 4)).unwrap_err();
         let LaunchError::KernelTimeout { kernel, modeled_seconds, budget_seconds } = &err else {
             panic!("expected KernelTimeout, got {err}");
         };
@@ -1318,7 +1236,7 @@ mod tests {
         gpu.set_fault_plan(Some(FaultPlan::disabled().reseeded(5).with_worker_crash(1.0, 3)));
         let mut survived = 0u64;
         let err = loop {
-            match gpu.launch(&Double, LaunchConfig::linear(1, 4), &[buf.erased()]) {
+            match gpu.launch(&Double { buf }, LaunchConfig::linear(1, 4)) {
                 Ok(_) => survived += 1,
                 Err(e) => break e,
             }
@@ -1331,14 +1249,14 @@ mod tests {
         // executing, and the crash is not double-counted.
         let before = gpu.peek(buf);
         for _ in 0..5 {
-            let e = gpu.launch(&Double, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap_err();
+            let e = gpu.launch(&Double { buf }, LaunchConfig::linear(1, 4)).unwrap_err();
             assert!(matches!(e, LaunchError::DeviceLost { .. }));
         }
         assert_eq!(gpu.peek(buf), before, "launches on a dead device must not execute");
         assert_eq!(gpu.fault_stats().worker_crashes, 1);
         // Installing a fresh plan models standing up a fresh device.
         gpu.set_fault_plan(None);
-        gpu.launch(&Double, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap();
+        gpu.launch(&Double { buf }, LaunchConfig::linear(1, 4)).unwrap();
     }
 
     #[test]
@@ -1354,7 +1272,7 @@ mod tests {
             ..FaultPlan::with_rates(0, 0.0, 0.0, 1.0)
         };
         gpu.set_fault_plan(Some(plan));
-        gpu.launch(&Double, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap();
+        gpu.launch(&Double { buf }, LaunchConfig::linear(1, 4)).unwrap();
         assert_eq!(gpu.fault_stats().hung_kernels, 0);
     }
 
@@ -1367,24 +1285,22 @@ mod tests {
         gpu.set_fault_plan(Some(FaultPlan::with_rates(5, 0.0, 1.0, 0.0)));
         let out = gpu.alloc::<i64>(64);
 
-        /// Copies src[gid] → out[gid] (read passes through the fault layer).
-        struct CopyK;
+        /// Copies src[gid] → dst[gid] (read passes through the fault layer).
+        struct CopyK {
+            src: Buf<i64>,
+            dst: Buf<i64>,
+        }
         impl Kernel for CopyK {
-            type Shared = ();
-            type ThreadState = ();
             fn name(&self) -> &str {
                 "copy"
             }
-            fn make_shared(&self, _b: usize) {}
-            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-                let src = ctx.arg_buf(0);
-                let dst = ctx.arg_buf(1);
+            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
                 let gid = ctx.global_id();
-                let v: i64 = ctx.read(src, gid);
-                ctx.write(dst, gid, v);
+                let v = ctx.read(self.src, gid);
+                ctx.write(self.dst, gid, v);
             }
         }
-        gpu.launch(&CopyK, LaunchConfig::linear(2, 32), &[buf.erased(), out.erased()]).unwrap();
+        gpu.launch(&CopyK { src: buf, dst: out }, LaunchConfig::linear(2, 32)).unwrap();
         let copied = gpu.peek(out);
         assert_ne!(copied, host, "flip rate 1.0 must corrupt the copied values");
         for (c, h) in copied.iter().zip(&host) {
@@ -1402,7 +1318,7 @@ mod tests {
         gpu.set_race_detection(true);
         gpu.set_fault_plan(Some(FaultPlan::with_rates(11, 0.0, 0.2, 0.0)));
         let buf = gpu.alloc::<i64>(1);
-        let err = gpu.launch(&Racy, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap_err();
+        let err = gpu.launch(&Racy { buf }, LaunchConfig::linear(1, 4)).unwrap_err();
         assert!(matches!(err, LaunchError::DataRace(_)), "{err}");
         assert!(!err.is_transient(), "races are bugs, not retryable faults");
     }
@@ -1414,28 +1330,26 @@ mod tests {
         assert!(gpu.fault_plan().is_none());
         let buf = gpu.alloc::<i64>(4);
         gpu.h2d(buf, &[1, 2, 3, 4]);
-        gpu.launch(&Double, LaunchConfig::linear(1, 4), &[buf.erased()]).unwrap();
+        gpu.launch(&Double { buf }, LaunchConfig::linear(1, 4)).unwrap();
         assert_eq!(gpu.d2h(buf), vec![2, 4, 6, 8]);
     }
 
     #[test]
     fn rng_state_survives_round_trip_through_device_memory() {
-        struct RngStep;
+        struct RngStep {
+            states: Buf<u64>,
+            out: Buf<i64>,
+        }
         impl Kernel for RngStep {
-            type Shared = ();
-            type ThreadState = ();
             fn name(&self) -> &str {
                 "rng_step"
             }
-            fn make_shared(&self, _b: usize) {}
-            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-                let states = ctx.arg_buf(0);
-                let out = ctx.arg_buf(1);
+            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
                 let slot = ctx.global_id();
-                let mut rng = ctx.load_rng(states, slot);
+                let mut rng = ctx.load_rng(self.states, slot);
                 let v = rng.next_u32() as i64;
-                ctx.write(out, slot, v);
-                ctx.store_rng(states, slot, &rng);
+                ctx.write(self.out, slot, v);
+                ctx.store_rng(self.states, slot, &rng);
             }
         }
         let mut gpu = Gpu::new(DeviceSpec::gt560m());
@@ -1446,11 +1360,10 @@ mod tests {
         }
         gpu.h2d(states, &host_states);
         let out = gpu.alloc::<i64>(2);
-        gpu.launch(&RngStep, LaunchConfig::linear(1, 2), &[states.erased(), out.erased()])
-            .unwrap();
+        let kernel = RngStep { states, out };
+        gpu.launch(&kernel, LaunchConfig::linear(1, 2)).unwrap();
         let first = gpu.d2h(out);
-        gpu.launch(&RngStep, LaunchConfig::linear(1, 2), &[states.erased(), out.erased()])
-            .unwrap();
+        gpu.launch(&kernel, LaunchConfig::linear(1, 2)).unwrap();
         let second = gpu.d2h(out);
         // Host reference streams must match the device sequence.
         for t in 0..2 {

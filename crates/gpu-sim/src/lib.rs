@@ -41,36 +41,39 @@
 //! bodies in the same serial block order with no simulation overhead and
 //! byte-identical results (DESIGN.md §11, §16).
 //!
+//! A kernel holds its device buffers as typed [`Buf`] fields, the analogue
+//! of CUDA launch parameters, so a launch is just the kernel value and a
+//! [`LaunchConfig`]; block-shared and per-thread data that outlives a phase
+//! lives in a [`ScratchArena`] the kernel owns (see [`Kernel`]).
+//!
 //! ```
-//! use cuda_sim::{DeviceCtx, DeviceSpec, Gpu, Kernel, LaunchConfig};
+//! use cuda_sim::{Buf, DeviceCtx, DeviceSpec, Gpu, Kernel, LaunchConfig};
 //! use cuda_sim::backend::{ExecBackend, NativeGpu};
 //!
-//! struct AddOne;
+//! struct AddOne {
+//!     buf: Buf<i64>,
+//! }
 //! impl Kernel for AddOne {
-//!     type Shared = ();
-//!     type ThreadState = ();
 //!     fn name(&self) -> &str { "add_one" }
-//!     fn make_shared(&self, _block_dim: usize) -> () {}
-//!     fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-//!         let buf = ctx.arg_buf(0);
+//!     fn phase<C: DeviceCtx>(&self, _phase: usize, ctx: &mut C) {
 //!         let gid = ctx.global_id();
-//!         let v: i64 = ctx.read(buf, gid);
-//!         ctx.write(buf, gid, v + 1);
+//!         let v = ctx.read(self.buf, gid);
+//!         ctx.write(self.buf, gid, v + 1);
 //!     }
 //! }
 //!
 //! let mut gpu = Gpu::new(DeviceSpec::gt560m());
 //! let buf = gpu.alloc::<i64>(8);
 //! gpu.h2d(buf, &[0i64, 1, 2, 3, 4, 5, 6, 7]);
-//! gpu.launch(&AddOne, LaunchConfig::linear(2, 4), &[buf.erased()]).unwrap();
+//! gpu.launch(&AddOne { buf }, LaunchConfig::linear(2, 4)).unwrap();
 //! assert_eq!(gpu.d2h(buf), vec![1i64, 2, 3, 4, 5, 6, 7, 8]);
 //!
 //! // The same kernel on the native backend, through the backend trait.
 //! let mut native = NativeGpu::new(DeviceSpec::gt560m());
-//! let nbuf = ExecBackend::alloc::<i64>(&mut native, 8);
-//! native.h2d(nbuf, &[0i64, 1, 2, 3, 4, 5, 6, 7]);
-//! native.launch_kernel(&AddOne, LaunchConfig::linear(2, 4), &[nbuf.erased()]).unwrap();
-//! assert_eq!(native.d2h(nbuf), vec![1i64, 2, 3, 4, 5, 6, 7, 8]);
+//! let buf = ExecBackend::alloc::<i64>(&mut native, 8);
+//! native.h2d(buf, &[0i64, 1, 2, 3, 4, 5, 6, 7]);
+//! native.launch_kernel(&AddOne { buf }, LaunchConfig::linear(2, 4)).unwrap();
+//! assert_eq!(native.d2h(buf), vec![1i64, 2, 3, 4, 5, 6, 7, 8]);
 //! ```
 
 #![deny(unsafe_code)]
@@ -95,7 +98,7 @@ pub use device::DeviceSpec;
 pub use engine::{DeviceCtx, Gpu, Kernel, LaunchError, LaunchStats, ThreadCtx};
 pub use fault::{FaultPlan, FaultStats};
 pub use grid::{Dim3, LaunchConfig};
-pub use memory::{Buf, ConstBuf, ErasedBuf};
+pub use memory::{Buf, ConstBuf};
 pub use pool::{DeviceHandle, DeviceUsage};
 pub use profiler::{
     observe_timeline, timeline_trace_events, transfer_dir_label, Profiler, ProfilerAggregate,

@@ -106,35 +106,6 @@ impl<T> Buf<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Drop the type for kernel-argument passing.
-    pub fn erased(self) -> ErasedBuf {
-        ErasedBuf { id: self.id, len: self.len }
-    }
-}
-
-/// Untyped buffer handle (a kernel argument, like a `void*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ErasedBuf {
-    pub(crate) id: usize,
-    pub(crate) len: usize,
-}
-
-impl ErasedBuf {
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Re-apply a type (the kernel-side cast of a `void*` argument).
-    pub fn typed<T>(self) -> Buf<T> {
-        Buf::new(self.id, self.len)
-    }
 }
 
 /// Typed handle to a constant-memory region (read-only on device, broadcast
@@ -329,20 +300,9 @@ impl MemoryPool {
     /// `atomicMin` on a signed word, applied in place. Returns the word's
     /// previous value.
     pub(crate) fn atomic_min_i64(&mut self, buf: usize, idx: usize, value: i64) -> i64 {
-        self.atomic_update(buf, idx, |old| old.min(value))
-    }
-
-    /// `atomicAdd` on a signed word, applied in place; it wraps on overflow
-    /// like CUDA's. Returns the word's previous value.
-    pub(crate) fn atomic_add_i64(&mut self, buf: usize, idx: usize, value: i64) -> i64 {
-        self.atomic_update(buf, idx, |old| old.wrapping_add(value))
-    }
-
-    #[inline]
-    fn atomic_update(&mut self, buf: usize, idx: usize, op: impl FnOnce(i64) -> i64) -> i64 {
         let word = self.word_mut(buf, idx);
         let old = i64::from_bits(*word);
-        *word = op(old).to_bits();
+        *word = old.min(value).to_bits();
         old
     }
 }
@@ -364,15 +324,6 @@ mod tests {
     fn negative_i64_survives() {
         let v: i64 = i64::MIN + 3;
         assert_eq!(i64::from_bits(v.to_bits()), v);
-    }
-
-    #[test]
-    fn erased_round_trip() {
-        let b: Buf<i64> = Buf::new(3, 10);
-        let e = b.erased();
-        assert_eq!(e.len(), 10);
-        let t: Buf<i64> = e.typed();
-        assert_eq!(t, b);
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl Profiler {
         self.events.iter().filter(|e| matches!(e, TimelineEvent::Kernel { .. })).count()
     }
 
-    /// Drop all events (start a new measurement window).
-    pub fn reset(&mut self) {
-        self.events.clear();
-    }
-
     /// Per-kernel-name summary table (launch count, total modeled ms),
     /// rendered as text.
     #[must_use]
@@ -485,15 +480,6 @@ mod tests {
         assert_eq!(evs[3].ph, 'E');
         assert_eq!(evs[3].ts_us, 3100.0, "span closes after the work it wraps");
         assert!(evs.iter().all(|e| e.tid == 3), "all events stay on the device track");
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut p = Profiler::new();
-        p.push(kernel_event("k", 1.0));
-        p.reset();
-        assert_eq!(p.total_seconds(), 0.0);
-        assert!(p.events().is_empty());
     }
 
     #[test]

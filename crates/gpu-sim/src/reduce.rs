@@ -1,40 +1,12 @@
-//! Reduction utilities: the paper's fourth kernel finds the ensemble-best
-//! solution with an atomic minimization; this module provides that kernel
-//! plus a host-side helper for (value, index) argmin reductions.
+//! The paper's fourth kernel finds the ensemble-best solution with an
+//! atomic minimization ("the minimal value among all the threads is
+//! calculated by performing an atomic minimization function"). This module
+//! holds that kernel, an argmin over packed `(value, index)` keys, with the
+//! helpers the pipelines use to check the packing's domain and to pack and
+//! unpack keys.
 
-use crate::backend::ExecBackend;
-use crate::engine::{DeviceCtx, Kernel, LaunchError};
-use crate::grid::LaunchConfig;
+use crate::engine::{DeviceCtx, Kernel};
 use crate::memory::Buf;
-
-/// Kernel: `atomicMin(out[0], values[gid])` over all threads — the paper's
-/// reduction kernel ("the minimal value among all the threads is calculated
-/// by performing an atomic minimization function").
-pub struct AtomicMinKernel {
-    /// Fitness values, one per thread.
-    pub values: Buf<i64>,
-    /// Single-element output; must be pre-seeded with `i64::MAX`.
-    pub out: Buf<i64>,
-}
-
-impl Kernel for AtomicMinKernel {
-    type Shared = ();
-    type ThreadState = ();
-
-    fn name(&self) -> &str {
-        "reduce_atomic_min"
-    }
-
-    fn make_shared(&self, _block_dim: usize) {}
-
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-        let gid = ctx.global_id();
-        if gid < self.values.len() {
-            let v = ctx.read(self.values, gid);
-            ctx.atomic_min_i64(self.out, 0, v);
-        }
-    }
-}
 
 /// Kernel: argmin via `atomicMin` on a packed `(value << 20 | index)` key.
 ///
@@ -112,16 +84,11 @@ pub fn unpack_argmin(key: i64) -> (i64, usize) {
 }
 
 impl Kernel for AtomicArgminKernel {
-    type Shared = ();
-    type ThreadState = ();
-
     fn name(&self) -> &str {
         "reduce_atomic_argmin"
     }
 
-    fn make_shared(&self, _block_dim: usize) {}
-
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
         let gid = ctx.global_id();
         if gid < self.values.len() {
             let mut v = ctx.read(self.values, gid);
@@ -138,27 +105,22 @@ impl Kernel for AtomicArgminKernel {
     }
 }
 
-/// Host-side convenience: run the argmin reduction over `values` and return
-/// `(min value, index)`. Allocates and seeds the output buffer. Generic
-/// over the execution backend.
-pub fn device_argmin<B: ExecBackend>(
-    gpu: &mut B,
-    values: Buf<i64>,
-    block_size: usize,
-) -> Result<(i64, usize), LaunchError> {
-    let out = gpu.alloc::<i64>(1);
-    gpu.h2d(out, &[i64::MAX]);
-    let kernel = AtomicArgminKernel { values, out };
-    gpu.launch_kernel(&kernel, LaunchConfig::cover(values.len(), block_size), &[])?;
-    let key = gpu.d2h(out)[0];
-    Ok(unpack_argmin(key))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::DeviceSpec;
     use crate::engine::Gpu;
+    use crate::grid::LaunchConfig;
+
+    /// `(min value, index)` of `values` from one `AtomicArgminKernel`
+    /// launch in blocks of `block_size`.
+    fn argmin(gpu: &mut Gpu, values: Buf<i64>, block_size: usize) -> (i64, usize) {
+        let out = gpu.alloc::<i64>(1);
+        gpu.h2d(out, &[i64::MAX]);
+        let kernel = AtomicArgminKernel { values, out };
+        gpu.launch(&kernel, LaunchConfig::cover(values.len(), block_size)).unwrap();
+        unpack_argmin(gpu.d2h(out)[0])
+    }
 
     #[test]
     fn pack_preserves_order() {
@@ -203,29 +165,12 @@ mod tests {
     }
 
     #[test]
-    fn atomic_min_kernel_reduces() {
-        let mut gpu = Gpu::new(DeviceSpec::gt560m());
-        let values = gpu.alloc::<i64>(100);
-        let host: Vec<i64> = (0..100).map(|i| ((i * 37) % 91) as i64 + 5).collect();
-        gpu.h2d(values, &host);
-        let out = gpu.alloc::<i64>(1);
-        gpu.h2d(out, &[i64::MAX]);
-        gpu.launch(
-            &AtomicMinKernel { values, out },
-            LaunchConfig::cover(100, 32),
-            &[],
-        )
-        .unwrap();
-        assert_eq!(gpu.d2h(out)[0], *host.iter().min().unwrap());
-    }
-
-    #[test]
     fn device_argmin_matches_host() {
         let mut gpu = Gpu::new(DeviceSpec::gt560m());
         let values = gpu.alloc::<i64>(768);
         let host: Vec<i64> = (0..768).map(|i| (((i * 7919) % 4093) as i64) - 50).collect();
         gpu.h2d(values, &host);
-        let (v, idx) = device_argmin(&mut gpu, values, 192).unwrap();
+        let (v, idx) = argmin(&mut gpu, values, 192);
         let host_min = *host.iter().min().unwrap();
         assert_eq!(v, host_min);
         assert_eq!(host[idx], host_min);
@@ -237,7 +182,7 @@ mod tests {
         gpu.set_race_detection(true);
         let values = gpu.alloc::<i64>(64);
         gpu.h2d(values, &(0..64).map(|i| 100 - i as i64).collect::<Vec<_>>());
-        let (v, idx) = device_argmin(&mut gpu, values, 32).unwrap();
+        let (v, idx) = argmin(&mut gpu, values, 32);
         assert_eq!(v, 37);
         assert_eq!(idx, 63);
     }

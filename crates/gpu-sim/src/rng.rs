@@ -64,7 +64,7 @@ impl XorWow {
     }
 
     /// Uniform float in `[0, 1)` — the "normalization … to obtain a floating
-    /// point value in [0,1]" the paper applies to cuRAND integers.
+    /// point value in \[0,1\]" the paper applies to cuRAND integers.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 random bits → exact dyadic in [0,1).

@@ -1,12 +1,17 @@
-//! Reusable per-slot scratch storage for kernels.
+//! Block and thread state for kernels.
 //!
-//! Kernel `ThreadState` used to be rebuilt via `Default` on every launch,
-//! which meant every generation of a pipeline re-allocated its working
-//! vectors (`seq`/`p`/`m`/`marks` in the fitness kernel, permutation rows in
-//! the perturb/update kernels). A [`ScratchArena`] keeps one slot per
-//! simulated thread (or per block) alive across launches so the vectors are
-//! resized once and then reused — a generation performs zero heap
-//! allocation in steady state.
+//! Beyond its buffer handles, everything a kernel keeps lives in a
+//! [`ScratchArena`] it sizes at construction. Data a block's threads share
+//! (shared memory, such as the fitness kernel's staged penalty rates) takes
+//! one slot per block, indexed by block id. Data a thread keeps from one
+//! phase to the next or reuses between launches (registers and local
+//! memory, such as the fitness kernel's `seq`/`p`/`m`/`marks` vectors or
+//! the perturb and update kernels' permutation rows) takes one slot per
+//! thread, indexed by global thread id. Slots live as long as the kernel,
+//! so vectors are resized once and then reused — a generation performs
+//! zero heap allocation in steady state — and a slot still holds what the
+//! previous launch left there, so a kernel overwrites what it stages
+//! before it reads it.
 //!
 //! Both backends run one simulated thread at a time, but kernels that own
 //! an arena stay `Sync`, so a caller may share one across host threads.

@@ -217,13 +217,10 @@ mod tests {
         ring: TelemetryRing,
     }
     impl Kernel for Probe {
-        type Shared = ();
-        type ThreadState = ();
         fn name(&self) -> &str {
             "probe"
         }
-        fn make_shared(&self, _b: usize) {}
-        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
             let chain = ctx.global_id();
             if chain < self.ring.chains {
                 let c = self.ring.bump_counter(ctx, chain, 1);
@@ -238,7 +235,7 @@ mod tests {
         let ring = TelemetryRing::alloc(&mut gpu, 4, 2);
         assert_eq!(gpu.profiler().events().len(), 0, "alloc records no events");
         gpu.set_fault_plan(Some(crate::fault::FaultPlan::with_rates(3, 0.0, 1.0, 0.0)));
-        let stats = gpu.launch(&Probe { ring }, LaunchConfig::linear(1, 4), &[]).unwrap();
+        let stats = gpu.launch(&Probe { ring }, LaunchConfig::linear(1, 4)).unwrap();
         assert_eq!(stats.total_cost.global_transactions, 0, "port access is uncharged");
         assert_eq!(stats.total_cost.alu, 0);
         assert_eq!(gpu.fault_stats().bit_flips, 0, "port reads draw no fault decisions");
@@ -254,7 +251,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceSpec::gt560m());
         let ring = TelemetryRing::alloc(&mut gpu, 2, 1);
         for _ in 0..5 {
-            gpu.launch(&Probe { ring }, LaunchConfig::linear(1, 2), &[]).unwrap();
+            gpu.launch(&Probe { ring }, LaunchConfig::linear(1, 2)).unwrap();
         }
         let (_, counters) = ring.snapshot(&gpu);
         assert_eq!(counters, vec![5, 5]);

@@ -2,26 +2,23 @@
 //! operations, barrier ordering, cross-block race detection, and the
 //! monotonicity of the performance model.
 
-use cuda_sim::{DeviceCtx, DeviceSpec, Gpu, Kernel, LaunchConfig, LaunchError};
+use cuda_sim::{Buf, DeviceCtx, DeviceSpec, Gpu, Kernel, LaunchConfig, LaunchError};
 
 /// Reverses its row via bulk read + bulk write.
 struct RowReverse {
     n: usize,
+    buf: Buf<i64>,
 }
 impl Kernel for RowReverse {
-    type Shared = ();
-    type ThreadState = Vec<i64>;
     fn name(&self) -> &str {
         "row_reverse"
     }
-    fn make_shared(&self, _b: usize) {}
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), row: &mut Vec<i64>) {
-        let buf = ctx.arg_buf(0);
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
         let gid = ctx.global_id();
-        row.resize(self.n, 0);
-        ctx.read_slice_into::<i64>(buf, gid * self.n, row);
+        let mut row = vec![0; self.n];
+        ctx.read_slice_into(self.buf, gid * self.n, &mut row);
         row.reverse();
-        ctx.write_slice::<i64>(buf, gid * self.n, row);
+        ctx.write_slice(self.buf, gid * self.n, &row);
     }
 }
 
@@ -33,9 +30,7 @@ fn bulk_read_write_round_trip() {
     let buf = gpu.alloc::<i64>(4 * n);
     let data: Vec<i64> = (0..20).collect();
     gpu.h2d(buf, &data);
-    let stats = gpu
-        .launch(&RowReverse { n }, LaunchConfig::linear(2, 2), &[buf.erased()])
-        .unwrap();
+    let stats = gpu.launch(&RowReverse { n, buf }, LaunchConfig::linear(2, 2)).unwrap();
     let out = gpu.d2h(buf);
     assert_eq!(&out[..5], &[4, 3, 2, 1, 0]);
     assert_eq!(&out[15..], &[19, 18, 17, 16, 15]);
@@ -43,22 +38,19 @@ fn bulk_read_write_round_trip() {
     assert_eq!(stats.total_cost.global_transactions, 4 * 10);
 }
 
-/// Thread 0 copies row 0 → row 1 with `copy_row`.
+/// Thread 0 copies row 0 of `src` → row 1 of `dst` with `copy_row`.
 struct CopyFirstRow {
     n: usize,
+    src: Buf<i64>,
+    dst: Buf<i64>,
 }
 impl Kernel for CopyFirstRow {
-    type Shared = ();
-    type ThreadState = ();
     fn name(&self) -> &str {
         "copy_first_row"
     }
-    fn make_shared(&self, _b: usize) {}
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
         if ctx.global_id() == 0 {
-            let src = ctx.arg_buf(0);
-            let dst = ctx.arg_buf(1);
-            ctx.copy_row::<i64>(src, 0, dst, self.n, self.n);
+            ctx.copy_row(self.src, 0, self.dst, self.n, self.n);
         }
     }
 }
@@ -70,35 +62,31 @@ fn copy_row_across_and_within_buffers() {
     gpu.h2d(a, &[7, 8, 9, 0, 0, 0]);
     let b = gpu.alloc::<i64>(6);
     // Across buffers (a → b, offset 3).
-    gpu.launch(&CopyFirstRow { n: 3 }, LaunchConfig::linear(1, 1), &[a.erased(), b.erased()])
-        .unwrap();
+    gpu.launch(&CopyFirstRow { n: 3, src: a, dst: b }, LaunchConfig::linear(1, 1)).unwrap();
     assert_eq!(gpu.d2h(b), vec![0, 0, 0, 7, 8, 9]);
     // Within one buffer (a → a, offset 3).
-    gpu.launch(&CopyFirstRow { n: 3 }, LaunchConfig::linear(1, 1), &[a.erased(), a.erased()])
-        .unwrap();
+    gpu.launch(&CopyFirstRow { n: 3, src: a, dst: a }, LaunchConfig::linear(1, 1)).unwrap();
     assert_eq!(gpu.d2h(a), vec![7, 8, 9, 7, 8, 9]);
 }
 
 /// Block 0 writes location 0 in phase 0; block 1 reads it in phase 1.
 /// Phases only order threads *within* a block — this is a true CUDA race.
-struct CrossBlockRace;
+struct CrossBlockRace {
+    buf: Buf<i64>,
+}
 impl Kernel for CrossBlockRace {
-    type Shared = ();
-    type ThreadState = ();
     fn name(&self) -> &str {
         "cross_block_race"
     }
-    fn make_shared(&self, _b: usize) {}
     fn num_phases(&self) -> usize {
         2
     }
-    fn phase<C: DeviceCtx>(&self, p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-        let buf = ctx.arg_buf(0);
+    fn phase<C: DeviceCtx>(&self, p: usize, ctx: &mut C) {
         if p == 0 && ctx.block_idx() == 0 && ctx.thread_idx() == 0 {
-            ctx.write(buf, 0, 1i64);
+            ctx.write(self.buf, 0, 1);
         }
         if p == 1 && ctx.block_idx() == 1 && ctx.thread_idx() == 0 {
-            let _: i64 = ctx.read(buf, 0);
+            let _ = ctx.read(self.buf, 0);
         }
     }
 }
@@ -108,33 +96,29 @@ fn cross_block_access_is_a_race_even_across_phases() {
     let mut gpu = Gpu::new(DeviceSpec::gt560m());
     gpu.set_race_detection(true);
     let buf = gpu.alloc::<i64>(1);
-    let err = gpu
-        .launch(&CrossBlockRace, LaunchConfig::linear(2, 1), &[buf.erased()])
-        .unwrap_err();
+    let err = gpu.launch(&CrossBlockRace { buf }, LaunchConfig::linear(2, 1)).unwrap_err();
     assert!(matches!(err, LaunchError::DataRace(_)), "{err}");
 }
 
 /// Same pattern within ONE block: phase 0 write, phase 1 read by another
 /// thread — ordered by the barrier, NOT a race.
-struct BarrierOrdered;
+struct BarrierOrdered {
+    buf: Buf<i64>,
+}
 impl Kernel for BarrierOrdered {
-    type Shared = ();
-    type ThreadState = ();
     fn name(&self) -> &str {
         "barrier_ordered"
     }
-    fn make_shared(&self, _b: usize) {}
     fn num_phases(&self) -> usize {
         2
     }
-    fn phase<C: DeviceCtx>(&self, p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-        let buf = ctx.arg_buf(0);
+    fn phase<C: DeviceCtx>(&self, p: usize, ctx: &mut C) {
         if p == 0 && ctx.thread_idx() == 0 {
-            ctx.write(buf, 0, 42i64);
+            ctx.write(self.buf, 0, 42);
         }
         if p == 1 && ctx.thread_idx() == 1 {
-            let v: i64 = ctx.read(buf, 0);
-            ctx.write(buf, 1, v + 1);
+            let v = ctx.read(self.buf, 0);
+            ctx.write(self.buf, 1, v + 1);
         }
     }
 }
@@ -144,7 +128,7 @@ fn barrier_ordered_accesses_are_not_a_race() {
     let mut gpu = Gpu::new(DeviceSpec::gt560m());
     gpu.set_race_detection(true);
     let buf = gpu.alloc::<i64>(2);
-    gpu.launch(&BarrierOrdered, LaunchConfig::linear(1, 2), &[buf.erased()]).unwrap();
+    gpu.launch(&BarrierOrdered { buf }, LaunchConfig::linear(1, 2)).unwrap();
     assert_eq!(gpu.d2h(buf), vec![42, 43]);
 }
 
@@ -152,18 +136,15 @@ fn barrier_ordered_accesses_are_not_a_race() {
 /// least doubles neither nothing — monotone model sanity.
 struct Toucher {
     reads_per_thread: usize,
+    buf: Buf<i64>,
 }
 impl Kernel for Toucher {
-    type Shared = ();
-    type ThreadState = ();
     fn name(&self) -> &str {
         "toucher"
     }
-    fn make_shared(&self, _b: usize) {}
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-        let buf = ctx.arg_buf(0);
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
         for i in 0..self.reads_per_thread {
-            let _: i64 = ctx.read(buf, i % buf.len());
+            let _ = ctx.read(self.buf, i % self.buf.len());
         }
     }
 }
@@ -173,32 +154,29 @@ fn model_time_grows_with_work() {
     let mut gpu = Gpu::new(DeviceSpec::gt560m());
     let buf = gpu.alloc::<i64>(64);
     let cfg = LaunchConfig::linear(4, 32);
-    let light = gpu.launch(&Toucher { reads_per_thread: 10 }, cfg, &[buf.erased()]).unwrap();
-    let heavy = gpu.launch(&Toucher { reads_per_thread: 1000 }, cfg, &[buf.erased()]).unwrap();
+    let light = gpu.launch(&Toucher { reads_per_thread: 10, buf }, cfg).unwrap();
+    let heavy = gpu.launch(&Toucher { reads_per_thread: 1000, buf }, cfg).unwrap();
     assert!(heavy.timing.seconds > light.timing.seconds);
     // 100× the traffic → at least 10× the kernel-only cycle count.
     assert!(heavy.timing.critical_sm_cycles > 10.0 * light.timing.critical_sm_cycles);
 }
 
-/// Reads its whole argument either through the plain global path or the
+/// Reads its whole buffer either through the plain global path or the
 /// texture path (the paper's future-work proposal).
 struct PathReader {
     use_texture: bool,
+    buf: Buf<i64>,
 }
 impl Kernel for PathReader {
-    type Shared = ();
-    type ThreadState = ();
     fn name(&self) -> &str {
         "path_reader"
     }
-    fn make_shared(&self, _b: usize) {}
-    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
-        let buf = ctx.arg_buf(0);
-        for i in 0..buf.len() {
+    fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
+        for i in 0..self.buf.len() {
             if self.use_texture {
-                let _: i64 = ctx.read_texture(buf, i);
+                let _ = ctx.read_texture(self.buf, i);
             } else {
-                let _: i64 = ctx.read(buf, i);
+                let _ = ctx.read(self.buf, i);
             }
         }
     }
@@ -214,8 +192,8 @@ fn texture_path_is_faster_for_read_only_sweeps() {
     let buf = gpu.alloc::<i64>(2048);
     gpu.h2d(buf, &(0..2048).collect::<Vec<i64>>());
     let cfg = LaunchConfig::linear(4, 64);
-    let plain = gpu.launch(&PathReader { use_texture: false }, cfg, &[buf.erased()]).unwrap();
-    let tex = gpu.launch(&PathReader { use_texture: true }, cfg, &[buf.erased()]).unwrap();
+    let plain = gpu.launch(&PathReader { use_texture: false, buf }, cfg).unwrap();
+    let tex = gpu.launch(&PathReader { use_texture: true, buf }, cfg).unwrap();
     assert_eq!(plain.total_cost.global_transactions, 256 * 2048);
     assert_eq!(tex.total_cost.texture_reads, 256 * 2048);
     assert!(
