@@ -1,8 +1,8 @@
 //! Produce (or refresh) the best-known table every `%Δ` refers to.
 //!
 //! The reference solver is a CPU asynchronous SA ensemble — the stand-in for
-//! the published best solutions of Lässig et al. [7] (CDD) and Awasthi et
-//! al. [8] (UCDDCP); see DESIGN.md §2.
+//! the published best solutions of Lässig et al. \[7\] (CDD) and Awasthi et
+//! al. \[8\] (UCDDCP); see DESIGN.md §2.
 //!
 //! ```text
 //! cargo run --release -p cdd-bench --bin make_best_known -- \

@@ -144,9 +144,9 @@ pub fn run_algo_on_instance(
 /// Which CPU implementation a speed-up is measured against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuBaseline {
-    /// A single long SA chain — the Lässig et al. [7] stand-in.
+    /// A single long SA chain — the Lässig et al. \[7\] stand-in.
     LassigSa,
-    /// A (μ+λ) evolution strategy — the Feldmann–Biskup [18] stand-in.
+    /// A (μ+λ) evolution strategy — the Feldmann–Biskup \[18\] stand-in.
     FeldmannBiskupEs,
 }
 
@@ -164,7 +164,7 @@ impl CpuBaseline {
 /// given the same total number of fitness evaluations the GPU ensemble
 /// performs (`ensemble × generations`), and its wall-clock time is measured.
 ///
-/// This is the substitution for the published CPU runtimes of [7]/[18]
+/// This is the substitution for the published CPU runtimes of \[7\]/\[18\]
 /// (different machines, unavailable offline): both sides of the resulting
 /// speed-up run the same fitness code on the same host, so the ratio and
 /// its growth with `n` are meaningful. Returns `(seconds, objective)`.
@@ -218,7 +218,7 @@ pub fn instance_seed(base: u64, id: &InstanceId) -> u64 {
 
 /// The reference CPU solver that produces best-known values: an
 /// asynchronous CPU SA ensemble seeded from the V-shaped heuristic spread
-/// (the role the published results of [7]/[8] play in the paper — see
+/// (the role the published results of \[7\]/\[8\] play in the paper — see
 /// DESIGN.md §2).
 pub fn reference_best(inst: &Instance, chains: usize, iterations: u64, seed: u64) -> Cost {
     use cdd_gpu::{initial_ensemble, InitStrategy};

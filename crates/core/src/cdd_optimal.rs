@@ -1,5 +1,5 @@
 //! The O(n) fixed-sequence optimizer for the **CDD** problem
-//! (Lässig, Awasthi, Kramer 2014 — reference [7] of the paper).
+//! (Lässig, Awasthi, Kramer 2014 — reference \[7\] of the paper).
 //!
 //! For a fixed job order, an optimal schedule has no machine idle time
 //! between jobs (Cheng & Kahlbacher 1991), so it is fully described by the
@@ -141,21 +141,11 @@ pub fn cdd_objective_with_shift(
 /// result exact whenever the objective itself fits.
 ///
 /// `p`, `alpha`, `beta` are indexed by job id and processing times must be
-/// non-negative (so the early side is a prefix); `seq` holds job ids of any
-/// unsigned width. O(n), zero allocation.
+/// non-negative (so the early side is a prefix). O(n), zero allocation.
 ///
 /// # Panics
 /// Panics if `seq` holds a job id outside the arrays.
-pub fn cdd_objective_raw<J: Copy + Into<u64>>(
-    p: &[Time],
-    alpha: &[Time],
-    beta: &[Time],
-    d: Time,
-    seq: &[J],
-) -> Cost {
-    // An id past `usize` saturates and then fails the bounds checks below.
-    let job = |id: J| usize::try_from(id.into()).unwrap_or(usize::MAX);
-
+pub fn cdd_objective_raw(p: &[Time], alpha: &[Time], beta: &[Time], d: Time, seq: &[u32]) -> Cost {
     // Forward pass, early side: positions completing at or before `d`.
     let n = seq.len();
     let mut tau = 0;
@@ -163,7 +153,7 @@ pub fn cdd_objective_raw<J: Copy + Into<u64>>(
     let mut pe: Time = 0;
     let mut early_weighted: Cost = 0;
     while tau < n {
-        let j = job(seq[tau]);
+        let j = seq[tau] as usize;
         let c = c_tau + p[j];
         if c > d {
             break;
@@ -177,8 +167,8 @@ pub fn cdd_objective_raw<J: Copy + Into<u64>>(
     let mut c = c_tau;
     let mut pl: Time = 0;
     let mut tardy_weighted: Cost = 0;
-    for &id in &seq[tau..] {
-        let j = job(id);
+    for &j in &seq[tau..] {
+        let j = j as usize;
         c += p[j];
         pl += beta[j];
         tardy_weighted = tardy_weighted.wrapping_add(beta[j].wrapping_mul(c));
@@ -191,7 +181,7 @@ pub fn cdd_objective_raw<J: Copy + Into<u64>>(
         // Align position τ with the due date, then keep making position τ
         // tardy while that still pays off (Theorem 1, Case 2(ii)).
         while tau >= 1 {
-            let j = job(seq[tau - 1]);
+            let j = seq[tau - 1] as usize;
             let pe_next = pe - alpha[j];
             let pl_next = pl + beta[j];
             if pl_next >= pe_next {
@@ -391,10 +381,8 @@ mod tests {
             };
             let seq = JobSequence::random(n, &mut rng);
             let ids = seq.as_slice();
-            let wide: Vec<u64> = ids.iter().map(|&j| u64::from(j)).collect();
             let want = reference_objective(&p, &a, &b, d, ids);
-            assert_eq!(cdd_objective_raw(&p, &a, &b, d, ids), want, "case {case} (u32 ids)");
-            assert_eq!(cdd_objective_raw(&p, &a, &b, d, &wide), want, "case {case} (u64 ids)");
+            assert_eq!(cdd_objective_raw(&p, &a, &b, d, ids), want, "case {case}");
 
             // Tally the edge cases actually exercised.
             let (mut c, mut tau, mut pe, mut pl) = (0, 0, 0, 0);

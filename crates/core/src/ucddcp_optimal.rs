@@ -1,7 +1,7 @@
 //! The O(n) fixed-sequence optimizer for the **UCDDCP** problem
-//! (Awasthi, Lässig, Kramer 2015 — reference [8] of the paper).
+//! (Awasthi, Lässig, Kramer 2015 — reference \[8\] of the paper).
 //!
-//! Two structural properties (proved in [8]) reduce the fixed-sequence
+//! Two structural properties (proved in \[8\]) reduce the fixed-sequence
 //! UCDDCP to the fixed-sequence CDD plus an independent per-job compression
 //! decision:
 //!
@@ -58,18 +58,17 @@ pub struct UcddcpSequenceSolution {
 ///
 /// `p`, `m`, `alpha`, `beta`, `gamma` are indexed by job id; `seq[k]` is the
 /// job at position `k` and must be a **permutation** of `0..seq.len()`
-/// (job ids, of any unsigned width, are validated; uniqueness is the
-/// caller's contract — it is what makes the specialized rate sums below
-/// exact). Requires an unrestricted due date (`d ≥ Σ Pᵢ`), checked only by
-/// `debug_assert`.
-pub fn ucddcp_objective_raw<J: Copy + Into<u64>>(
+/// (job ids are validated; uniqueness is the caller's contract — it is
+/// what makes the specialized rate sums below exact). Requires an
+/// unrestricted due date (`d ≥ Σ Pᵢ`), checked only by `debug_assert`.
+pub fn ucddcp_objective_raw(
     p: &[Time],
     m: &[Time],
     alpha: &[Time],
     beta: &[Time],
     gamma: &[Time],
     d: Time,
-    seq: &[J],
+    seq: &[u32],
 ) -> Cost {
     let n = seq.len();
     // One vectorizable pass validates every job id against the shortest
@@ -78,7 +77,7 @@ pub fn ucddcp_objective_raw<J: Copy + Into<u64>>(
     // O(n) hot loops.
     let limit = p.len().min(m.len()).min(alpha.len()).min(beta.len()).min(gamma.len());
     assert!(
-        n <= limit && seq.iter().all(|&j| j.into() < n as u64),
+        n <= limit && seq.iter().all(|&j| (j as usize) < n),
         "ucddcp_objective_raw: sequence contains a job id outside the instance"
     );
 
@@ -104,9 +103,8 @@ pub fn ucddcp_objective_raw<J: Copy + Into<u64>>(
         #[allow(unsafe_code)]
         while tau >= 1 {
             // SAFETY: `tau - 1 < n = seq.len()` and every id in `seq` was
-            // validated above against the shortest array (so the cast to
-            // `usize` is exact too).
-            let j = unsafe { *seq.get_unchecked(tau - 1) }.into() as usize;
+            // validated above against the shortest array.
+            let j = unsafe { *seq.get_unchecked(tau - 1) } as usize;
             let pe_next = pe - unsafe { *alpha.get_unchecked(j) };
             let pl_next = pl + unsafe { *beta.get_unchecked(j) };
             if pl_next < pe_next {
@@ -132,8 +130,8 @@ pub fn ucddcp_objective_raw<J: Copy + Into<u64>>(
     let mut obj: Cost = 0;
     let mut prefix_alpha: Time = 0;
     let mut suffix_beta = pl;
-    for (k, &job) in seq.iter().enumerate() {
-        let j = job.into() as usize;
+    for (k, &j) in seq.iter().enumerate() {
+        let j = j as usize;
         // SAFETY: every id in `seq` was validated above against the
         // shortest of the five arrays.
         #[allow(unsafe_code)]

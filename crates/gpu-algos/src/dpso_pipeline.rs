@@ -215,10 +215,7 @@ fn dpso_attempt<B: ExecBackend>(
         for gen in 0..params.iterations {
             // Span metadata is attached whether or not telemetry samples
             // this generation, so the timeline is stride-independent.
-            gpu.span_begin_args(
-                "dpso-generation",
-                vec![("gen".to_string(), gen.to_string())],
-            );
+            gpu.span_begin_args("dpso-generation", || vec![("gen".to_string(), gen.to_string())]);
             let slot = ring.and_then(|_| params.telemetry.slot_for(gen, telem_cap));
             if slot.is_some() {
                 sample_headers.push((gen, 0.0));

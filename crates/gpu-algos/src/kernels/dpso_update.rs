@@ -29,10 +29,11 @@ pub struct DpsoProbe {
 
 /// Position update: `p ← c₂ ⊕ F₃(c₁ ⊕ F₂(w ⊕ F₁(p), pbest), gbest)`.
 ///
-/// Built once per pipeline run ([`DpsoUpdateKernel::new`]); each particle's
-/// row, crossover output and crossover marks persist in a scratch arena
-/// across launches, and the crossovers compact into them without
-/// allocating, so steady-state generations allocate nothing. On the native
+/// Built once per pipeline run ([`DpsoUpdateKernel::new`]); the row,
+/// crossover output and crossover marks persist in one scratch slot across
+/// launches, and the crossovers compact into them without allocating, so
+/// steady-state generations allocate nothing. The particles of a launch
+/// borrow the slot in turn, and each overwrites what it reads. On the native
 /// backend the personal-best and swarm-best rows are read in place through
 /// zero-copy windows (other launches write them, this one only reads).
 pub struct DpsoUpdateKernel {
@@ -54,7 +55,7 @@ pub struct DpsoUpdateKernel {
     pub c1: f64,
     /// Social probability `c₂`.
     pub c2: f64,
-    /// Per-particle local memory, indexed by global thread id.
+    /// Local memory: one slot, borrowed by each particle in turn.
     scratch: ScratchArena<UpdateScratch>,
 }
 
@@ -85,12 +86,12 @@ impl DpsoUpdateKernel {
             w,
             c1,
             c2,
-            scratch: ScratchArena::new(ensemble),
+            scratch: ScratchArena::new(1),
         }
     }
 }
 
-/// Per-thread local memory for the update.
+/// A particle's local memory for the update.
 #[derive(Default)]
 pub struct UpdateScratch {
     row: Vec<u32>,
@@ -159,7 +160,7 @@ impl Kernel for DpsoUpdateKernel {
         let n = self.n;
         let mut rng = ctx.load_rng(self.rng, gid);
 
-        self.scratch.with_slot(gid, |scratch| {
+        self.scratch.with_slot(0, |scratch| {
             scratch.row.resize(n, 0);
             scratch.marks.resize(n, false);
             ctx.read_slice_into(self.positions, gid * n, &mut scratch.row);
@@ -187,10 +188,8 @@ impl Kernel for DpsoUpdateKernel {
                 }
                 let cut = 1 + rng.next_below(n as u32 - 1) as usize;
                 let UpdateScratch { row: a, other, out, marks } = scratch;
-                match ctx.global_window(self.pbest, start, n) {
-                    Some(b) => one_point_crossover(a, b, cut, marks, out),
-                    None => one_point_crossover(a, other, cut, marks, out),
-                }
+                let b = ctx.global_window(self.pbest, start, n).unwrap_or(other);
+                one_point_crossover(a, b, cut, marks, out);
                 std::mem::swap(a, out);
                 ctx.charge_alu(2 * n as u64);
             }
@@ -206,10 +205,8 @@ impl Kernel for DpsoUpdateKernel {
                     std::mem::swap(&mut lo, &mut hi);
                 }
                 let UpdateScratch { row: a, other, out, marks } = scratch;
-                match ctx.global_window(self.gbest, 0, n) {
-                    Some(b) => two_point_crossover(a, b, lo, hi + 1, marks, out),
-                    None => two_point_crossover(a, other, lo, hi + 1, marks, out),
-                }
+                let b = ctx.global_window(self.gbest, 0, n).unwrap_or(other);
+                two_point_crossover(a, b, lo, hi + 1, marks, out);
                 std::mem::swap(a, out);
                 ctx.charge_alu(2 * n as u64);
             }

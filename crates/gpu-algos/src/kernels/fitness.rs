@@ -30,10 +30,11 @@ pub(crate) const VALUE_CAP: i64 = 1 << 20;
 /// Evaluates one job sequence per thread.
 ///
 /// The kernel is built once per pipeline run ([`FitnessKernel::new`]) and
-/// owns persistent scratch arenas: the per-block staged rates and the
-/// per-thread working vectors survive across launches, so a steady-state
-/// generation performs zero heap allocation (the vectors are resized on the
-/// first launch and fully overwritten on every one).
+/// owns persistent scratch arenas: the per-block staged rates and one
+/// working slot that the threads of a launch borrow in turn survive across
+/// launches, so a steady-state generation performs zero heap allocation
+/// (the vectors are resized on the first launch, and each thread overwrites
+/// what it reads).
 pub struct FitnessKernel {
     /// Uploaded problem data.
     pub prob: ProblemDevice,
@@ -45,7 +46,7 @@ pub struct FitnessKernel {
     pub ensemble: usize,
     /// Per-block staged shared memory, indexed by block id.
     staged: ScratchArena<StagedRates>,
-    /// Per-thread working vectors, indexed by global thread id.
+    /// Working vectors: one slot, borrowed by each thread in turn.
     scratch: ScratchArena<FitnessScratch>,
 }
 
@@ -57,9 +58,10 @@ struct StagedRates {
     gamma: Vec<i64>,
 }
 
-/// Per-thread registers/local memory: the simulator's staged copies of the
+/// A thread's registers/local memory: the simulator's staged copies of the
 /// thread's row and the problem arrays (the native backend reads those in
-/// place and never fills these).
+/// place and never fills these). Each thread stages them before it reads
+/// them, so the threads of a launch can share one slot.
 #[derive(Default)]
 struct FitnessScratch {
     seq: Vec<u32>,
@@ -92,7 +94,7 @@ impl FitnessKernel {
             out,
             ensemble,
             staged: ScratchArena::new(blocks),
-            scratch: ScratchArena::new(ensemble),
+            scratch: ScratchArena::new(1),
         }
     }
 }
@@ -231,13 +233,13 @@ fn evaluate_row<C: DeviceCtx>(
     let objective = {
         let ctx = &*ctx;
         let p = ctx.global_window(prob.p, 0, n).unwrap_or(&scratch.p);
-        let m = match prob.kind {
-            ProblemKind::Cdd => &[][..],
-            ProblemKind::Ucddcp => ctx.global_window(prob.m, 0, n).unwrap_or(&scratch.m),
-        };
-        match ctx.global_window(seqs, gid * n, n) {
-            Some(row) => objective(prob.kind, p, m, shared, d, row),
-            None => objective(prob.kind, p, m, shared, d, &scratch.seq),
+        let row = ctx.global_window(seqs, gid * n, n).unwrap_or(&scratch.seq);
+        match prob.kind {
+            ProblemKind::Cdd => cdd_objective_raw(p, &shared.alpha, &shared.beta, d, row),
+            ProblemKind::Ucddcp => {
+                let m = ctx.global_window(prob.m, 0, n).unwrap_or(&scratch.m);
+                ucddcp_objective_raw(p, m, &shared.alpha, &shared.beta, &shared.gamma, d, row)
+            }
         }
     };
     // Flipped-but-valid data can still produce objectives past the
@@ -248,23 +250,6 @@ fn evaluate_row<C: DeviceCtx>(
         objective
     };
     ctx.write(out, gid, objective);
-}
-
-/// The fixed-sequence optimum of `row` (`m` is ignored for CDD).
-fn objective<J: Copy + Into<u64>>(
-    kind: ProblemKind,
-    p: &[i64],
-    m: &[i64],
-    shared: &StagedRates,
-    d: i64,
-    row: &[J],
-) -> i64 {
-    match kind {
-        ProblemKind::Cdd => cdd_objective_raw(p, &shared.alpha, &shared.beta, d, row),
-        ProblemKind::Ucddcp => {
-            ucddcp_objective_raw(p, m, &shared.alpha, &shared.beta, &shared.gamma, d, row)
-        }
-    }
 }
 
 impl Kernel for FitnessKernel {
@@ -295,7 +280,7 @@ impl Kernel for FitnessKernel {
         let n = ctx.read_const(self.prob.scalars, 1);
         debug_assert_eq!(n, self.prob.n as i64);
         self.staged.with_slot(ctx.block_idx(), |shared| {
-            self.scratch.with_slot(gid, |scratch| {
+            self.scratch.with_slot(0, |scratch| {
                 evaluate_row(ctx, &self.prob, self.seqs, self.out, gid, d, shared, scratch);
             });
         });

@@ -10,9 +10,10 @@ use cuda_sim::{Buf, DeviceCtx, Kernel, ScratchArena};
 
 /// Derives `dst[row] = perturb(src[row])` per thread.
 ///
-/// Built once per pipeline run ([`PerturbKernel::new`]); each thread's
-/// working vectors persist in a scratch arena across launches, so
-/// steady-state generations allocate nothing.
+/// Built once per pipeline run ([`PerturbKernel::new`]); the working
+/// vectors persist in one scratch slot across launches, so steady-state
+/// generations allocate nothing. The threads of a launch borrow the slot in
+/// turn, and each overwrites it before reading it.
 pub struct PerturbKernel {
     /// Parent sequences (row-major, `n` per thread).
     pub src: Buf<u32>,
@@ -26,11 +27,11 @@ pub struct PerturbKernel {
     pub ensemble: usize,
     /// Perturbation size `Pert` (paper: 4).
     pub pert: usize,
-    /// Per-thread local memory, indexed by global thread id.
+    /// Local memory: one slot, borrowed by each thread in turn.
     scratch: ScratchArena<PerturbScratch>,
 }
 
-/// Per-thread local memory.
+/// A thread's local memory.
 #[derive(Default)]
 pub struct PerturbScratch {
     row: Vec<u32>,
@@ -57,7 +58,7 @@ impl PerturbKernel {
             n,
             ensemble,
             pert,
-            scratch: ScratchArena::new(ensemble),
+            scratch: ScratchArena::new(1),
         }
     }
 }
@@ -75,7 +76,7 @@ impl Kernel for PerturbKernel {
         let n = self.n;
         let mut rng = ctx.load_rng(self.rng, gid);
 
-        self.scratch.with_slot(gid, |scratch| {
+        self.scratch.with_slot(0, |scratch| {
             scratch.row.resize(n, 0);
             ctx.read_slice_into(self.src, gid * n, &mut scratch.row);
 

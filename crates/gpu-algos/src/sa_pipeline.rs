@@ -334,13 +334,12 @@ fn sa_attempt<B: ExecBackend>(
         for gen in 0..params.iterations {
             // Span metadata is attached whether or not telemetry samples
             // this generation, so the timeline is stride-independent.
-            gpu.span_begin_args(
-                "sa-generation",
+            gpu.span_begin_args("sa-generation", || {
                 vec![
                     ("gen".to_string(), gen.to_string()),
                     ("temperature".to_string(), format!("{temperature:.6e}")),
-                ],
-            );
+                ]
+            });
             let slot = ring.and_then(|_| params.telemetry.slot_for(gen, telem_cap));
             if slot.is_some() {
                 sample_headers.push((gen, temperature));

@@ -188,13 +188,12 @@ fn sync_attempt<B: ExecBackend>(
             let temperature = t0 * params.cooling_rate.powi(level.min(i32::MAX as u64) as i32);
             // Span metadata is attached whether or not telemetry samples
             // this level, so the timeline is stride-independent.
-            gpu.span_begin_args(
-                "sync-sa-level",
+            gpu.span_begin_args("sync-sa-level", || {
                 vec![
                     ("level".to_string(), level.to_string()),
                     ("temperature".to_string(), format!("{temperature:.6e}")),
-                ],
-            );
+                ]
+            });
             let level_result = (|gpu: &mut B| -> Result<(), SuiteError> {
                 for step in 0..markov_len {
                     let gen = level * markov_len + step;

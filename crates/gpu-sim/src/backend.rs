@@ -37,7 +37,7 @@ use crate::device::DeviceSpec;
 use crate::engine::{DeviceCtx, Gpu, Kernel, LaunchError};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::grid::LaunchConfig;
-use crate::memory::{Buf, ConstBuf, DeviceValue, MemoryPool, WordValue};
+use crate::memory::{Buf, ConstBuf, DeviceValue, MemoryPool};
 use crate::profiler::Profiler;
 use std::fmt;
 use std::str::FromStr;
@@ -143,9 +143,9 @@ pub trait ExecBackend {
     /// Counters of injected faults (always zero on the native backend).
     fn fault_stats(&self) -> FaultStats;
 
-    /// Open a named span with key/value metadata on the timeline (no-op on
-    /// the native backend).
-    fn span_begin_args(&mut self, name: &str, args: Vec<(String, String)>);
+    /// Open a named span with key/value metadata on the timeline. The
+    /// native backend records no timeline, so it never calls `args`.
+    fn span_begin_args(&mut self, name: &str, args: impl FnOnce() -> Vec<(String, String)>);
 
     /// Close the innermost open span with this name (no-op on the native
     /// backend).
@@ -216,8 +216,8 @@ impl ExecBackend for Gpu {
         Gpu::fault_stats(self)
     }
 
-    fn span_begin_args(&mut self, name: &str, args: Vec<(String, String)>) {
-        Gpu::span_begin_args(self, name, args);
+    fn span_begin_args(&mut self, name: &str, args: impl FnOnce() -> Vec<(String, String)>) {
+        Gpu::span_begin_args(self, name, args());
     }
 
     fn span_end(&mut self, name: &str) {
@@ -256,13 +256,12 @@ fn native_run_block<K: Kernel>(
     kernel: &K,
     block_idx: usize,
     block_dim: usize,
-    grid_dim: usize,
     phases: usize,
     mem: &mut MemoryPool,
 ) {
     for phase in 0..phases {
         for thread_idx in 0..block_dim {
-            let mut ctx = NativeCtx { thread_idx, block_idx, block_dim, grid_dim, mem: &mut *mem };
+            let mut ctx = NativeCtx { thread_idx, block_idx, block_dim, mem: &mut *mem };
             kernel.phase(phase, &mut ctx);
         }
     }
@@ -314,11 +313,9 @@ impl ExecBackend for NativeGpu {
         let shared_bytes = kernel.shared_mem_bytes(block_dim);
         cfg.validate(&self.spec, shared_bytes).map_err(LaunchError::InvalidConfig)?;
 
-        let grid_dim = cfg.num_blocks();
         let phases = kernel.num_phases().max(1);
-
-        for block_idx in 0..grid_dim {
-            native_run_block(kernel, block_idx, block_dim, grid_dim, phases, &mut self.pool);
+        for block_idx in 0..cfg.num_blocks() {
+            native_run_block(kernel, block_idx, block_dim, phases, &mut self.pool);
         }
         self.launches += 1;
         Ok(())
@@ -335,7 +332,7 @@ impl ExecBackend for NativeGpu {
         FaultStats::default()
     }
 
-    fn span_begin_args(&mut self, _name: &str, _args: Vec<(String, String)>) {}
+    fn span_begin_args(&mut self, _name: &str, _args: impl FnOnce() -> Vec<(String, String)>) {}
 
     fn span_end(&mut self, _name: &str) {}
 
@@ -357,7 +354,6 @@ pub struct NativeCtx<'a> {
     thread_idx: usize,
     block_idx: usize,
     block_dim: usize,
-    grid_dim: usize,
     mem: &'a mut MemoryPool,
 }
 
@@ -378,23 +374,18 @@ impl DeviceCtx for NativeCtx<'_> {
     }
 
     #[inline]
-    fn grid_dim(&self) -> usize {
-        self.grid_dim
-    }
-
-    #[inline]
     fn fault_injection_active(&self) -> bool {
         false
     }
 
     #[inline]
     fn read<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T {
-        T::from_bits(self.mem.word(buf.id, idx))
+        self.mem.read(buf, idx, None)
     }
 
     #[inline]
     fn write<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize, value: T) {
-        self.mem.set_word(buf.id, idx, value.to_bits());
+        self.mem.write(buf, idx, value);
     }
 
     #[inline]
@@ -404,27 +395,22 @@ impl DeviceCtx for NativeCtx<'_> {
 
     #[inline]
     fn read_const<T: DeviceValue>(&mut self, cb: ConstBuf<T>, idx: usize) -> T {
-        T::from_bits(self.mem.const_word(cb.id, idx))
+        self.mem.read_const(cb, idx)
     }
 
     fn atomic_min_i64(&mut self, buf: Buf<i64>, idx: usize, value: i64) -> i64 {
-        self.mem.atomic_min_i64(buf.id, idx, value)
+        self.mem.atomic_min_i64(buf, idx, value)
     }
 
     fn read_slice_into<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]) {
-        // One bounds check for the whole window, then a plain vectorizable
+        // One bounds check for the whole range, then a plain vectorizable
         // copy loop — this bulk path is where the native backend earns its
         // wall-clock win over the per-element simulated accesses.
-        let words = self.mem.words(buf.id, start, dst.len());
-        for (d, &w) in dst.iter_mut().zip(words) {
-            *d = T::from_bits(w);
-        }
+        self.mem.read_slice_into(buf, start, dst, None);
     }
 
     fn write_slice<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, src: &[T]) {
-        for (w, &v) in self.mem.words_mut(buf.id, start, src.len()).iter_mut().zip(src) {
-            *w = v.to_bits();
-        }
+        self.mem.write_slice(buf, start, src);
     }
 
     fn copy_row<T: DeviceValue>(
@@ -435,7 +421,7 @@ impl DeviceCtx for NativeCtx<'_> {
         dst_start: usize,
         count: usize,
     ) {
-        self.mem.copy_words(src.id, src_start, dst.id, dst_start, count);
+        self.mem.copy(src, src_start, dst, dst_start, count);
     }
 
     fn cooperative_read<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]) {
@@ -443,19 +429,13 @@ impl DeviceCtx for NativeCtx<'_> {
     }
 
     #[inline]
-    fn global_window<T: WordValue>(
+    fn global_window<T: DeviceValue<Word = T>>(
         &self,
         buf: Buf<T>,
         start: usize,
         len: usize,
-    ) -> Option<&[T::Word]> {
-        let words = self.mem.words(buf.id, start, len);
-        // SAFETY: `T::Word` is `u64` or `i64` (`WordValue` is sealed), which
-        // share `u64`'s size, alignment and validity (every bit pattern is a
-        // value), so the cast only relabels the words; the result keeps
-        // `words`' length and its borrow of the pool.
-        #[allow(unsafe_code)]
-        Some(unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<T::Word>(), len) })
+    ) -> Option<&[T]> {
+        Some(self.mem.window(buf, start, len))
     }
 
     #[inline]
@@ -490,6 +470,7 @@ mod tests {
     /// arithmetic, slices, copies, constants, textures, the atomic.
     struct Mixer {
         n: usize,
+        threads: usize,
         data: Buf<i64>,
         rng: Buf<u64>,
         mins: Buf<i64>,
@@ -511,7 +492,7 @@ mod tests {
             gpu.h2d(rng, &words);
             let mins = gpu.alloc::<i64>(1);
             gpu.h2d(mins, &[i64::MAX]);
-            Mixer { n, data, rng, mins }
+            Mixer { n, threads, data, rng, mins }
         }
     }
 
@@ -536,7 +517,7 @@ mod tests {
             } else {
                 let first = ctx.read_texture(self.data, gid * self.n);
                 ctx.atomic_min_i64(self.mins, 0, first);
-                if gid == 0 && ctx.grid_dim() * ctx.block_dim() >= 2 {
+                if gid == 0 && self.threads >= 2 {
                     // Overlapping same-buffer copy: exercises memmove path.
                     ctx.copy_row(self.data, 0, self.data, 1, self.n - 1);
                 }
@@ -552,10 +533,115 @@ mod tests {
         (gpu.d2h(mixer.data), gpu.d2h(mixer.mins))
     }
 
+    /// Thread 0 sends `src` (`n` elements) through every value-bearing
+    /// path into four consecutive rows of `dst`: per-element read/write,
+    /// slice read/write, a copy across buffers and a copy within `dst`.
+    struct RoundTrip<T> {
+        src: Buf<T>,
+        dst: Buf<T>,
+    }
+
+    impl<T: DeviceValue> Kernel for RoundTrip<T> {
+        fn name(&self) -> &str {
+            "round_trip"
+        }
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
+            if ctx.global_id() != 0 {
+                return;
+            }
+            let n = self.src.len();
+            for i in 0..n {
+                let v = ctx.read(self.src, i);
+                ctx.write(self.dst, i, v);
+            }
+            let mut row = vec![T::default(); n];
+            ctx.read_slice_into(self.src, 0, &mut row);
+            ctx.write_slice(self.dst, n, &row);
+            ctx.copy_row(self.src, 0, self.dst, 2 * n, n);
+            ctx.copy_row(self.dst, 2 * n, self.dst, 3 * n, n);
+        }
+    }
+
+    /// Thread 0 copies `src` into `dst` through a zero-copy window where
+    /// the backend offers one.
+    struct WindowCopy {
+        src: Buf<u32>,
+        dst: Buf<u32>,
+    }
+
+    impl Kernel for WindowCopy {
+        fn name(&self) -> &str {
+            "window_copy"
+        }
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C) {
+            if ctx.global_id() != 0 {
+                return;
+            }
+            let n = self.src.len();
+            let row = match ctx.global_window(self.src, 0, n) {
+                Some(window) => window.to_vec(),
+                None => {
+                    let mut row = vec![0; n];
+                    ctx.read_slice_into(self.src, 0, &mut row);
+                    row
+                }
+            };
+            ctx.write_slice(self.dst, 0, &row);
+        }
+    }
+
+    /// `values` after h2d, every path of [`RoundTrip`] and d2h, as bits.
+    fn round_trip<B: ExecBackend, T: DeviceValue>(
+        gpu: &mut B,
+        values: &[T],
+        bits: impl Fn(T) -> u64,
+    ) -> Vec<u64> {
+        let src = gpu.alloc::<T>(values.len());
+        gpu.h2d(src, values);
+        let dst = gpu.alloc::<T>(4 * values.len());
+        gpu.launch_kernel(&RoundTrip { src, dst }, LaunchConfig::linear(1, 2)).unwrap();
+        gpu.d2h(dst).into_iter().map(bits).collect()
+    }
+
+    /// Every narrow value through every path of `gpu`, then `u32`s through
+    /// a window.
+    fn narrow_round_trips<B: ExecBackend>(gpu: &mut B) -> Vec<Vec<u64>> {
+        let nan = f32::from_bits(0x7fc0_1234);
+        let ids = [u32::MAX, 0, 7];
+        let src = gpu.alloc::<u32>(ids.len());
+        gpu.h2d(src, &ids);
+        let dst = gpu.alloc::<u32>(ids.len());
+        gpu.launch_kernel(&WindowCopy { src, dst }, LaunchConfig::linear(1, 2)).unwrap();
+        vec![
+            round_trip(gpu, &ids, u64::from),
+            round_trip(gpu, &[i32::MIN, -1, i32::MAX], |v| v as u64),
+            round_trip(gpu, &[u16::MAX, 1], u64::from),
+            round_trip(gpu, &[i8::MIN, -1], |v| v as u64),
+            round_trip(gpu, &[-0.0f32, nan], |v| u64::from(v.to_bits())),
+            gpu.d2h(dst).into_iter().map(u64::from).collect(),
+        ]
+    }
+
     #[test]
     fn native_matches_sim_bit_for_bit() {
         let baseline = drive(&mut Gpu::new(DeviceSpec::gt560m()));
         assert_eq!(drive(&mut NativeGpu::new(DeviceSpec::gt560m())), baseline);
+
+        // Narrow words hold every value bit for bit on both backends.
+        let sim = narrow_round_trips(&mut Gpu::new(DeviceSpec::gt560m()));
+        assert_eq!(narrow_round_trips(&mut NativeGpu::new(DeviceSpec::gt560m())), sim);
+        let nan = f32::from_bits(0x7fc0_1234);
+        let rows: [Vec<u64>; 5] = [
+            vec![u64::from(u32::MAX), 0, 7],
+            vec![i32::MIN as u64, -1i32 as u64, i32::MAX as u64],
+            vec![u64::from(u16::MAX), 1],
+            vec![i8::MIN as u64, -1i8 as u64],
+            vec![u64::from((-0.0f32).to_bits()), u64::from(nan.to_bits())],
+        ];
+        for (got, row) in sim.iter().zip(&rows) {
+            assert_eq!(got, &row.repeat(4));
+        }
+        assert_eq!(sim[5], rows[0], "window");
     }
 
     /// Native has no profiler, so no modeled time to report.

@@ -22,7 +22,7 @@ use crate::cost::{model_kernel_time, CostCounter, KernelTiming};
 use crate::device::DeviceSpec;
 use crate::fault::{FaultPlan, FaultState, FaultStats, ReadFaultCfg, ReadFaultStream};
 use crate::grid::LaunchConfig;
-use crate::memory::{Buf, ConstBuf, DeviceValue, MemoryPool, WordValue};
+use crate::memory::{Buf, ConstBuf, DeviceValue, MemoryPool};
 use crate::profiler::{Profiler, TimelineEvent, TransferDir};
 use crate::rng::XorWow;
 use std::collections::HashMap;
@@ -107,12 +107,15 @@ impl std::error::Error for LaunchError {}
 ///
 /// A kernel value carries everything its launch needs. Its device buffers
 /// are typed [`Buf<T>`] struct fields, the analogue of a CUDA kernel's
-/// launch parameters. Data that must be shared by a block's threads
-/// (shared memory) or kept by a thread from one phase to the next
-/// (registers) lives in [`ScratchArena`](crate::ScratchArena)s the kernel
-/// sizes at construction, one slot per block or per thread. Slots outlive
-/// launches, so a kernel overwrites what it stages before it reads it, as
-/// the fitness kernel does with its staged penalty rates.
+/// launch parameters. Data a block's threads share across the phase
+/// barrier (shared memory) and working vectors a thread fills and uses
+/// within one phase call (registers, local memory) live in
+/// [`ScratchArena`](crate::ScratchArena)s the kernel sizes at
+/// construction: one slot per block, and one working slot that the
+/// threads, run one at a time, borrow in turn (a thread that must keep
+/// data from one phase to the next needs a slot of its own). Slots outlive
+/// threads and launches, so a kernel overwrites what it stages before it
+/// reads it, as the fitness kernel does with its staged penalty rates.
 ///
 /// `__syncthreads()` barriers are expressed structurally: the kernel body is
 /// split into [`num_phases`](Kernel::num_phases) phases, and the engine
@@ -172,8 +175,6 @@ pub trait DeviceCtx {
     fn block_idx(&self) -> usize;
     /// Threads per block (`blockDim.x`).
     fn block_dim(&self) -> usize;
-    /// Blocks per grid (`gridDim.x`).
-    fn grid_dim(&self) -> usize;
 
     /// Whether a fault-injection plan is installed for this launch. Kernels
     /// that derive memory indices from *data* (not thread ids) use this to
@@ -220,22 +221,22 @@ pub trait DeviceCtx {
     fn cooperative_read<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]);
 
     /// Borrow `len` elements of a global buffer from `start` **without
-    /// copying**, as the storage words themselves ([`WordValue::Word`]:
-    /// `u64` for job-id rows, `i64` for problem data), when the backend can
-    /// expose them. The simulator answers `None`: every simulated access
-    /// must be charged, race-tracked and fault-filtered, so callers fall
-    /// back to [`read_slice_into`](Self::read_slice_into). The native
+    /// copying**, when the backend can expose them. Only `u32` job-id rows
+    /// and `i64` problem data qualify: their elements are their own storage
+    /// words ([`DeviceValue::Word`]). The simulator answers `None`: every
+    /// simulated access must be charged, race-tracked and fault-filtered,
+    /// so callers fall back to [`read_slice_into`](Self::read_slice_into). The native
     /// backend returns a direct view, letting hot kernels skip staging data
     /// they only read. The window borrows the context, so no write through
     /// it can run while the window lives. Like the texture path, a window
     /// may only cover data **no thread writes during the launch**.
     #[inline]
-    fn global_window<T: WordValue>(
+    fn global_window<T: DeviceValue<Word = T>>(
         &self,
         _buf: Buf<T>,
         _start: usize,
         _len: usize,
-    ) -> Option<&[T::Word]> {
+    ) -> Option<&[T]> {
         None
     }
 
@@ -390,7 +391,6 @@ fn run_block<K: Kernel>(
     kernel: &K,
     block_idx: usize,
     block_dim: usize,
-    grid_dim: usize,
     phases: usize,
     mem: &mut MemoryPool,
     warp_size: usize,
@@ -412,7 +412,6 @@ fn run_block<K: Kernel>(
                 thread_idx,
                 block_idx,
                 block_dim,
-                grid_dim,
                 phase,
                 mem: &mut *mem,
                 cost: &mut costs[thread_idx],
@@ -443,17 +442,11 @@ pub struct ThreadCtx<'a> {
     thread_idx: usize,
     block_idx: usize,
     block_dim: usize,
-    grid_dim: usize,
     phase: usize,
     mem: &'a mut MemoryPool,
     cost: &'a mut CostCounter,
     race: Option<&'a mut RaceTracker>,
     fault: Option<&'a mut ReadFaultStream>,
-}
-
-/// Bits of `T` a read-side flip may hit.
-fn bit_width<T>() -> u32 {
-    8 * std::mem::size_of::<T>() as u32
 }
 
 impl ThreadCtx<'_> {
@@ -472,35 +465,6 @@ impl ThreadCtx<'_> {
         if let Some(race) = self.race.as_deref_mut() {
             for i in start..start + len {
                 race.on_read(buf, i, who);
-            }
-        }
-    }
-
-    /// Load one element through the fault layer (which may flip a bit of
-    /// its low `T`-width bits).
-    #[inline]
-    fn load<T: DeviceValue>(&mut self, buf: usize, idx: usize) -> T {
-        let bits = self.mem.word(buf, idx);
-        T::from_bits(match self.fault.as_deref_mut() {
-            Some(f) => f.observe_read(bits, bit_width::<T>()),
-            None => bits,
-        })
-    }
-
-    /// Load `dst.len()` consecutive elements from `start` through the
-    /// fault layer, one observed read per element, in order.
-    fn load_into<T: DeviceValue>(&mut self, buf: usize, start: usize, dst: &mut [T]) {
-        let words = self.mem.words(buf, start, dst.len());
-        match self.fault.as_deref_mut() {
-            Some(f) => {
-                for (d, &w) in dst.iter_mut().zip(words) {
-                    *d = T::from_bits(f.observe_read(w, bit_width::<T>()));
-                }
-            }
-            None => {
-                for (d, &w) in dst.iter_mut().zip(words) {
-                    *d = T::from_bits(w);
-                }
             }
         }
     }
@@ -526,11 +490,6 @@ impl DeviceCtx for ThreadCtx<'_> {
     }
 
     #[inline]
-    fn grid_dim(&self) -> usize {
-        self.grid_dim
-    }
-
-    #[inline]
     fn fault_injection_active(&self) -> bool {
         self.fault.is_some()
     }
@@ -541,7 +500,7 @@ impl DeviceCtx for ThreadCtx<'_> {
         self.cost.global_transactions += 1;
         self.cost.alu += 1;
         self.track_reads(buf.id, idx, 1);
-        self.load(buf.id, idx)
+        self.mem.read(buf, idx, self.fault.as_deref_mut())
     }
 
     /// Write one element to global memory (counts one transaction).
@@ -553,7 +512,7 @@ impl DeviceCtx for ThreadCtx<'_> {
         if let Some(race) = self.race.as_deref_mut() {
             race.on_write(buf.id, idx, who);
         }
-        self.mem.set_word(buf.id, idx, value.to_bits());
+        self.mem.write(buf, idx, value);
     }
 
     /// Read one element through the **texture path** (read-only, spatially
@@ -568,21 +527,21 @@ impl DeviceCtx for ThreadCtx<'_> {
         self.cost.texture_reads += 1;
         self.cost.alu += 1;
         self.track_reads(buf.id, idx, 1);
-        self.load(buf.id, idx)
+        self.mem.read(buf, idx, self.fault.as_deref_mut())
     }
 
     /// Read from constant memory (broadcast-cached: ALU cost only).
     #[inline]
     fn read_const<T: DeviceValue>(&mut self, cb: ConstBuf<T>, idx: usize) -> T {
         self.cost.alu += 1;
-        T::from_bits(self.mem.const_word(cb.id, idx))
+        self.mem.read_const(cb, idx)
     }
 
     /// `atomicMin` on a signed 64-bit global location. Atomics never race
     /// (they serialize at L2) but pay [`DeviceSpec::cpi_atomic`].
     fn atomic_min_i64(&mut self, buf: Buf<i64>, idx: usize, value: i64) -> i64 {
         self.cost.atomics += 1;
-        self.mem.atomic_min_i64(buf.id, idx, value)
+        self.mem.atomic_min_i64(buf, idx, value)
     }
 
     /// Bulk read `dst.len()` consecutive elements starting at `start`
@@ -593,7 +552,7 @@ impl DeviceCtx for ThreadCtx<'_> {
         self.cost.global_transactions += dst.len() as u64;
         self.cost.alu += dst.len() as u64;
         self.track_reads(buf.id, start, dst.len());
-        self.load_into(buf.id, start, dst);
+        self.mem.read_slice_into(buf, start, dst, self.fault.as_deref_mut());
     }
 
     /// Bulk write `src.len()` consecutive elements starting at `start`
@@ -607,9 +566,7 @@ impl DeviceCtx for ThreadCtx<'_> {
                 race.on_write(buf.id, i, who);
             }
         }
-        for (w, &v) in self.mem.words_mut(buf.id, start, src.len()).iter_mut().zip(src) {
-            *w = v.to_bits();
-        }
+        self.mem.write_slice(buf, start, src);
     }
 
     /// Device-to-device row copy (`memcpy` within global memory); charges a
@@ -631,7 +588,7 @@ impl DeviceCtx for ThreadCtx<'_> {
                 race.on_write(dst.id, dst_start + i, who);
             }
         }
-        self.mem.copy_words(src.id, src_start, dst.id, dst_start, count);
+        self.mem.copy(src, src_start, dst, dst_start, count);
     }
 
     /// Uncharged bulk load used for **cooperative** staging: one thread does
@@ -641,7 +598,7 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// reads.
     fn cooperative_read<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, dst: &mut [T]) {
         self.track_reads(buf.id, start, dst.len());
-        self.load_into(buf.id, start, dst);
+        self.mem.read_slice_into(buf, start, dst, self.fault.as_deref_mut());
     }
 
     /// Charge `n` global-memory transactions (the accounting half of a
@@ -678,7 +635,7 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// out-of-band debug channel, not device memory traffic.
     #[inline]
     fn telemetry_read<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize) -> T {
-        T::from_bits(self.mem.word(buf.id, idx))
+        self.mem.read(buf, idx, None)
     }
 
     /// Write one element through the **instrumentation port** (uncharged,
@@ -686,7 +643,7 @@ impl DeviceCtx for ThreadCtx<'_> {
     /// [`telemetry_read`](Self::telemetry_read)).
     #[inline]
     fn telemetry_write<T: DeviceValue>(&mut self, buf: Buf<T>, idx: usize, value: T) {
-        self.mem.set_word(buf.id, idx, value.to_bits());
+        self.mem.write(buf, idx, value);
     }
 }
 
@@ -861,7 +818,6 @@ impl Gpu {
                 kernel,
                 block_idx,
                 block_dim,
-                grid_dim,
                 phases,
                 &mut self.pool,
                 warp_size,

@@ -43,8 +43,8 @@
 //!
 //! A kernel holds its device buffers as typed [`Buf`] fields, the analogue
 //! of CUDA launch parameters, so a launch is just the kernel value and a
-//! [`LaunchConfig`]; block-shared and per-thread data that outlives a phase
-//! lives in a [`ScratchArena`] the kernel owns (see [`Kernel`]).
+//! [`LaunchConfig`]; block-shared data and working vectors live in
+//! [`ScratchArena`]s the kernel owns (see [`Kernel`]).
 //!
 //! ```
 //! use cuda_sim::{Buf, DeviceCtx, DeviceSpec, Gpu, Kernel, LaunchConfig};

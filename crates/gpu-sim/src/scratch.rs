@@ -2,16 +2,19 @@
 //!
 //! Beyond its buffer handles, everything a kernel keeps lives in a
 //! [`ScratchArena`] it sizes at construction. Data a block's threads share
-//! (shared memory, such as the fitness kernel's staged penalty rates) takes
-//! one slot per block, indexed by block id. Data a thread keeps from one
-//! phase to the next or reuses between launches (registers and local
-//! memory, such as the fitness kernel's `seq`/`p`/`m`/`marks` vectors or
-//! the perturb and update kernels' permutation rows) takes one slot per
-//! thread, indexed by global thread id. Slots live as long as the kernel,
+//! across the phase barrier (shared memory, such as the fitness kernel's
+//! staged penalty rates) takes one slot per block, indexed by block id.
+//! Working vectors a thread fills and uses within one phase call (registers
+//! and local memory, such as the fitness kernel's `seq`/`p`/`m`/`marks`
+//! vectors or the perturb and update kernels' permutation rows) take one
+//! slot for the whole kernel: both backends run a launch's blocks and
+//! threads one at a time, so the threads borrow that slot in turn and one
+//! copy of each row stays hot in cache. A block-parallel dispatch would
+//! need one working slot per host worker. Slots live as long as the kernel,
 //! so vectors are resized once and then reused — a generation performs
 //! zero heap allocation in steady state — and a slot still holds what the
-//! previous launch left there, so a kernel overwrites what it stages
-//! before it reads it.
+//! previous thread or launch left there, so a kernel overwrites what it
+//! stages before it reads it.
 //!
 //! Both backends run one simulated thread at a time, but kernels that own
 //! an arena stay `Sync`, so a caller may share one across host threads.
@@ -28,8 +31,8 @@ struct Slot<T> {
     value: UnsafeCell<T>,
 }
 
-/// A fixed-size arena of independently borrowable scratch slots, indexed by
-/// simulated global thread id or block index. See the module docs.
+/// A fixed-size arena of independently borrowable scratch slots: one per
+/// block, or one working slot for the whole kernel. See the module docs.
 pub struct ScratchArena<T> {
     slots: Box<[Slot<T>]>,
 }

@@ -1,7 +1,7 @@
 //! Cache of best-known objective values per benchmark instance.
 //!
 //! The paper reports `%Δ` against the best known solutions of its CPU
-//! predecessors ([7], [8]). We cannot obtain those published values offline,
+//! predecessors (\[7\], \[8\]). We cannot obtain those published values offline,
 //! so the role of "best known" is played by a long reference run of our own
 //! CPU solver (`cdd-bench`'s `make_best_known` binary), cached in a plain
 //! text file so every experiment compares against the same frozen values —

@@ -9,7 +9,7 @@
 //! restrictive factors `h ∈ {0.2, 0.4, 0.6, 0.8}` (so "40 different
 //! instances for each job size"), with integer data
 //! `Pᵢ ~ U[1,20]`, `αᵢ ~ U[1,10]`, `βᵢ ~ U[1,15]` and due date
-//! `d = ⌊h · Σ Pᵢ⌋`. The UCDDCP instances of Awasthi et al. [8] derive from
+//! `d = ⌊h · Σ Pᵢ⌋`. The UCDDCP instances of Awasthi et al. \[8\] derive from
 //! the same data with compression bounds and penalties added.
 //!
 //! **Substitution note (see DESIGN.md):** the original `sch*.dat` files are

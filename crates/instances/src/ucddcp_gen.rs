@@ -1,6 +1,6 @@
-//! UCDDCP benchmark instances, following Awasthi et al. [8].
+//! UCDDCP benchmark instances, following Awasthi et al. \[8\].
 //!
-//! Reference [8] derives its controllable-processing-time instances from the
+//! Reference \[8\] derives its controllable-processing-time instances from the
 //! same OR-library job data, adding a minimum processing time `Mᵢ`, a
 //! compression penalty `γᵢ` and an unrestricted due date. We reproduce that
 //! construction deterministically:

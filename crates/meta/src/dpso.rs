@@ -54,30 +54,25 @@ impl DpsoParams {
 /// One-point crossover `F₂`: keep `a`'s prefix up to `cut` (exclusive), then
 /// append `b`'s remaining jobs in `b`'s order. Always yields a permutation.
 ///
-/// Parents are job-id slices of any unsigned width (a device row can be
-/// read in place). `marks` is caller-owned scratch covering the job ids
-/// `0..n`: it must be all `false` on entry and is all `false` again on
-/// return (every job marked from `a` is cleared when `b` visits it). `out`
-/// ends holding exactly `n` jobs; it allocates only while first growing.
-pub fn one_point_crossover<A, B>(
-    a: &[A],
-    b: &[B],
+/// `marks` is caller-owned scratch covering the job ids `0..n`: it must be
+/// all `false` on entry and is all `false` again on return (every job
+/// marked from `a` is cleared when `b` visits it). `out` ends holding
+/// exactly `n` jobs; it allocates only while first growing.
+pub fn one_point_crossover(
+    a: &[u32],
+    b: &[u32],
     cut: usize,
     marks: &mut [bool],
     out: &mut Vec<u32>,
-) where
-    A: Copy + Into<u64>,
-    B: Copy + Into<u64>,
-{
+) {
     let n = a.len();
     debug_assert_eq!(b.len(), n);
     debug_assert!(cut <= n);
     let marks = &mut marks[..n];
     out.resize(n + 1, 0);
     for (slot, &j) in out.iter_mut().zip(&a[..cut]) {
-        let j = job_index(j);
-        marks[j] = true;
-        *slot = j as u32;
+        marks[j as usize] = true;
+        *slot = j;
     }
     compact_unmarked(b, marks, &mut out[cut..]);
     out.truncate(n);
@@ -85,44 +80,30 @@ pub fn one_point_crossover<A, B>(
 
 /// Two-point crossover `F₃`: keep `a`'s segment `[lo, hi)` *in place*, fill
 /// the remaining positions with `b`'s other jobs in `b`'s order. Always
-/// yields a permutation. Same parent, `marks` and `out` contract as
+/// yields a permutation. Same `marks` and `out` contract as
 /// [`one_point_crossover`].
-pub fn two_point_crossover<A, B>(
-    a: &[A],
-    b: &[B],
+pub fn two_point_crossover(
+    a: &[u32],
+    b: &[u32],
     lo: usize,
     hi: usize,
     marks: &mut [bool],
     out: &mut Vec<u32>,
-) where
-    A: Copy + Into<u64>,
-    B: Copy + Into<u64>,
-{
+) {
     let n = a.len();
     debug_assert_eq!(b.len(), n);
     debug_assert!(lo <= hi && hi <= n);
     let marks = &mut marks[..n];
     for &j in &a[lo..hi] {
-        marks[job_index(j)] = true;
+        marks[j as usize] = true;
     }
     out.resize(n + 1, 0);
     // `b`'s other jobs compacted to the front; the part that belongs after
     // the segment then moves behind it, and the segment goes in between.
     let fill = compact_unmarked(b, marks, out);
     out.copy_within(lo..fill, hi);
-    for (slot, &j) in out[lo..hi].iter_mut().zip(&a[lo..hi]) {
-        *slot = job_index(j) as u32;
-    }
+    out[lo..hi].copy_from_slice(&a[lo..hi]);
     out.truncate(n);
-}
-
-/// A job id as an index (an id past `usize` saturates and fails the
-/// `marks` bounds check). Every id indexes `marks` (length `n`) before it
-/// is stored, and job ids live in `u32` rows, so storing one as `u32` is
-/// exact.
-#[inline]
-fn job_index<J: Into<u64>>(j: J) -> usize {
-    usize::try_from(j.into()).unwrap_or(usize::MAX)
 }
 
 /// Write `b`'s unmarked jobs, in order, to the front of `dst`, clearing each
@@ -130,12 +111,11 @@ fn job_index<J: Into<u64>>(j: J) -> usize {
 /// stored at the cursor, which advances only past unmarked ones, so `dst`
 /// needs one spare slot beyond the jobs it keeps.
 #[inline]
-fn compact_unmarked<J: Copy + Into<u64>>(b: &[J], marks: &mut [bool], dst: &mut [u32]) -> usize {
+fn compact_unmarked(b: &[u32], marks: &mut [bool], dst: &mut [u32]) -> usize {
     let mut kept = 0;
     for &j in b {
-        let j = job_index(j);
-        let fresh = !std::mem::replace(&mut marks[j], false);
-        dst[kept] = j as u32;
+        let fresh = !std::mem::replace(&mut marks[j as usize], false);
+        dst[kept] = j;
         kept += usize::from(fresh);
     }
     kept

@@ -1,10 +1,10 @@
-//! Multi-chain parallel SA schemes (Ferreiro et al. [12]).
+//! Multi-chain parallel SA schemes (Ferreiro et al. \[12\]).
 //!
 //! * [`AsyncEnsemble`] — the **asynchronous** scheme (paper Fig. 7): ω
 //!   independent chains run to completion, then one reduction selects the
 //!   best result. This is the scheme the paper adopts on the GPU ("the
 //!   reason for choosing the asynchronous version … is the premature
-//!   convergence of the [synchronous] approach").
+//!   convergence of the \[synchronous\] approach").
 //! * [`SyncEnsemble`] — the **synchronous** scheme (paper Fig. 8): at each
 //!   temperature level every chain simulates a constant-temperature Markov
 //!   chain of length `M`; the best final state is broadcast as everyone's

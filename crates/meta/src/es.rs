@@ -1,6 +1,6 @@
 //! A (μ+λ) evolution strategy on permutations.
 //!
-//! Stands in for the metaheuristics of Feldmann & Biskup [18] (evolutionary
+//! Stands in for the metaheuristics of Feldmann & Biskup \[18\] (evolutionary
 //! strategies, threshold accepting, …), which the paper uses as its second
 //! CPU baseline in Table III. The ES maintains μ parents; each generation
 //! creates λ offspring by mutating random parents (swap / insert / window

@@ -10,14 +10,14 @@
 //!   acceptance, exponential cooling (μ = 0.88), initial temperature from
 //!   the Salamon–Sibani–Frost rule ([`temperature`]), Fisher–Yates window
 //!   perturbation ([`perturb`]). A long single chain of this SA is also the
-//!   stand-in for the CPU reference of Lässig et al. [7].
+//!   stand-in for the CPU reference of Lässig et al. \[7\].
 //! * [`dpso`] — Discrete Particle Swarm Optimization (Algorithm 2, the
 //!   update rule of Pan et al. with swap velocity F₁, one-point crossover F₂
 //!   and two-point crossover F₃).
 //! * [`es`] — a (μ+λ) evolution strategy on permutations, standing in for
-//!   the Feldmann–Biskup metaheuristics [18] as the second CPU baseline.
+//!   the Feldmann–Biskup metaheuristics \[18\] as the second CPU baseline.
 //! * [`ensemble`] — the asynchronous (Fig. 7) and synchronous (Fig. 8)
-//!   multi-chain parallel SA schemes of Ferreiro et al. [12], backed by
+//!   multi-chain parallel SA schemes of Ferreiro et al. \[12\], backed by
 //!   CPU threads.
 //!
 //! The GPU versions of SA and DPSO live in `cdd-gpu`, mapped onto the

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! A single long chain of this SA is also this suite's stand-in for the
-//! sequential CPU implementation of Lässig et al. [7] (used as the
+//! sequential CPU implementation of Lässig et al. \[7\] (used as the
 //! best-known-producer and the CPU-time baseline of Tables III/V).
 
 use crate::cooling::Cooling;

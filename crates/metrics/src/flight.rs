@@ -16,7 +16,7 @@
 //!
 //! [`fleet_trace`] merges many records into one Chrome trace with one
 //! process per node (plus one for the router) and per-device tracks,
-//! using [`TraceSink`](crate::trace::TraceSink) merge support.
+//! using [`TraceSink`] merge support.
 
 use crate::escape;
 use crate::trace::{TraceEvent, TraceSink};

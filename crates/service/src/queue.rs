@@ -3,7 +3,7 @@
 //!
 //! This is a plain data structure — the service serializes access to it
 //! under its state mutex. Admission control is synchronous and immediate:
-//! [`SubmissionQueue::try_push`] on a full queue returns
+//! `SubmissionQueue::try_push` on a full queue returns
 //! [`SuiteError::Rejected`] rather than blocking, so an overloaded service
 //! sheds load at submission time instead of hanging clients.
 //!
@@ -74,10 +74,10 @@ pub struct QueueStats {
     /// Submissions refused because the queue was full.
     pub rejected: u64,
     /// Jobs re-admitted at the front into an inherited slot
-    /// ([`SubmissionQueue::requeue_front`]).
+    /// (`SubmissionQueue::requeue_front`).
     pub requeued: u64,
     /// Jobs re-admitted by the supervisor after a worker crash
-    /// ([`SubmissionQueue::requeue_retry`]).
+    /// (`SubmissionQueue::requeue_retry`).
     pub retried: u64,
     /// Deepest the queue of *admitted* slots ever got. Inherited re-admits
     /// reuse a slot that was already counted at admission, so this never

@@ -27,7 +27,7 @@
 //! (worker death detection, restart, retry/park/degrade policy) and
 //! [`crate::breaker`] (the per-device `closed → open → half-open` circuit
 //! breaker). Mutable per-device state — usage, breaker, trace, in-flight
-//! job — lives in [`SlotState`] inside the shared state, **not** in the
+//! job — lives in `SlotState` inside the shared state, **not** in the
 //! worker thread, so it survives worker crashes and restarts.
 //!
 //! # Determinism contract

@@ -5,7 +5,7 @@
 //! when a dying worker signals the `supervise` condvar) it:
 //!
 //! 1. **Reaps** finished worker threads. A clean exit is the drain path; a
-//!    panicked exit carries a [`WorkerCrashPanic`] payload (or a foreign
+//!    panicked exit carries a `WorkerCrashPanic` payload (or a foreign
 //!    panic's message), and the supervisor bumps the slot's generation,
 //!    records the death, and respawns the worker with a fresh device.
 //! 2. **Fences stuck workers**: a slot whose in-flight job has produced no
@@ -26,7 +26,7 @@
 //!
 //! Restart timing is wall-clock and varies run to run; *what* is computed
 //! does not. The retry backoff is a pure function of `(config, request
-//! seed, retry ordinal)` — see [`retry_backoff_ms`] — and the retry's
+//! seed, retry ordinal)` — see `retry_backoff_ms` — and the retry's
 //! fault plan is derived the same way, so the attempt trajectory of a
 //! request is independent of when the supervisor got around to it.
 //! Degradation is deterministic for deadline-free workloads (the budget
