@@ -23,7 +23,7 @@
 //!
 //! Both files are byte-identical across runs of the same flags — the
 //! pipelines are deterministic and sampling never perturbs them — which
-//! the CI `convergence-smoke` job checks with a literal byte diff.
+//! `tests/fig12_convergence.rs` checks with a literal byte diff.
 
 use cdd_bench::convergence::{
     curve_headers, push_curve_rows, summary_headers, summary_object, summary_row,

@@ -11,7 +11,7 @@
 //! freshly drawn tenant/priority identity), so a replay through `cdd-serve`
 //! or the `cdd-node`/`cdd-router` socket path exercises the solution cache
 //! — including cross-tenant deduplication. `--unique` disables the repeats
-//! (every entry is distinct work), which the trace-stability smoke needs:
+//! (every entry is distinct work), which a byte-stable fleet trace needs:
 //! cache-hit vs coalesced classification of a repeated key depends on
 //! arrival timing, so duplicate work would perturb flight records between
 //! otherwise identical runs.

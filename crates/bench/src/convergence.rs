@@ -5,7 +5,7 @@
 //!
 //! Everything here is a pure function of the trace, which is itself
 //! deterministic in `(instance, params, seed)` — the emitted artifacts
-//! byte-compare across runs, which the CI `convergence-smoke` job relies
+//! byte-compare across runs, which `tests/fig12_convergence.rs` relies
 //! on.
 
 use crate::Table;

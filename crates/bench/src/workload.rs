@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn duplicates_cross_tenants_but_share_work() {
         // At least one duplicated work-item must appear under two different
-        // tenant/priority identities — that is what lets the net smoke
+        // tenant/priority identities — that is what lets a fleet test
         // assert a cross-tenant cache hit.
         let a = generate_mixed(64, 42, 150, &[10]);
         let mut by_key: std::collections::BTreeMap<u64, std::collections::BTreeSet<String>> =

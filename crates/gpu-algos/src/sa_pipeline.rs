@@ -149,6 +149,30 @@ impl GpuSaParams {
     pub fn ensemble(&self) -> usize {
         self.blocks * self.block_size
     }
+
+    /// The initial temperature `T₀` for `inst`: `self.t0` when set, else
+    /// drawn from `rng` by the rule `self.init` calls for. Randomly
+    /// initialized chains use the paper's global rule (stddev of
+    /// `t0_samples` random fitnesses); heuristically seeded chains calibrate
+    /// to the local move scale so the good start survives the hot phase
+    /// (see `cdd_meta::temperature::initial_temperature_local`).
+    pub(crate) fn initial_temperature(
+        &self,
+        inst: &Instance,
+        evaluator: &dyn SequenceEvaluator,
+        rng: &mut StdRng,
+    ) -> f64 {
+        self.t0.unwrap_or_else(|| match self.init {
+            InitStrategy::Random => initial_temperature(evaluator, self.t0_samples, rng),
+            InitStrategy::VShapedSpread => cdd_meta::initial_temperature_local(
+                evaluator,
+                &cdd_core::heuristics::v_shaped_sequence(inst),
+                self.pert,
+                self.t0_samples.min(500),
+                rng,
+            ),
+        })
+    }
 }
 
 /// Result of a GPU pipeline run (SA or DPSO).
@@ -227,25 +251,10 @@ pub fn run_gpu_sa(inst: &Instance, params: &GpuSaParams) -> Result<GpuRunResult,
     check_argmin_domain(inst, params.ensemble())?;
     check_native_capabilities(params.backend, params.fault.as_ref(), &params.telemetry)?;
 
-    // Host-side setup: T₀ rule and initial ensemble. Randomly initialized
-    // chains use the paper's global rule (stddev of `t0_samples` random
-    // fitnesses); heuristically seeded chains calibrate to the local move
-    // scale so the good start survives the hot phase (see
-    // `cdd_meta::temperature::initial_temperature_local`).
+    // Host-side setup: T₀, then (in each attempt) the initial ensemble.
     let mut host_rng = StdRng::seed_from_u64(params.seed);
     let evaluator = evaluator_for(inst);
-    let t0 = params.t0.unwrap_or_else(|| match params.init {
-        InitStrategy::Random => {
-            initial_temperature(evaluator.as_ref(), params.t0_samples, &mut host_rng)
-        }
-        InitStrategy::VShapedSpread => cdd_meta::initial_temperature_local(
-            evaluator.as_ref(),
-            &cdd_core::heuristics::v_shaped_sequence(inst),
-            params.pert,
-            params.t0_samples.min(500),
-            &mut host_rng,
-        ),
-    });
+    let t0 = params.initial_temperature(inst, &*evaluator, &mut host_rng);
 
     match params.backend {
         Backend::Sim => run_with_recovery(

@@ -26,7 +26,6 @@ use crate::sa_pipeline::{
 use crate::trajectory::ConvergenceTrace;
 use cdd_core::eval::{evaluator_for, SequenceEvaluator};
 use cdd_core::{Cost, Instance, JobSequence, SuiteError};
-use cdd_meta::initial_temperature;
 use cuda_sim::reduce::{unpack_argmin, AtomicArgminKernel};
 use cuda_sim::{
     Backend, Buf, DeviceCtx, ExecBackend, FaultPlan, Gpu, Kernel, LaunchConfig, NativeGpu,
@@ -91,9 +90,7 @@ pub fn run_gpu_sa_sync(
 
     let mut host_rng = StdRng::seed_from_u64(params.seed);
     let evaluator = evaluator_for(inst);
-    let t0 = params
-        .t0
-        .unwrap_or_else(|| initial_temperature(evaluator.as_ref(), params.t0_samples, &mut host_rng));
+    let t0 = params.initial_temperature(inst, &*evaluator, &mut host_rng);
 
     match params.backend {
         Backend::Sim => run_with_recovery(
@@ -274,7 +271,7 @@ fn sync_attempt<B: ExecBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_gpu_sa;
+    use crate::{run_gpu_sa, InitStrategy};
     use cdd_core::exact::best_sequence_bruteforce;
 
     fn params() -> GpuSaParams {
@@ -327,6 +324,27 @@ mod tests {
         // The run is consistent and returns the reduction winner.
         let eval = cdd_core::eval::evaluator_for(&inst);
         assert_eq!(eval.evaluate(r.best.as_slice()), r.objective);
+    }
+
+    #[test]
+    fn both_schemes_draw_the_same_initial_temperature() {
+        // One T₀ rule: a V-shaped start calibrates to the local move scale,
+        // a random start takes the paper's global rule, whichever scheme
+        // runs the chains.
+        let inst = cdd_instances_like();
+        let mut t0s = Vec::new();
+        for init in [InitStrategy::VShapedSpread, InitStrategy::Random] {
+            let p = GpuSaParams { init, iterations: 4, ..params() };
+            let sync = run_gpu_sa_sync(&inst, &p, 2, 2).unwrap().t0;
+            let asynchronous = run_gpu_sa(&inst, &p).unwrap().t0;
+            assert_eq!(
+                sync.to_bits(),
+                asynchronous.to_bits(),
+                "{init:?}: sync {sync}, async {asynchronous}"
+            );
+            t0s.push(sync);
+        }
+        assert_ne!(t0s[0], t0s[1], "the two starts use different rules");
     }
 
     #[test]

@@ -76,7 +76,7 @@
 //! assert_eq!(native.d2h(buf), vec![1i64, 2, 3, 4, 5, 6, 7, 8]);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod cost;

@@ -18,36 +18,23 @@
 //!
 //! Both backends run one simulated thread at a time, but kernels that own
 //! an arena stay `Sync`, so a caller may share one across host threads.
-//! Each slot therefore carries an occupancy flag: a borrow of a slot that
-//! is already borrowed, from another host thread or re-entrantly, panics
-//! instead of aliasing the slot's contents.
+//! Each slot is therefore a [`Mutex`] that a borrow only ever tries: a
+//! borrow of a slot that is already borrowed, from another host thread or
+//! re-entrantly, panics instead of waiting or aliasing the slot's contents.
 
-use std::cell::UnsafeCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-struct Slot<T> {
-    busy: AtomicBool,
-    value: UnsafeCell<T>,
-}
+use std::sync::{Mutex, TryLockError};
 
 /// A fixed-size arena of independently borrowable scratch slots: one per
 /// block, or one working slot for the whole kernel. See the module docs.
 pub struct ScratchArena<T> {
-    slots: Box<[Slot<T>]>,
+    slots: Box<[Mutex<T>]>,
 }
-
-// SAFETY: distinct slots are distinct memory, and access to one slot's
-// interior is serialized by its `busy` flag (acquire on entry, release on
-// exit), so `&ScratchArena<T>` can be shared across threads whenever the
-// payload itself can move between them.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for ScratchArena<T> {}
 
 impl<T: Default> ScratchArena<T> {
     /// An arena with `len` default-initialized slots.
     pub fn new(len: usize) -> Self {
-        ScratchArena { slots: (0..len).map(|_| Slot { busy: AtomicBool::new(false), value: UnsafeCell::new(T::default()) }).collect() }
+        ScratchArena { slots: (0..len).map(|_| Mutex::default()).collect() }
     }
 }
 
@@ -65,24 +52,15 @@ impl<T> ScratchArena<T> {
     /// Run `f` with exclusive access to slot `idx`. Slot contents persist
     /// across calls (that is the point: reuse, not reinitialization), so
     /// `f` must not assume a fresh value. Panics if the slot is already
-    /// borrowed.
+    /// borrowed. A slot whose last borrower panicked is borrowed as usual:
+    /// it holds only scratch, which the next borrower overwrites.
     pub fn with_slot<R>(&self, idx: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        let slot = &self.slots[idx];
-        assert!(
-            !slot.busy.swap(true, Ordering::Acquire),
-            "scratch slot {idx} borrowed concurrently"
-        );
-        struct Release<'a>(&'a AtomicBool);
-        impl Drop for Release<'_> {
-            fn drop(&mut self) {
-                self.0.store(false, Ordering::Release);
-            }
-        }
-        let _release = Release(&slot.busy);
-        // SAFETY: the `busy` flag grants exclusive access to this slot until
-        // `_release` drops, so the mutable reference cannot alias.
-        #[allow(unsafe_code)]
-        f(unsafe { &mut *slot.value.get() })
+        let mut slot = match self.slots[idx].try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => panic!("scratch slot {idx} borrowed concurrently"),
+        };
+        f(&mut slot)
     }
 }
 

@@ -22,8 +22,8 @@
 //! results, timelines, metrics and fault behaviour to the same run with
 //! telemetry disabled — the recorder costs nothing when off and changes
 //! nothing (except its own ring contents) when on. The property is enforced
-//! by `cdd-gpu`'s `telemetry_determinism` tests and the `convergence-smoke`
-//! CI job.
+//! by `cdd-gpu`'s `telemetry_determinism` tests and `cdd-bench`'s
+//! `fig12_convergence` test.
 //!
 //! # Layout
 //!

@@ -14,7 +14,7 @@
 //! `(request, fitness, degraded)` rows, byte-identical for a fixed
 //! workload across shard counts, routings and node restarts. `--shutdown`
 //! sends a `Shutdown` frame after the workload (a router forwards it to
-//! its nodes), which is how the CI smoke scripts tear the fleet down.
+//! its nodes), which tears the whole fleet down.
 //!
 //! Observability flags: `--trace` attaches a sampled trace context to
 //! every request; `--trace-out` (implies `--trace`) writes the fleet-merged
@@ -29,8 +29,7 @@
 use cdd_bench::workload;
 use cdd_bench::{results_dir, Args};
 use cdd_net::client::{
-    flight_records, run_workload_sharded_opts, shutdown, sorted_outcome_csv, stats_envelope,
-    ClientOptions,
+    flight_records, run_workload, shutdown, sorted_outcome_csv, stats_envelope, ClientOptions,
 };
 use cdd_metrics::fleet_trace;
 use std::path::PathBuf;
@@ -61,9 +60,8 @@ fn main() {
 
     let entries = workload::load(&workload_path).expect("workload file readable");
     let started = std::time::Instant::now();
-    let outcomes =
-        run_workload_sharded_opts(&addr, &entries, connections, window, &secret, opts)
-            .expect("workload completed");
+    let outcomes = run_workload(&addr, &entries, connections, window, &secret, opts)
+        .expect("workload completed");
     let wall = started.elapsed().as_secs_f64();
 
     let csv = sorted_outcome_csv(&outcomes);

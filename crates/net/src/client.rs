@@ -1,7 +1,7 @@
 //! Synchronous framed-protocol client.
 //!
-//! [`run_workload`] drives one TCP connection with a bounded in-flight
-//! window, reassembles streamed sequence chunks, and absorbs the
+//! [`run_workload`] drives each of its TCP connections with a bounded
+//! in-flight window, reassembles streamed sequence chunks, and absorbs the
 //! protocol's flow-control verbs so callers see only terminal outcomes:
 //! `RateLimited`/`Rejected` replies are resubmitted after the server's
 //! retry hint, `Unavailable` retries with exponential backoff, and a
@@ -11,9 +11,8 @@
 //! independent of how often the transport stuttered — the client is part
 //! of the determinism contract, not an exception to it (DESIGN.md §13).
 //!
-//! [`run_workload_sharded`] fans the same discipline out over several
-//! connections (round-robin split), which is how the tests demonstrate
-//! cross-connection and cross-node cache deduplication.
+//! Several connections split the workload round-robin, which is how the
+//! tests demonstrate cross-connection and cross-node cache deduplication.
 
 use crate::auth;
 use crate::frame::{
@@ -134,31 +133,6 @@ struct Pending {
     entry_idx: usize,
     chunks: Vec<u8>,
     attempts: u32,
-}
-
-/// Drive `entries` through one connection to `addr` with at most
-/// `window` requests in flight. Returns one outcome per entry, in entry
-/// order.
-pub fn run_workload(
-    addr: &str,
-    entries: &[WorkloadEntry],
-    window: usize,
-    secret: &str,
-) -> Result<Vec<ClientOutcome>, SuiteError> {
-    run_workload_opts(addr, entries, window, secret, ClientOptions::default())
-}
-
-/// [`run_workload`] with behavior switches (request tracing).
-pub fn run_workload_opts(
-    addr: &str,
-    entries: &[WorkloadEntry],
-    window: usize,
-    secret: &str,
-    opts: ClientOptions,
-) -> Result<Vec<ClientOutcome>, SuiteError> {
-    let indexed: Vec<(u64, WorkloadEntry)> =
-        entries.iter().cloned().enumerate().map(|(i, e)| (i as u64, e)).collect();
-    run_indexed(addr, &indexed, window, secret, opts)
 }
 
 /// The workhorse: entries tagged with their *global* workload position,
@@ -289,26 +263,15 @@ fn run_indexed(
     Ok(outcomes.into_iter().map(|o| o.expect("every entry resolved")).collect())
 }
 
-/// Split `entries` round-robin over `connections` independent sockets
-/// (each on its own thread) and merge the outcomes back into entry
-/// order. Demonstrates cross-connection coalescing/caching: duplicate
-/// content keys arriving on different sockets must still hit the same
-/// node's cache (through the router's content-key sharding).
-pub fn run_workload_sharded(
-    addr: &str,
-    entries: &[WorkloadEntry],
-    connections: usize,
-    window: usize,
-    secret: &str,
-) -> Result<Vec<ClientOutcome>, SuiteError> {
-    run_workload_sharded_opts(addr, entries, connections, window, secret, ClientOptions::default())
-}
-
-/// [`run_workload_sharded`] with behavior switches. Trace ids keep their
-/// *global* workload positions through the round-robin split, so a traced
-/// sharded run produces the same flight-record set as a single-connection
-/// run of the same workload.
-pub fn run_workload_sharded_opts(
+/// Drive `entries` through `connections` sockets to `addr`, each on its
+/// own thread with at most `window` requests in flight, and return one
+/// outcome per entry, in entry order. Entries are split round-robin over
+/// the connections, so duplicate content keys arriving on different
+/// sockets must still hit the same node's cache (through the router's
+/// content-key sharding). Trace ids keep their *global* workload positions
+/// through the split, so a traced run produces the same flight-record set
+/// whatever the connection count.
+pub fn run_workload(
     addr: &str,
     entries: &[WorkloadEntry],
     connections: usize,
@@ -317,9 +280,6 @@ pub fn run_workload_sharded_opts(
     opts: ClientOptions,
 ) -> Result<Vec<ClientOutcome>, SuiteError> {
     let connections = connections.max(1);
-    if connections == 1 {
-        return run_workload_opts(addr, entries, window, secret, opts);
-    }
     let mut slots: Vec<Vec<(usize, WorkloadEntry)>> = vec![Vec::new(); connections];
     for (i, e) in entries.iter().enumerate() {
         slots[i % connections].push((i, e.clone()));

@@ -39,7 +39,7 @@ pub mod router;
 pub mod snapshot;
 pub mod wire;
 
-pub use client::{run_workload, run_workload_sharded, sorted_outcome_csv, ClientOutcome};
+pub use client::{run_workload, sorted_outcome_csv, ClientOutcome};
 pub use frame::{
     read_frame, write_frame, ErrorCode, Frame, NetError, NetRequest, NetResponse, NodeStats,
     StatsEnvelope, StreamChunk, UpstreamHealth, WorkSpec, MAX_FRAME_LEN, PROTOCOL_VERSION,

@@ -10,7 +10,7 @@
 use cdd_bench::workload::{generate_mixed_tenants, WorkloadEntry};
 use cdd_core::JobSequence;
 use cdd_net::auth::{token_for, DEFAULT_SECRET};
-use cdd_net::client::{self, run_workload, run_workload_sharded, sorted_outcome_csv, ClientOutcome};
+use cdd_net::client::{self, run_workload, sorted_outcome_csv, ClientOptions, ClientOutcome};
 use cdd_net::frame::{read_frame, write_frame, ErrorCode, Frame, NetRequest, WorkSpec};
 use cdd_net::node::{serve as serve_node, NodeConfig, NodeHandle};
 use cdd_net::router::{serve as serve_router, RouterConfig};
@@ -39,6 +39,17 @@ fn node_config() -> NodeConfig {
 
 fn small_workload(requests: usize) -> Vec<WorkloadEntry> {
     generate_mixed_tenants(requests, 2016, 60, &[10], 3)
+}
+
+/// Drive `entries` through `connections` untraced sockets to `addr`.
+fn drive(
+    addr: &str,
+    entries: &[WorkloadEntry],
+    connections: usize,
+    window: usize,
+) -> Vec<ClientOutcome> {
+    run_workload(addr, entries, connections, window, DEFAULT_SECRET, ClientOptions::default())
+        .expect("workload")
 }
 
 /// The ground truth: solve every entry on a plain in-process service and
@@ -80,7 +91,7 @@ fn single_node_socket_path_matches_in_process_service() {
 
     let node = serve_node(node_config()).expect("bind node");
     let addr = node.addr.to_string();
-    let outcomes = run_workload(&addr, &entries, 4, DEFAULT_SECRET).expect("workload");
+    let outcomes = drive(&addr, &entries, 1, 4);
     assert_eq!(sorted_outcome_csv(&outcomes), expected, "socket path changed the outcome set");
 
     // Streamed sequences reassemble into valid permutations of the right
@@ -94,9 +105,14 @@ fn single_node_socket_path_matches_in_process_service() {
     let report = node.join();
     assert_eq!(report.service.completed, 12, "node drained every request");
     assert!(report.connections >= 2, "workload + shutdown connections");
-    // net_* namespace is populated.
+    // net_* namespace is populated, and every request was admitted once.
     let rendered = report.net_metrics.render_prometheus();
-    assert!(rendered.contains("net_admitted_total"), "{rendered}");
+    let admitted: u64 = rendered
+        .lines()
+        .filter(|l| l.starts_with("net_admitted_total{"))
+        .map(|l| l.rsplit(' ').next().and_then(|v| v.parse::<u64>().ok()).expect("counter value"))
+        .sum();
+    assert_eq!(admitted, 12, "{rendered}");
     assert!(rendered.contains("net_frames_total"), "{rendered}");
     assert!(rendered.contains("net_frame_bytes"), "{rendered}");
     assert!(rendered.contains("net_connection_requests"), "{rendered}");
@@ -212,8 +228,7 @@ fn router_sharding_is_outcome_invariant_and_dedups_across_connections() {
 
         // Duplicates are spread across 3 client connections, so dedup can
         // only come from content-key sharding, not connection affinity.
-        let outcomes =
-            run_workload_sharded(&addr, &entries, 3, 4, DEFAULT_SECRET).expect("workload");
+        let outcomes = drive(&addr, &entries, 3, 4);
         assert_eq!(
             sorted_outcome_csv(&outcomes),
             expected,
@@ -288,7 +303,7 @@ fn upstream_death_reroutes_without_losing_or_changing_outcomes() {
     .expect("bind router");
     let addr = router.addr.to_string();
 
-    let outcomes = run_workload(&addr, &entries, 8, DEFAULT_SECRET).expect("workload");
+    let outcomes = drive(&addr, &entries, 1, 8);
     assert!(outcomes.iter().all(|o| o.response.is_some()), "no request may be stranded");
     assert_eq!(
         sorted_outcome_csv(&outcomes),
@@ -321,7 +336,7 @@ fn ping_stats_and_aggregation_work_end_to_end() {
     assert!(client::ping(&addr, 9).expect("router ping"));
 
     let entries = small_workload(6);
-    run_workload(&addr, &entries, 4, DEFAULT_SECRET).expect("workload");
+    drive(&addr, &entries, 1, 4);
     let agg = client::stats(&addr).expect("router stats");
     let per_node: u64 = nodes
         .iter()
@@ -349,7 +364,7 @@ fn concurrent_clients_see_a_drained_shutdown() {
     let flag = Arc::clone(&done);
     let addr2 = addr.clone();
     let worker = std::thread::spawn(move || {
-        let outs = run_workload(&addr2, &entries, 4, DEFAULT_SECRET).expect("workload");
+        let outs = drive(&addr2, &entries, 1, 4);
         flag.store(true, Ordering::SeqCst);
         outs
     });

@@ -8,7 +8,7 @@
 
 use cdd_bench::workload::{generate_mixed_tenants, save, WorkloadEntry};
 use cdd_net::auth::DEFAULT_SECRET;
-use cdd_net::client::{self, run_workload, sorted_outcome_csv};
+use cdd_net::client::{self, run_workload, sorted_outcome_csv, ClientOptions};
 use std::io::{BufRead, BufReader, Read};
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
@@ -83,7 +83,9 @@ fn killing_a_node_mid_campaign_loses_nothing_and_changes_nothing() {
     // No-chaos baseline through an identical (fresh) fleet.
     let baseline = {
         let (nodes, router, addr) = spawn_fleet(&scratch);
-        let outcomes = run_workload(&addr, &entries, 8, DEFAULT_SECRET).expect("baseline run");
+        let outcomes =
+            run_workload(&addr, &entries, 1, 8, DEFAULT_SECRET, ClientOptions::default())
+                .expect("baseline run");
         client::shutdown(&addr).expect("fleet shutdown");
         drop(router);
         drop(nodes);
@@ -96,7 +98,8 @@ fn killing_a_node_mid_campaign_loses_nothing_and_changes_nothing() {
     let (mut nodes, router, addr) = spawn_fleet(&scratch);
     let addr_for_client = addr.clone();
     let client_thread = std::thread::spawn(move || {
-        run_workload(&addr_for_client, &entries, 8, DEFAULT_SECRET).expect("chaos run")
+        run_workload(&addr_for_client, &entries, 1, 8, DEFAULT_SECRET, ClientOptions::default())
+            .expect("chaos run")
     });
     std::thread::sleep(Duration::from_millis(250));
     let victim_addr = nodes[0].1.clone();

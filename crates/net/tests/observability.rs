@@ -9,18 +9,22 @@
 //! byte-identical across two runs of the same workload on a fresh fleet;
 //! with tracing disabled, outcomes are byte-identical to a traced run's.
 
+#[path = "../../bench/tests/support/json.rs"]
+mod json;
+
 use cdd_bench::workload::{generate_mixed_tenants, WorkloadEntry};
 use cdd_core::{Algorithm, Priority};
 use cdd_instances::InstanceId;
 use cdd_metrics::fleet_trace;
 use cdd_net::auth::DEFAULT_SECRET;
 use cdd_net::client::{
-    self, flight_records, run_workload_sharded_opts, sorted_outcome_csv, stats_envelope,
-    ClientOptions,
+    self, flight_records, run_workload, sorted_outcome_csv, stats_envelope, ClientOptions,
 };
 use cdd_net::node::{serve as serve_node, NodeConfig, NodeHandle};
 use cdd_net::router::{serve as serve_router, RouterConfig};
 use cdd_service::ServiceConfig;
+use json::Json;
+use std::collections::BTreeSet;
 
 /// One-device nodes so worker attempts always land on device 0: a
 /// requirement for byte-stable traces (device assignment in a pool is
@@ -69,10 +73,7 @@ fn traced_flights_are_stitched_across_router_node_and_service() {
     .expect("bind router");
     let addr = router.addr.to_string();
 
-    let traced =
-        run_workload_sharded_opts(&addr, &entries, 2, 4, DEFAULT_SECRET, ClientOptions {
-            trace: true,
-        })
+    let traced = run_workload(&addr, &entries, 2, 4, DEFAULT_SECRET, ClientOptions { trace: true })
         .expect("traced workload");
 
     let mut seen_ids = Vec::new();
@@ -121,10 +122,9 @@ fn traced_flights_are_stitched_across_router_node_and_service() {
     assert_eq!(seen_ids, (1..=entries.len() as u64).collect::<Vec<_>>());
 
     // Tracing off on the same fleet: no flights, identical outcomes.
-    let untraced = run_workload_sharded_opts(&addr, &entries, 2, 4, DEFAULT_SECRET, ClientOptions {
-        trace: false,
-    })
-    .expect("untraced workload");
+    let untraced =
+        run_workload(&addr, &entries, 2, 4, DEFAULT_SECRET, ClientOptions { trace: false })
+            .expect("untraced workload");
     assert!(
         untraced.iter().all(|o| o.response.as_ref().is_some_and(|r| r.flight.is_none())),
         "untraced requests must not carry flight records"
@@ -169,10 +169,8 @@ fn traced_run(entries: &[WorkloadEntry]) -> (String, String, String) {
     let addr = router.addr.to_string();
 
     let outcomes =
-        run_workload_sharded_opts(&addr, entries, 2, 4, DEFAULT_SECRET, ClientOptions {
-            trace: true,
-        })
-        .expect("traced workload");
+        run_workload(&addr, entries, 2, 4, DEFAULT_SECRET, ClientOptions { trace: true })
+            .expect("traced workload");
     let trace_json = fleet_trace(&flight_records(&outcomes)).render_chrome_json();
 
     let env = stats_envelope(&addr, true).expect("fleet stats");
@@ -190,6 +188,14 @@ fn traced_run(entries: &[WorkloadEntry]) -> (String, String, String) {
             s
         });
     assert!(!service_slice.is_empty(), "fleet snapshot carries service_ series:\n{prom}");
+    assert!(
+        prom.lines().any(|l| l.starts_with("# HELP service_requests_submitted_total ")),
+        "{prom}"
+    );
+    assert!(
+        prom.lines().any(|l| l.starts_with("net_")),
+        "fleet snapshot carries net_ series:\n{prom}"
+    );
 
     client::shutdown(&addr).expect("fleet shutdown");
     router.join();
@@ -204,8 +210,22 @@ fn fleet_trace_and_metrics_snapshots_are_byte_stable_across_runs() {
     let entries = unique_workload(10);
     let (trace_a, prom_a, csv_a) = traced_run(&entries);
     let (trace_b, prom_b, csv_b) = traced_run(&entries);
-    assert!(trace_a.contains("node-a") && trace_a.contains("node-b"), "{trace_a}");
     assert_eq!(trace_a, trace_b, "fleet trace must be byte-stable across runs");
+    // One process per fleet member, and spans from every layer a request
+    // crosses.
+    let trace = Json::parse(&trace_a).unwrap_or_else(|e| panic!("fleet trace is not JSON: {e}"));
+    let events = trace.get("traceEvents").arr();
+    let processes: Vec<&str> = events
+        .iter()
+        .filter(|e| e.get("name").str() == "process_name")
+        .map(|e| e.get("args").get("name").str())
+        .collect();
+    assert_eq!(processes, ["router", "node node-a", "node node-b"]);
+    let layers: BTreeSet<&str> =
+        events.iter().filter(|e| e.get("ph").str() == "X").map(|e| e.get("cat").str()).collect();
+    for layer in ["router", "node", "queue", "worker"] {
+        assert!(layers.contains(layer), "no {layer} spans in the fleet trace: {layers:?}");
+    }
     assert_eq!(prom_a, prom_b, "service_ fleet snapshot must be byte-stable across runs");
     assert_eq!(csv_a, csv_b, "outcomes must be byte-stable across runs");
 }
@@ -227,15 +247,8 @@ fn router_stats_distinguish_dead_upstreams() {
     let addr = router.addr.to_string();
 
     let entries = generate_mixed_tenants(6, 7, 60, &[10], 2);
-    let outcomes = run_workload_sharded_opts(
-        &addr,
-        &entries,
-        1,
-        4,
-        DEFAULT_SECRET,
-        ClientOptions::default(),
-    )
-    .expect("workload routes around the dead upstream");
+    let outcomes = run_workload(&addr, &entries, 1, 4, DEFAULT_SECRET, ClientOptions::default())
+        .expect("workload routes around the dead upstream");
     assert!(outcomes.iter().all(|o| o.response.is_some()));
 
     let env = stats_envelope(&addr, true).expect("router stats");
@@ -281,10 +294,8 @@ fn slow_request_log_is_threshold_gated_jsonl() {
 
     let entries = unique_workload(4);
     let outcomes =
-        run_workload_sharded_opts(&addr, &entries, 1, 2, DEFAULT_SECRET, ClientOptions {
-            trace: true,
-        })
-        .expect("traced workload");
+        run_workload(&addr, &entries, 1, 2, DEFAULT_SECRET, ClientOptions { trace: true })
+            .expect("traced workload");
     assert_eq!(outcomes.len(), entries.len());
 
     let log = std::fs::read_to_string(&slow_path).expect("slow log written");
@@ -297,7 +308,7 @@ fn slow_request_log_is_threshold_gated_jsonl() {
     }
 
     // Untraced requests never reach the slow log, whatever the threshold.
-    run_workload_sharded_opts(&addr, &entries, 1, 2, DEFAULT_SECRET, ClientOptions::default())
+    run_workload(&addr, &entries, 1, 2, DEFAULT_SECRET, ClientOptions::default())
         .expect("untraced workload");
     let after = std::fs::read_to_string(&slow_path).expect("slow log re-read");
     assert_eq!(after.lines().count(), entries.len(), "untraced requests are not logged");

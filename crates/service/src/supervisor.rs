@@ -18,9 +18,9 @@
 //!    beyond the budget it is answered degraded from the CPU oracle — or,
 //!    with `degraded_answers` off, failed with
 //!    [`SuiteError::WorkerCrashed`](cdd_core::SuiteError).
-//! 4. Runs the **brownout pass**: when every breaker is open or the queue
-//!    is past the configured depth, deadline-carrying jobs are pulled and
-//!    answered degraded now rather than expiring worthlessly later.
+//! 4. Runs the **brownout pass**: when every breaker is open,
+//!    deadline-carrying jobs are pulled and answered degraded now rather
+//!    than expiring worthlessly later.
 //!
 //! # Determinism
 //!
@@ -64,15 +64,9 @@ pub struct SupervisorConfig {
     /// added to each backoff; `0` disables jitter.
     pub backoff_jitter_ms: u64,
     /// Serve budget-exhausted and browned-out requests from the CPU
-    /// oracle with `degraded: true` instead of failing them.
+    /// oracle with `degraded: true` instead of failing them. The brownout
+    /// pass runs only while this is on.
     pub degraded_answers: bool,
-    /// Brownout when the queue is deeper than this many jobs (`0`
-    /// disables the depth trigger; the all-breakers-open trigger is
-    /// always armed while `degraded_answers` is on).
-    pub brownout_queue_depth: usize,
-    /// Degrade a deadline-carrying job once it is within this many
-    /// milliseconds of expiry (`0` disables the margin trigger).
-    pub brownout_margin_ms: u64,
 }
 
 impl Default for SupervisorConfig {
@@ -84,8 +78,6 @@ impl Default for SupervisorConfig {
             backoff_base_ms: 4,
             backoff_jitter_ms: 4,
             degraded_answers: true,
-            brownout_queue_depth: 0,
-            brownout_margin_ms: 0,
         }
     }
 }
@@ -230,34 +222,17 @@ pub(crate) fn supervisor_loop(shared: &Arc<Shared>, mut workers: Vec<Option<Join
         }
 
         // 4. Brownout pass: answer deadline-carrying jobs degraded *now*
-        // when waiting would be pointless (every breaker open / queue too
-        // deep) or fatal (expiry closer than the margin). Deadline-free
-        // jobs are never browned out — they can afford to wait, and
-        // keeping them queued keeps the deterministic namespace clean.
-        if cfg.degraded_answers {
-            let all_open = !st.slots.is_empty()
-                && st
-                    .slots
-                    .iter()
-                    .all(|s| s.breaker.state() == crate::breaker::BreakerState::Open);
-            let too_deep =
-                cfg.brownout_queue_depth > 0 && st.queue.depth() > cfg.brownout_queue_depth;
-            if all_open || too_deep {
-                for job in st.queue.extract_if(|j| j.request.deadline_ms.is_some()) {
-                    serve_degraded(&mut st, job, true);
-                    shared.done.notify_all();
-                }
-            }
-            if cfg.brownout_margin_ms > 0 {
-                let margin = u128::from(cfg.brownout_margin_ms);
-                let pressured = st.queue.extract_if(|j| match j.request.deadline_ms {
-                    Some(ms) => j.submitted.elapsed().as_millis() + margin >= u128::from(ms),
-                    None => false,
-                });
-                for job in pressured {
-                    serve_degraded(&mut st, job, true);
-                    shared.done.notify_all();
-                }
+        // when waiting would be pointless because every breaker is open.
+        // Deadline-free jobs are never browned out — they can afford to
+        // wait, and keeping them queued keeps the deterministic namespace
+        // clean.
+        if cfg.degraded_answers
+            && !st.slots.is_empty()
+            && st.slots.iter().all(|s| s.breaker.state() == crate::breaker::BreakerState::Open)
+        {
+            for job in st.queue.extract_if(|j| j.request.deadline_ms.is_some()) {
+                serve_degraded(&mut st, job, true);
+                shared.done.notify_all();
             }
         }
 

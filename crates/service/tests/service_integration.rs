@@ -220,6 +220,14 @@ fn service_metrics_are_byte_identical_across_runs() {
         m.counter("service_fault_launches_attempted_total", &[]),
         report_a.devices.iter().map(|d| d.usage.faults.launches_attempted).sum::<u64>()
     );
+    // The service_ series are exported with HELP descriptions.
+    let rendered = m.render_prometheus();
+    let help: Vec<&str> = rendered.lines().filter(|l| l.starts_with("# HELP service_")).collect();
+    assert!(
+        help.iter().any(|l| l.starts_with("# HELP service_requests_submitted_total ")),
+        "{rendered}"
+    );
+    assert!(help.len() > 10, "{help:?}");
     // Timing-dependent series exist, but outside the compared namespace.
     assert!(m.histogram("timing_request_wall_ms", &[]).is_some());
     assert_eq!(
@@ -373,7 +381,23 @@ fn chaos_crashes_restart_workers_and_strand_no_request() {
     assert_eq!(outcomes_a, outcomes_b, "chaos outcome set must be deterministic");
 
     assert!(report_a.restarts > 0, "a 50% crash rate must kill at least one worker");
-    assert_eq!(report_a.restarts, report_b.restarts, "crash plans are routing-independent");
+    // Every supervisor, degraded-answer and fault series agrees across the
+    // runs (breaker streaks depend on placement, so they are left out).
+    let recovery_lines = |report: &cdd_service::ServiceReport| -> Vec<String> {
+        let prefixes = ["service_supervisor_", "service_degraded_", "service_fault_"];
+        let rendered = report.metrics.render_prometheus();
+        rendered
+            .lines()
+            .filter(|l| prefixes.iter().any(|p| l.starts_with(p)))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(
+        recovery_lines(&report_a),
+        recovery_lines(&report_b),
+        "crash plans are routing-independent"
+    );
+    assert_eq!(report_a.restarts, report_b.restarts);
     assert_eq!(report_a.retried, report_b.retried);
     assert_eq!(report_a.degraded, report_b.degraded);
     assert_eq!(report_a.completed, report_a.submitted, "no request stranded");
@@ -632,21 +656,34 @@ fn native_fleet_answers_are_byte_identical_to_sim() {
 
 /// Sim-only capabilities override the configured backend per request:
 /// a chaos fleet configured native still runs every request on sim (the
-/// fault machinery lives there), rather than rejecting or dropping plans.
+/// fault machinery lives there), rather than rejecting or dropping plans,
+/// so it answers exactly like a sim fleet under the same faults.
 #[test]
 fn chaos_requests_route_to_sim_on_a_native_fleet() {
-    let service = SolverService::start(ServiceConfig {
-        devices: 2,
-        backend: cdd_service::Backend::Native,
-        fault: Some(FaultPlan::with_rates(0xFA17, 0.02, 0.005, 0.0)),
-        ..small_config(2)
-    });
-    let tickets: Vec<u64> =
-        (0..4).map(|i| service.submit(request(10, 1, Algorithm::Sa, 100, i)).expect("admitted")).collect();
-    for t in tickets {
-        service.wait(t).result.expect("recovery absorbs injected faults");
+    fn run_workload(
+        backend: cdd_service::Backend,
+    ) -> (Vec<(i64, Vec<u32>)>, cdd_service::ServiceReport) {
+        let service = SolverService::start(ServiceConfig {
+            devices: 2,
+            backend,
+            fault: Some(FaultPlan::with_rates(0xFA17, 0.02, 0.005, 0.0)),
+            ..small_config(2)
+        });
+        let tickets: Vec<u64> = (0..4)
+            .map(|i| service.submit(request(10, 1, Algorithm::Sa, 100, i)).expect("admitted"))
+            .collect();
+        let answers = tickets
+            .into_iter()
+            .map(|t| {
+                let o = service.wait(t).result.expect("recovery absorbs injected faults");
+                (o.objective, o.sequence.as_slice().to_vec())
+            })
+            .collect();
+        (answers, service.shutdown())
     }
-    let report = service.shutdown();
+    let (native_answers, report) = run_workload(cdd_service::Backend::Native);
+    let (sim_answers, _) = run_workload(cdd_service::Backend::Sim);
+    assert_eq!(native_answers, sim_answers, "outcomes under faults are backend-independent");
     let m = &report.metrics;
     assert_eq!(m.counter("service_backend_requests_total", &[("backend", "sim")]), 4);
     assert_eq!(m.counter("service_backend_requests_total", &[("backend", "native")]), 0);
