@@ -4,8 +4,18 @@
 //! argmin reduction as the SA pipeline and broadcast by a one-thread copy
 //! kernel. "Apart from the core aspect of the algorithm, the
 //! parallelization approach remains the same as for SA."
+//!
+//! The simulator runs each generation as five launches: position update,
+//! fitness, personal-best update, reduction, swarm-best broadcast. The
+//! native backend runs the first four as one fused pass
+//! ([`NativeGpu::run_fused`]), each particle updating, scoring, keeping its
+//! personal best and folding it back to back, then launches the broadcast,
+//! which must wait for the fold because every particle reads the swarm best
+//! (DESIGN.md §11).
 
 use crate::init::{initial_ensemble, InitStrategy};
+use crate::kernels::dpso_update::UpdateScratch;
+use crate::kernels::fitness::{score, Rates};
 use crate::kernels::{DpsoProbe, DpsoUpdateKernel, FitnessKernel, GbestCopyKernel, PbestKernel};
 use crate::layout::ProblemDevice;
 use crate::recovery::{
@@ -17,10 +27,10 @@ use crate::trajectory::ConvergenceTrace;
 use cdd_core::eval::{evaluator_for, SequenceEvaluator};
 use cdd_core::{Cost, Instance, JobSequence, SuiteError};
 use cdd_meta::{Dpso, DpsoParams};
-use cuda_sim::reduce::{unpack_argmin, AtomicArgminKernel};
+use cuda_sim::reduce::{pack_argmin, unpack_argmin, AtomicArgminKernel};
 use cuda_sim::{
-    Backend, DeviceSpec, ExecBackend, FaultPlan, Gpu, LaunchConfig, NativeGpu, TelemetryConfig,
-    TelemetryRing, XorWow,
+    Backend, Buf, DeviceCtx, DeviceSpec, ExecBackend, FaultPlan, Gpu, Kernel, LaunchConfig,
+    LaunchError, NativeGpu, TelemetryConfig, TelemetryRing, XorWow,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,6 +135,141 @@ pub fn run_gpu_dpso(inst: &Instance, params: &GpuDpsoParams) -> Result<GpuRunRes
     }
 }
 
+/// The device state of one DPSO run and the kernels of its generation.
+struct DpsoSwarm {
+    cfg: LaunchConfig,
+    prob: ProblemDevice,
+    ensemble: usize,
+    energies: Buf<i64>,
+    pbest: Buf<u32>,
+    gbest: Buf<u32>,
+    packed_best: Buf<i64>,
+    rng_states: Buf<u64>,
+    update: DpsoUpdateKernel,
+    fitness: FitnessKernel,
+    pbest_update: PbestKernel,
+    reduce: AtomicArgminKernel,
+    gbest_copy: GbestCopyKernel,
+}
+
+impl DpsoSwarm {
+    /// Upload `inst`, the initial swarm drawn from `host_rng` and the
+    /// particles' RNG states, and allocate the working buffers.
+    fn upload<B: ExecBackend>(
+        gpu: &mut B,
+        inst: &Instance,
+        params: &GpuDpsoParams,
+        host_rng: &mut StdRng,
+    ) -> Result<DpsoSwarm, LaunchError> {
+        let n = inst.n();
+        let ensemble = params.ensemble();
+        let prob = ProblemDevice::upload(gpu, inst)?;
+        let positions = gpu.alloc::<u32>(ensemble * n);
+        let flat = initial_ensemble(inst, ensemble, params.init, host_rng);
+        gpu.h2d(positions, &flat);
+        let energies = gpu.alloc::<i64>(ensemble);
+        let pbest = gpu.alloc::<u32>(ensemble * n);
+        let pbest_energies = gpu.alloc::<i64>(ensemble);
+        gpu.h2d(pbest_energies, &vec![i64::MAX; ensemble]);
+        let gbest = gpu.alloc::<u32>(n);
+        let packed_best = gpu.alloc::<i64>(1);
+        gpu.h2d(packed_best, &[i64::MAX]);
+        let rng_states = gpu.alloc::<u64>(ensemble * 3);
+        let words: Vec<u64> =
+            (0..ensemble).flat_map(|t| XorWow::new(params.seed, t as u64).pack()).collect();
+        gpu.h2d(rng_states, &words);
+        let (w, c1, c2) = (params.w, params.c1, params.c2);
+        Ok(DpsoSwarm {
+            cfg: LaunchConfig::linear(params.blocks, params.block_size),
+            prob,
+            ensemble,
+            energies,
+            pbest,
+            gbest,
+            packed_best,
+            rng_states,
+            update: DpsoUpdateKernel::new(
+                positions, pbest, gbest, rng_states, n, ensemble, w, c1, c2,
+            ),
+            fitness: FitnessKernel::new(prob, positions, energies, ensemble, params.blocks),
+            // The personal-best update without a probe: init-time seeding
+            // and the fused pass (native runs no telemetry) count nothing.
+            pbest_update: PbestKernel {
+                positions,
+                energies,
+                pbest,
+                pbest_energies,
+                n,
+                ensemble,
+                telemetry: None,
+            },
+            reduce: AtomicArgminKernel { values: pbest_energies, out: packed_best },
+            gbest_copy: GbestCopyKernel { packed: packed_best, pbest, gbest, n },
+        })
+    }
+
+    /// Evaluate the starting swarm and seed the personal and swarm bests
+    /// (Algorithm 2, lines 1–2 plus the first "find bests").
+    fn launch_init<B: ExecBackend>(
+        &self,
+        gpu: &mut B,
+        policy: &RecoveryPolicy,
+        stats: &mut RecoveryStats,
+    ) -> Result<(), LaunchError> {
+        launch_with_retry(gpu, &self.fitness, self.cfg, policy, stats)?;
+        launch_with_retry(gpu, &self.pbest_update, self.cfg, policy, stats)?;
+        launch_with_retry(gpu, &self.reduce, self.cfg, policy, stats)?;
+        launch_with_retry(gpu, &self.gbest_copy, self.cfg, policy, stats)
+    }
+
+    /// One generation as five launches: position update, fitness,
+    /// personal-best update (carrying `telemetry`), reduction, broadcast.
+    fn launch_generation<B: ExecBackend>(
+        &self,
+        gpu: &mut B,
+        telemetry: Option<DpsoProbe>,
+        policy: &RecoveryPolicy,
+        stats: &mut RecoveryStats,
+    ) -> Result<(), LaunchError> {
+        launch_with_retry(gpu, &self.update, self.cfg, policy, stats)?;
+        launch_with_retry(gpu, &self.fitness, self.cfg, policy, stats)?;
+        let pbest_probe = PbestKernel { telemetry, ..self.pbest_update };
+        launch_with_retry(gpu, &pbest_probe, self.cfg, policy, stats)?;
+        launch_with_retry(gpu, &self.reduce, self.cfg, policy, stats)?;
+        launch_with_retry(gpu, &self.gbest_copy, self.cfg, policy, stats)
+    }
+
+    /// The same generation on the native backend: the first four launches
+    /// as one fused pass, then the broadcast. A particle's update, scoring
+    /// and personal-best step touch only its own rows, energies and RNG
+    /// words, and read the swarm best that the previous broadcast wrote; the
+    /// reduction is an order-independent atomic min. So every buffer the
+    /// next generation reads ends as the five launches leave it.
+    fn fused_generation(
+        &self,
+        gpu: &mut NativeGpu,
+        scratch: &mut UpdateScratch,
+    ) -> Result<(), LaunchError> {
+        let launches: [&dyn Kernel; 4] =
+            [&self.update, &self.fitness, &self.pbest_update, &self.reduce];
+        gpu.run_fused(self.cfg, &launches, |ctx| {
+            let gid = ctx.global_id();
+            if gid >= self.ensemble {
+                return;
+            }
+            let mut rng = ctx.load_rng(self.rng_states, gid);
+            self.update.update_row(ctx, gid, &mut rng, scratch);
+            ctx.store_rng(self.rng_states, gid, &rng);
+            let rates = Rates::native(&self.prob, ctx);
+            let energy = score(self.prob.kind, self.prob.d, &rates, &scratch.row);
+            ctx.write(self.energies, gid, energy);
+            let (_, best) = self.pbest_update.improve(ctx, gid, energy);
+            ctx.atomic_min_i64(self.packed_best, 0, pack_argmin(best, gid));
+        })?;
+        gpu.launch_kernel(&self.gbest_copy, self.cfg)
+    }
+}
+
 /// One complete device run of the DPSO pipeline, on either execution
 /// backend.
 fn dpso_attempt<B: ExecBackend>(
@@ -137,7 +282,6 @@ fn dpso_attempt<B: ExecBackend>(
 ) -> Result<GpuRunResult, SuiteError> {
     let n = inst.n();
     let ensemble = params.ensemble();
-    let cfg = LaunchConfig::linear(params.blocks, params.block_size);
     let mut host_rng = host_rng.clone();
     let policy = &params.recovery;
 
@@ -151,22 +295,8 @@ fn dpso_attempt<B: ExecBackend>(
     let mut sample_headers: Vec<(u64, f64)> = Vec::new();
 
     let outcome = (|| -> Result<(JobSequence, Cost), SuiteError> {
-        let prob = ProblemDevice::upload(&mut gpu, inst).map_err(|e| suite_device_error(&e))?;
-
-        let positions = gpu.alloc::<u32>(ensemble * n);
-        let flat = initial_ensemble(inst, ensemble, params.init, &mut host_rng);
-        gpu.h2d(positions, &flat);
-        let energies = gpu.alloc::<i64>(ensemble);
-        let pbest = gpu.alloc::<u32>(ensemble * n);
-        let pbest_energies = gpu.alloc::<i64>(ensemble);
-        gpu.h2d(pbest_energies, &vec![i64::MAX; ensemble]);
-        let gbest = gpu.alloc::<u32>(n);
-        let packed_best = gpu.alloc::<i64>(1);
-        gpu.h2d(packed_best, &[i64::MAX]);
-        let rng_states = gpu.alloc::<u64>(ensemble * 3);
-        let words: Vec<u64> =
-            (0..ensemble).flat_map(|t| XorWow::new(params.seed, t as u64).pack()).collect();
-        gpu.h2d(rng_states, &words);
+        let swarm = DpsoSwarm::upload(&mut gpu, inst, params, &mut host_rng)
+            .map_err(|e| suite_device_error(&e))?;
 
         // Telemetry ring last, after every algorithm buffer, so buffer
         // handles match the telemetry-off run exactly (alloc itself records
@@ -175,43 +305,11 @@ fn dpso_attempt<B: ExecBackend>(
             ring = Some(TelemetryRing::alloc(&mut gpu, ensemble, telem_cap));
         }
 
-        let fitness = FitnessKernel::new(prob, positions, energies, ensemble, params.blocks);
-        // Init-time pbest seeding carries no probe: the improvement counter
-        // counts in-loop generations only.
-        let pbest_update = PbestKernel {
-            positions,
-            energies,
-            pbest,
-            pbest_energies,
-            n,
-            ensemble,
-            telemetry: None,
-        };
-        let reduce = AtomicArgminKernel { values: pbest_energies, out: packed_best };
-        let gbest_copy = GbestCopyKernel { packed: packed_best, pbest, gbest, n };
-        let update = DpsoUpdateKernel::new(
-            positions,
-            pbest,
-            gbest,
-            rng_states,
-            n,
-            ensemble,
-            params.w,
-            params.c1,
-            params.c2,
-        );
+        swarm.launch_init(&mut gpu, policy, stats).map_err(|e| suite_device_error(&e))?;
 
-        // Initialize: evaluate the random swarm, seed pbest/gbest
-        // (Algorithm 2, lines 1–2 plus the first "find bests").
-        launch_with_retry(&mut gpu, &fitness, cfg, policy, stats)
-            .map_err(|e| suite_device_error(&e))?;
-        launch_with_retry(&mut gpu, &pbest_update, cfg, policy, stats)
-            .map_err(|e| suite_device_error(&e))?;
-        launch_with_retry(&mut gpu, &reduce, cfg, policy, stats)
-            .map_err(|e| suite_device_error(&e))?;
-        launch_with_retry(&mut gpu, &gbest_copy, cfg, policy, stats)
-            .map_err(|e| suite_device_error(&e))?;
-
+        // The fused pass's working vectors: one set, reused by every
+        // particle of every generation.
+        let mut scratch = UpdateScratch::default();
         for gen in 0..params.iterations {
             // Span metadata is attached whether or not telemetry samples
             // this generation, so the timeline is stride-independent.
@@ -220,35 +318,20 @@ fn dpso_attempt<B: ExecBackend>(
             if slot.is_some() {
                 sample_headers.push((gen, 0.0));
             }
-            let gen_result = (|gpu: &mut B| -> Result<(), SuiteError> {
-                launch_with_retry(gpu, &update, cfg, policy, stats)
-                    .map_err(|e| suite_device_error(&e))?;
-                launch_with_retry(gpu, &fitness, cfg, policy, stats)
-                    .map_err(|e| suite_device_error(&e))?;
-                let pbest_probe = PbestKernel {
-                    positions,
-                    energies,
-                    pbest,
-                    pbest_energies,
-                    n,
-                    ensemble,
-                    telemetry: ring.map(|r| DpsoProbe { ring: r, slot, gbest }),
-                };
-                launch_with_retry(gpu, &pbest_probe, cfg, policy, stats)
-                    .map_err(|e| suite_device_error(&e))?;
-                launch_with_retry(gpu, &reduce, cfg, policy, stats)
-                    .map_err(|e| suite_device_error(&e))?;
-                launch_with_retry(gpu, &gbest_copy, cfg, policy, stats)
-                    .map_err(|e| suite_device_error(&e))?;
-                Ok(())
-            })(&mut gpu);
+            let gen_result = match gpu.native() {
+                Some(native) => swarm.fused_generation(native, &mut scratch),
+                None => {
+                    let probe = ring.map(|r| DpsoProbe { ring: r, slot, gbest: swarm.gbest });
+                    swarm.launch_generation(&mut gpu, probe, policy, stats)
+                }
+            };
             gpu.span_end("dpso-generation");
-            gen_result?;
+            gen_result.map_err(|e| suite_device_error(&e))?;
         }
 
-        let key = gpu.d2h(packed_best)[0];
+        let key = gpu.d2h(swarm.packed_best)[0];
         let (claimed, winner) = unpack_argmin(key);
-        verified_best(&mut gpu, pbest, n, ensemble, winner, claimed, evaluator, stats)
+        verified_best(&mut gpu, swarm.pbest, n, ensemble, winner, claimed, evaluator, stats)
     })();
 
     stats.faults += gpu.fault_stats();
@@ -372,6 +455,63 @@ mod tests {
         assert_eq!(eval.evaluate(r.best.as_slice()), r.objective, "oracle must confirm");
         assert!(r.best.is_valid_permutation());
         assert!(r.recovery.faults.bit_flips > 0);
+    }
+
+    /// Every buffer a DPSO generation reads, as bits: positions, energies,
+    /// personal-best rows and energies, RNG words, packed best, swarm best.
+    fn swarm_state(gpu: &NativeGpu, swarm: &DpsoSwarm) -> Vec<Vec<u64>> {
+        let rows = |buf| gpu.peek(buf).into_iter().map(u64::from).collect();
+        let energies = |buf| gpu.peek(buf).into_iter().map(|e: i64| e as u64).collect();
+        vec![
+            rows(swarm.update.positions),
+            energies(swarm.energies),
+            rows(swarm.pbest),
+            energies(swarm.pbest_update.pbest_energies),
+            gpu.peek(swarm.rng_states),
+            energies(swarm.packed_best),
+            rows(swarm.gbest),
+        ]
+    }
+
+    /// The fused native generation must leave every buffer the next
+    /// generation reads exactly as the five launches do, generation by
+    /// generation, not just reach the same final best.
+    #[test]
+    fn fused_generation_leaves_the_launched_state() {
+        const GENS: u64 = 5;
+        let (policy, mut stats) = (RecoveryPolicy::default(), RecoveryStats::default());
+        for inst in [cdd_instances::cdd_instance(40, 1, 0.4), cdd_instances::ucddcp_instance(40, 1)]
+        {
+            for (blocks, block_size) in [(1, 64), (4, 192)] {
+                let params = GpuDpsoParams { blocks, block_size, ..small_params(GENS) };
+                let host_rng = StdRng::seed_from_u64(params.seed);
+                let start = |gpu: &mut NativeGpu| {
+                    let swarm =
+                        DpsoSwarm::upload(gpu, &inst, &params, &mut host_rng.clone()).unwrap();
+                    swarm.launch_init(gpu, &policy, &mut RecoveryStats::default()).unwrap();
+                    swarm
+                };
+                let mut launched = NativeGpu::new(params.device.clone());
+                let mut fused = NativeGpu::new(params.device.clone());
+                let (by_launch, by_pass) = (start(&mut launched), start(&mut fused));
+                let initial = swarm_state(&fused, &by_pass);
+                let mut scratch = UpdateScratch::default();
+                for gen in 0..GENS {
+                    by_launch.launch_generation(&mut launched, None, &policy, &mut stats).unwrap();
+                    by_pass.fused_generation(&mut fused, &mut scratch).unwrap();
+                    let case = format!("{:?} {blocks}x{block_size} generation {gen}", inst.kind());
+                    assert_eq!(
+                        swarm_state(&fused, &by_pass),
+                        swarm_state(&launched, &by_launch),
+                        "{case}"
+                    );
+                }
+                assert_ne!(swarm_state(&fused, &by_pass), initial, "the swarm moved");
+                for gpu in [&launched, &fused] {
+                    assert_eq!(gpu.kernel_launches() as u64, 4 + 5 * GENS);
+                }
+            }
+        }
     }
 
     #[test]

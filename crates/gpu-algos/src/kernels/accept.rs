@@ -5,7 +5,7 @@
 
 use crate::kernels::fitness::CORRUPT_ENERGY;
 use cdd_meta::sa::metropolis_accept;
-use cuda_sim::{Buf, DeviceCtx, Kernel, TelemetryRing};
+use cuda_sim::{Buf, DeviceCtx, Kernel, TelemetryRing, XorWow};
 
 /// Telemetry probe handed to the acceptance kernel on sampled runs. Probe
 /// access goes through the simulator's instrumentation port, so carrying one
@@ -62,6 +62,68 @@ pub struct AcceptKernel {
     pub flags: Option<Buf<u32>>,
 }
 
+/// Where a thread's candidate row is: in device memory, where the
+/// perturbation kernel stores it, or in the caller's working vector, where
+/// the fused native generation keeps it.
+#[derive(Clone, Copy)]
+pub(crate) enum Candidate<'a> {
+    /// The thread's row of this buffer.
+    Device(Buf<u32>),
+    /// This row.
+    Local(&'a [u32]),
+}
+
+impl AcceptKernel {
+    /// Thread `gid`'s acceptance: the metropolis rule from `energy` to the
+    /// candidate's `energy_new` at `temperature`, with one draw from `rng`,
+    /// plus personal-best maintenance. An accepted candidate becomes the
+    /// thread's row of `current`. Returns whether the move was accepted and
+    /// the thread's personal-best energy afterwards.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn settle<C: DeviceCtx>(
+        &self,
+        ctx: &mut C,
+        gid: usize,
+        candidate: Candidate<'_>,
+        energy: i64,
+        energy_new: i64,
+        temperature: f64,
+        rng: &mut XorWow,
+    ) -> (bool, i64) {
+        let n = self.n;
+        let u = rng.next_f64();
+        ctx.charge_special(1); // exp() in the metropolis rule
+        ctx.charge_alu(4);
+
+        // Personal-best maintenance, part 1: capture the pre-acceptance
+        // state *before* it can be overwritten (on the first generation this
+        // records the initial sequence; on later ones it is usually a no-op
+        // because the best already reflects this state).
+        let mut best = ctx.read(self.best_energies, gid);
+        if energy < best {
+            ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
+            ctx.write(self.best_energies, gid, energy);
+            best = energy;
+        }
+
+        let accepted = metropolis_accept(energy, energy_new, temperature, u);
+        if accepted {
+            match candidate {
+                Candidate::Device(rows) => ctx.copy_row(rows, gid * n, self.current, gid * n, n),
+                Candidate::Local(row) => ctx.write_slice(self.current, gid * n, row),
+            }
+            ctx.write(self.energies, gid, energy_new);
+            // Part 2: the newly accepted state may improve the best.
+            if energy_new < best {
+                ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
+                ctx.write(self.best_energies, gid, energy_new);
+                best = energy_new;
+            }
+        }
+        (accepted, best)
+    }
+}
+
 impl Kernel for AcceptKernel {
     fn name(&self) -> &str {
         "acceptance"
@@ -72,7 +134,6 @@ impl Kernel for AcceptKernel {
         if gid >= self.ensemble {
             return;
         }
-        let n = self.n;
         let mut rng = ctx.load_rng(self.rng, gid);
 
         let mut energy = ctx.read(self.energies, gid);
@@ -91,32 +152,9 @@ impl Kernel for AcceptKernel {
             }
             None => self.temperature,
         };
-        let u = rng.next_f64();
-        ctx.charge_special(1); // exp() in the metropolis rule
-        ctx.charge_alu(4);
-
-        // Personal-best maintenance, part 1: capture the pre-acceptance
-        // state *before* it can be overwritten (on the first generation this
-        // records the initial sequence; on later ones it is usually a no-op
-        // because the best already reflects this state).
-        let mut best = ctx.read(self.best_energies, gid);
-        if energy < best {
-            ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
-            ctx.write(self.best_energies, gid, energy);
-            best = energy;
-        }
-
-        let accepted = metropolis_accept(energy, energy_new, temperature, u);
-        if accepted {
-            ctx.copy_row(self.candidate, gid * n, self.current, gid * n, n);
-            ctx.write(self.energies, gid, energy_new);
-            // Part 2: the newly accepted state may improve the best.
-            if energy_new < best {
-                ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
-                ctx.write(self.best_energies, gid, energy_new);
-                best = energy_new;
-            }
-        }
+        let candidate = Candidate::Device(self.candidate);
+        let (accepted, best) =
+            self.settle(ctx, gid, candidate, energy, energy_new, temperature, &mut rng);
 
         if let Some(flags) = self.flags {
             // Sticky: acceptance marks the row changed; nothing here

@@ -8,7 +8,7 @@
 
 use cdd_meta::dpso::{one_point_crossover, two_point_crossover};
 use cuda_sim::reduce::unpack_argmin;
-use cuda_sim::{Buf, DeviceCtx, Kernel, ScratchArena, TelemetryRing};
+use cuda_sim::{Buf, DeviceCtx, Kernel, ScratchArena, TelemetryRing, XorWow};
 
 /// Telemetry probe handed to the personal-best kernel on sampled runs.
 /// Probe access goes through the simulator's instrumentation port, so
@@ -89,12 +89,79 @@ impl DpsoUpdateKernel {
             scratch: ScratchArena::new(1),
         }
     }
+
+    /// Particle `gid`'s position update, drawing from `rng`: read its row
+    /// of `positions` into `scratch.row`, apply Eq. (3) and store the
+    /// result back. The new position also stays in `scratch.row`, where
+    /// the fused native generation scores it.
+    pub(crate) fn update_row<C: DeviceCtx>(
+        &self,
+        ctx: &mut C,
+        gid: usize,
+        rng: &mut XorWow,
+        scratch: &mut UpdateScratch,
+    ) {
+        let n = self.n;
+        scratch.row.resize(n, 0);
+        scratch.marks.resize(n, false);
+        ctx.read_slice_into(self.positions, gid * n, &mut scratch.row);
+        if ctx.fault_injection_active() {
+            sanitize_row(&mut scratch.row, &mut scratch.marks);
+            ctx.charge_alu(2 * n as u64);
+        }
+
+        // λ = w ⊕ F₁(p): swap two random positions.
+        if n >= 2 && rng.next_f64() < self.w {
+            let a = rng.next_below(n as u32) as usize;
+            let mut b = rng.next_below(n as u32 - 1) as usize;
+            if b >= a {
+                b += 1;
+            }
+            scratch.row.swap(a, b);
+            ctx.charge_alu(6);
+        }
+
+        // δ = c₁ ⊕ F₂(λ, pbest): one-point crossover with the personal best.
+        if n >= 2 && rng.next_f64() < self.c1 {
+            let start = gid * n;
+            if ctx.global_window(self.pbest, start, n).is_none() {
+                stage_parent(ctx, self.pbest, start, n, scratch);
+            }
+            let cut = 1 + rng.next_below(n as u32 - 1) as usize;
+            let UpdateScratch { row: a, other, out, marks } = scratch;
+            let b = ctx.global_window(self.pbest, start, n).unwrap_or(other);
+            one_point_crossover(a, b, cut, marks, out);
+            std::mem::swap(a, out);
+            ctx.charge_alu(2 * n as u64);
+        }
+
+        // x = c₂ ⊕ F₃(δ, g): two-point crossover with the swarm best.
+        if n >= 2 && rng.next_f64() < self.c2 {
+            if ctx.global_window(self.gbest, 0, n).is_none() {
+                stage_parent(ctx, self.gbest, 0, n, scratch);
+            }
+            let mut lo = rng.next_below(n as u32) as usize;
+            let mut hi = rng.next_below(n as u32) as usize;
+            if lo > hi {
+                std::mem::swap(&mut lo, &mut hi);
+            }
+            let UpdateScratch { row: a, other, out, marks } = scratch;
+            let b = ctx.global_window(self.gbest, 0, n).unwrap_or(other);
+            two_point_crossover(a, b, lo, hi + 1, marks, out);
+            std::mem::swap(a, out);
+            ctx.charge_alu(2 * n as u64);
+        }
+
+        ctx.write_slice(self.positions, gid * n, &scratch.row);
+    }
 }
 
 /// A particle's local memory for the update.
 #[derive(Default)]
 pub struct UpdateScratch {
-    row: Vec<u32>,
+    /// The particle's position, updated once
+    /// [`DpsoUpdateKernel::update_row`] returns.
+    pub(crate) row: Vec<u32>,
     /// The simulator's staged copy of a personal-best or swarm-best row.
     other: Vec<u32>,
     out: Vec<u32>,
@@ -157,62 +224,8 @@ impl Kernel for DpsoUpdateKernel {
         if gid >= self.ensemble {
             return;
         }
-        let n = self.n;
         let mut rng = ctx.load_rng(self.rng, gid);
-
-        self.scratch.with_slot(0, |scratch| {
-            scratch.row.resize(n, 0);
-            scratch.marks.resize(n, false);
-            ctx.read_slice_into(self.positions, gid * n, &mut scratch.row);
-            if ctx.fault_injection_active() {
-                sanitize_row(&mut scratch.row, &mut scratch.marks);
-                ctx.charge_alu(2 * n as u64);
-            }
-
-            // λ = w ⊕ F₁(p): swap two random positions.
-            if n >= 2 && rng.next_f64() < self.w {
-                let a = rng.next_below(n as u32) as usize;
-                let mut b = rng.next_below(n as u32 - 1) as usize;
-                if b >= a {
-                    b += 1;
-                }
-                scratch.row.swap(a, b);
-                ctx.charge_alu(6);
-            }
-
-            // δ = c₁ ⊕ F₂(λ, pbest): one-point crossover with the personal best.
-            if n >= 2 && rng.next_f64() < self.c1 {
-                let start = gid * n;
-                if ctx.global_window(self.pbest, start, n).is_none() {
-                    stage_parent(ctx, self.pbest, start, n, scratch);
-                }
-                let cut = 1 + rng.next_below(n as u32 - 1) as usize;
-                let UpdateScratch { row: a, other, out, marks } = scratch;
-                let b = ctx.global_window(self.pbest, start, n).unwrap_or(other);
-                one_point_crossover(a, b, cut, marks, out);
-                std::mem::swap(a, out);
-                ctx.charge_alu(2 * n as u64);
-            }
-
-            // x = c₂ ⊕ F₃(δ, g): two-point crossover with the swarm best.
-            if n >= 2 && rng.next_f64() < self.c2 {
-                if ctx.global_window(self.gbest, 0, n).is_none() {
-                    stage_parent(ctx, self.gbest, 0, n, scratch);
-                }
-                let mut lo = rng.next_below(n as u32) as usize;
-                let mut hi = rng.next_below(n as u32) as usize;
-                if lo > hi {
-                    std::mem::swap(&mut lo, &mut hi);
-                }
-                let UpdateScratch { row: a, other, out, marks } = scratch;
-                let b = ctx.global_window(self.gbest, 0, n).unwrap_or(other);
-                two_point_crossover(a, b, lo, hi + 1, marks, out);
-                std::mem::swap(a, out);
-                ctx.charge_alu(2 * n as u64);
-            }
-
-            ctx.write_slice(self.positions, gid * n, &scratch.row);
-        });
+        self.scratch.with_slot(0, |scratch| self.update_row(ctx, gid, &mut rng, scratch));
         ctx.store_rng(self.rng, gid, &rng);
     }
 }
@@ -238,6 +251,21 @@ pub struct PbestKernel {
     pub telemetry: Option<DpsoProbe>,
 }
 
+impl PbestKernel {
+    /// Particle `gid`'s personal-best update for its fresh fitness `e`:
+    /// its row of `positions` becomes its personal best if `e` improves on
+    /// it. Returns whether it did and the personal-best energy afterwards.
+    pub(crate) fn improve<C: DeviceCtx>(&self, ctx: &mut C, gid: usize, e: i64) -> (bool, i64) {
+        let b = ctx.read(self.pbest_energies, gid);
+        let improved = e < b;
+        if improved {
+            ctx.copy_row(self.positions, gid * self.n, self.pbest, gid * self.n, self.n);
+            ctx.write(self.pbest_energies, gid, e);
+        }
+        (improved, if improved { e } else { b })
+    }
+}
+
 impl Kernel for PbestKernel {
     fn name(&self) -> &str {
         "pbest_update"
@@ -249,17 +277,11 @@ impl Kernel for PbestKernel {
             return;
         }
         let e = ctx.read(self.energies, gid);
-        let b = ctx.read(self.pbest_energies, gid);
-        let improved = e < b;
-        if improved {
-            ctx.copy_row(self.positions, gid * self.n, self.pbest, gid * self.n, self.n);
-            ctx.write(self.pbest_energies, gid, e);
-        }
+        let (improved, pb) = self.improve(ctx, gid, e);
 
         if let Some(probe) = &self.telemetry {
             probe.ring.bump_counter(ctx, gid, i64::from(improved));
             if let Some(slot) = probe.slot {
-                let pb = if improved { e } else { b };
                 // Diversity proxy: Hamming distance between this particle and
                 // the generation-start swarm best.
                 let mut dist = 0i64;

@@ -14,7 +14,7 @@ use crate::layout::ProblemDevice;
 use cdd_core::cdd_optimal::cdd_objective_raw;
 use cdd_core::ucddcp_optimal::ucddcp_objective_raw;
 use cdd_core::ProblemKind;
-use cuda_sim::{Buf, DeviceCtx, Kernel, ScratchArena};
+use cuda_sim::{Buf, DeviceCtx, Kernel, NativeCtx, ScratchArena};
 
 /// Sentinel energy written when fault injection corrupted a thread's inputs
 /// beyond evaluation (non-permutation sequence, out-of-range data). Large
@@ -95,6 +95,45 @@ impl FitnessKernel {
             ensemble,
             staged: ScratchArena::new(blocks),
             scratch: ScratchArena::new(1),
+        }
+    }
+}
+
+/// The problem data a thread scores a row against, borrowed from wherever
+/// the caller holds it: `p`, `m` (read only for UCDDCP) and the penalty
+/// rates (`gamma` read only for UCDDCP).
+pub(crate) struct Rates<'a> {
+    pub p: &'a [i64],
+    pub m: &'a [i64],
+    pub alpha: &'a [i64],
+    pub beta: &'a [i64],
+    pub gamma: &'a [i64],
+}
+
+impl<'a> Rates<'a> {
+    /// `prob`'s data read in place through the native backend's windows,
+    /// as the fused native generations score.
+    pub(crate) fn native(prob: &ProblemDevice, ctx: &'a NativeCtx<'_>) -> Self {
+        let n = prob.n;
+        Rates {
+            p: ctx.window(prob.p, 0, n),
+            m: ctx.window(prob.m, 0, n),
+            alpha: ctx.window(prob.alpha, 0, n),
+            beta: ctx.window(prob.beta, 0, n),
+            gamma: ctx.window(prob.gamma, 0, n),
+        }
+    }
+}
+
+/// The objective of `row` for a `kind` problem with due date `d`: the
+/// cost of the optimal schedule of the fixed sequence, found by the O(n)
+/// algorithms of `cdd-core` (arXiv:1311.2879). The fitness kernel and the
+/// fused native generations score through this one function.
+pub(crate) fn score(kind: ProblemKind, d: i64, rates: &Rates<'_>, row: &[u32]) -> i64 {
+    match kind {
+        ProblemKind::Cdd => cdd_objective_raw(rates.p, rates.alpha, rates.beta, d, row),
+        ProblemKind::Ucddcp => {
+            ucddcp_objective_raw(rates.p, rates.m, rates.alpha, rates.beta, rates.gamma, d, row)
         }
     }
 }
@@ -232,15 +271,15 @@ fn evaluate_row<C: DeviceCtx>(
     }
     let objective = {
         let ctx = &*ctx;
-        let p = ctx.global_window(prob.p, 0, n).unwrap_or(&scratch.p);
+        let rates = Rates {
+            p: ctx.global_window(prob.p, 0, n).unwrap_or(&scratch.p),
+            m: ctx.global_window(prob.m, 0, n).unwrap_or(&scratch.m),
+            alpha: &shared.alpha,
+            beta: &shared.beta,
+            gamma: &shared.gamma,
+        };
         let row = ctx.global_window(seqs, gid * n, n).unwrap_or(&scratch.seq);
-        match prob.kind {
-            ProblemKind::Cdd => cdd_objective_raw(p, &shared.alpha, &shared.beta, d, row),
-            ProblemKind::Ucddcp => {
-                let m = ctx.global_window(prob.m, 0, n).unwrap_or(&scratch.m);
-                ucddcp_objective_raw(p, m, &shared.alpha, &shared.beta, &shared.gamma, d, row)
-            }
-        }
+        score(prob.kind, d, &rates, row)
     };
     // Flipped-but-valid data can still produce objectives past the
     // packed-argmin range; the clamp keeps downstream reductions safe.

@@ -6,7 +6,7 @@
 //! Randomness comes from the thread's device-resident XORWOW stream (the
 //! cuRAND analogue).
 
-use cuda_sim::{Buf, DeviceCtx, Kernel, ScratchArena};
+use cuda_sim::{Buf, DeviceCtx, Kernel, ScratchArena, XorWow};
 
 /// Derives `dst[row] = perturb(src[row])` per thread.
 ///
@@ -34,7 +34,8 @@ pub struct PerturbKernel {
 /// A thread's local memory.
 #[derive(Default)]
 pub struct PerturbScratch {
-    row: Vec<u32>,
+    /// The perturbed row, once [`PerturbKernel::perturb_row`] returns.
+    pub(crate) row: Vec<u32>,
     positions: Vec<u32>,
 }
 
@@ -61,6 +62,43 @@ impl PerturbKernel {
             scratch: ScratchArena::new(1),
         }
     }
+
+    /// Thread `gid`'s perturbation, short of the store: fill `scratch.row`
+    /// with the thread's row of `src` and shuffle `pert` randomly selected
+    /// positions of it, drawing from `rng`. The kernel stores the row as
+    /// the candidate; the fused native generation scores it where it is.
+    pub(crate) fn perturb_row<C: DeviceCtx>(
+        &self,
+        ctx: &mut C,
+        gid: usize,
+        rng: &mut XorWow,
+        scratch: &mut PerturbScratch,
+    ) {
+        let n = self.n;
+        scratch.row.resize(n, 0);
+        ctx.read_slice_into(self.src, gid * n, &mut scratch.row);
+
+        let pert = self.pert.min(n);
+        if pert >= 2 {
+            // Select `pert` distinct positions (rejection sampling — cheap
+            // for the paper's Pert = 4, exact for any pert ≤ n).
+            scratch.positions.clear();
+            while scratch.positions.len() < pert {
+                // `n as u32` is exact: `new` rejects n > u32::MAX.
+                let c = rng.next_below(n as u32);
+                if !scratch.positions.contains(&c) {
+                    scratch.positions.push(c);
+                }
+                ctx.charge_alu(2);
+            }
+            // Fisher–Yates over the jobs at the selected positions.
+            for i in (1..pert).rev() {
+                let j = rng.next_below(i as u32 + 1) as usize;
+                scratch.row.swap(scratch.positions[i] as usize, scratch.positions[j] as usize);
+                ctx.charge_alu(4);
+            }
+        }
+    }
 }
 
 impl Kernel for PerturbKernel {
@@ -73,35 +111,10 @@ impl Kernel for PerturbKernel {
         if gid >= self.ensemble {
             return;
         }
-        let n = self.n;
         let mut rng = ctx.load_rng(self.rng, gid);
-
         self.scratch.with_slot(0, |scratch| {
-            scratch.row.resize(n, 0);
-            ctx.read_slice_into(self.src, gid * n, &mut scratch.row);
-
-            let pert = self.pert.min(n);
-            if pert >= 2 {
-                // Select `pert` distinct positions (rejection sampling —
-                // cheap for the paper's Pert = 4, exact for any pert ≤ n).
-                scratch.positions.clear();
-                while scratch.positions.len() < pert {
-                    // `n as u32` is exact: `new` rejects n > u32::MAX.
-                    let c = rng.next_below(n as u32);
-                    if !scratch.positions.contains(&c) {
-                        scratch.positions.push(c);
-                    }
-                    ctx.charge_alu(2);
-                }
-                // Fisher–Yates over the jobs at the selected positions.
-                for i in (1..pert).rev() {
-                    let j = rng.next_below(i as u32 + 1) as usize;
-                    scratch.row.swap(scratch.positions[i] as usize, scratch.positions[j] as usize);
-                    ctx.charge_alu(4);
-                }
-            }
-
-            ctx.write_slice(self.dst, gid * n, &scratch.row);
+            self.perturb_row(ctx, gid, &mut rng, scratch);
+            ctx.write_slice(self.dst, gid * self.n, &scratch.row);
         });
         ctx.store_rng(self.rng, gid, &rng);
     }

@@ -20,6 +20,15 @@
 //! 4. **reduction** — an atomic argmin over the personal bests into the
 //!    global best.
 //!
+//! The simulator runs exactly those launches; it is the referee whose
+//! modeled clock, fault draws and timeline are per launch. The native
+//! backend fuses each generation instead: one pass over the threads in
+//! which every chain perturbs, scores, accepts and folds its own state
+//! back to back, through the same per-thread functions the kernels call,
+//! and counts the four launches it stands for. DPSO fuses its position
+//! update, fitness, personal-best update and reduction the same way, then
+//! launches the swarm-best broadcast, which every particle reads.
+//!
 //! Data movement follows Fig. 9: job data, initial sequences and RNG states
 //! are copied host→device once; `d` and `n` live in constant memory; only
 //! the packed global best and the winning row come back at the end. All

@@ -6,13 +6,22 @@
 //! and cool the temperature. At the end, copy back the packed global best
 //! and the winning thread's personal-best row.
 //!
+//! The simulator runs every generation as those four launches. The native
+//! backend runs it as one fused pass ([`NativeGpu::run_fused`]) in which
+//! each thread perturbs, scores, accepts and folds its own chain back to
+//! back, calling the same per-thread functions as the kernels; it leaves
+//! every buffer the next generation reads exactly as the four launches
+//! would (DESIGN.md §11).
+//!
 //! All reported times are the simulator's modeled device times, including
 //! every host↔device transfer — matching the paper's accounting ("the total
 //! runtime of our parallel algorithms incorporating all the memory transfers
 //! between the host and the device").
 
 use crate::init::{initial_ensemble, InitStrategy};
-use crate::kernels::fitness::CORRUPT_ENERGY;
+use crate::kernels::accept::Candidate;
+use crate::kernels::fitness::{score, Rates, CORRUPT_ENERGY};
+use crate::kernels::perturb::PerturbScratch;
 use crate::kernels::{AcceptKernel, FitnessKernel, PerturbKernel, SaProbe};
 use crate::layout::ProblemDevice;
 use crate::recovery::{
@@ -24,10 +33,10 @@ use cdd_core::eval::{evaluator_for, SequenceEvaluator};
 use cdd_core::{Cost, Instance, JobSequence, SuiteError};
 use cdd_meta::temperature::initial_temperature;
 use cdd_meta::{AsyncEnsemble, Cooling, SaParams};
-use cuda_sim::reduce::{unpack_argmin, AtomicArgminKernel};
+use cuda_sim::reduce::{pack_argmin, unpack_argmin, AtomicArgminKernel};
 use cuda_sim::{
-    Backend, DeviceSpec, ExecBackend, FaultPlan, Gpu, LaunchConfig, NativeGpu, Profiler,
-    TelemetryConfig, TelemetryRing, TimelineEvent, XorWow,
+    Backend, Buf, DeviceCtx, DeviceSpec, ExecBackend, FaultPlan, Gpu, Kernel, LaunchConfig,
+    LaunchError, NativeGpu, Profiler, TelemetryConfig, TelemetryRing, TimelineEvent, XorWow,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -274,6 +283,153 @@ pub fn run_gpu_sa(inst: &Instance, params: &GpuSaParams) -> Result<GpuRunResult,
     }
 }
 
+/// The device state of one SA run (Fig. 9) and the kernels of its
+/// generation (Fig. 10).
+struct SaRun {
+    cfg: LaunchConfig,
+    prob: ProblemDevice,
+    ensemble: usize,
+    current: Buf<u32>,
+    candidate: Buf<u32>,
+    energies: Buf<i64>,
+    cand_energies: Buf<i64>,
+    best_rows: Buf<u32>,
+    best_energies: Buf<i64>,
+    global_best: Buf<i64>,
+    rng_states: Buf<u64>,
+    perturb: PerturbKernel,
+    fitness: FitnessKernel,
+    reduce: AtomicArgminKernel,
+}
+
+impl SaRun {
+    /// Fig. 9: upload `inst`, the initial ensemble drawn from `host_rng`
+    /// and the chains' RNG states, and allocate the working buffers.
+    fn upload<B: ExecBackend>(
+        gpu: &mut B,
+        inst: &Instance,
+        params: &GpuSaParams,
+        host_rng: &mut StdRng,
+    ) -> Result<SaRun, LaunchError> {
+        let n = inst.n();
+        let ensemble = params.ensemble();
+        let prob = ProblemDevice::upload(gpu, inst)?;
+        let current = gpu.alloc::<u32>(ensemble * n);
+        let flat = initial_ensemble(inst, ensemble, params.init, host_rng);
+        gpu.h2d(current, &flat);
+        let candidate = gpu.alloc::<u32>(ensemble * n);
+        let energies = gpu.alloc::<i64>(ensemble);
+        let cand_energies = gpu.alloc::<i64>(ensemble);
+        let best_rows = gpu.alloc::<u32>(ensemble * n);
+        let best_energies = gpu.alloc::<i64>(ensemble);
+        gpu.h2d(best_energies, &vec![i64::MAX; ensemble]);
+        let global_best = gpu.alloc::<i64>(1);
+        gpu.h2d(global_best, &[i64::MAX]);
+        let rng_states = gpu.alloc::<u64>(ensemble * 3);
+        let words: Vec<u64> =
+            (0..ensemble).flat_map(|t| XorWow::new(params.seed, t as u64).pack()).collect();
+        gpu.h2d(rng_states, &words);
+        Ok(SaRun {
+            cfg: LaunchConfig::linear(params.blocks, params.block_size),
+            prob,
+            ensemble,
+            current,
+            candidate,
+            energies,
+            cand_energies,
+            best_rows,
+            best_energies,
+            global_best,
+            rng_states,
+            perturb: PerturbKernel::new(current, candidate, rng_states, n, ensemble, params.pert),
+            fitness: FitnessKernel::new(prob, candidate, cand_energies, ensemble, params.blocks),
+            reduce: AtomicArgminKernel { values: best_energies, out: global_best },
+        })
+    }
+
+    /// Score the starting ensemble.
+    fn launch_initial_fitness<B: ExecBackend>(
+        &self,
+        gpu: &mut B,
+        policy: &RecoveryPolicy,
+        stats: &mut RecoveryStats,
+    ) -> Result<(), LaunchError> {
+        let blocks = self.cfg.num_blocks();
+        let fitness =
+            FitnessKernel::new(self.prob, self.current, self.energies, self.ensemble, blocks);
+        launch_with_retry(gpu, &fitness, self.cfg, policy, stats)
+    }
+
+    /// The acceptance kernel at `temperature`.
+    fn accept(&self, temperature: f64, telemetry: Option<SaProbe>) -> AcceptKernel {
+        AcceptKernel {
+            current: self.current,
+            candidate: self.candidate,
+            energies: self.energies,
+            cand_energies: self.cand_energies,
+            best_rows: self.best_rows,
+            best_energies: self.best_energies,
+            rng: self.rng_states,
+            n: self.prob.n,
+            ensemble: self.ensemble,
+            temperature,
+            segment_temps: None,
+            telemetry,
+            flags: None,
+        }
+    }
+
+    /// One generation as the paper's four launches (Fig. 10): perturbation,
+    /// fitness, acceptance at `temperature`, reduction.
+    fn launch_generation<B: ExecBackend>(
+        &self,
+        gpu: &mut B,
+        temperature: f64,
+        telemetry: Option<SaProbe>,
+        policy: &RecoveryPolicy,
+        stats: &mut RecoveryStats,
+    ) -> Result<(), LaunchError> {
+        launch_with_retry(gpu, &self.perturb, self.cfg, policy, stats)?;
+        launch_with_retry(gpu, &self.fitness, self.cfg, policy, stats)?;
+        let accept = self.accept(temperature, telemetry);
+        launch_with_retry(gpu, &accept, self.cfg, policy, stats)?;
+        launch_with_retry(gpu, &self.reduce, self.cfg, policy, stats)
+    }
+
+    /// The same generation as one fused pass on the native backend. Each
+    /// chain touches only its own rows, energies and RNG words, and the
+    /// reduction is an order-independent atomic min, so running a chain's
+    /// four steps back to back leaves every buffer the next generation
+    /// reads as the four launches would. The candidate stays in `scratch`
+    /// instead of going through device memory, and the RNG words are
+    /// loaded and stored once.
+    fn fused_generation(
+        &self,
+        gpu: &mut NativeGpu,
+        temperature: f64,
+        scratch: &mut PerturbScratch,
+    ) -> Result<(), LaunchError> {
+        let accept = self.accept(temperature, None);
+        let launches: [&dyn Kernel; 4] = [&self.perturb, &self.fitness, &accept, &self.reduce];
+        gpu.run_fused(self.cfg, &launches, |ctx| {
+            let gid = ctx.global_id();
+            if gid >= self.ensemble {
+                return;
+            }
+            let mut rng = ctx.load_rng(self.rng_states, gid);
+            self.perturb.perturb_row(ctx, gid, &mut rng, scratch);
+            let rates = Rates::native(&self.prob, ctx);
+            let energy_new = score(self.prob.kind, self.prob.d, &rates, &scratch.row);
+            let energy = ctx.read(self.energies, gid);
+            let candidate = Candidate::Local(&scratch.row);
+            let (_, best) =
+                accept.settle(ctx, gid, candidate, energy, energy_new, temperature, &mut rng);
+            ctx.atomic_min_i64(self.global_best, 0, pack_argmin(best, gid));
+            ctx.store_rng(self.rng_states, gid, &rng);
+        })
+    }
+}
+
 /// One complete device run of the asynchronous SA pipeline, on either
 /// execution backend (the result is byte-identical across backends for a
 /// clean run — the cross-backend parity contract).
@@ -288,7 +444,6 @@ fn sa_attempt<B: ExecBackend>(
 ) -> Result<GpuRunResult, SuiteError> {
     let n = inst.n();
     let ensemble = params.ensemble();
-    let cfg = LaunchConfig::linear(params.blocks, params.block_size);
     // Each attempt restarts from the same host RNG state, so a clean run is
     // byte-identical to the pre-recovery pipeline.
     let mut host_rng = host_rng.clone();
@@ -304,24 +459,9 @@ fn sa_attempt<B: ExecBackend>(
     let mut sample_headers: Vec<(u64, f64)> = Vec::new();
 
     let outcome = (|| -> Result<(JobSequence, Cost), SuiteError> {
-        let prob = ProblemDevice::upload(&mut gpu, inst).map_err(|e| suite_device_error(&e))?;
-
-        // Fig. 9: initial sequences + cuRAND states host → device.
-        let current = gpu.alloc::<u32>(ensemble * n);
-        let flat = initial_ensemble(inst, ensemble, params.init, &mut host_rng);
-        gpu.h2d(current, &flat);
-        let candidate = gpu.alloc::<u32>(ensemble * n);
-        let energies = gpu.alloc::<i64>(ensemble);
-        let cand_energies = gpu.alloc::<i64>(ensemble);
-        let best_rows = gpu.alloc::<u32>(ensemble * n);
-        let best_energies = gpu.alloc::<i64>(ensemble);
-        gpu.h2d(best_energies, &vec![i64::MAX; ensemble]);
-        let global_best = gpu.alloc::<i64>(1);
-        gpu.h2d(global_best, &[i64::MAX]);
-        let rng_states = gpu.alloc::<u64>(ensemble * 3);
-        let words: Vec<u64> =
-            (0..ensemble).flat_map(|t| XorWow::new(params.seed, t as u64).pack()).collect();
-        gpu.h2d(rng_states, &words);
+        // Fig. 9: problem data, initial sequences + cuRAND states host → device.
+        let run = SaRun::upload(&mut gpu, inst, params, &mut host_rng)
+            .map_err(|e| suite_device_error(&e))?;
 
         // Telemetry ring last, after every algorithm buffer, so buffer
         // handles match the telemetry-off run exactly (alloc itself records
@@ -330,15 +470,11 @@ fn sa_attempt<B: ExecBackend>(
             ring = Some(TelemetryRing::alloc(&mut gpu, ensemble, telem_cap));
         }
 
-        // Initial fitness of the starting ensemble.
-        let fitness_current = FitnessKernel::new(prob, current, energies, ensemble, params.blocks);
-        launch_with_retry(&mut gpu, &fitness_current, cfg, policy, stats)
-            .map_err(|e| suite_device_error(&e))?;
+        run.launch_initial_fitness(&mut gpu, policy, stats).map_err(|e| suite_device_error(&e))?;
 
-        let perturb = PerturbKernel::new(current, candidate, rng_states, n, ensemble, params.pert);
-        let fitness = FitnessKernel::new(prob, candidate, cand_energies, ensemble, params.blocks);
-        let reduce = AtomicArgminKernel { values: best_energies, out: global_best };
-
+        // The fused pass's working vectors: one set, reused by every thread
+        // of every generation.
+        let mut scratch = PerturbScratch::default();
         let mut temperature = t0;
         for gen in 0..params.iterations {
             // Span metadata is attached whether or not telemetry samples
@@ -353,42 +489,23 @@ fn sa_attempt<B: ExecBackend>(
             if slot.is_some() {
                 sample_headers.push((gen, temperature));
             }
-            let gen_result = (|gpu: &mut B| -> Result<(), SuiteError> {
-                launch_with_retry(gpu, &perturb, cfg, policy, stats)
-                    .map_err(|e| suite_device_error(&e))?;
-                launch_with_retry(gpu, &fitness, cfg, policy, stats)
-                    .map_err(|e| suite_device_error(&e))?;
-                let accept = AcceptKernel {
-                    current,
-                    candidate,
-                    energies,
-                    cand_energies,
-                    best_rows,
-                    best_energies,
-                    rng: rng_states,
-                    n,
-                    ensemble,
-                    temperature,
-                    segment_temps: None,
-                    telemetry: ring.map(|r| SaProbe { ring: r, slot }),
-                    flags: None,
-                };
-                launch_with_retry(gpu, &accept, cfg, policy, stats)
-                    .map_err(|e| suite_device_error(&e))?;
-                launch_with_retry(gpu, &reduce, cfg, policy, stats)
-                    .map_err(|e| suite_device_error(&e))?;
-                Ok(())
-            })(&mut gpu);
+            let gen_result = match gpu.native() {
+                Some(native) => run.fused_generation(native, temperature, &mut scratch),
+                None => {
+                    let probe = ring.map(|r| SaProbe { ring: r, slot });
+                    run.launch_generation(&mut gpu, temperature, probe, policy, stats)
+                }
+            };
             gpu.span_end("sa-generation");
-            gen_result?;
+            gen_result.map_err(|e| suite_device_error(&e))?;
             temperature *= params.cooling_rate;
         }
 
         // Fig. 9: global best (and the winning row) device → host, oracle-
         // verified (a corrupted reduction is repaired on the host).
-        let key = gpu.d2h(global_best)[0];
+        let key = gpu.d2h(run.global_best)[0];
         let (claimed, winner) = unpack_argmin(key);
-        verified_best(&mut gpu, best_rows, n, ensemble, winner, claimed, evaluator, stats)
+        verified_best(&mut gpu, run.best_rows, n, ensemble, winner, claimed, evaluator, stats)
     })();
 
     stats.faults += gpu.fault_stats();
@@ -632,6 +749,67 @@ mod tests {
         assert_eq!(a.objective, b.objective);
         assert_eq!(a.best, b.best);
         assert_eq!(a.recovery, b.recovery);
+    }
+
+    /// Every buffer an SA generation reads, as bits: current rows,
+    /// energies, personal-best rows and energies, RNG words, packed best.
+    fn chain_state(gpu: &NativeGpu, run: &SaRun) -> Vec<Vec<u64>> {
+        let rows = |buf| gpu.peek(buf).into_iter().map(u64::from).collect();
+        let energies = |buf| gpu.peek(buf).into_iter().map(|e: i64| e as u64).collect();
+        vec![
+            rows(run.current),
+            energies(run.energies),
+            rows(run.best_rows),
+            energies(run.best_energies),
+            gpu.peek(run.rng_states),
+            energies(run.global_best),
+        ]
+    }
+
+    /// The fused native generation must leave every buffer the next
+    /// generation reads exactly as the four launches do, generation by
+    /// generation, not just reach the same final best.
+    #[test]
+    fn fused_generation_leaves_the_launched_state() {
+        const GENS: u64 = 5;
+        let (policy, mut stats) = (RecoveryPolicy::default(), RecoveryStats::default());
+        for inst in [cdd_instances::cdd_instance(40, 1, 0.4), cdd_instances::ucddcp_instance(40, 1)]
+        {
+            for (blocks, block_size) in [(1, 64), (4, 192)] {
+                let params = GpuSaParams { blocks, block_size, ..small_params(GENS) };
+                let mut host_rng = StdRng::seed_from_u64(params.seed);
+                let t0 = params.initial_temperature(&inst, &*evaluator_for(&inst), &mut host_rng);
+                let start = |gpu: &mut NativeGpu| {
+                    let run = SaRun::upload(gpu, &inst, &params, &mut host_rng.clone()).unwrap();
+                    run.launch_initial_fitness(gpu, &policy, &mut RecoveryStats::default())
+                        .unwrap();
+                    run
+                };
+                let mut launched = NativeGpu::new(params.device.clone());
+                let mut fused = NativeGpu::new(params.device.clone());
+                let (by_launch, by_pass) = (start(&mut launched), start(&mut fused));
+                let initial = chain_state(&fused, &by_pass);
+                let mut scratch = PerturbScratch::default();
+                let mut temperature = t0;
+                for gen in 0..GENS {
+                    by_launch
+                        .launch_generation(&mut launched, temperature, None, &policy, &mut stats)
+                        .unwrap();
+                    by_pass.fused_generation(&mut fused, temperature, &mut scratch).unwrap();
+                    let case = format!("{:?} {blocks}x{block_size} generation {gen}", inst.kind());
+                    assert_eq!(
+                        chain_state(&fused, &by_pass),
+                        chain_state(&launched, &by_launch),
+                        "{case}"
+                    );
+                    temperature *= params.cooling_rate;
+                }
+                assert_ne!(chain_state(&fused, &by_pass), initial, "the chains moved");
+                for gpu in [&launched, &fused] {
+                    assert_eq!(gpu.kernel_launches() as u64, 1 + 4 * GENS);
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! * [`NativeGpu`] — the native host backend: the same kernel bodies run
 //!   directly on the host, with **no** modeled clock, no per-access
 //!   simulation, and no fault machinery on the hot path. This is the
-//!   deployment path.
+//!   deployment path. Besides single launches it runs *fused passes*
+//!   ([`NativeGpu::run_fused`]): one per-thread closure standing for
+//!   several launches whose threads each touch only their own data, so a
+//!   pipeline can run a whole generation per thread instead of one kernel
+//!   per sweep (DESIGN.md §11).
 //!
 //! Both backends take a launch as a kernel value and a launch
 //! configuration: the kernel carries its buffers as fields and its block
@@ -27,7 +31,12 @@
 //! the exact same `phase` code through [`DeviceCtx`], (b) XORWOW streams
 //! are device-resident data, and (c) every access, atomics included, goes
 //! to the *same* `MemoryPool` methods, in place and in the same serial
-//! block and thread order. What the native backend does not have: a profiler
+//! block and thread order. A fused pass keeps the contract for the state
+//! its launches leave behind, not for every intermediate buffer: its
+//! closure calls the per-thread functions the kernels' `phase` bodies call,
+//! and whatever data it keeps in host vectors instead of device memory (a
+//! candidate row the next launch would only read back) is data the next
+//! generation never reads. What the native backend does not have: a profiler
 //! ([`ExecBackend::sim_profiler`] is `None`, so there are no modeled
 //! seconds and no timeline), fault injection and telemetry (sim-only;
 //! installing an active fault plan panics, and the pipelines reject such
@@ -153,14 +162,24 @@ pub trait ExecBackend {
 
     /// Kernel launches so far: every successful one and, on the
     /// simulator, every attempt its watchdog killed. No other failed launch
-    /// counts. Identical across backends for a clean run — part of the
-    /// parity contract.
+    /// counts. On the native backend the count is of *logical* launches: a
+    /// fused pass ([`NativeGpu::run_fused`]) adds one for each launch it
+    /// stands for, so a fused generation counts what the simulator's
+    /// launch-by-launch generation counts. Identical across backends for a
+    /// clean run — part of the parity contract.
     fn kernel_launches(&self) -> usize;
 
     /// The simulator's profiler: modeled seconds, the timeline and the
     /// per-kernel summary. `None` on the native backend, whose currency is
     /// wall-clock time.
     fn sim_profiler(&self) -> Option<&Profiler>;
+
+    /// The native backend itself, for pipelines that run a generation as
+    /// one fused pass ([`NativeGpu::run_fused`]) instead of launch by
+    /// launch. `None` on the simulator, which runs every launch.
+    fn native(&mut self) -> Option<&mut NativeGpu> {
+        None
+    }
 }
 
 impl ExecBackend for Gpu {
@@ -247,6 +266,40 @@ impl NativeGpu {
     /// on the calling thread.
     pub fn new(spec: DeviceSpec) -> Self {
         NativeGpu { spec, pool: MemoryPool::default(), launches: 0 }
+    }
+
+    /// Run one fused pass: `thread` once for every thread of `cfg`, blocks
+    /// in index order and threads in index order within each block, on the
+    /// calling thread. The pass stands for the launches of `launches`, in
+    /// order: it rejects a configuration with the error the first of them
+    /// would return from [`ExecBackend::launch_kernel`], before any thread
+    /// runs, and on success adds `launches.len()` to
+    /// [`kernel_launches`](ExecBackend::kernel_launches).
+    ///
+    /// Fusing is exact when every thread of those launches reads and writes
+    /// only its own data, apart from order-independent atomics: each thread
+    /// then sees what it would see launch by launch. Each thread runs to
+    /// completion before the next starts, so a pass has no barrier: data a
+    /// kernel stages in its block's shared memory, the closure reads from
+    /// global memory instead.
+    pub fn run_fused(
+        &mut self,
+        cfg: LaunchConfig,
+        launches: &[&dyn Kernel],
+        mut thread: impl FnMut(&mut NativeCtx<'_>),
+    ) -> Result<(), LaunchError> {
+        let block_dim = cfg.block_size();
+        for kernel in launches {
+            let shared_bytes = kernel.shared_mem_bytes(block_dim);
+            cfg.validate(&self.spec, shared_bytes).map_err(LaunchError::InvalidConfig)?;
+        }
+        for block_idx in 0..cfg.num_blocks() {
+            for thread_idx in 0..block_dim {
+                thread(&mut NativeCtx { thread_idx, block_idx, block_dim, mem: &mut self.pool });
+            }
+        }
+        self.launches += launches.len();
+        Ok(())
     }
 }
 
@@ -343,6 +396,10 @@ impl ExecBackend for NativeGpu {
     fn sim_profiler(&self) -> Option<&Profiler> {
         None
     }
+
+    fn native(&mut self) -> Option<&mut NativeGpu> {
+        Some(self)
+    }
 }
 
 /// The native implementation of the device surface: a view over the
@@ -355,6 +412,16 @@ pub struct NativeCtx<'a> {
     block_idx: usize,
     block_dim: usize,
     mem: &'a mut MemoryPool,
+}
+
+impl NativeCtx<'_> {
+    /// `len` elements of a `u32` or `i64` buffer from `start`, borrowed in
+    /// place: the window [`DeviceCtx::global_window`] always offers on this
+    /// backend.
+    #[inline]
+    pub fn window<T: DeviceValue<Word = T>>(&self, buf: Buf<T>, start: usize, len: usize) -> &[T] {
+        self.mem.window(buf, start, len)
+    }
 }
 
 impl DeviceCtx for NativeCtx<'_> {
@@ -435,7 +502,7 @@ impl DeviceCtx for NativeCtx<'_> {
         start: usize,
         len: usize,
     ) -> Option<&[T]> {
-        Some(self.mem.window(buf, start, len))
+        Some(self.window(buf, start, len))
     }
 
     #[inline]
@@ -690,6 +757,62 @@ mod tests {
         let on_native = WhoRan { ran: Mutex::new(Vec::new()) };
         NativeGpu::new(DeviceSpec::gt560m()).launch_kernel(&on_native, cfg).unwrap();
         assert_eq!(on_native.ran.into_inner().unwrap(), in_order, "native");
+    }
+
+    /// A kernel that asks for `.0` bytes of shared memory and does nothing:
+    /// a stand-in for the launches a fused pass replaces.
+    struct Footprint(usize);
+
+    impl Kernel for Footprint {
+        fn name(&self) -> &str {
+            "footprint"
+        }
+        fn shared_mem_bytes(&self, _block_dim: usize) -> usize {
+            self.0
+        }
+        fn phase<C: DeviceCtx>(&self, _p: usize, _ctx: &mut C) {}
+    }
+
+    #[test]
+    fn fused_pass_runs_threads_in_order_on_the_calling_thread_and_counts_its_launches() {
+        let cfg = LaunchConfig::linear(3, 4);
+        let caller = std::thread::current().id();
+        let mut native = NativeGpu::new(DeviceSpec::gt560m());
+        let mut ran = Vec::new();
+        let (a, b) = (Footprint(0), Footprint(64));
+        native
+            .run_fused(cfg, &[&a, &b, &a], |ctx| {
+                let me = (ctx.block_idx(), ctx.thread_idx(), ctx.global_id());
+                ran.push((me, std::thread::current().id()));
+            })
+            .unwrap();
+        let in_order: Vec<_> =
+            (0..3).flat_map(|b| (0..4).map(move |t| ((b, t, b * 4 + t), caller))).collect();
+        assert_eq!(ran, in_order, "block-major, then thread order, on the caller");
+        assert_eq!(native.kernel_launches(), 3, "one per launch the pass stands for");
+        native.launch_kernel(&a, cfg).unwrap();
+        native.run_fused(cfg, &[&b], |_| {}).unwrap();
+        assert_eq!(native.kernel_launches(), 5);
+    }
+
+    #[test]
+    fn fused_pass_rejects_what_its_launches_would() {
+        let spec = DeviceSpec::gt560m();
+        let fits = Footprint(0);
+        let greedy = Footprint(spec.shared_mem_per_block + 1);
+        let too_wide = LaunchConfig::linear(1, spec.max_threads_per_block + 1);
+        let cases = [(too_wide, &fits), (LaunchConfig::linear(2, 32), &greedy)];
+        for (cfg, kernel) in cases {
+            let mut native = NativeGpu::new(spec.clone());
+            let want = native.launch_kernel(kernel, cfg).unwrap_err();
+            assert!(matches!(want, LaunchError::InvalidConfig(_)), "{want:?}");
+            assert_eq!(Gpu::new(spec.clone()).launch(kernel, cfg).unwrap_err(), want);
+            let mut ran = 0;
+            let got = native.run_fused(cfg, &[&fits, kernel], |_| ran += 1).unwrap_err();
+            assert_eq!(got, want);
+            assert_eq!(ran, 0, "no thread runs");
+            assert_eq!(native.kernel_launches(), 0, "a rejected pass counts nothing");
+        }
     }
 
     /// Every thread folds its value into one cross-block minimum.

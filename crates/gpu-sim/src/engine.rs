@@ -145,8 +145,13 @@ pub trait Kernel {
     /// the simulator ([`ThreadCtx`], modeled time / faults / races) and on
     /// the native host backend ([`crate::backend::NativeCtx`], raw speed) —
     /// the backend byte-identity contract of DESIGN.md §16 depends on both
-    /// paths executing this exact code.
-    fn phase<C: DeviceCtx>(&self, phase: usize, ctx: &mut C);
+    /// paths executing this exact code. (`Self: Sized` keeps the rest of the
+    /// trait object-safe: a `&dyn Kernel` names a launch's geometry needs
+    /// where no thread runs, as in
+    /// [`NativeGpu::run_fused`](crate::backend::NativeGpu::run_fused).)
+    fn phase<C: DeviceCtx>(&self, phase: usize, ctx: &mut C)
+    where
+        Self: Sized;
 }
 
 /// The device-side surface a kernel thread programs against.

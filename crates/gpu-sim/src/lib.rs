@@ -39,7 +39,9 @@
 //! ([`Gpu`]), the semantic referee, or the native host backend
 //! ([`backend::NativeGpu`]), the speed path, which executes the same kernel
 //! bodies in the same serial block order with no simulation overhead and
-//! byte-identical results (DESIGN.md §11, §16).
+//! byte-identical results, and can run several thread-independent launches
+//! as one fused pass ([`backend::NativeGpu::run_fused`]) (DESIGN.md §11,
+//! §16).
 //!
 //! A kernel holds its device buffers as typed [`Buf`] fields, the analogue
 //! of CUDA launch parameters, so a launch is just the kernel value and a

@@ -792,6 +792,10 @@ fn describe_service_metrics(metrics: &mut MetricsRegistry) {
         ("service_cache_insertions_total", "Solutions inserted into the cache."),
         ("service_cache_replacements_total", "Cache insertions that replaced an entry."),
         ("service_cache_evictions_total", "Cache entries evicted by capacity pressure."),
+        ("service_convergence_requests_total", "Requests that produced a convergence trace."),
+        ("service_convergence_samples_total", "Generation samples across those traces."),
+        ("service_convergence_stalled_chains_total", "Chains whose best had plateaued by mid-run."),
+        ("service_convergence_collapsed_total", "Traces that ended in a diversity collapse."),
         ("timing_request_wall_ms", "Submission-to-fulfilment latency (wall clock)."),
         ("timing_queue_peak_depth", "Deepest the admitted queue ever got."),
         ("timing_cache_hits_total", "Requests served as direct cache hits."),
@@ -799,9 +803,31 @@ fn describe_service_metrics(metrics: &mut MetricsRegistry) {
         ("service_backend_requests_total", "Requests dispatched per execution backend."),
         ("timing_backend_native_wall_ms", "Per-request device wall time on the native backend."),
         ("timing_wall_seconds", "Wall-clock lifetime of the service, seconds."),
+        ("device_requests_total", "Requests that completed on the device."),
+        ("device_failed_total", "Requests that ended in an error on the device."),
+        (
+            "device_kernel_launches_total",
+            "Kernel launches on the device; native counts each launch a fused pass stands for.",
+        ),
+        ("device_modeled_busy_seconds", "Modeled device seconds of the simulator's runs."),
+        ("device_busy_wall_seconds", "Wall-clock seconds the device spent running requests."),
+        ("device_utilization", "Busy wall seconds over the service's wall-clock lifetime."),
+    ];
+    // `FaultStats::observe_into` writes one family per counter under each
+    // prefix: fleet-wide totals and per-device splits.
+    const FAULT_HELP: &[(&str, &str)] = &[
+        ("launches_attempted_total", "Launches attempted under a fault plan"),
+        ("transient_launch_failures_total", "Launches aborted by an injected transient failure"),
+        ("bit_flips_total", "Global-memory reads that returned an injected bit flip"),
+        ("hung_kernels_total", "Launches killed by the watchdog after an injected hang"),
+        ("worker_crashes_total", "Injected whole-device deaths"),
     ];
     for (name, help) in HELP {
         metrics.describe(name, help);
+    }
+    for (suffix, help) in FAULT_HELP {
+        metrics.describe(&format!("service_fault_{suffix}"), &format!("{help}, fleet-wide."));
+        metrics.describe(&format!("device_fault_{suffix}"), &format!("{help}, per device."));
     }
 }
 

@@ -237,6 +237,71 @@ fn service_metrics_are_byte_identical_across_runs() {
     );
 }
 
+/// The metric families of a Prometheus render that lack a `# HELP` line.
+fn families_without_help(rendered: &str) -> Vec<String> {
+    let named = |prefix: &str| -> std::collections::BTreeSet<String> {
+        rendered
+            .lines()
+            .filter_map(|l| l.strip_prefix(prefix)?.split(' ').next().map(str::to_string))
+            .collect()
+    };
+    let helped = named("# HELP ");
+    named("# TYPE ").into_iter().filter(|family| !helped.contains(family)).collect()
+}
+
+/// Every sample family a service snapshot renders carries a `# HELP` line:
+/// on a native fleet (backend tallies, native wall times) and on a faulted
+/// fleet with telemetry on (fault and convergence counters, the `device_`
+/// namespace). Their fleet merge is described too, in either order.
+#[test]
+fn every_rendered_metric_family_has_a_help_line() {
+    fn snapshot(config: ServiceConfig) -> cdd_metrics::MetricsRegistry {
+        let entries = cdd_bench::workload::generate_mixed(8, 41, 60, &[10]);
+        let service = SolverService::start(config);
+        let tickets: Vec<u64> =
+            entries.iter().map(|e| service.submit(e.to_request()).expect("admitted")).collect();
+        for t in tickets {
+            service.wait(t).result.expect("recovery absorbs injected faults");
+        }
+        service.shutdown().metrics
+    }
+    let native = snapshot(ServiceConfig { backend: cdd_gpu::Backend::Native, ..small_config(2) });
+    let faulted = snapshot(ServiceConfig {
+        fault: Some(FaultPlan::with_rates(0xFA17, 0.05, 0.01, 0.02)),
+        telemetry: cuda_sim::TelemetryConfig::every(5),
+        ..small_config(2)
+    });
+    for (what, registry) in [("native", &native), ("faulted", &faulted)] {
+        let rendered = registry.render_prometheus();
+        assert_eq!(families_without_help(&rendered), Vec::<String>::new(), "{what}: {rendered}");
+    }
+    let native_rendered = native.render_prometheus();
+    assert!(native_rendered.contains("# HELP timing_backend_native_wall_ms "));
+    assert!(native_rendered.contains("# HELP device_kernel_launches_total "));
+    let faulted_rendered = faulted.render_prometheus();
+    assert!(faulted_rendered.contains("# HELP service_fault_bit_flips_total "));
+    assert!(faulted_rendered.contains("# HELP device_fault_bit_flips_total "));
+    assert!(faulted_rendered.contains("# HELP service_convergence_samples_total "));
+
+    let merged = |a: &cdd_metrics::MetricsRegistry, b: &cdd_metrics::MetricsRegistry| {
+        let mut fleet = a.clone();
+        fleet.merge_from(b);
+        fleet
+    };
+    // The merge's HELP lines are the same whichever snapshot comes first
+    // (its wall-clock gauges are not, so compare only the descriptions).
+    let help_lines = |r: &cdd_metrics::MetricsRegistry| {
+        let rendered = r.render_prometheus();
+        assert_eq!(families_without_help(&rendered), Vec::<String>::new(), "merged: {rendered}");
+        rendered
+            .lines()
+            .filter(|l| l.starts_with("# HELP "))
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(help_lines(&merged(&native, &faulted)), help_lines(&merged(&faulted, &native)));
+}
+
 #[test]
 fn trace_capture_produces_one_track_per_device() {
     let entries = cdd_bench::workload::generate_mixed(8, 23, 60, &[10]);
