@@ -2,33 +2,54 @@
 //! functions the simulated GPU's fitness kernel calls per thread — plus an
 //! end-to-end SA-generation benchmark that exercises the full simulated
 //! launch path (perturb → fitness → accept → reduce).
+//!
+//! An evaluator's speed depends on the rows it scores: branches predict
+//! well on rows near the V-shape and badly on random ones, where selects
+//! win. So each evaluator is timed at n ∈ {50, 200, 500} on two kinds of
+//! row, cycling through the paper's 768 threads' worth: the V-shaped start
+//! with a few swaps per thread that `initial_ensemble` builds (what SA and
+//! DPSO score for most of a run), and uniformly random permutations.
 
 use cdd_core::cdd_optimal::cdd_objective_raw;
 use cdd_core::ucddcp_optimal::ucddcp_objective_raw;
-use cdd_core::JobSequence;
-use cdd_gpu::{run_gpu_sa, GpuSaParams};
+use cdd_gpu::{initial_ensemble, run_gpu_sa, GpuSaParams, InitStrategy};
 use cdd_instances::{cdd_instance, ucddcp_instance};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Duration;
+
+/// Rows each evaluator cycles through: one per thread of the paper's 4×192.
+const ROWS: usize = 768;
 
 fn bench_objective_raw(c: &mut Criterion) {
     let mut group = c.benchmark_group("objective_raw");
-    group.sample_size(20).measurement_time(Duration::from_secs(1));
-    for n in [10usize, 100, 1000] {
-        let inst = cdd_instance(n, 1, 0.6);
-        let (p, _, alpha, beta, _) = inst.to_arrays();
-        let d = inst.due_date();
-        let seq = JobSequence::identity(n);
-        group.bench_with_input(BenchmarkId::new("cdd", n), &n, |b, _| {
-            b.iter(|| cdd_objective_raw(&p, &alpha, &beta, d, seq.as_slice()))
-        });
+    group.sample_size(20_000).measurement_time(Duration::from_secs(1));
+    for n in [50usize, 200, 500] {
+        let cdd = cdd_instance(n, 1, 0.6);
+        let ucddcp = ucddcp_instance(n, 1);
+        for (rows, init) in
+            [("v-shaped", InitStrategy::VShapedSpread), ("random", InitStrategy::Random)]
+        {
+            let (p, _, alpha, beta, _) = cdd.to_arrays();
+            let d = cdd.due_date();
+            let seqs = initial_ensemble(&cdd, ROWS, init, &mut StdRng::seed_from_u64(7));
+            let mut next = seqs.chunks_exact(n).cycle();
+            group.bench_with_input(BenchmarkId::new(&format!("cdd/{rows}"), n), &n, |b, _| {
+                b.iter(|| cdd_objective_raw(&p, &alpha, &beta, d, next.next().expect("cycles")))
+            });
 
-        let inst = ucddcp_instance(n, 1);
-        let (p, m, alpha, beta, gamma) = inst.to_arrays();
-        let d = inst.due_date();
-        group.bench_with_input(BenchmarkId::new("ucddcp", n), &n, |b, _| {
-            b.iter(|| ucddcp_objective_raw(&p, &m, &alpha, &beta, &gamma, d, seq.as_slice()))
-        });
+            let (p, m, alpha, beta, gamma) = ucddcp.to_arrays();
+            let d = ucddcp.due_date();
+            let seqs = initial_ensemble(&ucddcp, ROWS, init, &mut StdRng::seed_from_u64(7));
+            let mut next = seqs.chunks_exact(n).cycle();
+            group.bench_with_input(BenchmarkId::new(&format!("ucddcp/{rows}"), n), &n, |b, _| {
+                b.iter(|| {
+                    let seq = next.next().expect("cycles");
+                    ucddcp_objective_raw(&p, &m, &alpha, &beta, &gamma, d, seq)
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -5,10 +5,13 @@
 //! Both schemes run on the GPU pipelines with the same total evaluation
 //! budget (`chains × iterations`), with the convergence recorder
 //! (DESIGN.md §10) sampling every chain's trajectory. Beyond the endpoint
-//! quality comparison, the recorder makes the paper's "premature
-//! convergence" claim *measurable*: the emitted curves CSV holds both
-//! schemes' ensemble-best descent, and the summary table reports each
-//! scheme's diversity-collapse generation and stalled-chain fraction.
+//! quality comparison, the emitted curves CSV holds both schemes'
+//! ensemble-best descent, and the summary table reports each scheme's
+//! diversity-collapse generation and stalled-chain fraction. Neither column
+//! sees the synchronous scheme's collapse by itself: the broadcast gives
+//! every chain one state at each level, the chains spread again within the
+//! level, and the collapse column counts only a collapse that lasts to the
+//! final sample.
 //!
 //! ```text
 //! cargo run --release -p cdd-bench --bin ablation_async_vs_sync -- \
@@ -115,8 +118,12 @@ fn main() {
          (premature convergence of sync at its budgets); which scheme wins is budget- and \
          landscape-dependent — the broadcast is pure intensification — while its per-level \
          communication cost is unconditional (see the sync pipeline's profiler timeline). \
-         The collapse-gen and stalled-frac columns quantify the premature-convergence claim \
-         directly from the recorded trajectories."
+         stalled-frac is the share of chains whose best-so-far did not improve between the \
+         midpoint and the final sample; 0.00 means every chain was still improving. \
+         collapse-gen is the first sample from which all current energies stay equal to the \
+         end. The sync broadcast collapses the ensemble at every level, but the chains spread \
+         again within the level, so `-` in sync-collapse-gen means no collapse lasted to the \
+         final sample, not that none happened."
     );
     write_csv(&table, &results_dir().join("ablation_async_vs_sync.csv")).expect("write results");
     let curves_path = args

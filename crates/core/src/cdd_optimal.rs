@@ -341,8 +341,8 @@ mod tests {
     }
 
     /// The one-pass `cdd_objective_raw` must equal the reference pair
-    /// (`cdd_optimal_shift_raw`, then `cdd_objective_with_shift`) for `u32`
-    /// and `u64` job ids, over the edge cases its derivation leans on:
+    /// (`cdd_optimal_shift_raw`, then `cdd_objective_with_shift`) over the
+    /// edge cases its derivation leans on:
     /// `d = 0` (all tardy), `d ≥ ΣP`, `α ≡ 0`, `β ≡ 0`, `pe = pl` ties,
     /// `n = 1`, and data at the kernels' validation cap (`VALUE_CAP = 2^20`
     /// in cdd-gpu).

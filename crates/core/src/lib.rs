@@ -43,7 +43,7 @@
 //! assert_eq!(sol.objective, 81); // the paper's worked result
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cdd_optimal;
 pub mod error;

@@ -24,10 +24,14 @@
 //!   `X · (Σ_{i<k} αᵢ − γ)`.
 //!
 //! A job is therefore compressed iff its bracketed rate sum strictly exceeds
-//! its compression penalty. Both passes are O(n).
+//! its compression penalty. [`optimize_ucddcp_sequence`] finds `r` with the
+//! CDD optimizer and then applies both rules, O(n) each;
+//! [`ucddcp_objective_raw`], the fitness function, does all of it in one
+//! forward pass.
 
 use crate::cdd_optimal::{cdd_objective_with_shift, cdd_optimal_shift_raw};
 use crate::{Cost, Instance, JobSequence, ProblemKind, Time};
+use std::hint::select_unpredictable;
 
 /// Result of optimizing one job sequence for the UCDDCP problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,13 +58,37 @@ pub struct UcddcpSequenceSolution {
 }
 
 /// Optimal UCDDCP objective for one sequence, on raw arrays — the GPU/CPU
-/// fitness function. O(n), zero allocation.
+/// fitness function. One forward pass, zero allocation.
 ///
 /// `p`, `m`, `alpha`, `beta`, `gamma` are indexed by job id; `seq[k]` is the
 /// job at position `k` and must be a **permutation** of `0..seq.len()`
-/// (job ids are validated; uniqueness is the caller's contract — it is
-/// what makes the specialized rate sums below exact). Requires an
-/// unrestricted due date (`d ≥ Σ Pᵢ`), checked only by `debug_assert`.
+/// (the caller's contract: it makes the order-free `Σβ` below exact). Every
+/// gather is bounds-checked, so a job id of `n` or more panics; the arrays
+/// are cut to `n` first, so one check per job covers all five gathers.
+/// Requires an unrestricted due date (`d ≥ Σ Pᵢ`), checked only by
+/// `debug_assert`; the objective then does not depend on `d`.
+///
+/// With `d ≥ Σ Pᵢ` the packed schedule completes every position by `d`,
+/// so Theorem 1's backtrack starts from all-early and makes position `k`
+/// tardy while `Σ_{i≥k} βᵢ < Σ_{i<k} αᵢ`. That difference only grows with
+/// `k` (the rates are non-negative), so the due-date position `r` is the
+/// number of positions `k` with `Σ_{i<k}(αᵢ + βᵢ) ≤ Σβ`, a prefix of the
+/// sequence, and one forward pass split at `r` finds it while it scores.
+/// Position `r − 1` completes at `d`, so with `Cₖ` the packed completion
+/// time, `A = Σ_{k<r} αₖ` and `B = Σ_{k≥r} βₖ`, the CDD part of the
+/// penalty is
+///
+/// ```text
+/// Σ_{k<r} αₖ(C_{r−1} − Cₖ) + Σ_{k≥r} βₖ(Cₖ − C_{r−1})
+///   = C_{r−1}(A − B) − Σ_{k<r} αₖCₖ + Σ_{k≥r} βₖCₖ
+/// ```
+///
+/// and fully compressing the job at position `k` (Property 2) saves
+/// `x⁺(G − γ)⁺`, with `x = P − M` and `G` the α-sum before `k` (early
+/// side) or the β-sum from `k` on (tardy side). As in
+/// [`cdd_objective_raw`](crate::cdd_optimal::cdd_objective_raw), the sums
+/// accumulate in wrapping `i64`: the identity holds modulo 2⁶⁴, so the
+/// result is exact whenever the objective itself fits.
 pub fn ucddcp_objective_raw(
     p: &[Time],
     m: &[Time],
@@ -71,93 +99,63 @@ pub fn ucddcp_objective_raw(
     seq: &[u32],
 ) -> Cost {
     let n = seq.len();
-    // One vectorizable pass validates every job id against the shortest
-    // array; afterwards each gather below is in bounds by construction, so
-    // the per-access bounds checks (and their branches) drop out of the
-    // O(n) hot loops.
-    let limit = p.len().min(m.len()).min(alpha.len()).min(beta.len()).min(gamma.len());
-    assert!(
-        n <= limit && seq.iter().all(|&j| (j as usize) < n),
-        "ucddcp_objective_raw: sequence contains a job id outside the instance"
+    let (p, m, alpha, beta, gamma) = (&p[..n], &m[..n], &alpha[..n], &beta[..n], &gamma[..n]);
+    debug_assert!(
+        p.iter().sum::<Time>() <= d,
+        "ucddcp_objective_raw requires an unrestricted due date"
     );
+    // A permutation visits each of the `n` job ids once.
+    let sum_beta: Time = beta.iter().sum();
 
-    // With `d ≥ Σ Pᵢ`, the packed schedule completes every position at or
-    // before `d`: pass 1 of `cdd_optimal_shift_raw` is fully determined —
-    // `τ = n`, `c_τ = Σ Pᵢ`, `pe = Σ αᵢ`, `pl = 0` — and both sums are
-    // order-independent (a permutation visits each of the first `n` job
-    // ids exactly once), so they come from direct gather-free slice sums.
-    let sum_p: Time = p[..n].iter().sum();
-    debug_assert!(sum_p <= d, "ucddcp_objective_raw requires an unrestricted due date");
-    let pe0: Time = alpha[..n].iter().sum();
-
-    let (shift, r, pl) = if n == 0 || pe0 == 0 {
-        // All-tardy is impossible here; pl (= 0) ≥ pe means packed is optimal.
-        (0, n, 0)
-    } else {
-        // Align position τ with the due date, then keep shifting while making
-        // position τ tardy still pays off (Theorem 1, Case 2(ii)).
-        let mut shift = d - sum_p;
-        let mut tau = n;
-        let mut pe = pe0;
-        let mut pl: Time = 0;
-        #[allow(unsafe_code)]
-        while tau >= 1 {
-            // SAFETY: `tau - 1 < n = seq.len()` and every id in `seq` was
-            // validated above against the shortest array.
-            let j = unsafe { *seq.get_unchecked(tau - 1) } as usize;
-            let pe_next = pe - unsafe { *alpha.get_unchecked(j) };
-            let pl_next = pl + unsafe { *beta.get_unchecked(j) };
-            if pl_next < pe_next {
-                shift += unsafe { *p.get_unchecked(j) };
-                pe = pe_next;
-                pl = pl_next;
-                tau -= 1;
-            } else {
-                break;
-            }
-        }
-        (shift, tau, pl)
-    };
-
-    // Single fused pass: CDD penalty plus both compression rules. Positions
-    // before `r` complete at or before `d` (earliness side, prefix-α rule);
-    // positions from `r` on complete at or after `d` (tardiness side,
-    // suffix-β rule). `pl` is exactly the β-sum over the tardy positions,
-    // so the backward suffix accumulation of the two-pass form becomes a
-    // forward decrement — same value at every position, identical integer
-    // results.
-    let mut c = shift;
-    let mut obj: Cost = 0;
+    // Early side: positions `k < r`, while the slack
+    // `Σβ − Σ_{i<k}(αᵢ + βᵢ)` is not negative.
+    let mut k = 0;
+    let mut c: Time = 0;
     let mut prefix_alpha: Time = 0;
-    let mut suffix_beta = pl;
-    for (k, &j) in seq.iter().enumerate() {
-        let j = j as usize;
-        // SAFETY: every id in `seq` was validated above against the
-        // shortest of the five arrays.
-        #[allow(unsafe_code)]
-        unsafe {
-            let pj = *p.get_unchecked(j);
-            let x = pj - *m.get_unchecked(j);
-            let gj = *gamma.get_unchecked(j);
-            c += pj;
-            if k < r {
-                let aj = *alpha.get_unchecked(j);
-                obj += aj * (d - c);
-                if x > 0 && prefix_alpha > gj {
-                    obj -= x * (prefix_alpha - gj);
-                }
-                prefix_alpha += aj;
-            } else {
-                let bj = *beta.get_unchecked(j);
-                obj += bj * (c - d);
-                if x > 0 && suffix_beta > gj {
-                    obj -= x * (suffix_beta - gj);
-                }
-                suffix_beta -= bj;
-            }
-        }
+    let mut slack = sum_beta;
+    let mut early_weighted: Cost = 0;
+    let mut saved: Cost = 0;
+    while k < n && slack >= 0 {
+        let j = seq[k] as usize;
+        let (pj, aj) = (p[j], alpha[j]);
+        c += pj;
+        early_weighted = early_weighted.wrapping_add(aj.wrapping_mul(c));
+        saved = saved.wrapping_add(compression_saving(pj - m[j], prefix_alpha, gamma[j]));
+        prefix_alpha += aj;
+        slack -= aj + beta[j];
+        k += 1;
     }
-    obj
+    let (due_completion, early_alpha) = (c, prefix_alpha);
+
+    // Tardy side: positions `k ≥ r`, with the β-sum from `k` on.
+    let tardy_beta = slack + prefix_alpha;
+    let mut suffix_beta = tardy_beta;
+    let mut tardy_weighted: Cost = 0;
+    for &j in &seq[k..] {
+        let j = j as usize;
+        let (pj, bj) = (p[j], beta[j]);
+        c += pj;
+        tardy_weighted = tardy_weighted.wrapping_add(bj.wrapping_mul(c));
+        saved = saved.wrapping_add(compression_saving(pj - m[j], suffix_beta, gamma[j]));
+        suffix_beta -= bj;
+    }
+
+    due_completion
+        .wrapping_mul(early_alpha.wrapping_sub(tardy_beta))
+        .wrapping_sub(early_weighted)
+        .wrapping_add(tardy_weighted)
+        .wrapping_sub(saved)
+}
+
+/// What fully compressing a job with headroom `x = P − M` saves when the
+/// jobs it moves carry the rate sum `rate`: `x⁺(rate − γ)⁺`. Both factors
+/// are selects, not branches: which jobs pay off follows no pattern the
+/// branch predictor could learn.
+#[inline(always)]
+fn compression_saving(x: Time, rate: Time, gamma: Time) -> Cost {
+    let x = select_unpredictable(x > 0, x, 0);
+    let excess = select_unpredictable(rate > gamma, rate.wrapping_sub(gamma), 0);
+    x.wrapping_mul(excess)
 }
 
 /// Optimize one job sequence of a UCDDCP instance, returning the full
@@ -327,31 +325,121 @@ mod tests {
         assert_eq!(sol.objective, sol.cdd_objective - 8 * (8 - 2));
     }
 
-    /// The fused single-pass form of `ucddcp_objective_raw` must agree with
-    /// the two-pass optimizer on arbitrary instances, including the edge
-    /// cases its specialization leans on (`pe = 0`, `d = Σ Pᵢ` exactly).
+    /// The one-pass `ucddcp_objective_raw` must equal the two-pass
+    /// optimizer (Theorem 1's backtrack, then the compression rules) on
+    /// random instances, over the edge cases its derivation leans on:
+    /// `α ≡ 0` (every position early), `β ≡ 0`, `γ ≡ 0`, `M = P` (nothing
+    /// to compress), ties `Σ_{i<k}(αᵢ + βᵢ) = Σβ` at the split, `n = 1`,
+    /// `d = Σ Pᵢ` exactly, and data at the kernels' validation cap
+    /// (`VALUE_CAP = 2^20` in cdd-gpu).
     #[test]
     fn raw_objective_matches_two_pass_optimizer_on_random_instances() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        const CAP: Time = 1 << 20;
         let mut rng = StdRng::seed_from_u64(0xCDD1);
-        for case in 0..500 {
-            let n = rng.gen_range(1..=24);
-            let p: Vec<Time> = (0..n).map(|_| rng.gen_range(1..=30)).collect();
-            let m: Vec<Time> = p.iter().map(|&pi| rng.gen_range(1..=pi)).collect();
-            let zero_alpha = case % 7 == 0;
-            let a: Vec<Time> =
-                (0..n).map(|_| if zero_alpha { 0 } else { rng.gen_range(0..=15) }).collect();
-            let b: Vec<Time> = (0..n).map(|_| rng.gen_range(0..=15)).collect();
-            let g: Vec<Time> = (0..n).map(|_| rng.gen_range(0..=12)).collect();
+        let (mut zero_alpha, mut zero_beta, mut zero_gamma, mut rigid) = (0, 0, 0, 0);
+        let (mut ties, mut singles, mut capped, mut tight) = (0, 0, 0, 0);
+        for case in 0..800 {
+            let n = if case % 13 == 0 { 1 } else { rng.gen_range(2..=40) };
+            let mode = case % 8;
+            let rate = |rng: &mut StdRng| match mode {
+                // {0, 1} rates make ties at the split common.
+                4 => rng.gen_range(0..=1),
+                5 => CAP,
+                6 => rng.gen_range(0..=CAP),
+                _ => rng.gen_range(0..=15),
+            };
+            let p: Vec<Time> = (0..n)
+                .map(|_| match mode {
+                    5 => CAP,
+                    6 => rng.gen_range(1..=CAP),
+                    _ => rng.gen_range(1..=30),
+                })
+                .collect();
+            let m: Vec<Time> =
+                p.iter().map(|&pi| if mode == 3 { pi } else { rng.gen_range(1..=pi) }).collect();
+            let a: Vec<Time> = (0..n).map(|_| if mode == 0 { 0 } else { rate(&mut rng) }).collect();
+            let b: Vec<Time> = (0..n).map(|_| if mode == 1 { 0 } else { rate(&mut rng) }).collect();
+            let g: Vec<Time> = (0..n).map(|_| if mode == 2 { 0 } else { rate(&mut rng) }).collect();
             let sum_p: Time = p.iter().sum();
             let d = if case % 5 == 0 { sum_p } else { sum_p + rng.gen_range(0..=40 as Time) };
             let inst = Instance::ucddcp_from_arrays(&p, &m, &a, &b, &g, d).unwrap();
             let seq = JobSequence::random(n, &mut rng);
+            let ids = seq.as_slice();
             let sol = optimize_ucddcp_sequence(&inst, &seq);
-            let raw = ucddcp_objective_raw(&p, &m, &a, &b, &g, d, seq.as_slice());
-            assert_eq!(raw, sol.objective, "case {case}: n={n} d={d} seq={:?}", seq.as_slice());
+            let raw = ucddcp_objective_raw(&p, &m, &a, &b, &g, d, ids);
+            assert_eq!(raw, sol.objective, "case {case}: n={n} d={d} seq={ids:?}");
+
+            // Tally the edge cases actually exercised.
+            let sum_b: Time = b.iter().sum();
+            let mut prefix = 0;
+            for &j in &ids[..n - 1] {
+                prefix += a[j as usize] + b[j as usize];
+                ties += usize::from(prefix == sum_b);
+            }
+            zero_alpha += usize::from(a.iter().all(|&x| x == 0));
+            zero_beta += usize::from(b.iter().all(|&x| x == 0));
+            zero_gamma += usize::from(g.iter().all(|&x| x == 0));
+            rigid += usize::from(m == p);
+            singles += usize::from(n == 1);
+            capped += usize::from(mode == 5);
+            tight += usize::from(d == sum_p);
         }
+        for (what, hits) in [
+            ("alpha = 0", zero_alpha),
+            ("beta = 0", zero_beta),
+            ("gamma = 0", zero_gamma),
+            ("M = P", rigid),
+            ("ties at the split", ties),
+            ("n = 1", singles),
+            ("data at the cap", capped),
+            ("d = sum P", tight),
+        ] {
+            assert!(hits >= 10, "only {hits} cases cover {what}");
+        }
+    }
+
+    /// A long first job puts every completion time near 2^42, so
+    /// `C_{r−1}(A − B)` and the weighted sums wrap `i64` while the
+    /// objective itself stays small: the wrapping identity must still give
+    /// the two-pass optimizer's exact value.
+    #[test]
+    fn raw_objective_is_exact_when_intermediates_wrap() {
+        let mut p = vec![1 << 42];
+        p.extend([3, 1, 4, 1, 5, 9, 2, 6]);
+        let n = p.len();
+        let m: Vec<Time> = p.iter().map(|&pi| pi - pi / 3).collect();
+        let a: Vec<Time> = (0..n as Time).map(|i| (1 << 20) - i).collect();
+        let b: Vec<Time> = (0..n as Time).map(|i| (1 << 19) + 7 * i).collect();
+        let g: Vec<Time> = (0..n as Time).map(|i| (1 << 20) + 3 * i).collect();
+        let sum_p: Time = p.iter().sum();
+        let seq = JobSequence::identity(n);
+        for d in [sum_p, sum_p + 1000, 1 << 43] {
+            let inst = Instance::ucddcp_from_arrays(&p, &m, &a, &b, &g, d).unwrap();
+            let want = optimize_ucddcp_sequence(&inst, &seq).objective;
+            let raw = ucddcp_objective_raw(&p, &m, &a, &b, &g, d, seq.as_slice());
+            assert_eq!(raw, want, "d = {d}");
+        }
+        // The intermediates really do leave the i64 range.
+        let weighted: i128 = p
+            .iter()
+            .scan(0i128, |c, &pj| {
+                *c += i128::from(pj);
+                Some(*c)
+            })
+            .zip(&a)
+            .map(|(c, &aj)| c * i128::from(aj))
+            .sum();
+        assert!(weighted > i128::from(i64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn raw_objective_rejects_out_of_range_ids() {
+        let inst = Instance::paper_example_ucddcp();
+        let (p, m, a, b, g) = inst.to_arrays();
+        ucddcp_objective_raw(&p, &m, &a, &b, &g, 22, &[0u32, 1, 2, 3, 5]);
     }
 
     #[test]

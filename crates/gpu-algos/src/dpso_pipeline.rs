@@ -14,7 +14,7 @@
 //! (DESIGN.md §11).
 
 use crate::init::{initial_ensemble, InitStrategy};
-use crate::kernels::dpso_update::UpdateScratch;
+use crate::kernels::dpso_update::Marks;
 use crate::kernels::fitness::{score, Rates};
 use crate::kernels::{DpsoProbe, DpsoUpdateKernel, FitnessKernel, GbestCopyKernel, PbestKernel};
 use crate::layout::ProblemDevice;
@@ -244,24 +244,30 @@ impl DpsoSwarm {
     /// and personal-best step touch only its own rows, energies and RNG
     /// words, and read the swarm best that the previous broadcast wrote; the
     /// reduction is an order-independent atomic min. So every buffer the
-    /// next generation reads ends as the five launches leave it.
-    fn fused_generation(
-        &self,
-        gpu: &mut NativeGpu,
-        scratch: &mut UpdateScratch,
-    ) -> Result<(), LaunchError> {
+    /// next generation reads ends as the five launches leave it. The
+    /// particle's row of `positions` is updated and scored where it lies,
+    /// beside its personal best and the swarm best read in place.
+    fn fused_generation(&self, gpu: &mut NativeGpu, marks: &mut Marks) -> Result<(), LaunchError> {
         let launches: [&dyn Kernel; 4] =
             [&self.update, &self.fitness, &self.pbest_update, &self.reduce];
+        let (positions, n) = (self.update.positions, self.prob.n);
         gpu.run_fused(self.cfg, &launches, |ctx| {
             let gid = ctx.global_id();
             if gid >= self.ensemble {
                 return;
             }
             let mut rng = ctx.load_rng(self.rng_states, gid);
-            self.update.update_row(ctx, gid, &mut rng, scratch);
+            let update = self.update.draw(&mut rng);
             ctx.store_rng(self.rng_states, gid, &rng);
+            let [row, pbest, gbest] = ctx.windows_mut([
+                (positions, gid * n, n),
+                (self.pbest, gid * n, n),
+                (self.gbest, 0, n),
+            ]);
+            update.apply(row, pbest, gbest, marks);
             let rates = Rates::native(&self.prob, ctx);
-            let energy = score(self.prob.kind, self.prob.d, &rates, &scratch.row);
+            let row = ctx.window(positions, gid * n, n);
+            let energy = score(self.prob.kind, self.prob.d, &rates, row);
             ctx.write(self.energies, gid, energy);
             let (_, best) = self.pbest_update.improve(ctx, gid, energy);
             ctx.atomic_min_i64(self.packed_best, 0, pack_argmin(best, gid));
@@ -307,9 +313,9 @@ fn dpso_attempt<B: ExecBackend>(
 
         swarm.launch_init(&mut gpu, policy, stats).map_err(|e| suite_device_error(&e))?;
 
-        // The fused pass's working vectors: one set, reused by every
+        // The fused pass's crossover marks: one set, reused by every
         // particle of every generation.
-        let mut scratch = UpdateScratch::default();
+        let mut marks = Marks::default();
         for gen in 0..params.iterations {
             // Span metadata is attached whether or not telemetry samples
             // this generation, so the timeline is stride-independent.
@@ -319,7 +325,7 @@ fn dpso_attempt<B: ExecBackend>(
                 sample_headers.push((gen, 0.0));
             }
             let gen_result = match gpu.native() {
-                Some(native) => swarm.fused_generation(native, &mut scratch),
+                Some(native) => swarm.fused_generation(native, &mut marks),
                 None => {
                     let probe = ring.map(|r| DpsoProbe { ring: r, slot, gbest: swarm.gbest });
                     swarm.launch_generation(&mut gpu, probe, policy, stats)
@@ -495,10 +501,10 @@ mod tests {
                 let mut fused = NativeGpu::new(params.device.clone());
                 let (by_launch, by_pass) = (start(&mut launched), start(&mut fused));
                 let initial = swarm_state(&fused, &by_pass);
-                let mut scratch = UpdateScratch::default();
+                let mut marks = Marks::default();
                 for gen in 0..GENS {
                     by_launch.launch_generation(&mut launched, None, &policy, &mut stats).unwrap();
-                    by_pass.fused_generation(&mut fused, &mut scratch).unwrap();
+                    by_pass.fused_generation(&mut fused, &mut marks).unwrap();
                     let case = format!("{:?} {blocks}x{block_size} generation {gen}", inst.kind());
                     assert_eq!(
                         swarm_state(&fused, &by_pass),

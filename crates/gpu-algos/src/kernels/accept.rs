@@ -63,57 +63,77 @@ pub struct AcceptKernel {
 }
 
 /// Where a thread's candidate row is: in device memory, where the
-/// perturbation kernel stores it, or in the caller's working vector, where
-/// the fused native generation keeps it.
+/// perturbation kernel stores it, or already in the thread's row of
+/// `current`, where the fused native generation moves it in place.
 #[derive(Clone, Copy)]
-pub(crate) enum Candidate<'a> {
+pub(crate) enum Candidate {
     /// The thread's row of this buffer.
     Device(Buf<u32>),
-    /// This row.
-    Local(&'a [u32]),
+    /// The thread's row of `current` itself. The caller takes the move
+    /// back if it is rejected.
+    InPlace,
+}
+
+/// What a thread's acceptance fixes before its row moves: the metropolis
+/// draw and the personal-best energy after capturing the pre-move state.
+#[derive(Clone, Copy)]
+pub(crate) struct PreMove {
+    u: f64,
+    best: i64,
 }
 
 impl AcceptKernel {
-    /// Thread `gid`'s acceptance: the metropolis rule from `energy` to the
-    /// candidate's `energy_new` at `temperature`, with one draw from `rng`,
-    /// plus personal-best maintenance. An accepted candidate becomes the
-    /// thread's row of `current`. Returns whether the move was accepted and
-    /// the thread's personal-best energy afterwards.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn settle<C: DeviceCtx>(
+    /// Thread `gid`'s acceptance, up to the move: draw the metropolis
+    /// uniform from `rng` and capture the pre-move state at `energy` as
+    /// the personal best if it improves on it (on the first generation
+    /// this records the initial sequence; later it is usually a no-op
+    /// because the best already reflects this state). It must run while
+    /// the thread's row of `current` still holds that state.
+    pub(crate) fn before_move<C: DeviceCtx>(
         &self,
         ctx: &mut C,
         gid: usize,
-        candidate: Candidate<'_>,
         energy: i64,
-        energy_new: i64,
-        temperature: f64,
         rng: &mut XorWow,
-    ) -> (bool, i64) {
+    ) -> PreMove {
         let n = self.n;
         let u = rng.next_f64();
         ctx.charge_special(1); // exp() in the metropolis rule
         ctx.charge_alu(4);
-
-        // Personal-best maintenance, part 1: capture the pre-acceptance
-        // state *before* it can be overwritten (on the first generation this
-        // records the initial sequence; on later ones it is usually a no-op
-        // because the best already reflects this state).
         let mut best = ctx.read(self.best_energies, gid);
         if energy < best {
             ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
             ctx.write(self.best_energies, gid, energy);
             best = energy;
         }
+        PreMove { u, best }
+    }
 
-        let accepted = metropolis_accept(energy, energy_new, temperature, u);
+    /// The rest of thread `gid`'s acceptance: the metropolis rule from
+    /// `energy` to the candidate's `energy_new` at `temperature`, with the
+    /// uniform `pre` drew. An accepted candidate becomes the thread's row
+    /// of `current` and may become its personal best. Returns whether the
+    /// move was accepted and the thread's personal-best energy afterwards.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn settle<C: DeviceCtx>(
+        &self,
+        ctx: &mut C,
+        gid: usize,
+        pre: PreMove,
+        candidate: Candidate,
+        energy: i64,
+        energy_new: i64,
+        temperature: f64,
+    ) -> (bool, i64) {
+        let n = self.n;
+        let mut best = pre.best;
+        let accepted = metropolis_accept(energy, energy_new, temperature, pre.u);
         if accepted {
-            match candidate {
-                Candidate::Device(rows) => ctx.copy_row(rows, gid * n, self.current, gid * n, n),
-                Candidate::Local(row) => ctx.write_slice(self.current, gid * n, row),
+            if let Candidate::Device(rows) = candidate {
+                ctx.copy_row(rows, gid * n, self.current, gid * n, n);
             }
             ctx.write(self.energies, gid, energy_new);
-            // Part 2: the newly accepted state may improve the best.
+            // The newly accepted state may improve the best.
             if energy_new < best {
                 ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
                 ctx.write(self.best_energies, gid, energy_new);
@@ -152,9 +172,10 @@ impl Kernel for AcceptKernel {
             }
             None => self.temperature,
         };
+        let pre = self.before_move(ctx, gid, energy, &mut rng);
         let candidate = Candidate::Device(self.candidate);
         let (accepted, best) =
-            self.settle(ctx, gid, candidate, energy, energy_new, temperature, &mut rng);
+            self.settle(ctx, gid, pre, candidate, energy, energy_new, temperature);
 
         if let Some(flags) = self.flags {
             // Sticky: acceptance marks the row changed; nothing here

@@ -6,7 +6,6 @@
 //! crossover `F₂` against the personal best, two-point crossover `F₃`
 //! against the swarm best.
 
-use cdd_meta::dpso::{one_point_crossover, two_point_crossover};
 use cuda_sim::reduce::unpack_argmin;
 use cuda_sim::{Buf, DeviceCtx, Kernel, ScratchArena, TelemetryRing, XorWow};
 
@@ -29,13 +28,10 @@ pub struct DpsoProbe {
 
 /// Position update: `p ← c₂ ⊕ F₃(c₁ ⊕ F₂(w ⊕ F₁(p), pbest), gbest)`.
 ///
-/// Built once per pipeline run ([`DpsoUpdateKernel::new`]); the row,
-/// crossover output and crossover marks persist in one scratch slot across
-/// launches, and the crossovers compact into them without allocating, so
+/// Built once per pipeline run ([`DpsoUpdateKernel::new`]); the staged rows
+/// and the crossover marks persist in one scratch slot across launches, so
 /// steady-state generations allocate nothing. The particles of a launch
-/// borrow the slot in turn, and each overwrites what it reads. On the native
-/// backend the personal-best and swarm-best rows are read in place through
-/// zero-copy windows (other launches write them, this one only reads).
+/// borrow the slot in turn, and each overwrites what it reads.
 pub struct DpsoUpdateKernel {
     /// Particle positions (row-major).
     pub positions: Buf<u32>,
@@ -57,6 +53,109 @@ pub struct DpsoUpdateKernel {
     pub c2: f64,
     /// Local memory: one slot, borrowed by each particle in turn.
     scratch: ScratchArena<UpdateScratch>,
+}
+
+/// One particle's drawn update: which of Eq. (3)'s three operators apply,
+/// and where. No draw depends on the particle's row, so all three are
+/// drawn before any is applied ([`DpsoMove::apply`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DpsoMove {
+    /// `F₁`: swap the jobs at these two distinct positions.
+    pub swap: Option<(usize, usize)>,
+    /// `F₂`: keep the prefix `[0, cut)`, then the personal best's other
+    /// jobs in its order (`1 ≤ cut < n`).
+    pub cut: Option<usize>,
+    /// `F₃`: keep the segment `[lo, hi)` in place, then the swarm best's
+    /// other jobs in its order around it (`lo ≤ hi ≤ n`; drawn, `lo < hi`).
+    pub segment: Option<(usize, usize)>,
+}
+
+impl DpsoMove {
+    /// Apply the move to `row` in place: `F₃(F₂(F₁(row), pbest), gbest)`,
+    /// with each operator the move leaves out skipped. `row`, `pbest` and
+    /// `gbest` are permutations of `0..n`.
+    ///
+    /// Each operator does only the per-job work its result uses. `F₃`
+    /// keeps only `δ = F₂(…)`'s slice `[lo, hi)`, so when both apply, `F₂`
+    /// runs only up to `hi`, and not at all when `hi ≤ cut` (`δ` then
+    /// equals the row there). Every compaction stops once its range is
+    /// full.
+    pub(crate) fn apply(&self, row: &mut [u32], pbest: &[u32], gbest: &[u32], marks: &mut Marks) {
+        if let Some((a, b)) = self.swap {
+            row.swap(a, b);
+        }
+        // The positions of δ the result keeps: all of them without F₃.
+        let keep = self.segment.map_or(row.len(), |(_, hi)| hi);
+        if let Some(cut) = self.cut.filter(|&cut| cut < keep) {
+            marks.clear(row.len());
+            for &j in &row[..cut] {
+                marks.insert(j);
+            }
+            let (_, tail) = row.split_at_mut(cut);
+            fill_unmarked(pbest, marks, &mut tail[..keep - cut]);
+        }
+        if let Some((lo, hi)) = self.segment {
+            marks.clear(row.len());
+            for &j in &row[lo..hi] {
+                marks.insert(j);
+            }
+            let (head, rest) = row.split_at_mut(lo);
+            let used = fill_unmarked(gbest, marks, head);
+            fill_unmarked(&gbest[used..], marks, &mut rest[hi - lo..]);
+        }
+    }
+}
+
+/// Seen-marks over job ids `0..n`. Each mark is stamped with the epoch of
+/// the set it belongs to, so starting a new set costs no clearing pass and
+/// a compaction that stops early leaves nothing to clean up.
+#[derive(Default)]
+pub(crate) struct Marks {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl Marks {
+    /// Start a new, empty set over the job ids `0..n`.
+    pub(crate) fn clear(&mut self, n: usize) {
+        self.stamps.resize(n, 0);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Every stamp ever written is now ambiguous: reset them all.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Mark job `j`; returns whether it was unmarked.
+    #[inline]
+    pub(crate) fn insert(&mut self, j: u32) -> bool {
+        std::mem::replace(&mut self.stamps[j as usize], self.epoch) != self.epoch
+    }
+
+    /// Whether job `j` is marked.
+    #[inline]
+    fn contains(&self, j: u32) -> bool {
+        self.stamps[j as usize] == self.epoch
+    }
+}
+
+/// Fill `dst` with `src`'s unmarked jobs, in order, and stop once it is
+/// full; returns how many jobs of `src` were read. The store does not
+/// branch on the mark: each job read is stored at the cursor, which
+/// advances only past unmarked ones, so a marked job is overwritten by the
+/// next one and nothing is written outside `dst`.
+#[inline]
+fn fill_unmarked(src: &[u32], marks: &Marks, dst: &mut [u32]) -> usize {
+    let mut kept = 0;
+    for (read, &j) in src.iter().enumerate() {
+        if kept == dst.len() {
+            return read;
+        }
+        dst[kept] = j;
+        kept += usize::from(!marks.contains(j));
+    }
+    src.len()
 }
 
 impl DpsoUpdateKernel {
@@ -90,11 +189,43 @@ impl DpsoUpdateKernel {
         }
     }
 
-    /// Particle `gid`'s position update, drawing from `rng`: read its row
-    /// of `positions` into `scratch.row`, apply Eq. (3) and store the
-    /// result back. The new position also stays in `scratch.row`, where
-    /// the fused native generation scores it.
-    pub(crate) fn update_row<C: DeviceCtx>(
+    /// A particle's update, drawn from `rng`: `F₁` with probability `w`,
+    /// `F₂` with `c₁`, `F₃` with `c₂`, each with its positions.
+    pub(crate) fn draw(&self, rng: &mut XorWow) -> DpsoMove {
+        let n = self.n;
+        let mut update = DpsoMove::default();
+        if n < 2 {
+            return update;
+        }
+        // `n as u32` is exact: `new` rejects n > u32::MAX.
+        if rng.next_f64() < self.w {
+            let a = rng.next_below(n as u32) as usize;
+            let mut b = rng.next_below(n as u32 - 1) as usize;
+            if b >= a {
+                b += 1;
+            }
+            update.swap = Some((a, b));
+        }
+        if rng.next_f64() < self.c1 {
+            update.cut = Some(1 + rng.next_below(n as u32 - 1) as usize);
+        }
+        if rng.next_f64() < self.c2 {
+            let mut lo = rng.next_below(n as u32) as usize;
+            let mut hi = rng.next_below(n as u32) as usize;
+            if lo > hi {
+                std::mem::swap(&mut lo, &mut hi);
+            }
+            update.segment = Some((lo, hi + 1));
+        }
+        update
+    }
+
+    /// Particle `gid`'s position update, drawing from `rng`: stage its row
+    /// of `positions` and the parent rows the drawn operators read, apply
+    /// the move to the staged row and store it back. The simulator charges
+    /// and fault-filters every staged read, in the order the operators
+    /// read them.
+    fn update_row<C: DeviceCtx>(
         &self,
         ctx: &mut C,
         gid: usize,
@@ -102,114 +233,60 @@ impl DpsoUpdateKernel {
         scratch: &mut UpdateScratch,
     ) {
         let n = self.n;
-        scratch.row.resize(n, 0);
-        scratch.marks.resize(n, false);
-        ctx.read_slice_into(self.positions, gid * n, &mut scratch.row);
-        if ctx.fault_injection_active() {
-            sanitize_row(&mut scratch.row, &mut scratch.marks);
-            ctx.charge_alu(2 * n as u64);
-        }
-
-        // λ = w ⊕ F₁(p): swap two random positions.
-        if n >= 2 && rng.next_f64() < self.w {
-            let a = rng.next_below(n as u32) as usize;
-            let mut b = rng.next_below(n as u32 - 1) as usize;
-            if b >= a {
-                b += 1;
-            }
-            scratch.row.swap(a, b);
+        let update = self.draw(rng);
+        let UpdateScratch { row, pbest, gbest, marks } = scratch;
+        stage(ctx, self.positions, gid * n, n, row, marks);
+        if update.swap.is_some() {
             ctx.charge_alu(6);
         }
-
-        // δ = c₁ ⊕ F₂(λ, pbest): one-point crossover with the personal best.
-        if n >= 2 && rng.next_f64() < self.c1 {
-            let start = gid * n;
-            if ctx.global_window(self.pbest, start, n).is_none() {
-                stage_parent(ctx, self.pbest, start, n, scratch);
-            }
-            let cut = 1 + rng.next_below(n as u32 - 1) as usize;
-            let UpdateScratch { row: a, other, out, marks } = scratch;
-            let b = ctx.global_window(self.pbest, start, n).unwrap_or(other);
-            one_point_crossover(a, b, cut, marks, out);
-            std::mem::swap(a, out);
+        if update.cut.is_some() {
+            stage(ctx, self.pbest, gid * n, n, pbest, marks);
             ctx.charge_alu(2 * n as u64);
         }
-
-        // x = c₂ ⊕ F₃(δ, g): two-point crossover with the swarm best.
-        if n >= 2 && rng.next_f64() < self.c2 {
-            if ctx.global_window(self.gbest, 0, n).is_none() {
-                stage_parent(ctx, self.gbest, 0, n, scratch);
-            }
-            let mut lo = rng.next_below(n as u32) as usize;
-            let mut hi = rng.next_below(n as u32) as usize;
-            if lo > hi {
-                std::mem::swap(&mut lo, &mut hi);
-            }
-            let UpdateScratch { row: a, other, out, marks } = scratch;
-            let b = ctx.global_window(self.gbest, 0, n).unwrap_or(other);
-            two_point_crossover(a, b, lo, hi + 1, marks, out);
-            std::mem::swap(a, out);
+        if update.segment.is_some() {
+            stage(ctx, self.gbest, 0, n, gbest, marks);
             ctx.charge_alu(2 * n as u64);
         }
-
-        ctx.write_slice(self.positions, gid * n, &scratch.row);
+        update.apply(row, pbest, gbest, marks);
+        ctx.write_slice(self.positions, gid * n, row);
     }
 }
 
-/// A particle's local memory for the update.
+/// A particle's local memory for the update: the staged copies of its row
+/// and of the parent rows, and the crossover marks.
 #[derive(Default)]
-pub struct UpdateScratch {
-    /// The particle's position, updated once
-    /// [`DpsoUpdateKernel::update_row`] returns.
-    pub(crate) row: Vec<u32>,
-    /// The simulator's staged copy of a personal-best or swarm-best row.
-    other: Vec<u32>,
-    out: Vec<u32>,
-    /// Seen-marks over job ids, shared by the crossovers and the fault
-    /// repair; all `false` between uses.
-    marks: Vec<bool>,
+struct UpdateScratch {
+    row: Vec<u32>,
+    pbest: Vec<u32>,
+    gbest: Vec<u32>,
+    marks: Marks,
 }
 
-/// Repair `row` in place if it is not a permutation of `0..n` (reset to the
-/// identity). Only called under fault injection, where a flipped read can
-/// hand the crossover operators job ids that index out of bounds. `marks`
-/// (at least `n` long) is all `false` on entry and again on return.
-fn sanitize_row(row: &mut [u32], marks: &mut [bool]) {
-    let n = row.len();
-    let valid = row.iter().all(|&j| {
-        // u32 → usize widens; a flipped id is caught by the bounds check,
-        // never truncated into a valid-looking index.
-        let j = j as usize;
-        j < n && !std::mem::replace(&mut marks[j], true)
-    });
-    // Every mark set above belongs to an in-range id of `row`.
-    for &j in row.iter() {
-        if let Some(mark) = marks[..n].get_mut(j as usize) {
-            *mark = false;
-        }
-    }
-    if !valid {
-        for (k, slot) in row.iter_mut().enumerate() {
-            // k < n ≤ u32::MAX (the row was read from a u32 buffer).
-            *slot = k as u32;
-        }
-    }
-}
-
-/// Stage the parent row `buf[start..start + n]` into `scratch.other` — the
-/// simulator's path, which charges and fault-filters every read — and
-/// repair it under fault injection.
-fn stage_parent<C: DeviceCtx>(
+/// Stage the row `buf[start..start + n]` into `dst` through the device
+/// context — the simulator charges and fault-filters every read — and, under
+/// fault injection, repair it: a flipped read can hand the operators job
+/// ids that index out of bounds, so a row that is not a permutation of
+/// `0..n` becomes the identity.
+fn stage<C: DeviceCtx>(
     ctx: &mut C,
     buf: Buf<u32>,
     start: usize,
     n: usize,
-    scratch: &mut UpdateScratch,
+    dst: &mut Vec<u32>,
+    marks: &mut Marks,
 ) {
-    scratch.other.resize(n, 0);
-    ctx.read_slice_into(buf, start, &mut scratch.other);
+    dst.resize(n, 0);
+    ctx.read_slice_into(buf, start, dst);
     if ctx.fault_injection_active() {
-        sanitize_row(&mut scratch.other, &mut scratch.marks);
+        marks.clear(n);
+        // u32 → usize widens; a flipped id is caught by the bounds check,
+        // never truncated into a valid-looking index.
+        if !dst.iter().all(|&j| (j as usize) < n && marks.insert(j)) {
+            for (k, slot) in dst.iter_mut().enumerate() {
+                // k < n ≤ u32::MAX (the row was read from a u32 buffer).
+                *slot = k as u32;
+            }
+        }
         ctx.charge_alu(2 * n as u64);
     }
 }
@@ -337,8 +414,87 @@ impl Kernel for GbestCopyKernel {
 mod tests {
     use super::*;
     use cdd_core::JobSequence;
+    use cdd_meta::dpso::{one_point_crossover, two_point_crossover};
     use cuda_sim::reduce::pack_argmin;
     use cuda_sim::{DeviceSpec, Gpu, LaunchConfig, XorWow};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The one-pass move must equal Eq. (3) composed from cdd-meta's
+    /// operators, `two_point_crossover(one_point_crossover(swap(row),
+    /// pbest, cut), gbest, lo, hi)` with each operator applied only if
+    /// drawn, for every subset of the three, with one set of marks reused
+    /// across calls (starting just short of its epoch wrap). The tallies
+    /// make sure the cases the lazy `F₂` and in-place `F₃` lean on occur.
+    #[test]
+    fn move_matches_the_composed_crossovers() {
+        let mut rng = StdRng::seed_from_u64(0xD950);
+        let mut marks = Marks { stamps: Vec::new(), epoch: u32::MAX - 50 };
+        let (mut oracle_marks, mut out) = (Vec::new(), Vec::new());
+        let mut hits = [0usize; 8];
+        for case in 0..4000 {
+            let n = if case % 9 == 0 { 2 } else { rng.gen_range(2..=24) };
+            let mut perm = || JobSequence::random(n, &mut rng).as_slice().to_vec();
+            let (row, pbest, gbest) = (perm(), perm(), perm());
+            let ops = case % 8;
+            let swap = (ops & 1 != 0).then(|| {
+                let a = rng.gen_range(0..n);
+                (a, (a + rng.gen_range(1..n)) % n)
+            });
+            let cut = (ops & 2 != 0).then(|| rng.gen_range(1..n));
+            let segment = (ops & 4 != 0).then(|| {
+                let (a, b) = (rng.gen_range(0..=n), rng.gen_range(0..=n));
+                (a.min(b), a.max(b))
+            });
+            let update = DpsoMove { swap, cut, segment };
+
+            let mut want = row.clone();
+            oracle_marks.resize(n, false);
+            if let Some((a, b)) = swap {
+                want.swap(a, b);
+            }
+            if let Some(cut) = cut {
+                one_point_crossover(&want, &pbest, cut, &mut oracle_marks, &mut out);
+                want.clone_from(&out);
+            }
+            if let Some((lo, hi)) = segment {
+                two_point_crossover(&want, &gbest, lo, hi, &mut oracle_marks, &mut out);
+                want.clone_from(&out);
+            }
+            let mut got = row.clone();
+            update.apply(&mut got, &pbest, &gbest, &mut marks);
+            assert_eq!(got, want, "case {case}: n = {n}, {update:?}");
+
+            if let (Some(cut), Some((lo, hi))) = (cut, segment) {
+                hits[0] += usize::from(hi <= cut);
+                hits[1] += usize::from(lo >= cut);
+            }
+            if let Some((lo, hi)) = segment {
+                hits[2] += usize::from(lo == hi);
+                hits[3] += usize::from(lo == 0);
+                hits[4] += usize::from(hi == n);
+            }
+            if let Some(cut) = cut {
+                hits[5] += usize::from(cut == 1);
+                hits[6] += usize::from(cut == n - 1);
+            }
+            hits[7] += usize::from(n == 2);
+        }
+        assert!(marks.epoch < u32::MAX - 50, "the marks' epoch wrapped during the run");
+        let names = [
+            "hi <= cut",
+            "lo >= cut",
+            "lo = hi",
+            "lo = 0",
+            "hi = n",
+            "cut = 1",
+            "cut = n - 1",
+            "n = 2",
+        ];
+        for (what, count) in names.into_iter().zip(hits) {
+            assert!(count >= 10, "only {count} cases cover {what}");
+        }
+    }
 
     #[test]
     fn update_keeps_rows_as_permutations() {

@@ -33,10 +33,36 @@ pub struct PerturbKernel {
 
 /// A thread's local memory.
 #[derive(Default)]
-pub struct PerturbScratch {
-    /// The perturbed row, once [`PerturbKernel::perturb_row`] returns.
-    pub(crate) row: Vec<u32>,
+struct PerturbScratch {
+    /// The thread's row, perturbed in place before the kernel stores it.
+    row: Vec<u32>,
+    swaps: Swaps,
+}
+
+/// One drawn perturbation: the transpositions that shuffle the selected
+/// positions, in the order Fisher–Yates applies them. No draw depends on
+/// the row, so a move can be drawn first and applied to the row wherever
+/// it lies.
+#[derive(Default)]
+pub(crate) struct Swaps {
     positions: Vec<u32>,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl Swaps {
+    /// Apply the move to `row`.
+    pub(crate) fn apply(&self, row: &mut [u32]) {
+        for &(a, b) in &self.pairs {
+            row.swap(a as usize, b as usize);
+        }
+    }
+
+    /// Take the move back: the same transpositions in reverse order.
+    pub(crate) fn undo(&self, row: &mut [u32]) {
+        for &(a, b) in self.pairs.iter().rev() {
+            row.swap(a as usize, b as usize);
+        }
+    }
 }
 
 impl PerturbKernel {
@@ -63,40 +89,33 @@ impl PerturbKernel {
         }
     }
 
-    /// Thread `gid`'s perturbation, short of the store: fill `scratch.row`
-    /// with the thread's row of `src` and shuffle `pert` randomly selected
-    /// positions of it, drawing from `rng`. The kernel stores the row as
-    /// the candidate; the fused native generation scores it where it is.
-    pub(crate) fn perturb_row<C: DeviceCtx>(
-        &self,
-        ctx: &mut C,
-        gid: usize,
-        rng: &mut XorWow,
-        scratch: &mut PerturbScratch,
-    ) {
+    /// A thread's perturbation, drawn from `rng` into `swaps`: `pert`
+    /// distinct positions, then the Fisher–Yates shuffle of the jobs at
+    /// them. The kernel applies it to the parent row it stages; the fused
+    /// native generation applies it to the chain's row in place.
+    pub(crate) fn draw<C: DeviceCtx>(&self, ctx: &mut C, rng: &mut XorWow, swaps: &mut Swaps) {
         let n = self.n;
-        scratch.row.resize(n, 0);
-        ctx.read_slice_into(self.src, gid * n, &mut scratch.row);
-
+        swaps.pairs.clear();
         let pert = self.pert.min(n);
-        if pert >= 2 {
-            // Select `pert` distinct positions (rejection sampling — cheap
-            // for the paper's Pert = 4, exact for any pert ≤ n).
-            scratch.positions.clear();
-            while scratch.positions.len() < pert {
-                // `n as u32` is exact: `new` rejects n > u32::MAX.
-                let c = rng.next_below(n as u32);
-                if !scratch.positions.contains(&c) {
-                    scratch.positions.push(c);
-                }
-                ctx.charge_alu(2);
+        if pert < 2 {
+            return;
+        }
+        // Select `pert` distinct positions (rejection sampling — cheap for
+        // the paper's Pert = 4, exact for any pert ≤ n).
+        swaps.positions.clear();
+        while swaps.positions.len() < pert {
+            // `n as u32` is exact: `new` rejects n > u32::MAX.
+            let c = rng.next_below(n as u32);
+            if !swaps.positions.contains(&c) {
+                swaps.positions.push(c);
             }
-            // Fisher–Yates over the jobs at the selected positions.
-            for i in (1..pert).rev() {
-                let j = rng.next_below(i as u32 + 1) as usize;
-                scratch.row.swap(scratch.positions[i] as usize, scratch.positions[j] as usize);
-                ctx.charge_alu(4);
-            }
+            ctx.charge_alu(2);
+        }
+        // Fisher–Yates over the jobs at the selected positions.
+        for i in (1..pert).rev() {
+            let j = rng.next_below(i as u32 + 1) as usize;
+            swaps.pairs.push((swaps.positions[i], swaps.positions[j]));
+            ctx.charge_alu(4);
         }
     }
 }
@@ -111,10 +130,14 @@ impl Kernel for PerturbKernel {
         if gid >= self.ensemble {
             return;
         }
+        let n = self.n;
         let mut rng = ctx.load_rng(self.rng, gid);
-        self.scratch.with_slot(0, |scratch| {
-            self.perturb_row(ctx, gid, &mut rng, scratch);
-            ctx.write_slice(self.dst, gid * self.n, &scratch.row);
+        self.scratch.with_slot(0, |PerturbScratch { row, swaps }| {
+            row.resize(n, 0);
+            ctx.read_slice_into(self.src, gid * n, row);
+            self.draw(ctx, &mut rng, swaps);
+            swaps.apply(row);
+            ctx.write_slice(self.dst, gid * n, row);
         });
         ctx.store_rng(self.rng, gid, &rng);
     }
@@ -185,6 +208,17 @@ mod tests {
         gpu.launch(&kernel, LaunchConfig::linear(1, 4)).unwrap();
         let second = gpu.d2h(dst);
         assert_ne!(first, second, "RNG state failed to persist across launches");
+    }
+
+    /// Taking a move back restores the row, whatever the swaps.
+    #[test]
+    fn undo_takes_a_move_back() {
+        let swaps = Swaps { positions: Vec::new(), pairs: vec![(0, 3), (3, 1), (1, 1), (2, 0)] };
+        let mut row = vec![4, 0, 3, 1, 2];
+        swaps.apply(&mut row);
+        assert_eq!(row, vec![3, 4, 1, 0, 2]);
+        swaps.undo(&mut row);
+        assert_eq!(row, vec![4, 0, 3, 1, 2]);
     }
 
     #[test]

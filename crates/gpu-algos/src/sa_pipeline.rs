@@ -21,7 +21,7 @@
 use crate::init::{initial_ensemble, InitStrategy};
 use crate::kernels::accept::Candidate;
 use crate::kernels::fitness::{score, Rates, CORRUPT_ENERGY};
-use crate::kernels::perturb::PerturbScratch;
+use crate::kernels::perturb::Swaps;
 use crate::kernels::{AcceptKernel, FitnessKernel, PerturbKernel, SaProbe};
 use crate::layout::ProblemDevice;
 use crate::recovery::{
@@ -400,30 +400,40 @@ impl SaRun {
     /// chain touches only its own rows, energies and RNG words, and the
     /// reduction is an order-independent atomic min, so running a chain's
     /// four steps back to back leaves every buffer the next generation
-    /// reads as the four launches would. The candidate stays in `scratch`
-    /// instead of going through device memory, and the RNG words are
-    /// loaded and stored once.
+    /// reads as the four launches would. The chain's row of `current`
+    /// takes the drawn swaps in place and is scored there, after the
+    /// personal best has captured the pre-move state; a rejected move is
+    /// undone swap by swap, and an accepted one copies nothing. The RNG
+    /// words are loaded and stored once.
     fn fused_generation(
         &self,
         gpu: &mut NativeGpu,
         temperature: f64,
-        scratch: &mut PerturbScratch,
+        swaps: &mut Swaps,
     ) -> Result<(), LaunchError> {
         let accept = self.accept(temperature, None);
         let launches: [&dyn Kernel; 4] = [&self.perturb, &self.fitness, &accept, &self.reduce];
+        let n = self.prob.n;
         gpu.run_fused(self.cfg, &launches, |ctx| {
             let gid = ctx.global_id();
             if gid >= self.ensemble {
                 return;
             }
             let mut rng = ctx.load_rng(self.rng_states, gid);
-            self.perturb.perturb_row(ctx, gid, &mut rng, scratch);
-            let rates = Rates::native(&self.prob, ctx);
-            let energy_new = score(self.prob.kind, self.prob.d, &rates, &scratch.row);
+            self.perturb.draw(ctx, &mut rng, swaps);
             let energy = ctx.read(self.energies, gid);
-            let candidate = Candidate::Local(&scratch.row);
-            let (_, best) =
-                accept.settle(ctx, gid, candidate, energy, energy_new, temperature, &mut rng);
+            let pre = accept.before_move(ctx, gid, energy, &mut rng);
+            let [row] = ctx.windows_mut([(self.current, gid * n, n)]);
+            swaps.apply(row);
+            let rates = Rates::native(&self.prob, ctx);
+            let row = ctx.window(self.current, gid * n, n);
+            let energy_new = score(self.prob.kind, self.prob.d, &rates, row);
+            let (accepted, best) =
+                accept.settle(ctx, gid, pre, Candidate::InPlace, energy, energy_new, temperature);
+            if !accepted {
+                let [row] = ctx.windows_mut([(self.current, gid * n, n)]);
+                swaps.undo(row);
+            }
             ctx.atomic_min_i64(self.global_best, 0, pack_argmin(best, gid));
             ctx.store_rng(self.rng_states, gid, &rng);
         })
@@ -472,9 +482,9 @@ fn sa_attempt<B: ExecBackend>(
 
         run.launch_initial_fitness(&mut gpu, policy, stats).map_err(|e| suite_device_error(&e))?;
 
-        // The fused pass's working vectors: one set, reused by every thread
-        // of every generation.
-        let mut scratch = PerturbScratch::default();
+        // The fused pass's drawn move: one, reused by every thread of
+        // every generation.
+        let mut swaps = Swaps::default();
         let mut temperature = t0;
         for gen in 0..params.iterations {
             // Span metadata is attached whether or not telemetry samples
@@ -490,7 +500,7 @@ fn sa_attempt<B: ExecBackend>(
                 sample_headers.push((gen, temperature));
             }
             let gen_result = match gpu.native() {
-                Some(native) => run.fused_generation(native, temperature, &mut scratch),
+                Some(native) => run.fused_generation(native, temperature, &mut swaps),
                 None => {
                     let probe = ring.map(|r| SaProbe { ring: r, slot });
                     run.launch_generation(&mut gpu, temperature, probe, policy, stats)
@@ -768,13 +778,16 @@ mod tests {
 
     /// The fused native generation must leave every buffer the next
     /// generation reads exactly as the four launches do, generation by
-    /// generation, not just reach the same final best.
+    /// generation, not just reach the same final best. Both of its exits
+    /// must run: accepted moves, which stay in place, and rejected ones,
+    /// which it undoes swap by swap.
     #[test]
     fn fused_generation_leaves_the_launched_state() {
         const GENS: u64 = 5;
         let (policy, mut stats) = (RecoveryPolicy::default(), RecoveryStats::default());
         for inst in [cdd_instances::cdd_instance(40, 1, 0.4), cdd_instances::ucddcp_instance(40, 1)]
         {
+            let n = inst.n();
             for (blocks, block_size) in [(1, 64), (4, 192)] {
                 let params = GpuSaParams { blocks, block_size, ..small_params(GENS) };
                 let mut host_rng = StdRng::seed_from_u64(params.seed);
@@ -789,22 +802,43 @@ mod tests {
                 let mut fused = NativeGpu::new(params.device.clone());
                 let (by_launch, by_pass) = (start(&mut launched), start(&mut fused));
                 let initial = chain_state(&fused, &by_pass);
-                let mut scratch = PerturbScratch::default();
+                let mut swaps = Swaps::default();
                 let mut temperature = t0;
+                let (mut accepted, mut rejected) = (0, 0);
                 for gen in 0..GENS {
+                    let before = launched.peek(by_launch.current);
                     by_launch
                         .launch_generation(&mut launched, temperature, None, &policy, &mut stats)
                         .unwrap();
-                    by_pass.fused_generation(&mut fused, temperature, &mut scratch).unwrap();
+                    by_pass.fused_generation(&mut fused, temperature, &mut swaps).unwrap();
                     let case = format!("{:?} {blocks}x{block_size} generation {gen}", inst.kind());
                     assert_eq!(
                         chain_state(&fused, &by_pass),
                         chain_state(&launched, &by_launch),
                         "{case}"
                     );
+                    // Each chain's move, from the launched run's candidate
+                    // rows: kept if `current` became the candidate, else
+                    // rejected, and the fused run's row matched either way.
+                    let (moved, after) =
+                        (launched.peek(by_launch.candidate), launched.peek(by_launch.current));
+                    for t in 0..params.ensemble() {
+                        let row = |rows: &[u32]| rows[t * n..(t + 1) * n].to_vec();
+                        if row(&moved) == row(&before) {
+                            continue; // the shuffle happened to keep every job in place
+                        }
+                        if row(&after) == row(&moved) {
+                            accepted += 1;
+                        } else {
+                            assert_eq!(row(&after), row(&before), "{case} chain {t}");
+                            rejected += 1;
+                        }
+                    }
                     temperature *= params.cooling_rate;
                 }
                 assert_ne!(chain_state(&fused, &by_pass), initial, "the chains moved");
+                let case = format!("{:?} {blocks}x{block_size}", inst.kind());
+                assert!(accepted > 0 && rejected > 0, "{case}: {accepted} kept, {rejected} undone");
                 for gpu in [&launched, &fused] {
                     assert_eq!(gpu.kernel_launches() as u64, 1 + 4 * GENS);
                 }

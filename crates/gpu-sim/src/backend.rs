@@ -422,6 +422,21 @@ impl NativeCtx<'_> {
     pub fn window<T: DeviceValue<Word = T>>(&self, buf: Buf<T>, start: usize, len: usize) -> &[T] {
         self.mem.window(buf, start, len)
     }
+
+    /// Windows on `N` rows `(buf, start, len)` of distinct `u32` or `i64`
+    /// buffers, borrowed in place and writable: a fused pass edits its
+    /// thread's own row where it lies, beside the rows it only reads. As
+    /// everywhere in a fused pass, a thread may write only its own data.
+    ///
+    /// # Panics
+    /// Panics if two rows name the same buffer or a row is out of bounds.
+    #[inline]
+    pub fn windows_mut<T: DeviceValue<Word = T>, const N: usize>(
+        &mut self,
+        rows: [(Buf<T>, usize, usize); N],
+    ) -> [&mut [T]; N] {
+        self.mem.windows_mut(rows)
+    }
 }
 
 impl DeviceCtx for NativeCtx<'_> {
