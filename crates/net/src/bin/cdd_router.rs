@@ -4,25 +4,20 @@
 //! cargo run --release -p cdd-net --bin cdd-router -- \
 //!     --upstreams 127.0.0.1:4101,127.0.0.1:4102 \
 //!     [--addr 127.0.0.1:0] [--secret cdd-net-dev-secret] \
-//!     [--health-interval 100] [--max-attempts 8] [--backoff 10] \
-//!     [--no-forward-shutdown] [--metrics-out results/router_metrics.prom]
+//!     [--health-interval 100] [--metrics-out results/router_metrics.prom]
 //! ```
 //!
 //! Prints `cdd-router listening on <addr>` once bound. A client
-//! `Shutdown` frame drains the upstreams too unless
-//! `--no-forward-shutdown` is given. Any flag outside the block above is
-//! refused with the usage line and exit status 2, before the listener
-//! binds.
+//! `Shutdown` frame drains the upstreams too. Any flag outside the block
+//! above is refused with the usage line and exit status 2, before the
+//! listener binds.
 
 use cdd_bench::Args;
 use cdd_net::router::{serve, RouterConfig};
 use std::io::Write as _;
 
 /// Every flag `cdd-router` reads.
-const FLAGS: &[&str] = &[
-    "upstreams", "addr", "secret", "health-interval", "max-attempts", "backoff",
-    "no-forward-shutdown", "metrics-out",
-];
+const FLAGS: &[&str] = &["upstreams", "addr", "secret", "health-interval", "metrics-out"];
 
 fn main() {
     let args = Args::parse_known("cdd-router", FLAGS);
@@ -38,9 +33,6 @@ fn main() {
         upstreams,
         secret: args.get("secret").unwrap_or(cdd_net::auth::DEFAULT_SECRET).to_string(),
         health_interval_ms: args.get_or("health-interval", 100u64),
-        max_attempts: args.get_or("max-attempts", 8u32),
-        backoff_base_ms: args.get_or("backoff", 10u64),
-        forward_shutdown: !args.flag("no-forward-shutdown"),
     };
     let handle = serve(config).expect("bind router listener");
     println!("cdd-router listening on {}", handle.addr);

@@ -43,6 +43,7 @@ use cdd_core::{Algorithm, Instance, Job, Priority, SolveRequest, SuiteError, Tra
 use cdd_instances::InstanceId;
 use cdd_metrics::{FlightRecord, MetricsRegistry};
 use std::io::{Read, Write};
+use std::time::{Duration, Instant};
 
 /// Wire protocol version; bumped on any incompatible layout change.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -826,24 +827,47 @@ fn is_wait(kind: std::io::ErrorKind) -> bool {
     )
 }
 
+/// How long a frame that has begun may go without a byte before
+/// [`read_frame`] gives up on it. A peer that sends part of a frame and
+/// stalls would otherwise pin the reading thread, and with it every drain
+/// that joins that thread.
+pub const MID_FRAME_STALL: Duration = Duration::from_secs(2);
+
+/// After a read timeout mid-frame: fail the read once no byte has arrived
+/// for [`MID_FRAME_STALL`], otherwise let it retry.
+fn stalled(last_byte: Instant, part: &str) -> Result<(), SuiteError> {
+    if last_byte.elapsed() < MID_FRAME_STALL {
+        return Ok(());
+    }
+    Err(SuiteError::protocol(format!(
+        "no byte for {} ms mid {part}",
+        last_byte.elapsed().as_millis()
+    )))
+}
+
 /// Read one frame from `r`. Returns `Ok(None)` on a clean EOF at a frame
 /// boundary (the peer closed the connection); a hostile or oversized
 /// length prefix is rejected **before** any payload allocation. If the
 /// stream has a read timeout and it fires with no frame started, the
 /// error satisfies [`is_idle_timeout`]; once a frame has begun, timeouts
-/// retry (the rest of the frame is already in flight).
+/// retry until no byte has arrived for [`MID_FRAME_STALL`], then the read
+/// fails with a protocol error. Blocking streams never time out.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, SuiteError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
+    let mut last_byte = Instant::now();
     while filled < 4 {
         match r.read(&mut len_buf[filled..]) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => return Err(SuiteError::protocol("connection closed mid length prefix")),
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                last_byte = Instant::now();
+            }
             Err(e) if is_wait(e.kind()) && filled == 0 && e.kind() != std::io::ErrorKind::Interrupted => {
                 return Err(SuiteError::protocol(IDLE_TIMEOUT_DETAIL));
             }
-            Err(e) if is_wait(e.kind()) => {}
+            Err(e) if is_wait(e.kind()) => stalled(last_byte, "length prefix")?,
             Err(e) => return Err(SuiteError::protocol(format!("read failed: {e}"))),
         }
     }
@@ -861,8 +885,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, SuiteError> {
     while have < len {
         match r.read(&mut body[have..]) {
             Ok(0) => return Err(SuiteError::protocol("connection closed mid frame")),
-            Ok(n) => have += n,
-            Err(e) if is_wait(e.kind()) => {}
+            Ok(n) => {
+                have += n;
+                last_byte = Instant::now();
+            }
+            Err(e) if is_wait(e.kind()) => stalled(last_byte, "frame")?,
             Err(e) => return Err(SuiteError::protocol(format!("read failed mid frame: {e}"))),
         }
     }

@@ -1,11 +1,11 @@
 //! # cdd-net
 //!
 //! The solver service's network front door (DESIGN.md §13): a
-//! length-prefixed framed protocol over plain TCP — `std::net` and
-//! thread-per-connection, no async runtime — carrying versioned
-//! request/response/stream-chunk/error frames with per-tenant auth
-//! tokens, priority classes, and deadlines that map directly onto the
-//! service's admission control.
+//! length-prefixed framed protocol over plain TCP — `std::net` and a
+//! reader and a writer thread per connection, no async runtime —
+//! carrying versioned request/response/stream-chunk/error frames with
+//! per-tenant auth tokens, priority classes, and deadlines that map
+//! directly onto the service's admission control.
 //!
 //! Three roles build on the same [`frame`] vocabulary:
 //!

@@ -1,14 +1,16 @@
 //! `cdd-node`: a [`SolverService`] behind a framed TCP listener.
 //!
-//! Thread-per-connection, no async runtime (DESIGN.md §13): the accept
-//! loop hands each connection to a reader thread; each accepted request
-//! spawns a short-lived waiter thread that blocks on
-//! [`SolverService::wait`] and streams the result back through a shared
-//! writer lock, so responses for a connection interleave at frame
-//! granularity and a slow campaign never blocks the connection's other
-//! replies. A `Shutdown` frame drains deterministically: stop accepting,
-//! finish every admitted request, then [`SolverService::shutdown`] joins
-//! the supervisor and workers.
+//! Two threads per connection, no async runtime (DESIGN.md §13): the
+//! accept loop hands each connection to a reader thread, which spawns the
+//! connection's writer. The writer owns the socket's write half and drains
+//! one channel: the reader queues its own replies there (Pong, StatsReply,
+//! sheds, protocol errors, the Shutdown echo), and every admitted request
+//! queues its answer there from [`SolverService::submit_with`]'s reply.
+//! Answers therefore go out in completion order, each answer's frames
+//! written together, and a slow campaign never blocks the connection's
+//! other replies. No thread waits per request. A `Shutdown` frame drains
+//! deterministically: stop accepting, finish every admitted request, then
+//! [`SolverService::shutdown`] joins the supervisor and workers.
 //!
 //! All `net_*` metrics live in the node's own registry, separate from the
 //! service's `service_*`/`timing_*` namespaces: per-tenant admitted and
@@ -22,14 +24,14 @@ use crate::frame::{
 };
 use crate::limiter::TenantLimiter;
 use cdd_metrics::{connection_requests_buckets, frame_bytes_buckets, FlightHop, MetricsRegistry};
-use cdd_service::{ServiceConfig, ServiceReport, SolverService};
+use cdd_service::{RequestOutcome, ServiceConfig, ServiceReport, SolverService};
 use cdd_core::SuiteError;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration for [`serve`].
@@ -204,7 +206,7 @@ fn accept_loop(
                 let sh = Arc::clone(&shared);
                 let h = std::thread::Builder::new()
                     .name(format!("cdd-node-conn-{id}"))
-                    .spawn(move || handle_connection(&sh, stream))
+                    .spawn(move || handle_connection(&sh, stream, id))
                     .expect("spawn connection thread");
                 conns.push(h);
             }
@@ -223,8 +225,8 @@ fn accept_loop(
         std::thread::sleep(Duration::from_millis(5));
     }
     let connections = shared.connections.load(Ordering::SeqCst);
-    // Every connection (and waiter) thread has been joined, so this node
-    // holds the last reference.
+    // Every connection thread has been joined, and each joined its
+    // writer, so this node holds the last reference.
     let sh = Arc::try_unwrap(shared)
         .unwrap_or_else(|_| panic!("connection threads still hold the node state"));
     NodeReport {
@@ -245,23 +247,116 @@ fn map_error(err: &SuiteError) -> (ErrorCode, u64) {
     }
 }
 
-fn send(shared: &NodeShared, writer: &Mutex<TcpStream>, frame: &Frame) {
-    let bytes = frame.encode();
-    shared.count_frame("out", frame, bytes.len());
-    let mut w = writer.lock().expect("connection writer lock");
-    let _ = w.write_all(&bytes).and_then(|()| w.flush());
+/// What a connection's writer thread sends.
+enum Out {
+    /// A frame the reader built (Pong, StatsReply, a shed, a protocol
+    /// error, the Shutdown echo).
+    Frame(Frame),
+    /// An admitted request's answer: its frame id, the node's admission
+    /// hops (empty unless traced) and the service's outcome.
+    Answer { id: u64, hops: Vec<FlightHop>, outcome: RequestOutcome },
 }
 
-fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream) {
+/// The writer thread: write everything queued for the connection until
+/// every sender is gone — the reader's, and the reply of each request the
+/// connection admitted. Write errors are ignored (the peer left), but the
+/// queue still drains, so every answer is counted and slow-logged.
+fn write_loop(shared: &NodeShared, mut stream: TcpStream, queue: &Receiver<Out>) {
+    let mut bytes = Vec::new();
+    for out in queue {
+        bytes.clear();
+        match out {
+            Out::Frame(frame) => encode_out(shared, &mut bytes, &frame),
+            Out::Answer { id, hops, outcome } => {
+                encode_answer(shared, &mut bytes, id, hops, outcome)
+            }
+        }
+        let _ = stream.write_all(&bytes);
+    }
+}
+
+/// Append `frame`'s encoding to `bytes` and count it as sent.
+fn encode_out(shared: &NodeShared, bytes: &mut Vec<u8>, frame: &Frame) {
+    let encoded = frame.encode();
+    shared.count_frame("out", frame, encoded.len());
+    bytes.extend_from_slice(&encoded);
+}
+
+/// Encode one answer — the chunks then the `Response`, or an `Error` —
+/// stitching the node's hops into the flight record and writing the slow
+/// log line first.
+fn encode_answer(
+    shared: &NodeShared,
+    bytes: &mut Vec<u8>,
+    id: u64,
+    mut hops: Vec<FlightHop>,
+    outcome: RequestOutcome,
+) {
+    // Stitch the flight: node hops first (they happened first), then the
+    // service-side hops, stamped with this node's label.
+    let flight = outcome.flight.map(|mut f| {
+        f.node = shared.label.clone();
+        hops.append(&mut f.hops);
+        f.hops = hops;
+        f
+    });
+    if let (Some(f), Some(log)) = (&flight, &shared.slow_log) {
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let wall_ms = outcome.wall_ms.max(0.0) as u64;
+        if wall_ms >= shared.slow_threshold_ms {
+            let line = f.slow_log_json(wall_ms, shared.slow_threshold_ms);
+            let mut w = log.lock().expect("slow log lock");
+            let _ = writeln!(w, "{line}");
+        }
+    }
+    match outcome.result {
+        Ok(out) => {
+            for chunk in chunk_sequence(id, out.sequence.as_slice()) {
+                encode_out(shared, bytes, &Frame::Chunk(chunk));
+            }
+            encode_out(
+                shared,
+                bytes,
+                &Frame::Response(NetResponse {
+                    id,
+                    objective: out.objective,
+                    modeled_seconds: out.modeled_seconds,
+                    evaluations: out.evaluations,
+                    cache_hit: out.cache_hit,
+                    device: out.device.map(|d| d as u64),
+                    cpu_fallback: out.cpu_fallback,
+                    degraded: out.degraded,
+                    wall_ms: outcome.wall_ms,
+                    flight,
+                }),
+            );
+        }
+        Err(e) => {
+            let (code, retry) = map_error(&e);
+            encode_out(
+                shared,
+                bytes,
+                &Frame::Error(NetError { id, code, detail: e.to_string(), retry_after_ms: retry }),
+            );
+        }
+    }
+}
+
+fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream, conn: u64) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let writer = Arc::new(Mutex::new(match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    }));
+    let Ok(write_half) = stream.try_clone() else { return };
+    let (out, queue) = mpsc::channel();
+    let sh = Arc::clone(shared);
+    let writer = std::thread::Builder::new()
+        .name(format!("cdd-node-out-{conn}"))
+        .spawn(move || write_loop(&sh, write_half, &queue))
+        .expect("spawn connection writer");
     let mut reader = stream;
-    let mut waiters = Waiters::default();
     let mut requests_on_conn: u64 = 0;
+    let send = |frame: Frame| {
+        let _ = out.send(Out::Frame(frame));
+    };
 
     loop {
         let frame = match read_frame(&mut reader) {
@@ -275,16 +370,12 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream) {
             }
             Err(e) => {
                 // Framing is damaged; report once and close.
-                send(
-                    shared,
-                    &writer,
-                    &Frame::Error(NetError {
-                        id: 0,
-                        code: ErrorCode::Protocol,
-                        detail: e.to_string(),
-                        retry_after_ms: 0,
-                    }),
-                );
+                send(Frame::Error(NetError {
+                    id: 0,
+                    code: ErrorCode::Protocol,
+                    detail: e.to_string(),
+                    retry_after_ms: 0,
+                }));
                 break;
             }
         };
@@ -292,9 +383,9 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream) {
         match frame {
             Frame::Request(req) => {
                 requests_on_conn += 1;
-                handle_request(shared, &writer, req, &mut waiters);
+                handle_request(shared, &out, req);
             }
-            Frame::Ping { nonce } => send(shared, &writer, &Frame::Pong { nonce }),
+            Frame::Ping { nonce } => send(Frame::Pong { nonce }),
             Frame::Stats { full } => {
                 let snap = shared.service.snapshot();
                 let mut envelope = StatsEnvelope::flat(NodeStats {
@@ -318,29 +409,27 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream) {
                     registry.merge_from(&shared.metrics.lock().expect("net metrics lock"));
                     envelope.registry = Some(registry);
                 }
-                send(shared, &writer, &Frame::StatsReply(envelope));
+                send(Frame::StatsReply(envelope));
             }
             Frame::Shutdown => {
                 shared.stop.store(true, Ordering::SeqCst);
                 // Echoed back as the acknowledgement: the node closes the
-                // connection after draining this connection's waiters.
-                send(shared, &writer, &Frame::Shutdown);
+                // connection once this connection's answers are written.
+                send(Frame::Shutdown);
                 break;
             }
-            other => send(
-                shared,
-                &writer,
-                &Frame::Error(NetError {
-                    id: 0,
-                    code: ErrorCode::Protocol,
-                    detail: format!("unexpected {} frame from client", other.label()),
-                    retry_after_ms: 0,
-                }),
-            ),
+            other => send(Frame::Error(NetError {
+                id: 0,
+                code: ErrorCode::Protocol,
+                detail: format!("unexpected {} frame from client", other.label()),
+                retry_after_ms: 0,
+            })),
         }
     }
 
-    waiters.join_all();
+    // The writer ends once the last admitted request's answer is written.
+    drop(out);
+    writer.join().expect("connection writer panicked");
     #[allow(clippy::cast_precision_loss)]
     shared.metrics.lock().expect("net metrics lock").observe(
         "net_connection_requests",
@@ -350,41 +439,7 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream) {
     );
 }
 
-/// A connection's waiter threads. Finished waiters are joined whenever a
-/// new one is pushed, so a long-lived connection — a router's link to this
-/// node carries every request routed here — holds only the threads of its
-/// in-flight requests, not one finished thread's stack per request served.
-#[derive(Default)]
-struct Waiters(Vec<JoinHandle<()>>);
-
-impl Waiters {
-    /// Join every finished waiter, then track `waiter`.
-    fn push(&mut self, waiter: JoinHandle<()>) {
-        self.reap();
-        self.0.push(waiter);
-    }
-
-    /// Join the waiters that have finished; the rest stay tracked.
-    fn reap(&mut self) {
-        for finished in self.0.extract_if(.., |h| h.is_finished()) {
-            let _ = finished.join();
-        }
-    }
-
-    /// Wait for every waiter (the connection is closing).
-    fn join_all(self) {
-        for h in self.0 {
-            let _ = h.join();
-        }
-    }
-}
-
-fn handle_request(
-    shared: &Arc<NodeShared>,
-    writer: &Arc<Mutex<TcpStream>>,
-    req: NetRequest,
-    waiters: &mut Waiters,
-) {
+fn handle_request(shared: &NodeShared, out: &Sender<Out>, req: NetRequest) {
     let tenant = req.tenant.clone();
     shared
         .metrics
@@ -398,11 +453,12 @@ fn handle_request(
             &[("tenant", &tenant), ("reason", code.label())],
             1,
         );
-        send(
-            shared,
-            writer,
-            &Frame::Error(NetError { id: req.id, code, detail, retry_after_ms }),
-        );
+        let _ = out.send(Out::Frame(Frame::Error(NetError {
+            id: req.id,
+            code,
+            detail,
+            retry_after_ms,
+        })));
     };
 
     // Node-layer hop spans for the flight record: each admission step is a
@@ -449,129 +505,23 @@ fn handle_request(
         node_hops
             .push(FlightHop::new("node", "validate", 0.0, step.elapsed().as_secs_f64() * 1e6));
     }
-    match shared.service.submit(solve_req) {
-        Ok(ticket) => {
+    // The answer joins the connection's writer queue; that send is all the
+    // reply does, as `submit_with` asks.
+    let (id, answers) = (req.id, out.clone());
+    let reply = move |outcome| {
+        let _ = answers.send(Out::Answer { id, hops: node_hops, outcome });
+    };
+    match shared.service.submit_with(solve_req, reply) {
+        Ok(_) => {
             shared
                 .metrics
                 .lock()
                 .expect("net metrics lock")
                 .inc("net_admitted_total", &[("tenant", &tenant)], 1);
-            let sh = Arc::clone(shared);
-            let wr = Arc::clone(writer);
-            let id = req.id;
-            let h = std::thread::Builder::new()
-                .name(format!("cdd-node-wait-{ticket}"))
-                .spawn(move || {
-                    let outcome = sh.service.wait(ticket);
-                    // Stitch the flight: node hops first (they happened
-                    // first), then the service-side hops, stamped with this
-                    // node's label.
-                    let flight = outcome.flight.map(|mut f| {
-                        f.node = sh.label.clone();
-                        let mut hops = node_hops;
-                        hops.append(&mut f.hops);
-                        f.hops = hops;
-                        f
-                    });
-                    if let (Some(f), Some(log)) = (&flight, &sh.slow_log) {
-                        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                        let wall_ms = outcome.wall_ms.max(0.0) as u64;
-                        if wall_ms >= sh.slow_threshold_ms {
-                            let line = f.slow_log_json(wall_ms, sh.slow_threshold_ms);
-                            let mut w = log.lock().expect("slow log lock");
-                            let _ = writeln!(w, "{line}");
-                        }
-                    }
-                    match outcome.result {
-                        Ok(out) => {
-                            for chunk in chunk_sequence(id, out.sequence.as_slice()) {
-                                send(&sh, &wr, &Frame::Chunk(chunk));
-                            }
-                            send(
-                                &sh,
-                                &wr,
-                                &Frame::Response(NetResponse {
-                                    id,
-                                    objective: out.objective,
-                                    modeled_seconds: out.modeled_seconds,
-                                    evaluations: out.evaluations,
-                                    cache_hit: out.cache_hit,
-                                    device: out.device.map(|d| d as u64),
-                                    cpu_fallback: out.cpu_fallback,
-                                    degraded: out.degraded,
-                                    wall_ms: outcome.wall_ms,
-                                    flight,
-                                }),
-                            );
-                        }
-                        Err(e) => {
-                            let (code, retry) = map_error(&e);
-                            send(
-                                &sh,
-                                &wr,
-                                &Frame::Error(NetError {
-                                    id,
-                                    code,
-                                    detail: e.to_string(),
-                                    retry_after_ms: retry,
-                                }),
-                            );
-                        }
-                    }
-                })
-                .expect("spawn waiter thread");
-            waiters.push(h);
         }
         Err(e) => {
             let (code, retry) = map_error(&e);
             shed(code, e.to_string(), retry);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::Waiters;
-    use std::sync::mpsc;
-    use std::thread::{self, JoinHandle};
-
-    /// A waiter that has already run to completion.
-    fn finished_waiter() -> JoinHandle<()> {
-        let h = thread::spawn(|| {});
-        while !h.is_finished() {
-            thread::yield_now();
-        }
-        h
-    }
-
-    /// One connection serving a few hundred requests ends with only its
-    /// in-flight waiters unjoined: every push joins the waiters that have
-    /// finished. (Tracking them in a plain `Vec`, as the node once did,
-    /// ends with all of them.)
-    #[test]
-    fn connection_keeps_only_in_flight_waiters() {
-        const REQUESTS: usize = 300;
-        const IN_FLIGHT: usize = 3;
-        let mut waiters = Waiters::default();
-        // In-flight requests: their waiters block until the channel
-        // completes them.
-        let mut complete = Vec::new();
-        for _ in 0..IN_FLIGHT {
-            let (tx, rx) = mpsc::channel::<()>();
-            complete.push(tx);
-            waiters.push(thread::spawn(move || rx.recv().expect("completion signal")));
-        }
-        for served in 0..REQUESTS {
-            waiters.push(finished_waiter());
-            // The request just pushed is the only finished waiter left.
-            assert_eq!(waiters.0.len(), IN_FLIGHT + 1, "after {} requests", served + 1);
-        }
-        waiters.reap();
-        assert_eq!(waiters.0.len(), IN_FLIGHT);
-        assert!(waiters.0.iter().all(|h| !h.is_finished()));
-        for tx in complete {
-            tx.send(()).expect("waiter alive");
-        }
-        waiters.join_all();
     }
 }

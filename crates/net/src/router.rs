@@ -47,14 +47,14 @@ pub struct RouterConfig {
     pub secret: String,
     /// Dead-upstream reconnect probe cadence, milliseconds.
     pub health_interval_ms: u64,
-    /// Re-route attempts per request before answering `Unavailable`.
-    pub max_attempts: u32,
-    /// Base of the deterministic re-route backoff, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Forward a client `Shutdown` frame to every upstream before
-    /// draining the router itself.
-    pub forward_shutdown: bool,
 }
+
+/// Re-route attempts per request before answering `Unavailable`.
+const MAX_ATTEMPTS: u32 = 8;
+
+/// Base of the deterministic re-route backoff, milliseconds. An
+/// `Unavailable` answer asks the client to wait four times this long.
+const BACKOFF_BASE_MS: u64 = 10;
 
 impl Default for RouterConfig {
     fn default() -> Self {
@@ -63,9 +63,6 @@ impl Default for RouterConfig {
             upstreams: Vec::new(),
             secret: auth::DEFAULT_SECRET.to_string(),
             health_interval_ms: 100,
-            max_attempts: 8,
-            backoff_base_ms: 10,
-            forward_shutdown: true,
         }
     }
 }
@@ -228,8 +225,8 @@ impl RouterShared {
                 p.attempts += 1;
                 (p.content_key, p.attempts, Arc::clone(&p.client), p.client_frame_id)
             };
-            let delay = backoff_ms(self.cfg.backoff_base_ms, key, attempts);
-            if attempts > self.cfg.max_attempts {
+            let delay = backoff_ms(BACKOFF_BASE_MS, key, attempts);
+            if attempts > MAX_ATTEMPTS {
                 let removed = self.pending.lock().expect("router pending lock").remove(&rid);
                 if removed.is_some() {
                     send_to_client(
@@ -238,7 +235,7 @@ impl RouterShared {
                             id: client_frame_id,
                             code: ErrorCode::Unavailable,
                             detail: format!("no upstream available after {attempts} attempts"),
-                            retry_after_ms: self.cfg.backoff_base_ms * 4,
+                            retry_after_ms: BACKOFF_BASE_MS * 4,
                         }),
                     );
                     self.metrics
@@ -558,11 +555,11 @@ fn handle_client(shared: &Arc<RouterShared>, stream: TcpStream) {
                 send_to_client(&client, &Frame::StatsReply(envelope));
             }
             Frame::Shutdown => {
-                if shared.cfg.forward_shutdown {
-                    for u in &shared.upstreams {
-                        if u.alive.load(Ordering::SeqCst) {
-                            let _ = netclient::shutdown(&u.addr);
-                        }
+                // A client's Shutdown drains the whole fleet: every live
+                // upstream first, then the router itself.
+                for u in &shared.upstreams {
+                    if u.alive.load(Ordering::SeqCst) {
+                        let _ = netclient::shutdown(&u.addr);
                     }
                 }
                 shared.stop.store(true, Ordering::SeqCst);
@@ -638,7 +635,7 @@ fn route_request(shared: &Arc<RouterShared>, client: &Arc<ClientConn>, req: NetR
                 id: req.id,
                 code: ErrorCode::Unavailable,
                 detail: "no upstream alive".to_string(),
-                retry_after_ms: shared.cfg.backoff_base_ms * 4,
+                retry_after_ms: BACKOFF_BASE_MS * 4,
             }),
         );
         shared.metrics.lock().expect("router metrics lock").inc(

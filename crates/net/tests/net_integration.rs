@@ -11,14 +11,17 @@ use cdd_bench::workload::{generate_mixed_tenants, WorkloadEntry};
 use cdd_core::JobSequence;
 use cdd_net::auth::{token_for, DEFAULT_SECRET};
 use cdd_net::client::{self, run_workload, sorted_outcome_csv, ClientOptions, ClientOutcome};
-use cdd_net::frame::{read_frame, write_frame, ErrorCode, Frame, NetRequest, WorkSpec};
+use cdd_net::frame::{
+    read_frame, write_frame, ErrorCode, Frame, NetRequest, WorkSpec, MID_FRAME_STALL,
+};
 use cdd_net::node::{serve as serve_node, NodeConfig, NodeHandle};
 use cdd_net::router::{serve as serve_router, RouterConfig};
 use cdd_service::{ServiceConfig, SolverService};
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// Shared solver geometry: objectives depend on (blocks, block_size), so
 /// every fleet shape in these tests must agree on it.
@@ -378,4 +381,39 @@ fn concurrent_clients_see_a_drained_shutdown() {
         u64::try_from(outcomes.iter().filter(|o| o.response.is_some()).count()).unwrap(),
         report.service.completed
     );
+}
+
+#[test]
+fn a_stalled_half_frame_cannot_hang_node_shutdown() {
+    // A peer that starts a frame and stalls pins only its own reader, and
+    // only until `MID_FRAME_STALL` passes without a byte: then the reader
+    // answers with a protocol error and closes, so the drain completes.
+    let node = serve_node(node_config()).expect("bind node");
+    let mut stream = TcpStream::connect(node.addr).expect("connect");
+    // A ping round trip proves the node has accepted this connection.
+    write_frame(&mut stream, &Frame::Ping { nonce: 3 }).expect("write ping");
+    assert!(matches!(read_frame(&mut stream), Ok(Some(Frame::Pong { nonce: 3 }))));
+    stream.write_all(&[64, 0]).expect("two bytes of a length prefix");
+    // The reader's next read takes both bytes; stop only after that, so
+    // the reader is mid-frame, not between frames, when it sees the stop.
+    std::thread::sleep(Duration::from_millis(100));
+
+    node.begin_shutdown();
+    let (done, joined) = mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        let _ = done.send(node.join());
+    });
+    // Without the bound the join never returns; the test fails here.
+    let report = joined
+        .recv_timeout(MID_FRAME_STALL + Duration::from_secs(1))
+        .expect("node shutdown is not pinned by a stalled half-frame");
+    joiner.join().expect("joiner thread");
+    assert_eq!(report.connections, 1);
+    match read_frame(&mut stream) {
+        Ok(Some(Frame::Error(e))) => {
+            assert_eq!(e.code, ErrorCode::Protocol);
+            assert!(e.detail.contains("mid length prefix"), "{}", e.detail);
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
 }

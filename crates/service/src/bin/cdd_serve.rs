@@ -68,7 +68,7 @@ use cdd_bench::{fault_plan_from_args, results_dir, write_csv, Args, Table};
 use cdd_core::SuiteError;
 use cdd_service::{
     Backend, BreakerConfig, RequestOutcome, ServiceConfig, ServiceReport, SolverService,
-    SupervisorConfig,
+    SupervisorConfig, Ticket,
 };
 use cuda_sim::{FaultPlan, TelemetryConfig};
 use std::collections::VecDeque;
@@ -275,7 +275,7 @@ fn main() {
 
     let service = SolverService::start(config);
     let mut results: Vec<Option<RequestOutcome>> = vec![None; entries.len()];
-    let mut outstanding: VecDeque<(usize, u64)> = VecDeque::new();
+    let mut outstanding: VecDeque<(usize, Ticket)> = VecDeque::new();
     for (i, entry) in entries.iter().enumerate() {
         let mut request = entry.to_request();
         request.deadline_ms = deadline_ms;

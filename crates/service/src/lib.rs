@@ -10,11 +10,15 @@
 //! service (see [`service`] module docs for the dataflow and the
 //! determinism contract, and DESIGN.md §8 for the design rationale).
 //!
-//! The crate ships a synchronous client API ([`SolverService::submit`] /
-//! [`SolverService::wait`] / [`SolverService::solve`]) and the `cdd-serve`
-//! binary, which replays a workload file against the service and reports
-//! throughput, latency percentiles, cache hit rate and per-device
-//! utilization.
+//! Every accepted ticket is answered exactly once, by running the reply
+//! its submitter handed to [`SolverService::submit_with`]; an embedding
+//! such as `cdd-node` passes a reply that queues the answer for its
+//! connection's writer. The crate also ships a synchronous client API
+//! built on it ([`SolverService::submit`] returns a [`Ticket`] that
+//! [`SolverService::wait`] receives on; [`SolverService::solve`] does
+//! both) and the `cdd-serve` binary, which replays a workload file against
+//! the service and reports throughput, latency percentiles, cache hit rate
+//! and per-device utilization.
 //!
 //! PR 6 adds the **resilience layer**: a [`supervisor`] that detects dead
 //! or stuck workers, restarts them with fresh devices and re-dispatches
@@ -58,5 +62,6 @@ pub use cache::{CacheStats, SolutionCache};
 pub use queue::QueueStats;
 pub use service::{
     DeviceReport, RequestOutcome, ServiceConfig, ServiceReport, ServiceSnapshot, SolverService,
+    Ticket,
 };
 pub use supervisor::SupervisorConfig;

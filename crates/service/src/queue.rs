@@ -29,7 +29,7 @@ use std::time::Instant;
 
 /// One queued solve: the primary carrier of a content key. Identical
 /// requests submitted while this job is queued or in flight coalesce onto
-/// it (tracked by the service's waiter table, not the queue).
+/// it (tracked by the service's follower table, not the queue).
 #[derive(Debug)]
 pub(crate) struct QueuedJob {
     /// Ticket of the submitting client.

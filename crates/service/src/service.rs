@@ -16,7 +16,7 @@
 //!                            │
 //!          device 0 ─ device 1 ─ … ─ device N-1   (one in-flight run each)
 //!                │ DeviceLost            │ completion: cache insert +
-//!                ▼                       ▼ ticket fulfilment
+//!                ▼                       ▼ one reply per ticket
 //!          worker panics ──► supervisor reaps, restarts the worker with a
 //!          fresh device, and re-dispatches the in-flight job (bounded
 //!          deterministic retry/backoff) or serves it degraded from the
@@ -29,6 +29,17 @@
 //! breaker). Mutable per-device state — usage, breaker, trace, in-flight
 //! job — lives in `SlotState` inside the shared state, **not** in the
 //! worker thread, so it survives worker crashes and restarts.
+//!
+//! # Answering a ticket
+//!
+//! Every accepted ticket is answered exactly once, through one function
+//! (`State::deliver`): the cache hit in `submit_with`, a finished or
+//! degraded solve and its followers, and an expiry before dispatch all
+//! end there. Delivery runs the reply the submitter handed to
+//! [`SolverService::submit_with`], with the service's state locked; no
+//! thread parks on a shared condvar waiting for its ticket.
+//! [`SolverService::submit`] is `submit_with` plus a one-slot channel,
+//! and [`SolverService::wait`] receives on it.
 //!
 //! # Determinism contract
 //!
@@ -63,7 +74,7 @@ use cuda_sim::{
     TelemetryConfig,
 };
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -190,6 +201,20 @@ pub struct RequestOutcome {
     /// tracing. The record's `node` field is left empty here; the embedding
     /// (e.g. `cdd-node`) stamps its own label before shipping it.
     pub flight: Option<FlightRecord>,
+}
+
+/// How an accepted ticket's answer reaches its submitter; see
+/// [`SolverService::submit_with`].
+type Reply = Box<dyn FnOnce(RequestOutcome) + Send>;
+
+/// A ticket from [`SolverService::submit`]: its number plus the channel
+/// its one answer arrives on. Hand it to [`SolverService::wait`].
+/// Dropping it unanswered is harmless: the answer is discarded.
+#[derive(Debug)]
+pub struct Ticket {
+    /// The ticket number (the answer's [`RequestOutcome::ticket`]).
+    pub id: u64,
+    rx: mpsc::Receiver<RequestOutcome>,
 }
 
 /// Per-device section of the final report.
@@ -346,8 +371,9 @@ pub(crate) struct State {
     pub(crate) queue: SubmissionQueue,
     /// `content key → followers`; a key is present exactly while a primary
     /// with that key is queued or in flight.
-    waiters: HashMap<u64, Vec<Follower>>,
-    results: HashMap<u64, RequestOutcome>,
+    followers: HashMap<u64, Vec<Follower>>,
+    /// `ticket → reply` for every accepted ticket not yet answered.
+    replies: HashMap<u64, Reply>,
     cache: SolutionCache,
     /// Live registry: per-request latency observations land here as they
     /// happen; the lifetime counters are folded in once at shutdown.
@@ -379,19 +405,25 @@ pub(crate) struct State {
 }
 
 impl State {
-    /// Record one request's submission→fulfilment latency. Wall-clock
-    /// durations vary run to run, hence the `timing_` prefix.
-    fn observe_latency(&mut self, wall_ms: f64) {
-        self.metrics.observe("timing_request_wall_ms", &[], wall_ms, latency_ms_buckets());
-    }
-
-    /// Book-keep an accepted ticket against its tenant and priority class.
-    /// Pure counts of admitted work — they qualify for the `service_`
-    /// metric namespace.
-    fn note_accepted(&mut self, tenant: &str, priority: Priority) {
+    /// Accept `ticket`: keep its reply until [`deliver`](Self::deliver)
+    /// and book-keep it against its tenant and priority class. Pure counts
+    /// of admitted work — they qualify for the `service_` metric namespace.
+    fn accept(&mut self, ticket: u64, tenant: &str, priority: Priority, reply: Reply) {
+        self.next_ticket = ticket + 1;
+        self.replies.insert(ticket, reply);
         self.submitted += 1;
         *self.tenant_submitted.entry(tenant.to_string()).or_insert(0) += 1;
         self.priority_submitted[priority.as_u8() as usize] += 1;
+    }
+
+    /// Answer a ticket: the one path every outcome takes. Records the
+    /// submission→answer latency (wall-clock, hence the `timing_` prefix)
+    /// and runs the ticket's reply, which leaves the table, so no ticket is
+    /// answered twice.
+    fn deliver(&mut self, outcome: RequestOutcome) {
+        self.metrics.observe("timing_request_wall_ms", &[], outcome.wall_ms, latency_ms_buckets());
+        let reply = self.replies.remove(&outcome.ticket).expect("a ticket is answered once");
+        reply(outcome);
     }
 
     /// Nothing left to run: shutdown was requested, the queue and the
@@ -409,8 +441,6 @@ pub(crate) struct Shared {
     pub(crate) state: Mutex<State>,
     /// Signalled when work arrives or shutdown begins (workers wait here).
     pub(crate) work: Condvar,
-    /// Signalled when a ticket is fulfilled (clients wait here).
-    pub(crate) done: Condvar,
     /// Signalled to wake the supervisor early (worker crash imminent).
     pub(crate) supervise: Condvar,
     blocks: usize,
@@ -446,10 +476,12 @@ fn elapsed_ms(since: Instant) -> f64 {
 /// condvar has no "breaker re-opened" edge to signal on).
 const BREAKER_RECHECK_MS: u64 = 10;
 
-/// A running solver service. Submit requests with [`submit`](Self::submit)
-/// (or the blocking [`solve`](Self::solve)), collect answers with
-/// [`wait`](Self::wait), and finish with [`shutdown`](Self::shutdown) to
-/// drain the queue and obtain the [`ServiceReport`].
+/// A running solver service. Submit requests with
+/// [`submit_with`](Self::submit_with), which hands each answer to a reply
+/// of the caller's, or with [`submit`](Self::submit), whose [`Ticket`]
+/// [`wait`](Self::wait) blocks on (or the blocking [`solve`](Self::solve),
+/// which does both). Finish with [`shutdown`](Self::shutdown) to drain the
+/// queue and obtain the [`ServiceReport`].
 pub struct SolverService {
     shared: Arc<Shared>,
     /// The supervisor thread owns the worker handles; joining it joins the
@@ -489,8 +521,8 @@ impl SolverService {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: SubmissionQueue::new(config.queue_capacity),
-                waiters: HashMap::new(),
-                results: HashMap::new(),
+                followers: HashMap::new(),
+                replies: HashMap::new(),
                 cache: SolutionCache::new(config.cache_capacity),
                 metrics: MetricsRegistry::new(),
                 submitted: 0,
@@ -509,7 +541,6 @@ impl SolverService {
                 parked: Vec::new(),
             }),
             work: Condvar::new(),
-            done: Condvar::new(),
             supervise: Condvar::new(),
             blocks: config.blocks,
             block_size: config.block_size,
@@ -533,11 +564,24 @@ impl SolverService {
         SolverService { shared, supervisor: Some(supervisor), started: Instant::now() }
     }
 
-    /// Submit a request. Returns a ticket to [`wait`](Self::wait) on, or
-    /// [`SuiteError::Rejected`] immediately when the queue is full or the
-    /// service is shutting down. Never blocks on a full queue.
-    pub fn submit(&self, request: SolveRequest) -> Result<u64, SuiteError> {
+    /// Submit a request whose answer is handed to `reply`. Returns the
+    /// ticket number, or [`SuiteError::Rejected`] immediately when the queue
+    /// is full or the service is shutting down. Never blocks on a full
+    /// queue.
+    ///
+    /// An accepted ticket's `reply` runs exactly once, with its
+    /// [`RequestOutcome`]: inside this call for a cache hit, otherwise on
+    /// whichever service thread answers the ticket. It runs with the
+    /// service's state locked, so it must only hand the outcome on (send it
+    /// on a channel, say): it must never block, and never call back into
+    /// the service. A rejected submission drops `reply` without running it.
+    pub fn submit_with(
+        &self,
+        request: SolveRequest,
+        reply: impl FnOnce(RequestOutcome) + Send + 'static,
+    ) -> Result<u64, SuiteError> {
         let key = request.content_key();
+        let reply: Reply = Box::new(reply);
         let mut st = self.shared.state.lock().expect("service state lock");
         if st.shutdown {
             return Err(SuiteError::rejected("service is shutting down"));
@@ -546,24 +590,24 @@ impl SolverService {
 
         // 1. Completed identical solve in the cache?
         if let Some(outcome) = st.cache.lookup(key) {
-            st.next_ticket += 1;
-            st.note_accepted(&request.tenant, request.priority);
+            st.accept(ticket, &request.tenant, request.priority, reply);
             st.completed += 1;
-            st.observe_latency(0.0);
             let flight = start_flight(request.trace).map(|mut f| {
                 f.hops.push(FlightHop::new("service", "cache_hit", 0.0, 0.0));
                 f
             });
-            st.results.insert(
+            st.deliver(RequestOutcome {
                 ticket,
-                RequestOutcome { ticket, device: None, wall_ms: 0.0, result: Ok(outcome), flight },
-            );
-            self.shared.done.notify_all();
+                device: None,
+                wall_ms: 0.0,
+                result: Ok(outcome),
+                flight,
+            });
             return Ok(ticket);
         }
 
         // 2. Identical solve queued or in flight? Ride along.
-        if let Some(followers) = st.waiters.get_mut(&key) {
+        if let Some(followers) = st.followers.get_mut(&key) {
             followers.push(Follower {
                 ticket,
                 submitted: Instant::now(),
@@ -571,8 +615,7 @@ impl SolverService {
                 trace: request.trace,
             });
             st.cache.note_coalesced();
-            st.next_ticket += 1;
-            st.note_accepted(&request.tenant, request.priority);
+            st.accept(ticket, &request.tenant, request.priority, reply);
             return Ok(ticket);
         }
 
@@ -589,22 +632,27 @@ impl SolverService {
             hops: Vec::new(),
         })?;
         st.cache.note_miss();
-        st.waiters.insert(key, Vec::new());
-        st.next_ticket += 1;
-        st.note_accepted(&tenant, priority);
+        st.followers.insert(key, Vec::new());
+        st.accept(ticket, &tenant, priority, reply);
         self.shared.work.notify_all();
         Ok(ticket)
     }
 
+    /// Submit a request. Returns a [`Ticket`] to [`wait`](Self::wait) on,
+    /// or [`SuiteError::Rejected`] immediately when the queue is full or
+    /// the service is shutting down. Never blocks on a full queue.
+    pub fn submit(&self, request: SolveRequest) -> Result<Ticket, SuiteError> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let id = self.submit_with(request, move |outcome| {
+            // The ticket may have been dropped; its answer then goes nowhere.
+            let _ = tx.send(outcome);
+        })?;
+        Ok(Ticket { id, rx })
+    }
+
     /// Block until the ticket (from [`submit`](Self::submit)) is answered.
-    pub fn wait(&self, ticket: u64) -> RequestOutcome {
-        let mut st = self.shared.state.lock().expect("service state lock");
-        loop {
-            if let Some(outcome) = st.results.remove(&ticket) {
-                return outcome;
-            }
-            st = self.shared.done.wait(st).expect("service state lock");
-        }
+    pub fn wait(&self, ticket: Ticket) -> RequestOutcome {
+        ticket.rx.recv().expect("the service answers every accepted ticket")
     }
 
     /// Submit and wait: the synchronous client API.
@@ -997,7 +1045,6 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, handle: Devic
                 // consume the breaker's half-open probe.
                 while let Some(dead) = st.queue.pop_if(|j| j.expired()) {
                     expire_locked(&mut st, dead);
-                    shared.done.notify_all();
                     // A promoted follower (if any) is at the queue front;
                     // keep checking.
                 }
@@ -1138,7 +1185,6 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, handle: Devic
             }
         }
         complete_locked(&mut st, job, slot, result);
-        shared.done.notify_all();
         if st.shutdown {
             // Peers may be waiting to observe the drain.
             shared.work.notify_all();
@@ -1202,15 +1248,16 @@ fn record_success_locked(
     }
 }
 
-/// Fulfil an expired primary; promote its oldest still-live follower into
+/// Answer an expired primary; promote its oldest still-live follower into
 /// the vacated queue slot (at the front — it has been waiting longest).
+/// Followers that expired too are answered on the way.
 pub(crate) fn expire_locked(st: &mut State, mut job: QueuedJob) {
     st.expired += 1;
     let deadline = job.request.deadline_ms.unwrap_or(0);
-    st.observe_latency(elapsed_ms(job.submitted));
+    let wall_ms = elapsed_ms(job.submitted);
     if traced(&job.request) {
         job.hops.push(
-            FlightHop::new("queue", "expired", 0.0, elapsed_ms(job.submitted) * 1e3)
+            FlightHop::new("queue", "expired", 0.0, wall_ms * 1e3)
                 .with_detail("deadline_ms", deadline),
         );
     }
@@ -1218,17 +1265,14 @@ pub(crate) fn expire_locked(st: &mut State, mut job: QueuedJob) {
         f.hops = job.hops.clone();
         f
     });
-    st.results.insert(
-        job.ticket,
-        RequestOutcome {
-            ticket: job.ticket,
-            device: None,
-            wall_ms: elapsed_ms(job.submitted),
-            result: Err(SuiteError::deadline(deadline)),
-            flight,
-        },
-    );
-    let Some(followers) = st.waiters.remove(&job.key) else { return };
+    st.deliver(RequestOutcome {
+        ticket: job.ticket,
+        device: None,
+        wall_ms,
+        result: Err(SuiteError::deadline(deadline)),
+        flight,
+    });
+    let Some(followers) = st.followers.remove(&job.key) else { return };
     let mut rest = followers.into_iter();
     for f in rest.by_ref() {
         // Compare in u128 — truncating elapsed ms to u64 could wrap a huge
@@ -1239,26 +1283,18 @@ pub(crate) fn expire_locked(st: &mut State, mut job: QueuedJob) {
         };
         if f_expired {
             st.expired += 1;
-            st.observe_latency(elapsed_ms(f.submitted));
+            let wall_ms = elapsed_ms(f.submitted);
             let flight = start_flight(f.trace).map(|mut fl| {
-                fl.hops.push(FlightHop::new(
-                    "queue",
-                    "expired",
-                    0.0,
-                    elapsed_ms(f.submitted) * 1e3,
-                ));
+                fl.hops.push(FlightHop::new("queue", "expired", 0.0, wall_ms * 1e3));
                 fl
             });
-            st.results.insert(
-                f.ticket,
-                RequestOutcome {
-                    ticket: f.ticket,
-                    device: None,
-                    wall_ms: elapsed_ms(f.submitted),
-                    result: Err(SuiteError::deadline(f.deadline_ms.unwrap_or(0))),
-                    flight,
-                },
-            );
+            st.deliver(RequestOutcome {
+                ticket: f.ticket,
+                device: None,
+                wall_ms,
+                result: Err(SuiteError::deadline(f.deadline_ms.unwrap_or(0))),
+                flight,
+            });
             continue;
         }
         // The promoted follower keeps its *own* trace context — it was a
@@ -1273,7 +1309,7 @@ pub(crate) fn expire_locked(st: &mut State, mut job: QueuedJob) {
             retries: 0,
             hops: Vec::new(),
         });
-        st.waiters.insert(job.key, rest.collect());
+        st.followers.insert(job.key, rest.collect());
         return;
     }
 }
@@ -1297,7 +1333,7 @@ pub(crate) fn publish_locked(
         f
     });
     fulfil(st, job.ticket, device, job.submitted, &outcome, false, flight);
-    if let Some(followers) = st.waiters.remove(&job.key) {
+    if let Some(followers) = st.followers.remove(&job.key) {
         for f in followers {
             // A follower's whole journey was "wait for the shared solve":
             // one hop, wall-timed from its own submission.
@@ -1382,7 +1418,5 @@ fn fulfil(
             Err(e.clone())
         }
     };
-    let wall_ms = elapsed_ms(submitted);
-    st.observe_latency(wall_ms);
-    st.results.insert(ticket, RequestOutcome { ticket, device, wall_ms, result, flight });
+    st.deliver(RequestOutcome { ticket, device, wall_ms: elapsed_ms(submitted), result, flight });
 }

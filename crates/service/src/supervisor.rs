@@ -232,7 +232,6 @@ pub(crate) fn supervisor_loop(shared: &Arc<Shared>, mut workers: Vec<Option<Join
         {
             for job in st.queue.extract_if(|j| j.request.deadline_ms.is_some()) {
                 serve_degraded(&mut st, job, true);
-                shared.done.notify_all();
             }
         }
 
@@ -333,7 +332,6 @@ fn redispatch_or_degrade(
             false,
         );
     }
-    shared.done.notify_all();
 }
 
 #[cfg(test)]

@@ -5,8 +5,13 @@
 use cdd_core::{Algorithm, SolveRequest, SuiteError};
 use cdd_gpu::{run_gpu_solve, GpuSolveSpec, RecoveryPolicy};
 use cdd_instances::InstanceId;
-use cdd_service::{BreakerConfig, ServiceConfig, SolverService, SupervisorConfig};
+use cdd_service::{
+    BreakerConfig, RequestOutcome, ServiceConfig, SolverService, SupervisorConfig, Ticket,
+};
 use cuda_sim::FaultPlan;
+use std::collections::BTreeMap;
+use std::sync::mpsc::{self, TryRecvError};
+use std::time::Duration;
 
 fn small_config(devices: usize) -> ServiceConfig {
     ServiceConfig { devices, blocks: 1, block_size: 32, ..Default::default() }
@@ -114,7 +119,7 @@ fn a_faulted_device_only_fails_the_requests_routed_to_it() {
         ..small_config(2)
     });
 
-    let tickets: Vec<u64> = (0..12)
+    let tickets: Vec<Ticket> = (0..12)
         .map(|i| {
             service
                 .submit(request(12, 1 + (i % 3), Algorithm::Sa, 200, 1000 + u64::from(i)))
@@ -162,7 +167,7 @@ fn per_request_fitness_is_identical_across_runs_despite_routing() {
             fault: Some(FaultPlan::with_rates(0xFA17, 0.02, 0.005, 0.0)),
             ..small_config(3)
         });
-        let tickets: Vec<u64> =
+        let tickets: Vec<Ticket> =
             entries.iter().map(|e| service.submit(e.to_request()).expect("admitted")).collect();
         let objectives = tickets
             .into_iter()
@@ -195,7 +200,7 @@ fn service_metrics_are_byte_identical_across_runs() {
             fault: Some(FaultPlan::with_rates(0xFA17, 0.05, 0.01, 0.02)),
             ..small_config(3)
         });
-        let tickets: Vec<u64> =
+        let tickets: Vec<Ticket> =
             entries.iter().map(|e| service.submit(e.to_request()).expect("admitted")).collect();
         for t in tickets {
             service.wait(t).result.expect("recovery absorbs injected faults");
@@ -258,7 +263,7 @@ fn every_rendered_metric_family_has_a_help_line() {
     fn snapshot(config: ServiceConfig) -> cdd_metrics::MetricsRegistry {
         let entries = cdd_bench::workload::generate_mixed(8, 41, 60, &[10]);
         let service = SolverService::start(config);
-        let tickets: Vec<u64> =
+        let tickets: Vec<Ticket> =
             entries.iter().map(|e| service.submit(e.to_request()).expect("admitted")).collect();
         for t in tickets {
             service.wait(t).result.expect("recovery absorbs injected faults");
@@ -310,7 +315,7 @@ fn trace_capture_produces_one_track_per_device() {
         capture_trace: true,
         ..small_config(2)
     });
-    let tickets: Vec<u64> =
+    let tickets: Vec<Ticket> =
         entries.iter().map(|e| service.submit(e.to_request()).expect("admitted")).collect();
     for t in tickets {
         service.wait(t).result.expect("clean fleet");
@@ -354,7 +359,7 @@ fn convergence_telemetry_adds_counters_without_touching_results() {
             capture_trace,
             ..small_config(2)
         });
-        let tickets: Vec<u64> =
+        let tickets: Vec<Ticket> =
             entries.iter().map(|e| service.submit(e.to_request()).expect("admitted")).collect();
         let objectives = tickets
             .into_iter()
@@ -422,7 +427,7 @@ fn chaos_crashes_restart_workers_and_strand_no_request() {
             supervisor: chaos_supervisor(),
             ..small_config(2)
         });
-        let tickets: Vec<(u64, u64)> = (0..14)
+        let tickets: Vec<(u64, Ticket)> = (0..14)
             .map(|i| {
                 let seed = 9000 + u64::from(i);
                 (seed, service.submit(request(12, 1 + (i % 3), Algorithm::Sa, 150, seed)).unwrap())
@@ -630,13 +635,76 @@ fn zero_deadline_expires_before_dispatch() {
 }
 
 #[test]
+fn each_ticket_is_answered_once_by_its_reply() {
+    // One device and two queue slots. A long blocker (about 150 ms in a
+    // release build) holds the device while the rest is submitted.
+    let service = SolverService::start(ServiceConfig { queue_capacity: 2, ..small_config(1) });
+    let blocker = service.submit(request(50, 1, Algorithm::Sa, 6000, 1)).expect("admitted");
+    while service.snapshot().queue_depth > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Every reply passes its outcome on, labelled.
+    let (tx, rx) = mpsc::channel();
+    let reply = |label: &'static str| {
+        let tx = tx.clone();
+        move |outcome: RequestOutcome| {
+            let _ = tx.send((label, outcome));
+        }
+    };
+    // A deadline-0 primary queues behind the blocker, and two identical
+    // requests ride along: one that expires too, one without a deadline.
+    let twin = request(10, 1, Algorithm::Sa, 100, 2);
+    let expiring = SolveRequest { deadline_ms: Some(0), ..twin.clone() };
+    service.submit_with(expiring.clone(), reply("primary")).expect("queued");
+    service.submit_with(expiring, reply("expired follower")).expect("coalesced");
+    service.submit_with(twin, reply("live follower")).expect("coalesced");
+    // A distinct request takes the second slot, so the next is refused:
+    // its reply is dropped without running.
+    let dropped = service.submit(request(10, 1, Algorithm::Sa, 100, 3)).expect("queued");
+    let err = service.submit_with(request(10, 1, Algorithm::Sa, 100, 4), reply("refused"));
+    assert!(matches!(err, Err(SuiteError::Rejected { .. })), "got {err:?}");
+    drop(tx);
+    // A ticket dropped before its answer breaks nothing.
+    drop(dropped);
+
+    // Each accepted reply sends once; a lost one fails here, not by hanging.
+    let answers: BTreeMap<&str, RequestOutcome> = (0..3)
+        .map(|_| rx.recv_timeout(Duration::from_secs(60)).expect("an accepted reply runs"))
+        .collect();
+    service.wait(blocker).result.expect("blocker completes");
+    service.solve(request(12, 1, Algorithm::Sa, 100, 5)).expect("later solves still succeed");
+    let report = service.shutdown();
+    assert_eq!(
+        answers.keys().copied().collect::<Vec<_>>(),
+        ["expired follower", "live follower", "primary"]
+    );
+    assert!(
+        matches!(rx.try_recv(), Err(TryRecvError::Disconnected)),
+        "no other answer came: the refused reply was dropped unrun"
+    );
+    for label in ["primary", "expired follower"] {
+        let err = answers[label].result.as_ref().unwrap_err();
+        assert!(matches!(err, SuiteError::DeadlineExceeded { .. }), "{label}: {err:?}");
+    }
+    let live = answers["live follower"].result.as_ref().expect("the live follower is solved");
+    assert!(!live.cache_hit, "promoted into the queue, it ran its own solve");
+    assert_eq!(live.device, Some(0));
+    assert_eq!(report.queue.requeued, 1, "the live follower was promoted");
+    assert_eq!(report.expired, 2);
+    assert_eq!(report.rejected, 1);
+    assert_eq!(report.submitted, 6);
+    assert_eq!(report.completed, 4, "blocker, live follower, dropped ticket, later solve");
+}
+
+#[test]
 fn queued_mixed_requests_match_direct_solves() {
     // Requests of mixed size and algorithm wait FIFO behind a busy worker;
     // each still answers exactly like a direct `run_gpu_solve` call.
     let service = SolverService::start(small_config(1));
     let blocker = service.submit(request(30, 1, Algorithm::Sa, 800, 901)).expect("admitted");
     std::thread::sleep(std::time::Duration::from_millis(50));
-    let mixed: Vec<u64> = vec![
+    let mixed: Vec<Ticket> = vec![
         service.submit(request(10, 1, Algorithm::Sa, 150, 1)).expect("admitted"),
         service.submit(request(12, 1, Algorithm::Sa, 150, 2)).expect("admitted"),
         service.submit(request(10, 2, Algorithm::Dpso, 150, 3)).expect("admitted"),
@@ -682,7 +750,7 @@ fn native_fleet_answers_are_byte_identical_to_sim() {
             backend,
             ..small_config(2)
         });
-        let tickets: Vec<u64> = (0..6)
+        let tickets: Vec<Ticket> = (0..6)
             .map(|i| {
                 let algo = if i % 3 == 2 { Algorithm::Dpso } else { Algorithm::Sa };
                 service.submit(request(10 + (i % 2) * 2, 1, algo, 120, i as u64)).expect("admitted")
@@ -734,7 +802,7 @@ fn chaos_requests_route_to_sim_on_a_native_fleet() {
             fault: Some(FaultPlan::with_rates(0xFA17, 0.02, 0.005, 0.0)),
             ..small_config(2)
         });
-        let tickets: Vec<u64> = (0..4)
+        let tickets: Vec<Ticket> = (0..4)
             .map(|i| service.submit(request(10, 1, Algorithm::Sa, 100, i)).expect("admitted"))
             .collect();
         let answers = tickets
