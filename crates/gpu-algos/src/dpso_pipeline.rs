@@ -7,11 +7,11 @@
 //!
 //! The simulator runs each generation as five launches: position update,
 //! fitness, personal-best update, reduction, swarm-best broadcast. The
-//! native backend runs the first four as one fused pass
-//! ([`NativeGpu::run_fused`]), each particle updating, scoring, keeping its
-//! personal best and folding it back to back, then launches the broadcast,
-//! which must wait for the fold because every particle reads the swarm best
-//! (DESIGN.md §11).
+//! native backend runs the first four as one pass
+//! ([`NativeGpu::run_pass`]) over device memory borrowed once, each
+//! particle updating, scoring, keeping its personal best and folding it
+//! back to back, then launches the broadcast, which must wait for the fold
+//! because every particle reads the swarm best (DESIGN.md §11).
 
 use crate::init::{initial_ensemble, InitStrategy};
 use crate::kernels::dpso_update::Marks;
@@ -29,8 +29,8 @@ use cdd_core::{Cost, Instance, JobSequence, SuiteError};
 use cdd_meta::{Dpso, DpsoParams};
 use cuda_sim::reduce::{pack_argmin, unpack_argmin, AtomicArgminKernel};
 use cuda_sim::{
-    Backend, Buf, DeviceCtx, DeviceSpec, ExecBackend, FaultPlan, Gpu, Kernel, LaunchConfig,
-    LaunchError, NativeGpu, TelemetryConfig, TelemetryRing, XorWow,
+    Backend, Buf, DeviceSpec, ExecBackend, FaultPlan, Gpu, Kernel, LaunchConfig, LaunchError,
+    NativeGpu, TelemetryConfig, TelemetryRing, XorWow,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -240,37 +240,44 @@ impl DpsoSwarm {
     }
 
     /// The same generation on the native backend: the first four launches
-    /// as one fused pass, then the broadcast. A particle's update, scoring
-    /// and personal-best step touch only its own rows, energies and RNG
-    /// words, and read the swarm best that the previous broadcast wrote; the
+    /// as one pass, then the broadcast. A particle's update, scoring and
+    /// personal-best step touch only its own rows, energies and RNG words,
+    /// and read the swarm best that the previous broadcast wrote; the
     /// reduction is an order-independent atomic min. So every buffer the
-    /// next generation reads ends as the five launches leave it. The
-    /// particle's row of `positions` is updated and scored where it lies,
-    /// beside its personal best and the swarm best read in place.
+    /// next generation reads ends as the five launches leave it. The pass
+    /// borrows each buffer once, and a particle's row of `positions` is
+    /// updated and scored where it lies, beside its personal best and the
+    /// swarm best.
     fn fused_generation(&self, gpu: &mut NativeGpu, marks: &mut Marks) -> Result<(), LaunchError> {
         let launches: [&dyn Kernel; 4] =
             [&self.update, &self.fitness, &self.pbest_update, &self.reduce];
-        let (positions, n) = (self.update.positions, self.prob.n);
-        gpu.run_fused(self.cfg, &launches, |ctx| {
-            let gid = ctx.global_id();
-            if gid >= self.ensemble {
-                return;
+        let (kind, d, n) = (self.prob.kind, self.prob.d, self.prob.n);
+        gpu.run_pass(self.cfg, &launches, 1, |mem| {
+            let rates = Rates::taken(&self.prob, mem);
+            let positions = mem.take(self.update.positions);
+            let pbest = mem.take(self.pbest);
+            let gbest: &[u32] = mem.take(self.gbest);
+            let energies = mem.take(self.energies);
+            let pbest_energies = mem.take(self.pbest_update.pbest_energies);
+            let rng_words = mem.take(self.rng_states);
+            let packed_best = &mut mem.take(self.packed_best)[0];
+            for gid in 0..self.ensemble {
+                let words = &mut rng_words[gid * 3..][..3];
+                let mut rng = XorWow::from_words(words);
+                let update = self.update.draw(&mut rng);
+                rng.to_words(words);
+                let row = &mut positions[gid * n..][..n];
+                let pbest_row = &mut pbest[gid * n..][..n];
+                update.apply(row, pbest_row, gbest, marks);
+                let energy = score(kind, d, &rates, row);
+                energies[gid] = energy;
+                let (improved, best) = PbestKernel::improve(energy, pbest_energies[gid]);
+                if improved {
+                    pbest_row.copy_from_slice(row);
+                    pbest_energies[gid] = energy;
+                }
+                *packed_best = (*packed_best).min(pack_argmin(best, gid));
             }
-            let mut rng = ctx.load_rng(self.rng_states, gid);
-            let update = self.update.draw(&mut rng);
-            ctx.store_rng(self.rng_states, gid, &rng);
-            let [row, pbest, gbest] = ctx.windows_mut([
-                (positions, gid * n, n),
-                (self.pbest, gid * n, n),
-                (self.gbest, 0, n),
-            ]);
-            update.apply(row, pbest, gbest, marks);
-            let rates = Rates::native(&self.prob, ctx);
-            let row = ctx.window(positions, gid * n, n);
-            let energy = score(self.prob.kind, self.prob.d, &rates, row);
-            ctx.write(self.energies, gid, energy);
-            let (_, best) = self.pbest_update.improve(ctx, gid, energy);
-            ctx.atomic_min_i64(self.packed_best, 0, pack_argmin(best, gid));
         })?;
         gpu.launch_kernel(&self.gbest_copy, self.cfg)
     }

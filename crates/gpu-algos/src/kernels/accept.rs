@@ -62,85 +62,51 @@ pub struct AcceptKernel {
     pub flags: Option<Buf<u32>>,
 }
 
-/// Where a thread's candidate row is: in device memory, where the
-/// perturbation kernel stores it, or already in the thread's row of
-/// `current`, where the fused native generation moves it in place.
-#[derive(Clone, Copy)]
-pub(crate) enum Candidate {
-    /// The thread's row of this buffer.
-    Device(Buf<u32>),
-    /// The thread's row of `current` itself. The caller takes the move
-    /// back if it is rejected.
-    InPlace,
-}
-
 /// What a thread's acceptance fixes before its row moves: the metropolis
-/// draw and the personal-best energy after capturing the pre-move state.
+/// draw, and whether the pre-move state becomes the personal best.
 #[derive(Clone, Copy)]
 pub(crate) struct PreMove {
     u: f64,
+    /// The pre-move state improves the personal best: the caller copies
+    /// the thread's row to its personal-best row, and its energy to the
+    /// personal-best energy, while the row still holds that state.
+    pub(crate) capture: bool,
+    /// The personal-best energy after the capture.
     best: i64,
 }
 
+/// How a thread's acceptance ends.
+#[derive(Clone, Copy)]
+pub(crate) struct Settled {
+    /// The candidate becomes the thread's row and energy.
+    pub(crate) accepted: bool,
+    /// The accepted candidate also improves the personal best: the caller
+    /// copies it to the personal-best row and energy.
+    pub(crate) capture: bool,
+    /// The personal-best energy afterwards.
+    pub(crate) best: i64,
+}
+
 impl AcceptKernel {
-    /// Thread `gid`'s acceptance, up to the move: draw the metropolis
-    /// uniform from `rng` and capture the pre-move state at `energy` as
-    /// the personal best if it improves on it (on the first generation
-    /// this records the initial sequence; later it is usually a no-op
-    /// because the best already reflects this state). It must run while
-    /// the thread's row of `current` still holds that state.
-    pub(crate) fn before_move<C: DeviceCtx>(
-        &self,
-        ctx: &mut C,
-        gid: usize,
-        energy: i64,
-        rng: &mut XorWow,
-    ) -> PreMove {
-        let n = self.n;
+    /// A thread's acceptance, up to the move: draw the metropolis uniform
+    /// from `rng` and decide whether the pre-move state at `energy`
+    /// improves the personal best `best` (on the first generation this
+    /// records the initial sequence; later it is usually a no-op because
+    /// the best already reflects this state).
+    pub(crate) fn before_move(rng: &mut XorWow, energy: i64, best: i64) -> PreMove {
         let u = rng.next_f64();
-        ctx.charge_special(1); // exp() in the metropolis rule
-        ctx.charge_alu(4);
-        let mut best = ctx.read(self.best_energies, gid);
-        if energy < best {
-            ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
-            ctx.write(self.best_energies, gid, energy);
-            best = energy;
-        }
-        PreMove { u, best }
+        let capture = energy < best;
+        PreMove { u, capture, best: if capture { energy } else { best } }
     }
 
-    /// The rest of thread `gid`'s acceptance: the metropolis rule from
+    /// The rest of a thread's acceptance: the metropolis rule from
     /// `energy` to the candidate's `energy_new` at `temperature`, with the
-    /// uniform `pre` drew. An accepted candidate becomes the thread's row
-    /// of `current` and may become its personal best. Returns whether the
-    /// move was accepted and the thread's personal-best energy afterwards.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn settle<C: DeviceCtx>(
-        &self,
-        ctx: &mut C,
-        gid: usize,
-        pre: PreMove,
-        candidate: Candidate,
-        energy: i64,
-        energy_new: i64,
-        temperature: f64,
-    ) -> (bool, i64) {
-        let n = self.n;
-        let mut best = pre.best;
+    /// uniform `pre` drew. An accepted candidate may also become the
+    /// personal best.
+    pub(crate) fn settle(pre: PreMove, energy: i64, energy_new: i64, temperature: f64) -> Settled {
         let accepted = metropolis_accept(energy, energy_new, temperature, pre.u);
-        if accepted {
-            if let Candidate::Device(rows) = candidate {
-                ctx.copy_row(rows, gid * n, self.current, gid * n, n);
-            }
-            ctx.write(self.energies, gid, energy_new);
-            // The newly accepted state may improve the best.
-            if energy_new < best {
-                ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
-                ctx.write(self.best_energies, gid, energy_new);
-                best = energy_new;
-            }
-        }
-        (accepted, best)
+        let capture = accepted && energy_new < pre.best;
+        Settled { accepted, capture, best: if capture { energy_new } else { pre.best } }
     }
 }
 
@@ -172,10 +138,25 @@ impl Kernel for AcceptKernel {
             }
             None => self.temperature,
         };
-        let pre = self.before_move(ctx, gid, energy, &mut rng);
-        let candidate = Candidate::Device(self.candidate);
-        let (accepted, best) =
-            self.settle(ctx, gid, pre, candidate, energy, energy_new, temperature);
+        let n = self.n;
+        ctx.charge_special(1); // exp() in the metropolis rule
+        ctx.charge_alu(4);
+        let best = ctx.read(self.best_energies, gid);
+        let pre = Self::before_move(&mut rng, energy, best);
+        if pre.capture {
+            ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
+            ctx.write(self.best_energies, gid, energy);
+        }
+        let Settled { accepted, capture, best } =
+            Self::settle(pre, energy, energy_new, temperature);
+        if accepted {
+            ctx.copy_row(self.candidate, gid * n, self.current, gid * n, n);
+            ctx.write(self.energies, gid, energy_new);
+            if capture {
+                ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
+                ctx.write(self.best_energies, gid, energy_new);
+            }
+        }
 
         if let Some(flags) = self.flags {
             // Sticky: acceptance marks the row changed; nothing here

@@ -329,17 +329,13 @@ pub struct PbestKernel {
 }
 
 impl PbestKernel {
-    /// Particle `gid`'s personal-best update for its fresh fitness `e`:
-    /// its row of `positions` becomes its personal best if `e` improves on
-    /// it. Returns whether it did and the personal-best energy afterwards.
-    pub(crate) fn improve<C: DeviceCtx>(&self, ctx: &mut C, gid: usize, e: i64) -> (bool, i64) {
-        let b = ctx.read(self.pbest_energies, gid);
-        let improved = e < b;
-        if improved {
-            ctx.copy_row(self.positions, gid * self.n, self.pbest, gid * self.n, self.n);
-            ctx.write(self.pbest_energies, gid, e);
-        }
-        (improved, if improved { e } else { b })
+    /// A particle's personal-best update: its fresh fitness `e` replaces
+    /// the personal best `best` only if it is lower, and then the caller
+    /// copies its row to its personal-best row. Returns whether it does
+    /// and the personal-best energy afterwards.
+    pub(crate) fn improve(e: i64, best: i64) -> (bool, i64) {
+        let improved = e < best;
+        (improved, if improved { e } else { best })
     }
 }
 
@@ -354,7 +350,11 @@ impl Kernel for PbestKernel {
             return;
         }
         let e = ctx.read(self.energies, gid);
-        let (improved, pb) = self.improve(ctx, gid, e);
+        let (improved, pb) = Self::improve(e, ctx.read(self.pbest_energies, gid));
+        if improved {
+            ctx.copy_row(self.positions, gid * self.n, self.pbest, gid * self.n, self.n);
+            ctx.write(self.pbest_energies, gid, e);
+        }
 
         if let Some(probe) = &self.telemetry {
             probe.ring.bump_counter(ctx, gid, i64::from(improved));

@@ -14,7 +14,7 @@ use crate::layout::ProblemDevice;
 use cdd_core::cdd_optimal::cdd_objective_raw;
 use cdd_core::ucddcp_optimal::ucddcp_objective_raw;
 use cdd_core::ProblemKind;
-use cuda_sim::{Buf, DeviceCtx, Kernel, NativeCtx, ScratchArena};
+use cuda_sim::{Buf, DeviceCtx, Kernel, PassMem, ScratchArena};
 
 /// Sentinel energy written when fault injection corrupted a thread's inputs
 /// beyond evaluation (non-permutation sequence, out-of-range data). Large
@@ -111,16 +111,14 @@ pub(crate) struct Rates<'a> {
 }
 
 impl<'a> Rates<'a> {
-    /// `prob`'s data read in place through the native backend's windows,
-    /// as the fused native generations score.
-    pub(crate) fn native(prob: &ProblemDevice, ctx: &'a NativeCtx<'_>) -> Self {
-        let n = prob.n;
+    /// `prob`'s data as a native pass borrows it, in place.
+    pub(crate) fn taken(prob: &ProblemDevice, mem: &mut PassMem<'a>) -> Self {
         Rates {
-            p: ctx.window(prob.p, 0, n),
-            m: ctx.window(prob.m, 0, n),
-            alpha: ctx.window(prob.alpha, 0, n),
-            beta: ctx.window(prob.beta, 0, n),
-            gamma: ctx.window(prob.gamma, 0, n),
+            p: mem.take(prob.p),
+            m: mem.take(prob.m),
+            alpha: mem.take(prob.alpha),
+            beta: mem.take(prob.beta),
+            gamma: mem.take(prob.gamma),
         }
     }
 }
@@ -128,7 +126,7 @@ impl<'a> Rates<'a> {
 /// The objective of `row` for a `kind` problem with due date `d`: the
 /// cost of the optimal schedule of the fixed sequence, found by the O(n)
 /// algorithms of `cdd-core` (arXiv:1311.2879). The fitness kernel and the
-/// fused native generations score through this one function.
+/// native passes score through this one function.
 pub(crate) fn score(kind: ProblemKind, d: i64, rates: &Rates<'_>, row: &[u32]) -> i64 {
     match kind {
         ProblemKind::Cdd => cdd_objective_raw(rates.p, rates.alpha, rates.beta, d, row),

@@ -91,32 +91,34 @@ impl PerturbKernel {
 
     /// A thread's perturbation, drawn from `rng` into `swaps`: `pert`
     /// distinct positions, then the Fisher–Yates shuffle of the jobs at
-    /// them. The kernel applies it to the parent row it stages; the fused
-    /// native generation applies it to the chain's row in place.
-    pub(crate) fn draw<C: DeviceCtx>(&self, ctx: &mut C, rng: &mut XorWow, swaps: &mut Swaps) {
+    /// them. Returns how many positions it drew, rejected repeats included.
+    /// The kernel applies the move to the parent row it stages; the native
+    /// pass applies it to the chain's row in place.
+    pub(crate) fn draw(&self, rng: &mut XorWow, swaps: &mut Swaps) -> u64 {
         let n = self.n;
         swaps.pairs.clear();
         let pert = self.pert.min(n);
         if pert < 2 {
-            return;
+            return 0;
         }
         // Select `pert` distinct positions (rejection sampling — cheap for
         // the paper's Pert = 4, exact for any pert ≤ n).
         swaps.positions.clear();
+        let mut tries = 0;
         while swaps.positions.len() < pert {
             // `n as u32` is exact: `new` rejects n > u32::MAX.
             let c = rng.next_below(n as u32);
             if !swaps.positions.contains(&c) {
                 swaps.positions.push(c);
             }
-            ctx.charge_alu(2);
+            tries += 1;
         }
         // Fisher–Yates over the jobs at the selected positions.
         for i in (1..pert).rev() {
             let j = rng.next_below(i as u32 + 1) as usize;
             swaps.pairs.push((swaps.positions[i], swaps.positions[j]));
-            ctx.charge_alu(4);
         }
+        tries
     }
 }
 
@@ -135,7 +137,11 @@ impl Kernel for PerturbKernel {
         self.scratch.with_slot(0, |PerturbScratch { row, swaps }| {
             row.resize(n, 0);
             ctx.read_slice_into(self.src, gid * n, row);
-            self.draw(ctx, &mut rng, swaps);
+            let tries = self.draw(&mut rng, swaps);
+            // Two ALU operations per position drawn, four per Fisher–Yates
+            // step.
+            let steps = self.pert.min(n).saturating_sub(1) as u64;
+            ctx.charge_alu(2 * tries + 4 * steps);
             swaps.apply(row);
             ctx.write_slice(self.dst, gid * n, row);
         });

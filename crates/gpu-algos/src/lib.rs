@@ -22,12 +22,13 @@
 //!
 //! The simulator runs exactly those launches; it is the referee whose
 //! modeled clock, fault draws and timeline are per launch. The native
-//! backend fuses each generation instead: one pass over the threads in
-//! which every chain perturbs, scores, accepts and folds its own state
-//! back to back, through the same per-thread functions the kernels call,
-//! and counts the four launches it stands for. DPSO fuses its position
-//! update, fitness, personal-best update and reduction the same way, then
-//! launches the swarm-best broadcast, which every particle reads.
+//! backend runs a whole SA run as one pass instead, chain-major: every
+//! chain perturbs, scores, accepts and folds its own state through all its
+//! generations back to back, through the same per-thread functions the
+//! kernels call, and the pass counts the launches it stands for. DPSO runs
+//! its position update, fitness, personal-best update and reduction as one
+//! pass per generation, then launches the swarm-best broadcast, which
+//! every particle reads.
 //!
 //! Data movement follows Fig. 9: job data, initial sequences and RNG states
 //! are copied host→device once; `d` and `n` live in constant memory; only

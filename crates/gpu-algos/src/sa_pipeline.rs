@@ -7,11 +7,12 @@
 //! and the winning thread's personal-best row.
 //!
 //! The simulator runs every generation as those four launches. The native
-//! backend runs it as one fused pass ([`NativeGpu::run_fused`]) in which
-//! each thread perturbs, scores, accepts and folds its own chain back to
-//! back, calling the same per-thread functions as the kernels; it leaves
-//! every buffer the next generation reads exactly as the four launches
-//! would (DESIGN.md §11).
+//! backend runs the whole run as one pass ([`NativeGpu::run_pass`]),
+//! chain-major: each chain perturbs, scores, accepts and folds its own
+//! state through all its generations back to back, calling the same
+//! per-thread functions as the kernels, before the next chain starts. It
+//! leaves every buffer the final reduction and copy-back read exactly as
+//! the launches would (DESIGN.md §11).
 //!
 //! All reported times are the simulator's modeled device times, including
 //! every host↔device transfer — matching the paper's accounting ("the total
@@ -19,7 +20,7 @@
 //! between the host and the device").
 
 use crate::init::{initial_ensemble, InitStrategy};
-use crate::kernels::accept::Candidate;
+use crate::kernels::accept::Settled;
 use crate::kernels::fitness::{score, Rates, CORRUPT_ENERGY};
 use crate::kernels::perturb::Swaps;
 use crate::kernels::{AcceptKernel, FitnessKernel, PerturbKernel, SaProbe};
@@ -35,8 +36,8 @@ use cdd_meta::temperature::initial_temperature;
 use cdd_meta::{AsyncEnsemble, Cooling, SaParams};
 use cuda_sim::reduce::{pack_argmin, unpack_argmin, AtomicArgminKernel};
 use cuda_sim::{
-    Backend, Buf, DeviceCtx, DeviceSpec, ExecBackend, FaultPlan, Gpu, Kernel, LaunchConfig,
-    LaunchError, NativeGpu, Profiler, TelemetryConfig, TelemetryRing, TimelineEvent, XorWow,
+    Backend, Buf, DeviceSpec, ExecBackend, FaultPlan, Gpu, Kernel, LaunchConfig, LaunchError,
+    NativeGpu, Profiler, TelemetryConfig, TelemetryRing, TimelineEvent, XorWow,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -396,46 +397,71 @@ impl SaRun {
         launch_with_retry(gpu, &self.reduce, self.cfg, policy, stats)
     }
 
-    /// The same generation as one fused pass on the native backend. Each
-    /// chain touches only its own rows, energies and RNG words, and the
-    /// reduction is an order-independent atomic min, so running a chain's
-    /// four steps back to back leaves every buffer the next generation
-    /// reads as the four launches would. The chain's row of `current`
-    /// takes the drawn swaps in place and is scored there, after the
-    /// personal best has captured the pre-move state; a rejected move is
-    /// undone swap by swap, and an accepted one copies nothing. The RNG
-    /// words are loaded and stored once.
-    fn fused_generation(
+    /// `gens` generations on the native backend, starting at temperature
+    /// `t0` and cooling by `cooling_rate`, as one pass standing for their
+    /// launches. The pass is chain-major: each chain loads its RNG words,
+    /// energy and personal-best energy once, runs every generation with its
+    /// rows hot, and stores them once. That is exact because a chain
+    /// touches only its own rows, energies and RNG words; because its
+    /// temperatures come from the same repeated multiplication as the
+    /// host's loop; and because the reduction is an order-independent
+    /// atomic min, still folded every generation. The chain's row of
+    /// `current` takes the drawn swaps in place and is scored there, after
+    /// the personal best has captured the pre-move state; a rejected move
+    /// is undone swap by swap, and an accepted one copies nothing.
+    fn native_pass(
         &self,
         gpu: &mut NativeGpu,
-        temperature: f64,
-        swaps: &mut Swaps,
+        t0: f64,
+        cooling_rate: f64,
+        gens: u64,
     ) -> Result<(), LaunchError> {
-        let accept = self.accept(temperature, None);
+        let accept = self.accept(t0, None);
         let launches: [&dyn Kernel; 4] = [&self.perturb, &self.fitness, &accept, &self.reduce];
-        let n = self.prob.n;
-        gpu.run_fused(self.cfg, &launches, |ctx| {
-            let gid = ctx.global_id();
-            if gid >= self.ensemble {
-                return;
+        let (kind, d, n) = (self.prob.kind, self.prob.d, self.prob.n);
+        let rounds = usize::try_from(gens).expect("generation count fits usize");
+        gpu.run_pass(self.cfg, &launches, rounds, |mem| {
+            let rates = Rates::taken(&self.prob, mem);
+            let current = mem.take(self.current);
+            let best_rows = mem.take(self.best_rows);
+            let energies = mem.take(self.energies);
+            let best_energies = mem.take(self.best_energies);
+            let rng_words = mem.take(self.rng_states);
+            let global_best = &mut mem.take(self.global_best)[0];
+            let mut swaps = Swaps::default();
+            for gid in 0..self.ensemble {
+                let row = &mut current[gid * n..][..n];
+                let best_row = &mut best_rows[gid * n..][..n];
+                let words = &mut rng_words[gid * 3..][..3];
+                let mut rng = XorWow::from_words(words);
+                let (mut energy, mut best) = (energies[gid], best_energies[gid]);
+                let mut temperature = t0;
+                for _ in 0..gens {
+                    self.perturb.draw(&mut rng, &mut swaps);
+                    let pre = AcceptKernel::before_move(&mut rng, energy, best);
+                    if pre.capture {
+                        best_row.copy_from_slice(row);
+                    }
+                    swaps.apply(row);
+                    let energy_new = score(kind, d, &rates, row);
+                    let Settled { accepted, capture, best: settled } =
+                        AcceptKernel::settle(pre, energy, energy_new, temperature);
+                    if accepted {
+                        energy = energy_new;
+                        if capture {
+                            best_row.copy_from_slice(row);
+                        }
+                    } else {
+                        swaps.undo(row);
+                    }
+                    best = settled;
+                    *global_best = (*global_best).min(pack_argmin(best, gid));
+                    temperature *= cooling_rate;
+                }
+                energies[gid] = energy;
+                best_energies[gid] = best;
+                rng.to_words(words);
             }
-            let mut rng = ctx.load_rng(self.rng_states, gid);
-            self.perturb.draw(ctx, &mut rng, swaps);
-            let energy = ctx.read(self.energies, gid);
-            let pre = accept.before_move(ctx, gid, energy, &mut rng);
-            let [row] = ctx.windows_mut([(self.current, gid * n, n)]);
-            swaps.apply(row);
-            let rates = Rates::native(&self.prob, ctx);
-            let row = ctx.window(self.current, gid * n, n);
-            let energy_new = score(self.prob.kind, self.prob.d, &rates, row);
-            let (accepted, best) =
-                accept.settle(ctx, gid, pre, Candidate::InPlace, energy, energy_new, temperature);
-            if !accepted {
-                let [row] = ctx.windows_mut([(self.current, gid * n, n)]);
-                swaps.undo(row);
-            }
-            ctx.atomic_min_i64(self.global_best, 0, pack_argmin(best, gid));
-            ctx.store_rng(self.rng_states, gid, &rng);
         })
     }
 }
@@ -482,33 +508,34 @@ fn sa_attempt<B: ExecBackend>(
 
         run.launch_initial_fitness(&mut gpu, policy, stats).map_err(|e| suite_device_error(&e))?;
 
-        // The fused pass's drawn move: one, reused by every thread of
-        // every generation.
-        let mut swaps = Swaps::default();
-        let mut temperature = t0;
-        for gen in 0..params.iterations {
-            // Span metadata is attached whether or not telemetry samples
-            // this generation, so the timeline is stride-independent.
-            gpu.span_begin_args("sa-generation", || {
-                vec![
-                    ("gen".to_string(), gen.to_string()),
-                    ("temperature".to_string(), format!("{temperature:.6e}")),
-                ]
-            });
-            let slot = ring.and_then(|_| params.telemetry.slot_for(gen, telem_cap));
-            if slot.is_some() {
-                sample_headers.push((gen, temperature));
-            }
-            let gen_result = match gpu.native() {
-                Some(native) => run.fused_generation(native, temperature, &mut swaps),
-                None => {
+        match gpu.native() {
+            Some(native) => run
+                .native_pass(native, t0, params.cooling_rate, params.iterations)
+                .map_err(|e| suite_device_error(&e))?,
+            None => {
+                let mut temperature = t0;
+                for gen in 0..params.iterations {
+                    // Span metadata is attached whether or not telemetry
+                    // samples this generation, so the timeline is
+                    // stride-independent.
+                    gpu.span_begin_args("sa-generation", || {
+                        vec![
+                            ("gen".to_string(), gen.to_string()),
+                            ("temperature".to_string(), format!("{temperature:.6e}")),
+                        ]
+                    });
+                    let slot = ring.and_then(|_| params.telemetry.slot_for(gen, telem_cap));
+                    if slot.is_some() {
+                        sample_headers.push((gen, temperature));
+                    }
                     let probe = ring.map(|r| SaProbe { ring: r, slot });
-                    run.launch_generation(&mut gpu, temperature, probe, policy, stats)
+                    let gen_result =
+                        run.launch_generation(&mut gpu, temperature, probe, policy, stats);
+                    gpu.span_end("sa-generation");
+                    gen_result.map_err(|e| suite_device_error(&e))?;
+                    temperature *= params.cooling_rate;
                 }
-            };
-            gpu.span_end("sa-generation");
-            gen_result.map_err(|e| suite_device_error(&e))?;
-            temperature *= params.cooling_rate;
+            }
         }
 
         // Fig. 9: global best (and the winning row) device → host, oracle-
@@ -776,72 +803,82 @@ mod tests {
         ]
     }
 
-    /// The fused native generation must leave every buffer the next
-    /// generation reads exactly as the four launches do, generation by
-    /// generation, not just reach the same final best. Both of its exits
-    /// must run: accepted moves, which stay in place, and rejected ones,
+    /// Run `gens` generations of `inst` at `blocks`×`block_size` twice on
+    /// `NativeGpu`, as launches and as one native pass, and require the
+    /// same state and launch count. Returns the launched run's kept and
+    /// rejected moves, read from its candidate rows: kept if `current`
+    /// became the candidate, else rejected.
+    fn pass_against_launches(
+        inst: &Instance,
+        blocks: usize,
+        block_size: usize,
+        gens: u64,
+    ) -> (usize, usize) {
+        let (policy, mut stats) = (RecoveryPolicy::default(), RecoveryStats::default());
+        let n = inst.n();
+        let params = GpuSaParams { blocks, block_size, ..small_params(gens) };
+        let mut host_rng = StdRng::seed_from_u64(params.seed);
+        let t0 = params.initial_temperature(inst, &*evaluator_for(inst), &mut host_rng);
+        let start = |gpu: &mut NativeGpu| {
+            let run = SaRun::upload(gpu, inst, &params, &mut host_rng.clone()).unwrap();
+            run.launch_initial_fitness(gpu, &policy, &mut RecoveryStats::default()).unwrap();
+            run
+        };
+        let (mut launched, mut passed) =
+            (NativeGpu::new(params.device.clone()), NativeGpu::new(params.device.clone()));
+        let (by_launch, by_pass) = (start(&mut launched), start(&mut passed));
+        let initial = chain_state(&passed, &by_pass);
+        let (mut kept, mut rejected) = (0, 0);
+        let mut temperature = t0;
+        for _ in 0..gens {
+            let before = launched.peek(by_launch.current);
+            by_launch
+                .launch_generation(&mut launched, temperature, None, &policy, &mut stats)
+                .unwrap();
+            let (moved, after) =
+                (launched.peek(by_launch.candidate), launched.peek(by_launch.current));
+            for t in 0..params.ensemble() {
+                let row = |rows: &[u32]| rows[t * n..(t + 1) * n].to_vec();
+                if row(&moved) == row(&before) {
+                    continue; // the shuffle happened to keep every job in place
+                }
+                if row(&after) == row(&moved) {
+                    kept += 1;
+                } else {
+                    assert_eq!(row(&after), row(&before), "chain {t}");
+                    rejected += 1;
+                }
+            }
+            temperature *= params.cooling_rate;
+        }
+        by_pass.native_pass(&mut passed, t0, params.cooling_rate, gens).unwrap();
+        let case = format!("{:?} {blocks}x{block_size}, {gens} generations", inst.kind());
+        assert_eq!(chain_state(&passed, &by_pass), chain_state(&launched, &by_launch), "{case}");
+        assert_ne!(chain_state(&passed, &by_pass), initial, "{case}: the chains moved");
+        for gpu in [&launched, &passed] {
+            assert_eq!(gpu.kernel_launches() as u64, 1 + 4 * gens, "{case}");
+        }
+        (kept, rejected)
+    }
+
+    /// One native pass of G generations must leave every buffer the next
+    /// generation would read exactly as G rounds of the four launches do,
+    /// not just reach the same final best, and count the same launches.
+    /// The launched runs' moves must include both kinds the pass handles
+    /// differently: kept ones, which stay in place, and rejected ones,
     /// which it undoes swap by swap.
     #[test]
-    fn fused_generation_leaves_the_launched_state() {
-        const GENS: u64 = 5;
-        let (policy, mut stats) = (RecoveryPolicy::default(), RecoveryStats::default());
+    fn native_pass_leaves_the_launched_state() {
         for inst in [cdd_instances::cdd_instance(40, 1, 0.4), cdd_instances::ucddcp_instance(40, 1)]
         {
-            let n = inst.n();
             for (blocks, block_size) in [(1, 64), (4, 192)] {
-                let params = GpuSaParams { blocks, block_size, ..small_params(GENS) };
-                let mut host_rng = StdRng::seed_from_u64(params.seed);
-                let t0 = params.initial_temperature(&inst, &*evaluator_for(&inst), &mut host_rng);
-                let start = |gpu: &mut NativeGpu| {
-                    let run = SaRun::upload(gpu, &inst, &params, &mut host_rng.clone()).unwrap();
-                    run.launch_initial_fitness(gpu, &policy, &mut RecoveryStats::default())
-                        .unwrap();
-                    run
-                };
-                let mut launched = NativeGpu::new(params.device.clone());
-                let mut fused = NativeGpu::new(params.device.clone());
-                let (by_launch, by_pass) = (start(&mut launched), start(&mut fused));
-                let initial = chain_state(&fused, &by_pass);
-                let mut swaps = Swaps::default();
-                let mut temperature = t0;
-                let (mut accepted, mut rejected) = (0, 0);
-                for gen in 0..GENS {
-                    let before = launched.peek(by_launch.current);
-                    by_launch
-                        .launch_generation(&mut launched, temperature, None, &policy, &mut stats)
-                        .unwrap();
-                    by_pass.fused_generation(&mut fused, temperature, &mut swaps).unwrap();
-                    let case = format!("{:?} {blocks}x{block_size} generation {gen}", inst.kind());
-                    assert_eq!(
-                        chain_state(&fused, &by_pass),
-                        chain_state(&launched, &by_launch),
-                        "{case}"
-                    );
-                    // Each chain's move, from the launched run's candidate
-                    // rows: kept if `current` became the candidate, else
-                    // rejected, and the fused run's row matched either way.
-                    let (moved, after) =
-                        (launched.peek(by_launch.candidate), launched.peek(by_launch.current));
-                    for t in 0..params.ensemble() {
-                        let row = |rows: &[u32]| rows[t * n..(t + 1) * n].to_vec();
-                        if row(&moved) == row(&before) {
-                            continue; // the shuffle happened to keep every job in place
-                        }
-                        if row(&after) == row(&moved) {
-                            accepted += 1;
-                        } else {
-                            assert_eq!(row(&after), row(&before), "{case} chain {t}");
-                            rejected += 1;
-                        }
-                    }
-                    temperature *= params.cooling_rate;
+                let (mut kept, mut rejected) = (0, 0);
+                for gens in [1, 2, 5] {
+                    let (k, r) = pass_against_launches(&inst, blocks, block_size, gens);
+                    (kept, rejected) = (kept + k, rejected + r);
                 }
-                assert_ne!(chain_state(&fused, &by_pass), initial, "the chains moved");
                 let case = format!("{:?} {blocks}x{block_size}", inst.kind());
-                assert!(accepted > 0 && rejected > 0, "{case}: {accepted} kept, {rejected} undone");
-                for gpu in [&launched, &fused] {
-                    assert_eq!(gpu.kernel_launches() as u64, 1 + 4 * GENS);
-                }
+                assert!(kept > 0 && rejected > 0, "{case}: {kept} kept, {rejected} undone");
             }
         }
     }

@@ -11,11 +11,12 @@
 //! * [`NativeGpu`] — the native host backend: the same kernel bodies run
 //!   directly on the host, with **no** modeled clock, no per-access
 //!   simulation, and no fault machinery on the hot path. This is the
-//!   deployment path. Besides single launches it runs *fused passes*
-//!   ([`NativeGpu::run_fused`]): one per-thread closure standing for
-//!   several launches whose threads each touch only their own data, so a
-//!   pipeline can run a whole generation per thread instead of one kernel
-//!   per sweep (DESIGN.md §11).
+//!   deployment path. Besides single launches it runs *native passes*
+//!   ([`NativeGpu::run_pass`]): one closure standing for rounds of several
+//!   launches whose threads each touch only their own data, over device
+//!   memory borrowed once as typed slices, so a pipeline can run a whole
+//!   generation, or a whole run, per thread instead of one kernel per
+//!   sweep (DESIGN.md §11).
 //!
 //! Both backends take a launch as a kernel value and a launch
 //! configuration: the kernel carries its buffers as fields and its block
@@ -31,12 +32,12 @@
 //! the exact same `phase` code through [`DeviceCtx`], (b) XORWOW streams
 //! are device-resident data, and (c) every access, atomics included, goes
 //! to the *same* `MemoryPool` methods, in place and in the same serial
-//! block and thread order. A fused pass keeps the contract for the state
-//! its launches leave behind, not for every intermediate buffer: its
-//! closure calls the per-thread functions the kernels' `phase` bodies call,
-//! and whatever data it keeps in host vectors instead of device memory (a
-//! candidate row the next launch would only read back) is data the next
-//! generation never reads. What the native backend does not have: a profiler
+//! block and thread order. A native pass keeps the contract for the state
+//! its launches leave behind, not for every intermediate buffer: it calls
+//! the per-thread functions the kernels' `phase` bodies call, and whatever
+//! it keeps in locals instead of device memory (a candidate row or energy
+//! the next launch would only read back) is data the next generation never
+//! reads. What the native backend does not have: a profiler
 //! ([`ExecBackend::sim_profiler`] is `None`, so there are no modeled
 //! seconds and no timeline), fault injection and telemetry (sim-only;
 //! installing an active fault plan panics, and the pipelines reject such
@@ -46,7 +47,7 @@ use crate::device::DeviceSpec;
 use crate::engine::{DeviceCtx, Gpu, Kernel, LaunchError};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::grid::LaunchConfig;
-use crate::memory::{Buf, ConstBuf, DeviceValue, MemoryPool};
+use crate::memory::{Buf, ConstBuf, DeviceValue, MemoryPool, PassMem};
 use crate::profiler::Profiler;
 use std::fmt;
 use std::str::FromStr;
@@ -163,9 +164,9 @@ pub trait ExecBackend {
     /// Kernel launches so far: every successful one and, on the
     /// simulator, every attempt its watchdog killed. No other failed launch
     /// counts. On the native backend the count is of *logical* launches: a
-    /// fused pass ([`NativeGpu::run_fused`]) adds one for each launch it
-    /// stands for, so a fused generation counts what the simulator's
-    /// launch-by-launch generation counts. Identical across backends for a
+    /// native pass ([`NativeGpu::run_pass`]) adds one for each launch of
+    /// each round it stands for, so a pass counts what the simulator's
+    /// launch-by-launch generations count. Identical across backends for a
     /// clean run — part of the parity contract.
     fn kernel_launches(&self) -> usize;
 
@@ -174,9 +175,9 @@ pub trait ExecBackend {
     /// wall-clock time.
     fn sim_profiler(&self) -> Option<&Profiler>;
 
-    /// The native backend itself, for pipelines that run a generation as
-    /// one fused pass ([`NativeGpu::run_fused`]) instead of launch by
-    /// launch. `None` on the simulator, which runs every launch.
+    /// The native backend itself, for pipelines that run generations as
+    /// native passes ([`NativeGpu::run_pass`]) instead of launch by launch.
+    /// `None` on the simulator, which runs every launch.
     fn native(&mut self) -> Option<&mut NativeGpu> {
         None
     }
@@ -268,38 +269,37 @@ impl NativeGpu {
         NativeGpu { spec, pool: MemoryPool::default(), launches: 0 }
     }
 
-    /// Run one fused pass: `thread` once for every thread of `cfg`, blocks
-    /// in index order and threads in index order within each block, on the
-    /// calling thread. The pass stands for the launches of `launches`, in
-    /// order: it rejects a configuration with the error the first of them
-    /// would return from [`ExecBackend::launch_kernel`], before any thread
-    /// runs, and on success adds `launches.len()` to
+    /// Run one native pass: `pass` once, over device memory borrowed for
+    /// the whole pass ([`PassMem`]), on the calling thread. The pass stands
+    /// for `rounds` rounds of the launches of `launches`: it rejects a
+    /// configuration with the error the first of them would return from
+    /// [`ExecBackend::launch_kernel`] before it borrows anything, and on
+    /// success adds `rounds · launches.len()` to
     /// [`kernel_launches`](ExecBackend::kernel_launches).
     ///
-    /// Fusing is exact when every thread of those launches reads and writes
-    /// only its own data, apart from order-independent atomics: each thread
-    /// then sees what it would see launch by launch. Each thread runs to
-    /// completion before the next starts, so a pass has no barrier: data a
-    /// kernel stages in its block's shared memory, the closure reads from
-    /// global memory instead.
-    pub fn run_fused(
+    /// `pass` runs the threads of `cfg` itself, in global-id order, which
+    /// is the block-then-thread order of a launch. Standing for the
+    /// launches is exact when every thread of them reads and writes only
+    /// its own data, apart from order-independent atomics (a minimum
+    /// folded in place): each thread then sees what it would see launch by
+    /// launch, even if it runs all its rounds before the next thread
+    /// starts. A pass has no barrier, so data a kernel stages in its
+    /// block's shared memory, the pass reads from global memory instead.
+    pub fn run_pass<R>(
         &mut self,
         cfg: LaunchConfig,
         launches: &[&dyn Kernel],
-        mut thread: impl FnMut(&mut NativeCtx<'_>),
-    ) -> Result<(), LaunchError> {
+        rounds: usize,
+        pass: impl FnOnce(&mut PassMem<'_>) -> R,
+    ) -> Result<R, LaunchError> {
         let block_dim = cfg.block_size();
         for kernel in launches {
             let shared_bytes = kernel.shared_mem_bytes(block_dim);
             cfg.validate(&self.spec, shared_bytes).map_err(LaunchError::InvalidConfig)?;
         }
-        for block_idx in 0..cfg.num_blocks() {
-            for thread_idx in 0..block_dim {
-                thread(&mut NativeCtx { thread_idx, block_idx, block_dim, mem: &mut self.pool });
-            }
-        }
-        self.launches += launches.len();
-        Ok(())
+        let out = pass(&mut self.pool.pass_mem());
+        self.launches += rounds * launches.len();
+        Ok(out)
     }
 }
 
@@ -414,31 +414,6 @@ pub struct NativeCtx<'a> {
     mem: &'a mut MemoryPool,
 }
 
-impl NativeCtx<'_> {
-    /// `len` elements of a `u32` or `i64` buffer from `start`, borrowed in
-    /// place: the window [`DeviceCtx::global_window`] always offers on this
-    /// backend.
-    #[inline]
-    pub fn window<T: DeviceValue<Word = T>>(&self, buf: Buf<T>, start: usize, len: usize) -> &[T] {
-        self.mem.window(buf, start, len)
-    }
-
-    /// Windows on `N` rows `(buf, start, len)` of distinct `u32` or `i64`
-    /// buffers, borrowed in place and writable: a fused pass edits its
-    /// thread's own row where it lies, beside the rows it only reads. As
-    /// everywhere in a fused pass, a thread may write only its own data.
-    ///
-    /// # Panics
-    /// Panics if two rows name the same buffer or a row is out of bounds.
-    #[inline]
-    pub fn windows_mut<T: DeviceValue<Word = T>, const N: usize>(
-        &mut self,
-        rows: [(Buf<T>, usize, usize); N],
-    ) -> [&mut [T]; N] {
-        self.mem.windows_mut(rows)
-    }
-}
-
 impl DeviceCtx for NativeCtx<'_> {
     #[inline]
     fn thread_idx(&self) -> usize {
@@ -517,7 +492,7 @@ impl DeviceCtx for NativeCtx<'_> {
         start: usize,
         len: usize,
     ) -> Option<&[T]> {
-        Some(self.window(buf, start, len))
+        Some(self.mem.window(buf, start, len))
     }
 
     #[inline]
@@ -775,7 +750,7 @@ mod tests {
     }
 
     /// A kernel that asks for `.0` bytes of shared memory and does nothing:
-    /// a stand-in for the launches a fused pass replaces.
+    /// a stand-in for the launches a native pass stands for.
     struct Footprint(usize);
 
     impl Kernel for Footprint {
@@ -789,29 +764,45 @@ mod tests {
     }
 
     #[test]
-    fn fused_pass_runs_threads_in_order_on_the_calling_thread_and_counts_its_launches() {
-        let cfg = LaunchConfig::linear(3, 4);
-        let caller = std::thread::current().id();
+    fn pass_borrows_typed_slices_in_place() {
         let mut native = NativeGpu::new(DeviceSpec::gt560m());
-        let mut ran = Vec::new();
-        let (a, b) = (Footprint(0), Footprint(64));
-        native
-            .run_fused(cfg, &[&a, &b, &a], |ctx| {
-                let me = (ctx.block_idx(), ctx.thread_idx(), ctx.global_id());
-                ran.push((me, std::thread::current().id()));
+        let rows = ExecBackend::alloc::<u32>(&mut native, 6);
+        native.h2d(rows, &[0, 1, 2, 3, 4, 5]);
+        let energies = ExecBackend::alloc::<i64>(&mut native, 2);
+        native.h2d(energies, &[-7, 9]);
+        let words = ExecBackend::alloc::<u64>(&mut native, 1);
+        native.h2d(words, &[u64::MAX]);
+        let seen = native
+            .run_pass(LaunchConfig::linear(1, 2), &[], 1, |mem| {
+                let (rows, energies) = (mem.take(rows), mem.take(energies));
+                let words = mem.take(words);
+                rows[3..].reverse();
+                energies[1] = energies[0] * 2;
+                let seen = u64::from_word(words[0]);
+                words[0] = 7u64.to_word();
+                seen
             })
             .unwrap();
-        let in_order: Vec<_> =
-            (0..3).flat_map(|b| (0..4).map(move |t| ((b, t, b * 4 + t), caller))).collect();
-        assert_eq!(ran, in_order, "block-major, then thread order, on the caller");
-        assert_eq!(native.kernel_launches(), 3, "one per launch the pass stands for");
-        native.launch_kernel(&a, cfg).unwrap();
-        native.run_fused(cfg, &[&b], |_| {}).unwrap();
-        assert_eq!(native.kernel_launches(), 5);
+        assert_eq!(seen, u64::MAX, "a u64 buffer lends its words");
+        assert_eq!(native.d2h(rows), vec![0, 1, 2, 5, 4, 3]);
+        assert_eq!(native.d2h(energies), vec![-7, -14]);
+        assert_eq!(native.d2h(words), vec![7]);
     }
 
     #[test]
-    fn fused_pass_rejects_what_its_launches_would() {
+    fn pass_counts_its_launches_once_per_round() {
+        let mut native = NativeGpu::new(DeviceSpec::gt560m());
+        let (a, b) = (Footprint(0), Footprint(64));
+        let cfg = LaunchConfig::linear(2, 4);
+        native.run_pass(cfg, &[&a, &b, &a], 5, |_| ()).unwrap();
+        assert_eq!(native.kernel_launches(), 15, "three launches, five rounds");
+        native.launch_kernel(&a, cfg).unwrap();
+        native.run_pass(cfg, &[&b], 1, |_| ()).unwrap();
+        assert_eq!(native.kernel_launches(), 17);
+    }
+
+    #[test]
+    fn pass_rejects_a_bad_config_before_borrowing() {
         let spec = DeviceSpec::gt560m();
         let fits = Footprint(0);
         let greedy = Footprint(spec.shared_mem_per_block + 1);
@@ -822,12 +813,35 @@ mod tests {
             let want = native.launch_kernel(kernel, cfg).unwrap_err();
             assert!(matches!(want, LaunchError::InvalidConfig(_)), "{want:?}");
             assert_eq!(Gpu::new(spec.clone()).launch(kernel, cfg).unwrap_err(), want);
-            let mut ran = 0;
-            let got = native.run_fused(cfg, &[&fits, kernel], |_| ran += 1).unwrap_err();
+            let mut borrowed = false;
+            let got = native.run_pass(cfg, &[&fits, kernel], 3, |_| borrowed = true).unwrap_err();
             assert_eq!(got, want);
-            assert_eq!(ran, 0, "no thread runs");
+            assert!(!borrowed, "the pass never ran");
             assert_eq!(native.kernel_launches(), 0, "a rejected pass counts nothing");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "taken twice in one pass")]
+    fn pass_refuses_a_buffer_taken_twice() {
+        let mut native = NativeGpu::new(DeviceSpec::gt560m());
+        let rows = ExecBackend::alloc::<u32>(&mut native, 6);
+        let _ = native.run_pass(LaunchConfig::linear(1, 2), &[], 1, |mem| {
+            let _mine = mem.take(rows);
+            let _again = mem.take(rows);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong word width")]
+    fn pass_refuses_a_buffer_of_the_wrong_word_width() {
+        let mut native = NativeGpu::new(DeviceSpec::gt560m());
+        let _wide = ExecBackend::alloc::<i64>(&mut native, 4);
+        // Buffer 0 of another device is narrow; here buffer 0 is wide.
+        let narrow = ExecBackend::alloc::<u32>(&mut NativeGpu::new(DeviceSpec::gt560m()), 4);
+        let _ = native.run_pass(LaunchConfig::linear(1, 2), &[], 1, |mem| {
+            let _ = mem.take(narrow);
+        });
     }
 
     /// Every thread folds its value into one cross-block minimum.

@@ -148,7 +148,7 @@ pub trait Kernel {
     /// paths executing this exact code. (`Self: Sized` keeps the rest of the
     /// trait object-safe: a `&dyn Kernel` names a launch's geometry needs
     /// where no thread runs, as in
-    /// [`NativeGpu::run_fused`](crate::backend::NativeGpu::run_fused).)
+    /// [`NativeGpu::run_pass`](crate::backend::NativeGpu::run_pass).)
     fn phase<C: DeviceCtx>(&self, phase: usize, ctx: &mut C)
     where
         Self: Sized;

@@ -39,9 +39,9 @@
 //! ([`Gpu`]), the semantic referee, or the native host backend
 //! ([`backend::NativeGpu`]), the speed path, which executes the same kernel
 //! bodies in the same serial block order with no simulation overhead and
-//! byte-identical results, and can run several thread-independent launches
-//! as one fused pass ([`backend::NativeGpu::run_fused`]) (DESIGN.md §11,
-//! §16).
+//! byte-identical results, and can run rounds of several thread-independent
+//! launches as one native pass over device memory borrowed once
+//! ([`backend::NativeGpu::run_pass`], [`PassMem`]) (DESIGN.md §11, §16).
 //!
 //! A kernel holds its device buffers as typed [`Buf`] fields, the analogue
 //! of CUDA launch parameters, so a launch is just the kernel value and a
@@ -100,7 +100,7 @@ pub use device::DeviceSpec;
 pub use engine::{DeviceCtx, Gpu, Kernel, LaunchError, LaunchStats, ThreadCtx};
 pub use fault::{FaultPlan, FaultStats};
 pub use grid::{Dim3, LaunchConfig};
-pub use memory::{Buf, ConstBuf};
+pub use memory::{Buf, ConstBuf, PassMem};
 pub use pool::{DeviceHandle, DeviceUsage};
 pub use profiler::{
     observe_timeline, timeline_trace_events, transfer_dir_label, Profiler, ProfilerAggregate,

@@ -233,10 +233,33 @@ fn observed<T: DeviceValue>(word: T::Word, fault: &mut ReadFaultStream) -> T {
     T::from_word(T::Word::from_bits(fault.observe_read(word.to_bits(), width)))
 }
 
-/// The words of `w`, which stores `T`s, writable.
-#[inline]
-fn words_of_mut<T: DeviceValue>(w: &mut Words) -> &mut [T::Word] {
-    T::Word::of_mut(w)
+/// Device memory as one native pass borrows it
+/// ([`NativeGpu::run_pass`](crate::backend::NativeGpu::run_pass)): each
+/// buffer the pass touches is taken once, as a slice of its storage words,
+/// for the whole pass. Indexing the slices is bounds-checked like any
+/// slice.
+#[derive(Debug)]
+pub struct PassMem<'a> {
+    slots: Vec<Option<&'a mut Words>>,
+}
+
+impl<'a> PassMem<'a> {
+    /// `buf`'s storage words for the rest of the pass: its elements
+    /// themselves for a `u32` or `i64` buffer, their `i64` words for a
+    /// `u64` one (decode with [`DeviceValue::from_word`]).
+    ///
+    /// # Panics
+    /// Panics if the pass already took `buf`, if `buf` is not a buffer of
+    /// this device, or if its storage is not as wide as its elements.
+    pub fn take<T: DeviceValue>(&mut self, buf: Buf<T>) -> &'a mut [T::Word] {
+        match self.slots.get_mut(buf.id) {
+            Some(slot) => match slot.take() {
+                Some(words) => T::Word::of_mut(words),
+                None => panic!("buffer {} taken twice in one pass", buf.id),
+            },
+            None => panic!("buffer {} is not on this device", buf.id),
+        }
+    }
 }
 
 impl MemoryPool {
@@ -382,25 +405,9 @@ impl MemoryPool {
         &words[checked_range(buf.id, words.len(), start, len)]
     }
 
-    /// Windows on `N` rows `(buf, start, len)` of distinct `u32` or `i64`
-    /// buffers, all borrowed in place and writable.
-    ///
-    /// # Panics
-    /// Panics if two rows name the same buffer or a row is out of bounds.
-    pub(crate) fn windows_mut<T: DeviceValue<Word = T>, const N: usize>(
-        &mut self,
-        rows: [(Buf<T>, usize, usize); N],
-    ) -> [&mut [T]; N] {
-        let storage = match self.global.get_disjoint_mut(rows.map(|(buf, _, _)| buf.id)) {
-            Ok(storage) => storage,
-            Err(e) => panic!("writable windows need distinct buffers: {e}"),
-        };
-        let mut windows = storage.into_iter().zip(rows).map(|(words, (buf, start, len))| {
-            let words = words_of_mut::<T>(words);
-            let range = checked_range(buf.id, words.len(), start, len);
-            &mut words[range]
-        });
-        std::array::from_fn(|_| windows.next().expect("one window per row"))
+    /// Every buffer, each to be borrowed at most once by a native pass.
+    pub(crate) fn pass_mem(&mut self) -> PassMem<'_> {
+        PassMem { slots: self.global.iter_mut().map(Some).collect() }
     }
 
     /// Copy `count` elements from `src` at `src_start` to `dst` at
@@ -522,36 +529,6 @@ mod tests {
         assert_eq!(storage_bytes(&p, flags.id), 4 * N);
         let data = p.alloc::<i64>(N);
         assert_eq!(storage_bytes(&p, data.id), 8 * N);
-    }
-
-    #[test]
-    fn writable_windows_edit_their_rows_in_place() {
-        let mut p = MemoryPool::default();
-        let rows = p.alloc::<u32>(6);
-        p.h2d(rows, &[0, 1, 2, 3, 4, 5]);
-        let other = p.alloc::<u32>(3);
-        p.h2d(other, &[7, 8, 9]);
-        let [mine, theirs] = p.windows_mut([(rows, 3, 3), (other, 0, 3)]);
-        mine.copy_from_slice(theirs);
-        mine.swap(0, 2);
-        assert_eq!(p.d2h(rows), vec![0, 1, 2, 9, 8, 7]);
-        assert_eq!(p.d2h(other), vec![7, 8, 9], "the other row is only read");
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct buffers")]
-    fn writable_windows_refuse_one_buffer_twice() {
-        let mut p = MemoryPool::default();
-        let rows = p.alloc::<u32>(6);
-        p.windows_mut([(rows, 0, 3), (rows, 3, 3)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn writable_windows_are_bounds_checked() {
-        let mut p = MemoryPool::default();
-        let rows = p.alloc::<u32>(6);
-        p.windows_mut([(rows, 4, 3)]);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! between kernel launches, exactly as CUDA code keeps `curandState` arrays
 //! on the device.
 
+use crate::memory::DeviceValue;
+
 /// One XORWOW stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XorWow {
@@ -101,6 +103,26 @@ impl XorWow {
             d: words[2] as u32,
         }
     }
+
+    /// The stream stored in `words`: one thread's three words of a `u64`
+    /// state buffer as a native pass borrows them ([`crate::PassMem::take`]
+    /// lends a `u64` buffer as its `i64` storage words).
+    ///
+    /// # Panics
+    /// Panics unless `words` holds exactly three words.
+    pub fn from_words(words: &[i64]) -> Self {
+        let words: [i64; 3] = words.try_into().expect("three words per stream");
+        XorWow::unpack(words.map(u64::from_word))
+    }
+
+    /// Store the stream in one thread's three storage words, as
+    /// [`from_words`](Self::from_words) reads them.
+    ///
+    /// # Panics
+    /// Panics unless `words` holds exactly three words.
+    pub fn to_words(&self, words: &mut [i64]) {
+        words.copy_from_slice(&self.pack().map(u64::to_word));
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +208,9 @@ mod tests {
         }
         let packed = rng.pack();
         let mut restored = XorWow::unpack(packed);
+        let mut words = [0i64; 3];
+        rng.to_words(&mut words);
+        assert_eq!(XorWow::from_words(&words), rng, "storage words round-trip too");
         let mut original = rng;
         for _ in 0..32 {
             assert_eq!(original.next_u32(), restored.next_u32());

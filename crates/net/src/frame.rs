@@ -845,14 +845,27 @@ fn stalled(last_byte: Instant, part: &str) -> Result<(), SuiteError> {
     )))
 }
 
+/// How far a frame body's buffer may run ahead of the bytes received:
+/// [`read_frame`] grows the buffer by at most this much per read, so a
+/// length prefix alone pins no more than this, however much it announces.
+pub const BODY_CHUNK: usize = 64 * 1024;
+
 /// Read one frame from `r`. Returns `Ok(None)` on a clean EOF at a frame
 /// boundary (the peer closed the connection); a hostile or oversized
-/// length prefix is rejected **before** any payload allocation. If the
-/// stream has a read timeout and it fires with no frame started, the
-/// error satisfies [`is_idle_timeout`]; once a frame has begun, timeouts
-/// retry until no byte has arrived for [`MID_FRAME_STALL`], then the read
-/// fails with a protocol error. Blocking streams never time out.
+/// length prefix is rejected **before** any payload allocation, and the
+/// body's buffer grows as its bytes arrive, at most [`BODY_CHUNK`] ahead of
+/// them. If the stream has a read timeout and it fires with no frame
+/// started, the error satisfies [`is_idle_timeout`]; once a frame has
+/// begun, timeouts retry until no byte has arrived for
+/// [`MID_FRAME_STALL`], then the read fails with a protocol error. Blocking
+/// streams never time out.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, SuiteError> {
+    Ok(read_frame_sized(r)?.map(|(frame, _)| frame))
+}
+
+/// [`read_frame`], also returning the bytes the frame took on the wire:
+/// its 4-byte length prefix plus the body.
+pub fn read_frame_sized<R: Read>(r: &mut R) -> Result<Option<(Frame, usize)>, SuiteError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     let mut last_byte = Instant::now();
@@ -880,20 +893,26 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, SuiteError> {
             "frame length {len} exceeds limit {MAX_FRAME_LEN}"
         )));
     }
-    let mut body = vec![0u8; len];
-    let mut have = 0;
-    while have < len {
+    let mut body = Vec::new();
+    while body.len() < len {
+        let have = body.len();
+        let ahead = (len - have).min(BODY_CHUNK);
+        body.reserve_exact(ahead);
+        body.resize(have + ahead, 0);
         match r.read(&mut body[have..]) {
             Ok(0) => return Err(SuiteError::protocol("connection closed mid frame")),
             Ok(n) => {
-                have += n;
+                body.truncate(have + n);
                 last_byte = Instant::now();
             }
-            Err(e) if is_wait(e.kind()) => stalled(last_byte, "frame")?,
+            Err(e) if is_wait(e.kind()) => {
+                body.truncate(have);
+                stalled(last_byte, "frame")?;
+            }
             Err(e) => return Err(SuiteError::protocol(format!("read failed mid frame: {e}"))),
         }
     }
-    Frame::decode_body(&body).map(Some)
+    Ok(Some((Frame::decode_body(&body)?, 4 + len)))
 }
 
 /// Write one frame to `w` and flush it.
@@ -976,6 +995,63 @@ mod tests {
         wire.extend_from_slice(&[0u8; 16]);
         let err = read_frame(&mut Cursor::new(wire)).unwrap_err();
         assert!(err.to_string().contains("exceeds limit"), "{err}");
+    }
+
+    /// Announces a `MAX_FRAME_LEN` body, sends `body` bytes of it, then
+    /// reports EOF; records the largest buffer any read was offered.
+    struct AnnounceThenHangUp {
+        prefix: std::io::Cursor<[u8; 4]>,
+        body: usize,
+        largest: usize,
+    }
+
+    impl Read for AnnounceThenHangUp {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.prefix.position() < 4 {
+                return self.prefix.read(buf);
+            }
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.body).min(1000);
+            buf[..n].fill(7);
+            self.body -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_body_buffer_grows_only_as_its_bytes_arrive() {
+        let prefix = (MAX_FRAME_LEN as u32).to_le_bytes();
+        for body in [0, 3 * BODY_CHUNK + 17] {
+            let mut peer = AnnounceThenHangUp { prefix: Cursor::new(prefix), body, largest: 0 };
+            let err = read_frame(&mut peer).unwrap_err();
+            assert!(err.to_string().contains("connection closed mid frame"), "{err}");
+            assert!(peer.largest <= BODY_CHUNK, "a read was offered {} bytes", peer.largest);
+            assert_eq!(peer.body, 0, "every byte sent was read");
+        }
+    }
+
+    #[test]
+    fn sized_reads_count_the_bytes_on_the_wire() {
+        let frames = [
+            Frame::Request(sample_request()),
+            Frame::Ping { nonce: 3 },
+            Frame::Chunk(StreamChunk { id: 1, index: 0, total: 1, data: vec![9; 3 * BODY_CHUNK] }),
+        ];
+        let mut wire = Vec::new();
+        for f in &frames {
+            write_frame(&mut wire, f).unwrap();
+        }
+        let total = wire.len();
+        let mut cursor = Cursor::new(wire);
+        let mut counted = 0;
+        for f in &frames {
+            let (got, bytes) = read_frame_sized(&mut cursor).unwrap().expect("frame present");
+            assert_eq!(&got, f);
+            assert_eq!(bytes, f.encode().len());
+            counted += bytes;
+        }
+        assert_eq!(counted, total);
+        assert!(read_frame_sized(&mut cursor).unwrap().is_none());
     }
 
     #[test]

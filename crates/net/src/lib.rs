@@ -41,8 +41,9 @@ pub mod wire;
 
 pub use client::{run_workload, sorted_outcome_csv, ClientOutcome};
 pub use frame::{
-    read_frame, write_frame, ErrorCode, Frame, NetError, NetRequest, NetResponse, NodeStats,
-    StatsEnvelope, StreamChunk, UpstreamHealth, WorkSpec, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    read_frame, read_frame_sized, write_frame, ErrorCode, Frame, NetError, NetRequest,
+    NetResponse, NodeStats, StatsEnvelope, StreamChunk, UpstreamHealth, WorkSpec, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 pub use snapshot::{decode_flight, decode_registry, encode_flight, encode_registry};
 pub use limiter::TenantLimiter;

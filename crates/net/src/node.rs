@@ -19,7 +19,7 @@
 
 use crate::auth;
 use crate::frame::{
-    self, chunk_sequence, read_frame, ErrorCode, Frame, NetError, NetRequest, NetResponse,
+    self, chunk_sequence, read_frame_sized, ErrorCode, Frame, NetError, NetRequest, NetResponse,
     NodeStats, StatsEnvelope,
 };
 use crate::limiter::TenantLimiter;
@@ -359,8 +359,8 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream, conn: u64) {
     };
 
     loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(f)) => f,
+        let (frame, bytes) = match read_frame_sized(&mut reader) {
+            Ok(Some(read)) => read,
             Ok(None) => break,
             Err(e) if frame::is_idle_timeout(&e) => {
                 if shared.stop.load(Ordering::SeqCst) {
@@ -379,7 +379,7 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream, conn: u64) {
                 break;
             }
         };
-        shared.count_frame("in", &frame, frame.encode().len());
+        shared.count_frame("in", &frame, bytes);
         match frame {
             Frame::Request(req) => {
                 requests_on_conn += 1;

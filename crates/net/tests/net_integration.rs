@@ -384,6 +384,56 @@ fn concurrent_clients_see_a_drained_shutdown() {
 }
 
 #[test]
+fn inbound_frame_bytes_sum_to_what_the_client_wrote() {
+    let node = serve_node(node_config()).expect("bind node");
+    let mut stream = TcpStream::connect(node.addr).expect("connect");
+    let entry = &small_workload(1)[0];
+    let inst = cdd_instances::cdd_instance(12, 1, 0.4);
+    let frames = [
+        Frame::Ping { nonce: 1 },
+        Frame::Request(NetRequest {
+            id: 7,
+            tenant: entry.tenant.clone(),
+            token: token_for(&entry.tenant, DEFAULT_SECRET),
+            priority: entry.priority,
+            deadline_ms: None,
+            algorithm: entry.algorithm,
+            iterations: 20,
+            seed: 3,
+            work: WorkSpec::Inline {
+                ucddcp: false,
+                due_date: inst.due_date(),
+                jobs: inst.jobs().to_vec(),
+            },
+            trace: None,
+        }),
+        Frame::Stats { full: false },
+    ];
+    let mut wrote = 0;
+    for f in &frames {
+        let bytes = f.encode();
+        stream.write_all(&bytes).expect("write frame");
+        wrote += bytes.len();
+    }
+    let (mut pong, mut response, mut stats) = (false, false, false);
+    while !(pong && response && stats) {
+        match read_frame(&mut stream).expect("reply").expect("open connection") {
+            Frame::Pong { .. } => pong = true,
+            Frame::Response(_) => response = true,
+            Frame::StatsReply(_) => stats = true,
+            Frame::Chunk(_) => {}
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    drop(stream);
+    node.begin_shutdown();
+    let report = node.join();
+    let read = report.net_metrics.histogram("net_frame_bytes", &[("dir", "in")]).expect("inbound");
+    assert_eq!(read.count(), frames.len() as u64);
+    assert_eq!(read.sum(), wrote as f64, "the bytes read are the bytes written");
+}
+
+#[test]
 fn a_stalled_half_frame_cannot_hang_node_shutdown() {
     // A peer that starts a frame and stalls pins only its own reader, and
     // only until `MID_FRAME_STALL` passes without a byte: then the reader

@@ -855,7 +855,7 @@ fn describe_service_metrics(metrics: &mut MetricsRegistry) {
         ("device_failed_total", "Requests that ended in an error on the device."),
         (
             "device_kernel_launches_total",
-            "Kernel launches on the device; native counts each launch a fused pass stands for.",
+            "Kernel launches on the device; native counts each launch a pass stands for.",
         ),
         ("device_modeled_busy_seconds", "Modeled device seconds of the simulator's runs."),
         ("device_busy_wall_seconds", "Wall-clock seconds the device spent running requests."),

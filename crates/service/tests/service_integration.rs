@@ -64,10 +64,18 @@ fn queue_saturation_returns_admission_error_not_a_hang() {
         ..small_config(1)
     });
 
-    // Occupy the single device with a slow request, and give the worker a
-    // moment to steal it so the queue is empty again.
+    // Occupy the single device with a slow request, and wait until the
+    // worker has popped it, so the queue is empty again, but not finished
+    // it, so the fillers cannot be popped.
     let slow = service.submit(request(30, 1, Algorithm::Sa, 2000, 1)).expect("admitted");
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    loop {
+        let snap = service.snapshot();
+        assert_eq!(snap.completed, 0, "the slow request finished before it was seen running");
+        if snap.queue_depth == 0 {
+            break;
+        }
+        std::thread::yield_now();
+    }
 
     // Two distinct fillers fit; the third must be refused immediately.
     let fill_a = service.submit(request(10, 1, Algorithm::Sa, 100, 2)).expect("queued");
